@@ -224,7 +224,7 @@ def load_run_config(path: str | Path) -> RunConfig:
             config.intensity_split = float(value)
         elif key in ("reg_lambda", "learning_rate", "grad_tol"):
             train_kwargs[key] = float(value)
-        elif key in ("max_iters", "seed"):
+        elif key == "max_iters":
             train_kwargs[key] = int(value)
         else:
             raise UsageError(f"{path}: unknown config key {key!r}")
@@ -364,8 +364,6 @@ def cmd_train(args) -> int:
     config = load_run_config(args.config)
     if args.merge_validation:
         config.merge_validation = True
-    if args.seed is not None:
-        config.train.seed = args.seed
     if config.merge_validation and not args.validation:
         raise UsageError("--merge-validation requires a validation corpus")
 
@@ -541,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge-validation", action="store_true",
                    help="train on train + validation")
     p.add_argument("--report-dir", help="where to write the validation report")
-    p.add_argument("--seed", type=int, help="override the config seed")
     add_format(p)
     p.set_defaults(func=cmd_train)
 

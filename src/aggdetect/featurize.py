@@ -397,7 +397,3 @@ class FeaturePipeline:
                     return f"liwc_{self.resources.category_lexicon.categories[local][0]}"
                 return ("gender_probability", "gender_binary")[local]
         raise AssertionError("unreachable")
-
-
-def pipeline_transform(pipeline: FeaturePipeline, doc: Document) -> SparseVector:
-    return pipeline.transform(doc)

@@ -1,47 +1,43 @@
-"""Hot numeric kernels for training: CSR matrix-vector products, the
-stable sigmoid, and the logistic-loss sum.
+"""Numeric kernels shared by training and prediction: CSR matrix-vector
+products, the stable sigmoid, and the logistic-loss sum, in numpy.
 
-Two interchangeable backends: numba ``@njit`` loops (default when numba
-imports) and a pure-numpy path. Select explicitly with the environment
-variable ``AGGDETECT_KERNELS=numpy|numba`` or at runtime via
-:func:`set_backend`. ``benchmarks/bench_kernels.py`` compares the two.
-
-Both backends are deterministic run-to-run; they may differ from each
-other in the last float bits because summation order differs.
+``csr_matvec`` sums each row on its own, in storage order, so a row's
+result does not depend on the rows stacked with it: one document scores
+bit for bit the same alone as inside a batch.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-BACKEND_ENV = "AGGDETECT_KERNELS"
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the numpy backend
-    HAS_NUMBA = False
+def active_backend() -> str:
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
-def csr_matvec_numpy(indptr, indices, data, w):
-    """Row sums of X*w for CSR X: empty rows handled via the cumsum trick."""
-    products = data * w[indices]
-    csum = np.concatenate(([0.0], np.cumsum(products)))
-    return csum[indptr[1:]] - csum[indptr[:-1]]
+def csr_matvec(indptr, indices, data, w):
+    """Row sums of X*w for CSR X; empty rows give 0.
+
+    ``np.bincount`` adds each row's products in storage order from 0.0, so
+    the sum is the same whatever rows come before it. (It returns
+    integers when it gets no entries at all, hence the cast.)
+    """
+    m = indptr.shape[0] - 1
+    rows = np.repeat(np.arange(m), np.diff(indptr))
+    out = np.bincount(rows, weights=data * w[indices], minlength=m)
+    return out.astype(np.float64, copy=False)
 
 
-def csr_rmatvec_numpy(indptr, indices, data, r, n_features):
+def csr_rmatvec(indptr, indices, data, r, n_features):
     """X^T * r for CSR X."""
     row_nnz = np.diff(indptr)
     expanded = np.repeat(r, row_nnz)
-    return np.bincount(indices, weights=data * expanded, minlength=n_features)
+    out = np.bincount(indices, weights=data * expanded, minlength=n_features)
+    return out.astype(np.float64, copy=False)
 
 
-def sigmoid_numpy(z):
+def sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -50,93 +46,9 @@ def sigmoid_numpy(z):
     return out
 
 
-def logistic_loss_sum_numpy(z, y):
+def logistic_loss_sum(z, y):
     """Sum over examples of max(z,0) - y*z + log1p(exp(-|z|))."""
     return float(np.sum(np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))))
-
-
-def _csr_matvec_loop(indptr, indices, data, w):
-    m = indptr.shape[0] - 1
-    out = np.zeros(m)
-    for row in range(m):
-        acc = 0.0
-        for j in range(indptr[row], indptr[row + 1]):
-            acc += data[j] * w[indices[j]]
-        out[row] = acc
-    return out
-
-
-def _csr_rmatvec_loop(indptr, indices, data, r, n_features):
-    m = indptr.shape[0] - 1
-    out = np.zeros(n_features)
-    for row in range(m):
-        ri = r[row]
-        for j in range(indptr[row], indptr[row + 1]):
-            out[indices[j]] += data[j] * ri
-    return out
-
-
-def _sigmoid_loop(z):
-    out = np.empty_like(z)
-    for i in range(z.shape[0]):
-        if z[i] >= 0.0:
-            out[i] = 1.0 / (1.0 + np.exp(-z[i]))
-        else:
-            e = np.exp(z[i])
-            out[i] = e / (1.0 + e)
-    return out
-
-
-def _logistic_loss_sum_loop(z, y):
-    acc = 0.0
-    for i in range(z.shape[0]):
-        zi = z[i]
-        acc += max(zi, 0.0) - y[i] * zi + np.log1p(np.exp(-abs(zi)))
-    return acc
-
-
-if HAS_NUMBA:
-    csr_matvec_numba = njit(cache=True)(_csr_matvec_loop)
-    csr_rmatvec_numba = njit(cache=True)(_csr_rmatvec_loop)
-    sigmoid_numba = njit(cache=True)(_sigmoid_loop)
-    logistic_loss_sum_numba = njit(cache=True)(_logistic_loss_sum_loop)
-
-_BACKENDS = {
-    "numpy": (csr_matvec_numpy, csr_rmatvec_numpy, sigmoid_numpy, logistic_loss_sum_numpy),
-}
-if HAS_NUMBA:
-    _BACKENDS["numba"] = (
-        csr_matvec_numba,
-        csr_rmatvec_numba,
-        sigmoid_numba,
-        logistic_loss_sum_numba,
-    )
-
-_active = "numpy"
-csr_matvec = csr_matvec_numpy
-csr_rmatvec = csr_rmatvec_numpy
-sigmoid = sigmoid_numpy
-logistic_loss_sum = logistic_loss_sum_numpy
-
-
-def set_backend(name: str) -> str:
-    """Select the kernel backend; returns the backend actually in effect."""
-    global _active, csr_matvec, csr_rmatvec, sigmoid, logistic_loss_sum
-    if name not in ("numpy", "numba"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        warnings.warn("numba not available; falling back to the numpy kernels")
-        name = "numpy"
-    _active = name
-    csr_matvec, csr_rmatvec, sigmoid, logistic_loss_sum = _BACKENDS[name]
-    return name
-
-
-def active_backend() -> str:
-    return _active
-
-
-set_backend(os.environ.get(BACKEND_ENV, "numba" if HAS_NUMBA else "numpy"))
 
 
 def stack_csr(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:

@@ -7,9 +7,11 @@ training fully deterministic.  The objective per binary problem is
     J(w, b) = (1/m) * sum_i xent(sigmoid(w.x_i + b), y_i)
               + (lambda / 2m) * ||w||^2
 
-with the bias unregularized.  Prediction takes the class with the highest
-sigmoid score; exact ties resolve to the earlier label in NAG < CAG < OAG
-order.
+with the bias unregularized; :func:`objective` and :func:`gradient`
+compute J and its gradient on CSR arrays.  Prediction takes the class
+with the highest decision value w.x + b; exact ties resolve to the
+earlier label in NAG < CAG < OAG order.  Single documents and batches
+are scored by the same kernel, so they get bit-identical scores.
 
 Model files are versioned, sectioned UTF-8 text.  Vocabularies and all
 weights are embedded; embeddings and lexicons are referenced by absolute
@@ -56,7 +58,6 @@ class TrainConfig:
     learning_rate: float = 0.5
     max_iters: int = 1000
     grad_tol: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.reg_lambda < 0:
@@ -77,42 +78,30 @@ class BinaryLogReg:
     iterations: int = 0
     final_grad_norm: float = 0.0
 
-    def decision(self, x: SparseVector) -> float:
-        if x.dimension != self.weights.shape[0]:
-            raise DataError(
-                f"feature dimension {x.dimension} does not match model "
-                f"dimension {self.weights.shape[0]}"
-            )
-        return float(sum(self.weights[i] * w for i, w in x.entries.items()) + self.bias)
+
+# (indptr, indices, data, dim), as kernels.stack_csr returns it
+CSR = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
-def _sigmoid_scalar(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return float(e / (1.0 + e))
-
-
-def objective_value(
-    X: Sequence[SparseVector], y: Sequence[float], w: np.ndarray, b: float, reg_lambda: float
-) -> float:
-    """Regularized logistic loss at (w, b); shared with the trainer."""
-    indptr, indices, data, _dim = kernels.stack_csr(X)
-    y_arr = np.asarray(y, dtype=np.float64)
+def objective(
+    csr: CSR, y: np.ndarray, w: np.ndarray, b: float, reg_lambda: float
+) -> tuple[float, np.ndarray]:
+    """J(w, b) on the CSR stack of the examples, and the scores
+    z = Xw + b it was computed from."""
+    indptr, indices, data, _dim = csr
     z = kernels.csr_matvec(indptr, indices, data, w) + b
-    m = len(y_arr)
-    return kernels.logistic_loss_sum(z, y_arr) / m + 0.5 * reg_lambda * float(w @ w) / m
+    m = y.shape[0]
+    return kernels.logistic_loss_sum(z, y) / m + 0.5 * reg_lambda * float(w @ w) / m, z
 
 
-def loss_gradient(
-    X: Sequence[SparseVector], y: Sequence[float], w: np.ndarray, b: float, reg_lambda: float
+def gradient(
+    csr: CSR, y: np.ndarray, w: np.ndarray, z: np.ndarray, reg_lambda: float
 ) -> tuple[np.ndarray, float]:
-    """Analytic gradient of the objective at (w, b)."""
-    indptr, indices, data, dim = kernels.stack_csr(X)
-    y_arr = np.asarray(y, dtype=np.float64)
-    m = len(y_arr)
-    z = kernels.csr_matvec(indptr, indices, data, w) + b
-    r = kernels.sigmoid(z) - y_arr
+    """Gradient of J at (w, b), from the scores z that :func:`objective`
+    returned there."""
+    indptr, indices, data, dim = csr
+    m = y.shape[0]
+    r = kernels.sigmoid(z) - y
     gw = kernels.csr_rmatvec(indptr, indices, data, r, dim) / m + (reg_lambda / m) * w
     return gw, float(r.mean())
 
@@ -132,26 +121,19 @@ def train_binary(
         raise DataError(f"got {len(X)} vectors but {len(y)} targets")
     if len(X) == 0:
         raise DataError("cannot train on an empty example set")
-    indptr, indices, data, dim = kernels.stack_csr(X)
+    csr = kernels.stack_csr(X)
+    _indptr, _indices, data, dim = csr
     if data.size and not np.isfinite(data).all():
         raise DataError("non-finite feature values in training data")
     y_arr = np.asarray(y, dtype=np.float64)
-    m = len(y_arr)
     lam = config.reg_lambda
-
-    def evaluate(w: np.ndarray, b: float) -> tuple[float, np.ndarray]:
-        z = kernels.csr_matvec(indptr, indices, data, w) + b
-        loss = kernels.logistic_loss_sum(z, y_arr) / m + 0.5 * lam * float(w @ w) / m
-        return loss, z
 
     w = np.zeros(dim)
     b = 0.0
-    loss, z = evaluate(w, b)
+    loss, z = objective(csr, y_arr, w, b, lam)
     iterations = 0
     while True:
-        r = kernels.sigmoid(z) - y_arr
-        gw = kernels.csr_rmatvec(indptr, indices, data, r, dim) / m + (lam / m) * w
-        gb = float(r.mean())
+        gw, gb = gradient(csr, y_arr, w, z, lam)
         grad_norm = max(float(np.abs(gw).max()) if dim else 0.0, abs(gb))
         if grad_norm <= config.grad_tol or iterations >= config.max_iters:
             break
@@ -159,7 +141,8 @@ def train_binary(
         step = config.learning_rate
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            new_loss, new_z = evaluate(w - step * gw, b - step * gb)
+            new_w, new_b = w - step * gw, b - step * gb
+            new_loss, new_z = objective(csr, y_arr, new_w, new_b, lam)
             if new_loss <= loss - _ARMIJO_C1 * step * g_sq:
                 accepted = True
                 break
@@ -167,9 +150,7 @@ def train_binary(
         if not accepted:
             break
         assert new_loss <= loss, "line search accepted an increasing step"
-        w = w - step * gw
-        b = b - step * gb
-        loss, z = new_loss, new_z
+        w, b, loss, z = new_w, new_b, new_loss, new_z
         iterations += 1
 
     return BinaryLogReg(
@@ -230,31 +211,36 @@ def train_ovr(
     )
 
 
-def predict_proba(model: OvRModel, x: SparseVector) -> np.ndarray:
-    """Per-class sigmoid scores; not normalized across classes."""
-    return np.array([_sigmoid_scalar(clf.decision(x)) for clf in model.classifiers])
-
-
-def predict(model: OvRModel, x: SparseVector) -> Label:
-    """Class with the highest score; ties go to the earlier label."""
-    scores = predict_proba(model, x)
-    return LABELS[int(np.argmax(scores))]
-
-
-def predict_many(model: OvRModel, X: Sequence[SparseVector]) -> list[Label]:
-    """Batched prediction through the CSR kernels."""
-    if not X:
-        return []
+def _scores(model: OvRModel, X: Sequence[SparseVector]) -> np.ndarray:
+    """Decision values w.x + b, one row per vector and one column per class."""
     indptr, indices, data, dim = kernels.stack_csr(X)
     if dim != model.dimension:
-        raise DataError(f"feature dimension {dim} does not match model {model.dimension}")
-    scores = np.column_stack(
+        raise DataError(
+            f"feature dimension {dim} does not match model dimension {model.dimension}"
+        )
+    return np.column_stack(
         [
             kernels.csr_matvec(indptr, indices, data, clf.weights) + clf.bias
             for clf in model.classifiers
         ]
     )
-    return [LABELS[int(i)] for i in np.argmax(scores, axis=1)]
+
+
+def predict_proba(model: OvRModel, x: SparseVector) -> np.ndarray:
+    """Per-class sigmoid scores; not normalized across classes."""
+    return kernels.sigmoid(_scores(model, [x])[0])
+
+
+def predict(model: OvRModel, x: SparseVector) -> Label:
+    """Class with the highest score; ties go to the earlier label."""
+    return LABELS[int(np.argmax(_scores(model, [x])[0]))]
+
+
+def predict_many(model: OvRModel, X: Sequence[SparseVector]) -> list[Label]:
+    """:func:`predict` for each vector, scored as one batch."""
+    if not X:
+        return []
+    return [LABELS[int(i)] for i in np.argmax(_scores(model, X), axis=1)]
 
 
 def top_features(model: OvRModel, label: Label, k: int) -> list[tuple[str, float]]:

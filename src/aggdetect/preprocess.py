@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import re
-import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ResourceError
 from .translit import TABLE_VERSION, is_devanagari, transliterate, transliterate_with_count
-
-transliterate_devanagari = transliterate
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _EMAIL_RE = re.compile(r"[\w.+-]+@[\w-]+\.[\w.-]+")
@@ -139,32 +136,6 @@ def clean_text(text: str, config: CleanConfig | None = None) -> str:
         tokens = text.split()
 
     return _WS_RE.sub(" ", " ".join(tokens)).strip()
-
-
-@dataclass(frozen=True)
-class ScriptProfile:
-    """Per-script character fractions over the script-bearing (letter)
-    characters of a text. All zero when the text has no letters."""
-
-    devanagari_fraction: float
-    latin_fraction: float
-    other_fraction: float
-
-
-def script_profile(text: str) -> ScriptProfile:
-    devanagari = latin = other = 0
-    for ch in text:
-        if is_devanagari(ch):
-            if unicodedata.category(ch).startswith(("L", "M")):
-                devanagari += 1
-        elif ("a" <= ch <= "z") or ("A" <= ch <= "Z"):
-            latin += 1
-        elif unicodedata.category(ch).startswith("L"):
-            other += 1
-    total = devanagari + latin + other
-    if total == 0:
-        return ScriptProfile(0.0, 0.0, 0.0)
-    return ScriptProfile(devanagari / total, latin / total, other / total)
 
 
 @dataclass

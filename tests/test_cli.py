@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import aggdetect
 from aggdetect.cli import main
 from aggdetect.corpus_io import Label, load_predictions
 from aggdetect.model import load_model
@@ -107,13 +110,21 @@ class TestTrain:
         assert run(["train", str(corpus_path), str(tmp_path / "m.txt"),
                     "--config", str(config)]) == 1
 
+    def test_seed_is_usage_error(self, tmp_path, toy_corpus, basic_config, capsys):
+        corpus_path, _rows = toy_corpus
+        config = write_lines(tmp_path / "bad.cfg", ["blocks = U", "seed = 3"])
+        assert run(["train", str(corpus_path), str(tmp_path / "m.txt"),
+                    "--config", str(config)]) == 1
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        assert run(["train", str(corpus_path), str(tmp_path / "m.txt"),
+                    "--config", str(basic_config), "--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
     def test_byte_identical_model_files(self, tmp_path, toy_corpus, basic_config):
         corpus_path, _rows = toy_corpus
         m1, m2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
-        assert run(["train", str(corpus_path), str(m1), "--config", str(basic_config),
-                    "--seed", "7"]) == 0
-        assert run(["train", str(corpus_path), str(m2), "--config", str(basic_config),
-                    "--seed", "7"]) == 0
+        assert run(["train", str(corpus_path), str(m1), "--config", str(basic_config)]) == 0
+        assert run(["train", str(corpus_path), str(m2), "--config", str(basic_config)]) == 0
         assert m1.read_bytes() == m2.read_bytes()
 
     def test_preset_config(self, tmp_path, toy_corpus):
@@ -379,10 +390,14 @@ class TestCsvFormat:
 
 class TestModuleEntry:
     def test_python_dash_m_smoke(self):
+        # the child imports the same package as this process, installed or not
+        package_root = str(Path(aggdetect.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "aggdetect", "dump-translit-table"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert out.returncode == 0
         assert "consonant" in out.stdout

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -9,14 +5,23 @@ from aggdetect import kernels
 from aggdetect.featurize import SparseVector
 
 
-def random_csr(rng, m=40, n=25, density=0.2):
+def random_vectors(rng, m=40, n=25, density=0.2):
     vectors = []
     for _ in range(m):
         nnz = rng.binomial(n, density)
         idx = rng.choice(n, size=nnz, replace=False)
         entries = {int(i): float(rng.normal()) for i in idx}
         vectors.append(SparseVector(dimension=n, entries=entries))
-    return kernels.stack_csr(vectors)
+    return vectors
+
+
+def csr_cases(rng, n=25):
+    """A random CSR matrix, the same with leading or with trailing empty
+    rows, one with only empty rows, and one with no rows."""
+    vectors = random_vectors(rng, n=n)
+    empty = [SparseVector(dimension=n, entries={})] * 3
+    cases = [kernels.stack_csr(rows) for rows in (vectors, empty + vectors, vectors + empty, empty)]
+    return cases + [(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), n)]
 
 
 def dense_from_csr(indptr, indices, data, n):
@@ -31,28 +36,32 @@ def dense_from_csr(indptr, indices, data, n):
 class TestNumpyKernels:
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(0)
-        indptr, indices, data, n = random_csr(rng)
-        w = rng.normal(size=n)
-        X = dense_from_csr(indptr, indices, data, n)
-        assert np.allclose(kernels.csr_matvec_numpy(indptr, indices, data, w), X @ w)
+        for indptr, indices, data, n in csr_cases(rng):
+            w = rng.normal(size=n)
+            X = dense_from_csr(indptr, indices, data, n)
+            out = kernels.csr_matvec(indptr, indices, data, w)
+            assert out.dtype == np.float64 and out.shape == (X.shape[0],)
+            assert np.allclose(out, X @ w)
 
     def test_matvec_handles_empty_rows(self):
         empty = SparseVector(dimension=3, entries={})
         full = SparseVector(dimension=3, entries={1: 2.0})
         indptr, indices, data, n = kernels.stack_csr([empty, full, empty])
-        out = kernels.csr_matvec_numpy(indptr, indices, data, np.array([1.0, 3.0, 1.0]))
+        out = kernels.csr_matvec(indptr, indices, data, np.array([1.0, 3.0, 1.0]))
         assert out.tolist() == [0.0, 6.0, 0.0]
 
     def test_rmatvec_matches_dense(self):
         rng = np.random.default_rng(1)
-        indptr, indices, data, n = random_csr(rng)
-        r = rng.normal(size=indptr.shape[0] - 1)
-        X = dense_from_csr(indptr, indices, data, n)
-        assert np.allclose(kernels.csr_rmatvec_numpy(indptr, indices, data, r, n), X.T @ r)
+        for indptr, indices, data, n in csr_cases(rng):
+            r = rng.normal(size=indptr.shape[0] - 1)
+            X = dense_from_csr(indptr, indices, data, n)
+            out = kernels.csr_rmatvec(indptr, indices, data, r, n)
+            assert out.dtype == np.float64 and out.shape == (n,)
+            assert np.allclose(out, X.T @ r)
 
     def test_sigmoid_stable_at_extremes(self):
         z = np.array([-1000.0, 0.0, 1000.0])
-        out = kernels.sigmoid_numpy(z)
+        out = kernels.sigmoid(z)
         assert np.isfinite(out).all()
         assert out[0] == pytest.approx(0.0, abs=1e-12)
         assert out[1] == 0.5
@@ -64,65 +73,4 @@ class TestNumpyKernels:
         y = rng.integers(0, 2, size=50).astype(float)
         sigma = 1.0 / (1.0 + np.exp(-z))
         naive = float(np.sum(-(y * np.log(sigma) + (1 - y) * np.log(1 - sigma))))
-        assert kernels.logistic_loss_sum_numpy(z, y) == pytest.approx(naive, rel=1e-10)
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-class TestBackendAgreement:
-    def test_all_kernels_agree(self):
-        rng = np.random.default_rng(3)
-        indptr, indices, data, n = random_csr(rng, m=60, n=40)
-        w = rng.normal(size=n)
-        r = rng.normal(size=60)
-        z = rng.normal(size=60) * 5
-        y = rng.integers(0, 2, size=60).astype(float)
-        assert np.allclose(
-            kernels.csr_matvec_numba(indptr, indices, data, w),
-            kernels.csr_matvec_numpy(indptr, indices, data, w),
-            atol=1e-12,
-        )
-        assert np.allclose(
-            kernels.csr_rmatvec_numba(indptr, indices, data, r, n),
-            kernels.csr_rmatvec_numpy(indptr, indices, data, r, n),
-            atol=1e-12,
-        )
-        assert np.allclose(kernels.sigmoid_numba(z), kernels.sigmoid_numpy(z), atol=1e-15)
-        assert kernels.logistic_loss_sum_numba(z, y) == pytest.approx(
-            kernels.logistic_loss_sum_numpy(z, y), rel=1e-12
-        )
-
-    def test_empty_matrix(self):
-        indptr = np.zeros(1, dtype=np.int64)
-        indices = np.zeros(0, dtype=np.int64)
-        data = np.zeros(0)
-        w = np.zeros(4)
-        assert kernels.csr_matvec_numba(indptr, indices, data, w).shape == (0,)
-        assert kernels.csr_rmatvec_numba(indptr, indices, data, np.zeros(0), 4).tolist() == [0.0] * 4
-
-
-class TestBackendSelection:
-    def test_set_backend_round_trip(self):
-        original = kernels.active_backend()
-        try:
-            assert kernels.set_backend("numpy") == "numpy"
-            assert kernels.csr_matvec is kernels.csr_matvec_numpy
-            if kernels.HAS_NUMBA:
-                assert kernels.set_backend("numba") == "numba"
-                assert kernels.csr_matvec is kernels.csr_matvec_numba
-        finally:
-            kernels.set_backend(original)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")
-
-    def test_env_flag_selects_numpy(self):
-        env = dict(os.environ, **{kernels.BACKEND_ENV: "numpy"})
-        out = subprocess.run(
-            [sys.executable, "-c", "from aggdetect import kernels; print(kernels.active_backend())"],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+        assert kernels.logistic_loss_sum(z, y) == pytest.approx(naive, rel=1e-10)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from aggdetect import kernels
 from aggdetect.corpus_io import Document, Label
@@ -11,9 +12,9 @@ from aggdetect.model import (
     BinaryLogReg,
     OvRModel,
     TrainConfig,
+    gradient,
     load_model,
-    loss_gradient,
-    objective_value,
+    objective,
     predict,
     predict_many,
     predict_proba,
@@ -29,6 +30,18 @@ from helpers import write_lines
 
 def sv(dimension, **entries):
     return SparseVector(dimension=dimension, entries={int(k[1:]): v for k, v in entries.items()})
+
+
+def decision_values(clf, X):
+    """w.x + b of one binary classifier for each vector, scored as a batch."""
+    indptr, indices, data, _dim = kernels.stack_csr(X)
+    return kernels.csr_matvec(indptr, indices, data, clf.weights) + clf.bias
+
+
+def gradient_at(vectors, y, w, b, lam):
+    csr = kernels.stack_csr(vectors)
+    _loss, z = objective(csr, y, w, b, lam)
+    return gradient(csr, y, w, z, lam)
 
 
 def dense_reference_loss(X_dense, y, w, b, lam):
@@ -62,7 +75,7 @@ class TestGradient:
             w = rng.normal(size=dim) * 0.5
             b = float(rng.normal() * 0.5)
             lam = float(rng.choice([0.0, 0.5, 1.0, 3.0]))
-            gw, gb = loss_gradient(vectors, y, w, b, lam)
+            gw, gb = gradient_at(vectors, y, w, b, lam)
             fd = np.zeros(dim + 1)
             for j in range(dim):
                 wp, wm = w.copy(), w.copy()
@@ -84,7 +97,7 @@ class TestGradient:
         # with w=0, b=0 every predicted probability is 0.5
         X = [sv(2, i0=1.0), sv(2, i1=1.0)]
         y = np.array([1.0, 0.0])
-        gw, gb = loss_gradient(X, y, np.zeros(2), 0.0, 0.0)
+        gw, gb = gradient_at(X, y, np.zeros(2), 0.0, 0.0)
         assert gb == pytest.approx(float(np.mean(0.5 - y)))
         assert gw == pytest.approx([-0.25, 0.25])
 
@@ -109,8 +122,9 @@ class TestTrainBinary:
         vectors, X_dense, y = random_problem(rng, max_dim=6, max_examples=15)
         config = TrainConfig(max_iters=50)
         clf = train_binary(vectors, y, config)
-        start = objective_value(vectors, y, np.zeros(X_dense.shape[1]), 0.0, config.reg_lambda)
-        end = objective_value(vectors, y, clf.weights, clf.bias, config.reg_lambda)
+        csr = kernels.stack_csr(vectors)
+        start, _z = objective(csr, y, np.zeros(X_dense.shape[1]), 0.0, config.reg_lambda)
+        end, _z = objective(csr, y, clf.weights, clf.bias, config.reg_lambda)
         assert end <= start
 
     def test_separable_reaches_perfect_accuracy(self):
@@ -127,7 +141,7 @@ class TestTrainBinary:
             labels.append(1 if positive else 0)
         clf = train_binary(X, labels, TrainConfig(reg_lambda=0.0, max_iters=200))
         correct = sum(
-            (clf.decision(x) > 0) == bool(lab) for x, lab in zip(X, labels)
+            (z > 0) == bool(lab) for z, lab in zip(decision_values(clf, X), labels)
         )
         assert correct == len(X)
 
@@ -183,7 +197,7 @@ class TestTrainOvr:
         X = [sv(1, i0=1.0), sv(1, i0=0.5), sv(1, i0=-1.0)]
         model = train_ovr(X, [Label.NAG, Label.NAG, Label.OAG], TrainConfig(max_iters=200))
         cag = model.classifiers[int(Label.CAG)]
-        probs = [1.0 / (1.0 + math.exp(-cag.decision(x))) for x in X]
+        probs = 1.0 / (1.0 + np.exp(-decision_values(cag, X)))
         assert all(p < 0.5 for p in probs)
 
     def test_single_class_flagged(self):
@@ -203,9 +217,9 @@ class TestTrainOvr:
         config = TrainConfig(max_iters=300)
         ovr = train_ovr(X, labels, config)
         binary = train_binary(X, y, config)
-        for x in X:
+        for x, z in zip(X, decision_values(binary, X)):
             ovr_says_nag = predict(ovr, x) is Label.NAG
-            binary_says_positive = binary.decision(x) > 0
+            binary_says_positive = z > 0
             assert ovr_says_nag == binary_says_positive
 
 
@@ -260,18 +274,24 @@ class TestPredict:
         with pytest.raises(DataError, match="dimension"):
             predict_proba(model, sv(5, i0=1.0))
 
-    def test_predict_many_matches_predict(self):
-        rng = np.random.default_rng(33)
+    @given(st.data())
+    def test_predict_many_matches_predict(self, data):
+        """Each vector scores bit for bit the same alone as in its batch."""
+        dim = data.draw(st.integers(1, 8))
+        values = st.floats(-100.0, 100.0, allow_nan=False)
         model = hand_model(
-            [0.1, -0.2, 0.05],
-            dimension=4,
-            weights=[rng.normal(size=4) for _ in range(3)],
+            data.draw(st.lists(values, min_size=3, max_size=3)),
+            dimension=dim,
+            weights=[data.draw(st.lists(values, min_size=dim, max_size=dim)) for _ in range(3)],
         )
-        X = [
-            SparseVector(dimension=4, entries={int(j): float(rng.normal()) for j in rng.choice(4, 2, replace=False)})
-            for _ in range(25)
-        ]
-        assert predict_many(model, X) == [predict(model, x) for x in X]
+        rows = data.draw(st.lists(st.dictionaries(st.integers(0, dim - 1), values), max_size=12))
+        X = [SparseVector(dimension=dim, entries=entries) for entries in rows]
+        X.insert(data.draw(st.integers(0, len(X))), SparseVector(dimension=dim, entries={}))
+        batch = np.column_stack([decision_values(clf, X) for clf in model.classifiers])
+        labels = predict_many(model, X)
+        for i, x in enumerate(X):
+            assert predict_proba(model, x).tobytes() == kernels.sigmoid(batch[i]).tobytes()
+            assert predict(model, x) == labels[i]
 
 
 def fitted_toy_pipeline():

@@ -5,14 +5,11 @@ from aggdetect import translit
 from aggdetect.preprocess import (
     CleanConfig,
     PreprocessSettings,
-    ScriptProfile,
     SpellDictionary,
     clean_text,
     load_spell_dictionary,
     save_spell_dictionary,
-    script_profile,
     spell_correct,
-    transliterate_devanagari,
 )
 
 
@@ -63,56 +60,28 @@ class TestCleanText:
         assert clean_text(once) == once
 
 
-class TestScriptProfile:
-    def test_pure_latin(self):
-        profile = script_profile("abc")
-        assert profile == ScriptProfile(0.0, 1.0, 0.0)
-
-    def test_pure_devanagari(self):
-        profile = script_profile("कखगघ")
-        assert profile.devanagari_fraction == 1.0
-
-    def test_mixed_with_punctuation(self):
-        profile = script_profile("ab, कख!")
-        assert profile.latin_fraction == pytest.approx(0.5)
-        assert profile.devanagari_fraction == pytest.approx(0.5)
-
-    def test_no_letters(self):
-        assert script_profile("123 !?") == ScriptProfile(0.0, 0.0, 0.0)
-
-    def test_other_scripts_counted(self):
-        profile = script_profile("ab中文")  # two Latin + two CJK
-        assert profile.other_fraction == pytest.approx(0.5)
-
-    @given(st.text(max_size=80))
-    def test_fractions_sum_to_one_or_zero(self, text):
-        profile = script_profile(text)
-        total = profile.devanagari_fraction + profile.latin_fraction + profile.other_fraction
-        assert total == pytest.approx(1.0, abs=1e-9) or total == 0.0
-
-
 class TestTransliteration:
     def test_latin_passthrough(self):
-        assert transliterate_devanagari("hello world!") == "hello world!"
+        assert translit.transliterate("hello world!") == "hello world!"
 
     def test_consonant_with_vowel_sign(self):
-        assert transliterate_devanagari("का") == "kaa"  # KA + AA sign
+        assert translit.transliterate("का") == "kaa"  # KA + AA sign
 
     def test_virama_suppresses_inherent_vowel(self):
-        assert transliterate_devanagari("क्य") == "kya"  # KA + virama + YA
+        assert translit.transliterate("क्य") == "kya"  # KA + virama + YA
 
     def test_inherent_vowel_on_final_consonant(self):
-        assert transliterate_devanagari("कब") == "kaba"
+        assert translit.transliterate("कब") == "kaba"
 
     def test_anusvara_and_visarga(self):
-        assert transliterate_devanagari("हं") == "han"
-        assert transliterate_devanagari("कः") == "kah"
+        assert translit.transliterate("हं") == "han"
+        assert translit.transliterate("कः") == "kah"
 
     def test_digits_and_danda(self):
-        assert transliterate_devanagari("१२।") == "12."
+        assert translit.transliterate("१२।") == "12."
 
     def test_mixed_script_line(self):
-        out = transliterate_devanagari("ok क्या?")
+        out = translit.transliterate("ok क्या?")
         assert out == "ok kyaa?"
 
     def test_no_devanagari_left_on_table_domain(self):
@@ -130,7 +99,7 @@ class TestTransliteration:
 
     @given(st.text(max_size=60))
     def test_total_function(self, text):
-        transliterate_devanagari(text)  # never raises
+        translit.transliterate(text)  # never raises
 
 
 class TestSpellCorrect:
