@@ -222,13 +222,16 @@ def load_run_config(path: str | Path) -> RunConfig:
             config.sentiment_provider = value
         elif key == "intensity_split":
             config.intensity_split = float(value)
-        elif key in ("reg_lambda", "learning_rate", "grad_tol"):
+        elif key in ("reg_lambda", "grad_tol"):
             train_kwargs[key] = float(value)
         elif key == "max_iters":
             train_kwargs[key] = int(value)
         else:
             raise UsageError(f"{path}: unknown config key {key!r}")
-    config.train = TrainConfig(**train_kwargs)  # type: ignore[arg-type]
+    try:
+        config.train = TrainConfig(**train_kwargs)  # type: ignore[arg-type]
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
     _validate_run_config(config)
     return config
@@ -403,8 +406,12 @@ def cmd_train(args) -> int:
     if ovr.single_class_warning:
         log.warning("training corpus contains a single class")
     for label, clf in zip(("NAG", "CAG", "OAG"), ovr.classifiers):
-        log.info("%s classifier: %d iterations, final grad norm %.2e",
-                 label, clf.iterations, clf.final_grad_norm)
+        log.info("%s classifier: %d iterations, stopped by %s, final grad norm %.2e",
+                 label, clf.iterations, clf.stop_reason, clf.final_grad_norm)
+        if clf.stop_reason != "grad_tol":
+            log.warning("%s classifier did not converge: stopped by %s with grad norm "
+                        "%.2e > grad_tol %.2e", label, clf.stop_reason,
+                        clf.final_grad_norm, config.train.grad_tol)
     save_model(ovr, args.model_out)
     log.info("model written to %s", args.model_out)
 

@@ -1,8 +1,9 @@
 """One-vs-rest L2-regularized logistic regression.
 
-Each class gets its own binary classifier trained by full-batch gradient
-descent with Armijo backtracking from zero initialization, which makes
-training fully deterministic.  The objective per binary problem is
+Each class gets its own binary classifier, trained by full-batch L-BFGS
+with Armijo backtracking from zero initialization on one CSR stack of the
+training vectors shared by all classes; nothing is random, so training
+is fully deterministic.  The objective per binary problem is
 
     J(w, b) = (1/m) * sum_i xent(sigmoid(w.x_i + b), y_i)
               + (lambda / 2m) * ||w||^2
@@ -22,6 +23,7 @@ bit-identical predictions or fails loudly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -50,24 +52,22 @@ MODEL_FORMAT = "aggdetect-model 1"
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
+_HISTORY = 10  # L-BFGS curvature pairs kept
 
 
 @dataclass
 class TrainConfig:
     reg_lambda: float = 1.0
-    learning_rate: float = 0.5
     max_iters: int = 1000
     grad_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.reg_lambda < 0:
-            raise ValueError("reg_lambda must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.reg_lambda) and self.reg_lambda >= 0):
+            raise ValueError(f"reg_lambda must be finite and >= 0, got {self.reg_lambda}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be > 0")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be finite and > 0, got {self.grad_tol}")
 
 
 @dataclass
@@ -77,6 +77,9 @@ class BinaryLogReg:
     reg_lambda: float
     iterations: int = 0
     final_grad_norm: float = 0.0
+    # "grad_tol", "max_iters" or "line_search"; None on a loaded model,
+    # because the model file does not record it
+    stop_reason: str | None = None
 
 
 # (indptr, indices, data, dim), as kernels.stack_csr returns it
@@ -106,59 +109,112 @@ def gradient(
     return gw, float(r.mean())
 
 
-def train_binary(
-    X: Sequence[SparseVector], y: Sequence[int], config: TrainConfig | None = None
-) -> BinaryLogReg:
-    """Train one binary classifier by gradient descent with backtracking.
+def _lbfgs_direction(
+    g: np.ndarray, S: np.ndarray, Y: np.ndarray, rho: np.ndarray, slots: list[int], gamma: float
+) -> np.ndarray:
+    """-H g by the two-loop recursion over the curvature pairs (S[i], Y[i])
+    with rho[i] = 1 / S[i].Y[i], for i in ``slots`` newest first; the
+    initial Hessian is ``gamma`` = s.y / y.y of the newest pair."""
+    q = -g
+    alpha = np.empty(len(slots))
+    for k, i in enumerate(slots):
+        alpha[k] = rho[i] * float(S[i] @ q)
+        q -= alpha[k] * Y[i]
+    q *= gamma
+    for k in reversed(range(len(slots))):
+        i = slots[k]
+        q += (alpha[k] - rho[i] * float(Y[i] @ q)) * S[i]
+    return q
 
-    Deterministic: zero initialization, full-batch gradients, and a fixed
-    halving line search. Stops when the sup-norm of the gradient drops
-    under ``grad_tol``, a step cannot achieve Armijo decrease, or
-    ``max_iters`` accepted steps have been taken.
+
+def train_binary(csr: CSR, y: Sequence[int], config: TrainConfig | None = None) -> BinaryLogReg:
+    """Train one binary classifier on the CSR stack of its examples by
+    L-BFGS (Liu & Nocedal 1989) over the vector (w, b).
+
+    Deterministic: zero initialization, full-batch gradients, the last
+    ``_HISTORY`` curvature pairs with s.y > 0 (others are skipped, so
+    ``reg_lambda = 0`` works), and Armijo backtracking by halving from a
+    unit step; the first direction, and any taken while no pair is stored,
+    is the steepest descent direction scaled to length 1. Each trial step
+    costs one matvec and each accepted step one rmatvec. Stops when the
+    sup-norm of the gradient is at most ``grad_tol`` (``stop_reason``
+    "grad_tol"), after ``max_iters`` accepted steps ("max_iters"), or
+    when no step achieves Armijo decrease ("line_search"). The decrease
+    must be strict in float64, so once J's values stop resolving descent
+    (near a gradient of 1e-8 on unit-scale features) the solver stops by
+    "line_search" instead of taking steps that do not move.
     """
     config = config or TrainConfig()
-    if len(X) != len(y):
-        raise DataError(f"got {len(X)} vectors but {len(y)} targets")
-    if len(X) == 0:
+    indptr, _indices, data, dim = csr
+    y_arr = np.asarray(y, dtype=np.float64)
+    m = indptr.shape[0] - 1
+    if m != y_arr.shape[0]:
+        raise DataError(f"got {m} vectors but {y_arr.shape[0]} targets")
+    if m == 0:
         raise DataError("cannot train on an empty example set")
-    csr = kernels.stack_csr(X)
-    _indptr, _indices, data, dim = csr
     if data.size and not np.isfinite(data).all():
         raise DataError("non-finite feature values in training data")
-    y_arr = np.asarray(y, dtype=np.float64)
     lam = config.reg_lambda
 
-    w = np.zeros(dim)
-    b = 0.0
-    loss, z = objective(csr, y_arr, w, b, lam)
+    def flat_gradient(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+        gw, gb = gradient(csr, y_arr, theta[:dim], z, lam)
+        return np.append(gw, gb)
+
+    S = np.empty((_HISTORY, dim + 1))
+    Y = np.empty((_HISTORY, dim + 1))
+    rho = np.empty(_HISTORY)
+    newest, n_pairs, gamma = -1, 0, 1.0
+    theta = np.zeros(dim + 1)  # (w, b)
+    loss, z = objective(csr, y_arr, theta[:dim], 0.0, lam)
+    g = flat_gradient(theta, z)
     iterations = 0
     while True:
-        gw, gb = gradient(csr, y_arr, w, z, lam)
-        grad_norm = max(float(np.abs(gw).max()) if dim else 0.0, abs(gb))
-        if grad_norm <= config.grad_tol or iterations >= config.max_iters:
+        grad_norm = float(np.abs(g).max())
+        if grad_norm <= config.grad_tol:
+            stop_reason = "grad_tol"
             break
-        g_sq = float(gw @ gw) + gb * gb
-        step = config.learning_rate
-        accepted = False
+        if iterations >= config.max_iters:
+            stop_reason = "max_iters"
+            break
+        if n_pairs:
+            slots = [(newest - k) % _HISTORY for k in range(n_pairs)]
+            direction = _lbfgs_direction(g, S, Y, rho, slots, gamma)
+        if not n_pairs or float(g @ direction) >= 0:
+            # no pair stored yet, or rounding broke descent: restart from
+            # the steepest descent direction, scaled to length 1
+            n_pairs = 0
+            direction = -g / math.sqrt(float(g @ g))
+        slope = float(g @ direction)
+        step = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            new_w, new_b = w - step * gw, b - step * gb
-            new_loss, new_z = objective(csr, y_arr, new_w, new_b, lam)
-            if new_loss <= loss - _ARMIJO_C1 * step * g_sq:
-                accepted = True
+            trial = theta + step * direction
+            new_loss, new_z = objective(csr, y_arr, trial[:dim], float(trial[dim]), lam)
+            if new_loss < loss + _ARMIJO_C1 * step * slope:
                 break
             step *= 0.5
-        if not accepted:
+        else:
+            stop_reason = "line_search"
             break
         assert new_loss <= loss, "line search accepted an increasing step"
-        w, b, loss, z = new_w, new_b, new_loss, new_z
+        new_g = flat_gradient(trial, new_z)
+        s, y_diff = trial - theta, new_g - g
+        sy, yy = float(s @ y_diff), float(y_diff @ y_diff)
+        # keep a pair only with positive curvature and with 1/s.y and
+        # s.y/y.y representable, which fails only far out on separable data
+        if sy > 0 and yy > 0 and math.isfinite(1.0 / sy) and math.isfinite(sy / yy):
+            newest = (newest + 1) % _HISTORY
+            S[newest], Y[newest], rho[newest], gamma = s, y_diff, 1.0 / sy, sy / yy
+            n_pairs = min(n_pairs + 1, _HISTORY)
+        theta, loss, z, g = trial, new_loss, new_z, new_g
         iterations += 1
 
     return BinaryLogReg(
-        weights=w,
-        bias=b,
+        weights=theta[:dim].copy(),
+        bias=float(theta[dim]),
         reg_lambda=lam,
         iterations=iterations,
         final_grad_norm=grad_norm,
+        stop_reason=stop_reason,
     )
 
 
@@ -197,8 +253,9 @@ def train_ovr(
         raise DataError(f"got {len(X)} vectors but {len(labels)} labels")
     if len(X) == 0:
         raise DataError("cannot train on an empty corpus")
+    csr = kernels.stack_csr(X)
     classifiers = [
-        train_binary(X, [1 if lab == target else 0 for lab in labels], config)
+        train_binary(csr, [1 if lab == target else 0 for lab in labels], config)
         for target in LABELS
     ]
     return OvRModel(

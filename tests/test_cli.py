@@ -120,6 +120,44 @@ class TestTrain:
                     "--config", str(basic_config), "--seed", "3"]) == 1
         assert "--seed" in capsys.readouterr().err
 
+    def test_learning_rate_is_usage_error(self, tmp_path, toy_corpus, capsys):
+        corpus_path, _rows = toy_corpus
+        config = write_lines(tmp_path / "bad.cfg", ["blocks = U", "learning_rate = 0.5"])
+        assert run(["train", str(corpus_path), str(tmp_path / "m.txt"),
+                    "--config", str(config)]) == 1
+        assert "unknown config key 'learning_rate'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["reg_lambda", "grad_tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_solver_setting_is_usage_error(
+        self, tmp_path, toy_corpus, capsys, key, value
+    ):
+        corpus_path, _rows = toy_corpus
+        config = write_lines(tmp_path / "bad.cfg", ["blocks = U", f"{key} = {value}"])
+        model_path = tmp_path / "m.txt"
+        assert run(["train", str(corpus_path), str(model_path),
+                    "--config", str(config)]) == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_logs_stop_reason_and_warns_when_not_converged(
+        self, tmp_path, toy_corpus, basic_config, caplog
+    ):
+        corpus_path, _rows = toy_corpus
+        with caplog.at_level("INFO", logger="aggdetect"):
+            assert run(["train", str(corpus_path), str(tmp_path / "m1.txt"),
+                        "--config", str(basic_config)]) == 0
+        assert caplog.text.count("stopped by grad_tol") == 3
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        caplog.clear()
+        capped = write_lines(tmp_path / "capped.cfg", ["blocks = U", "min_df = 1", "max_iters = 1"])
+        with caplog.at_level("INFO", logger="aggdetect"):
+            assert run(["train", str(corpus_path), str(tmp_path / "m2.txt"),
+                        "--config", str(capped)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 3
+        assert all("did not converge: stopped by max_iters" in w for w in warnings)
+
     def test_byte_identical_model_files(self, tmp_path, toy_corpus, basic_config):
         corpus_path, _rows = toy_corpus
         m1, m2 = tmp_path / "m1.txt", tmp_path / "m2.txt"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from aggdetect import kernels
 from aggdetect.corpus_io import Document, Label
@@ -102,17 +102,38 @@ class TestGradient:
         assert gw == pytest.approx([-0.25, 0.25])
 
 
+def fit(vectors, y, config=None):
+    return train_binary(kernels.stack_csr(vectors), y, config)
+
+
+def newton_reference(X_dense, y, lam):
+    """Independent dense Newton solve of J; returns (w, b) and the
+    smallest Hessian eigenvalue at the optimum."""
+    m, dim = X_dense.shape
+    A = np.hstack([X_dense, np.ones((m, 1))])
+    reg = np.diag(np.r_[np.full(dim, lam / m), 0.0])
+    theta = np.zeros(dim + 1)
+    for _ in range(50):
+        p = 1.0 / (1.0 + np.exp(-(A @ theta)))
+        hessian = A.T @ (A * (p * (1 - p))[:, None]) / m + reg
+        theta -= np.linalg.solve(hessian, A.T @ (p - y) / m + reg @ theta)
+    p = 1.0 / (1.0 + np.exp(-(A @ theta)))
+    assert np.abs(A.T @ (p - y) / m + reg @ theta).max() <= 1e-12
+    hessian = A.T @ (A * (p * (1 - p))[:, None]) / m + reg
+    return theta[:dim], theta[dim], float(np.linalg.eigvalsh(hessian)[0])
+
+
 class TestTrainBinary:
     def test_separable_margin(self):
         # 1-D: x=+1 labeled 1, x=-1 labeled 0; lambda=0 drives the margin up
         X = [sv(1, i0=1.0), sv(1, i0=-1.0)]
-        clf = train_binary(X, [1, 0], TrainConfig(reg_lambda=0.0, max_iters=1000))
+        clf = fit(X, [1, 0], TrainConfig(reg_lambda=0.0, max_iters=1000))
         p = 1.0 / (1.0 + math.exp(-(clf.weights[0] + clf.bias)))
         assert p > 0.9
 
     def test_all_positive_targets_grow_bias(self):
         X = [SparseVector(dimension=2, entries={}) for _ in range(4)]
-        clf = train_binary(X, [1, 1, 1, 1], TrainConfig(reg_lambda=1.0, max_iters=200))
+        clf = fit(X, [1, 1, 1, 1], TrainConfig(reg_lambda=1.0, max_iters=200))
         assert clf.bias > 0
         assert np.all(clf.weights == 0.0)  # all-zero features leave w untouched
 
@@ -121,8 +142,8 @@ class TestTrainBinary:
         rng = np.random.default_rng(5)
         vectors, X_dense, y = random_problem(rng, max_dim=6, max_examples=15)
         config = TrainConfig(max_iters=50)
-        clf = train_binary(vectors, y, config)
         csr = kernels.stack_csr(vectors)
+        clf = train_binary(csr, y, config)
         start, _z = objective(csr, y, np.zeros(X_dense.shape[1]), 0.0, config.reg_lambda)
         end, _z = objective(csr, y, clf.weights, clf.bias, config.reg_lambda)
         assert end <= start
@@ -139,7 +160,7 @@ class TestTrainBinary:
             entries[2] = float(rng.normal() * 0.01)
             X.append(SparseVector(dimension=3, entries=entries))
             labels.append(1 if positive else 0)
-        clf = train_binary(X, labels, TrainConfig(reg_lambda=0.0, max_iters=200))
+        clf = fit(X, labels, TrainConfig(reg_lambda=0.0, max_iters=200))
         correct = sum(
             (z > 0) == bool(lab) for z, lab in zip(decision_values(clf, X), labels)
         )
@@ -148,8 +169,8 @@ class TestTrainBinary:
     def test_two_example_permutation_gives_identical_model(self):
         X = [sv(2, i0=1.0), sv(2, i1=0.5)]
         y = [1, 0]
-        a = train_binary(X, y, TrainConfig(max_iters=100))
-        b = train_binary(list(reversed(X)), list(reversed(y)), TrainConfig(max_iters=100))
+        a = fit(X, y, TrainConfig(max_iters=100))
+        b = fit(list(reversed(X)), list(reversed(y)), TrainConfig(max_iters=100))
         assert a.weights.tolist() == b.weights.tolist()
         assert a.bias == b.bias
 
@@ -157,8 +178,8 @@ class TestTrainBinary:
         rng = np.random.default_rng(11)
         vectors, _dense, y = random_problem(rng, max_dim=8, max_examples=20)
         perm = rng.permutation(len(y))
-        a = train_binary(vectors, y, TrainConfig(max_iters=200))
-        b = train_binary([vectors[i] for i in perm], y[perm], TrainConfig(max_iters=200))
+        a = fit(vectors, y, TrainConfig(max_iters=200))
+        b = fit([vectors[i] for i in perm], y[perm], TrainConfig(max_iters=200))
         assert np.allclose(a.weights, b.weights, atol=1e-8)
 
     def test_regularization_shrinks_weights_monotonically(self):
@@ -166,24 +187,56 @@ class TestTrainBinary:
         vectors, _dense, y = random_problem(rng, max_dim=5, max_examples=20)
         norms = []
         for lam in (0.0, 0.1, 1.0, 10.0, 100.0):
-            clf = train_binary(
-                vectors, y, TrainConfig(reg_lambda=lam, max_iters=5000, grad_tol=1e-10)
-            )
+            clf = fit(vectors, y, TrainConfig(reg_lambda=lam, max_iters=5000, grad_tol=1e-10))
             norms.append(float(np.linalg.norm(clf.weights)))
         for smaller, larger in zip(norms[1:], norms[:-1]):
             assert smaller <= larger + 1e-6
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lam=st.floats(0.1, 10.0))
+    def test_converges_to_dense_newton_solution(self, seed, lam):
+        rng = np.random.default_rng(seed)
+        vectors, X_dense, y = random_problem(rng)
+        assume(len(y) >= 2)
+        y[0], y[1] = 1.0, 0.0  # both classes, so a finite optimum exists
+        w_ref, b_ref, mu = newton_reference(X_dense, y, lam)
+        # J is mu-strongly convex near the optimum, so a gradient of
+        # sup-norm g leaves (w, b) about g / mu from it; float64 values
+        # of J stop resolving descent near g ~ 1e-8 on these problems
+        config = TrainConfig(reg_lambda=lam, grad_tol=4e-7 * mu)
+        csr = kernels.stack_csr(vectors)
+        clf = train_binary(csr, y, config)
+        assert clf.stop_reason == "grad_tol"
+        assert clf.iterations < config.max_iters
+        _loss, z = objective(csr, y, clf.weights, clf.bias, lam)
+        gw, gb = gradient(csr, y, clf.weights, z, lam)
+        assert max(float(np.abs(gw).max()), abs(gb)) <= config.grad_tol
+        assert np.abs(clf.weights - w_ref).max() <= 1e-6
+        assert abs(clf.bias - b_ref) <= 1e-6
+
+    def test_stop_reasons(self):
+        X = [sv(2, i0=1.0), sv(2, i1=0.5), sv(2, i0=-1.0, i1=1.0)]
+        y = [1, 0, 0]
+        assert fit(X, y).stop_reason == "grad_tol"
+        capped = fit(X, y, TrainConfig(max_iters=1))
+        assert (capped.stop_reason, capped.iterations) == ("max_iters", 1)
+        # float64 values of J stop resolving descent long before the
+        # gradient reaches 1e-300
+        stuck = fit(X, y, TrainConfig(grad_tol=1e-300))
+        assert stuck.stop_reason == "line_search"
+        assert stuck.iterations < 1000
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(DataError):
-            train_binary([sv(1, i0=1.0)], [1, 0])
+            fit([sv(1, i0=1.0)], [1, 0])
+
+    def test_rejects_empty(self):
+        with pytest.raises(DataError, match="empty"):
+            fit([], [])
 
     def test_rejects_non_finite(self):
         with pytest.raises(DataError, match="non-finite"):
-            train_binary([sv(1, i0=float("nan"))], [1])
-
-    def test_rejects_mixed_dimensions(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            train_binary([sv(1, i0=1.0), sv(2, i0=1.0)], [1, 0])
+            fit([sv(1, i0=float("nan"))], [1])
 
 
 class TestTrainOvr:
@@ -192,6 +245,18 @@ class TestTrainOvr:
         model = train_ovr(X, [Label.NAG, Label.CAG, Label.OAG], TrainConfig(max_iters=20))
         assert len(model.classifiers) == 3
         assert not model.single_class_warning
+
+    def test_stacks_the_training_vectors_once(self, monkeypatch):
+        calls = []
+        original = kernels.stack_csr
+        monkeypatch.setattr(kernels, "stack_csr", lambda X: calls.append(len(X)) or original(X))
+        X = [sv(2, i0=1.0), sv(2, i1=1.0), sv(2, i0=1.0, i1=1.0)]
+        train_ovr(X, [Label.NAG, Label.CAG, Label.OAG], TrainConfig(max_iters=20))
+        assert calls == [3]
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            train_ovr([sv(1, i0=1.0), sv(2, i0=1.0)], [Label.NAG, Label.CAG])
 
     def test_absent_class_trains_all_negative(self):
         X = [sv(1, i0=1.0), sv(1, i0=0.5), sv(1, i0=-1.0)]
@@ -216,7 +281,7 @@ class TestTrainOvr:
             y.append(1 if positive else 0)
         config = TrainConfig(max_iters=300)
         ovr = train_ovr(X, labels, config)
-        binary = train_binary(X, y, config)
+        binary = fit(X, y, config)
         for x, z in zip(X, decision_values(binary, X)):
             ovr_says_nag = predict(ovr, x) is Label.NAG
             binary_says_positive = z > 0
