@@ -144,6 +144,14 @@ def _parse_config_bool(key: str, value: str) -> bool:
     return _BOOL_VALUES[value.lower()]
 
 
+def _config_number(key: str, value: str, kind: type) -> int | float:
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"config key {key!r} must be {what}, got {value!r}") from None
+
+
 def parse_blocks(value: str) -> list[str]:
     names = [n.strip() for chunk in value.split(",") for n in chunk.split("+") if n.strip()]
     if not names:
@@ -203,11 +211,9 @@ def load_run_config(path: str | Path) -> RunConfig:
         elif key == "blocks":
             config.blocks = parse_blocks(value)
         elif key == "min_df":
-            config.min_df = int(value)
-        elif key in ("spell_correct", "merge_validation"):
-            setattr(config, key, _parse_config_bool(key, value))
-        elif key in ("transliterate", "lowercase", "strip_urls", "strip_emails",
-                     "strip_numbers", "minor_stemming"):
+            config.min_df = _config_number(key, value, int)
+        elif key in ("spell_correct", "merge_validation", "transliterate", "lowercase",
+                     "strip_urls", "strip_emails", "strip_numbers", "minor_stemming"):
             setattr(config, key, _parse_config_bool(key, value))
         elif key == "expansions":
             try:
@@ -221,11 +227,9 @@ def load_run_config(path: str | Path) -> RunConfig:
                 raise UsageError(f"sentiment_provider must be builtin or sidecar, got {value!r}")
             config.sentiment_provider = value
         elif key == "intensity_split":
-            config.intensity_split = float(value)
-        elif key in ("reg_lambda", "grad_tol"):
-            train_kwargs[key] = float(value)
-        elif key == "max_iters":
-            train_kwargs[key] = int(value)
+            config.intensity_split = _config_number(key, value, float)
+        elif key in ("reg_lambda", "grad_tol", "max_iters"):
+            train_kwargs[key] = _config_number(key, value, int if key == "max_iters" else float)
         else:
             raise UsageError(f"{path}: unknown config key {key!r}")
     try:

@@ -6,6 +6,11 @@ Weighting follows the usual smoothed convention: ``idf(t) = ln((1 + N) /
 L2-normalized per document.  Vocabulary indices are assigned by
 lexicographic term order, so fitting the same corpus twice always yields
 identical pipelines.
+
+A document's features are one CSR row from end to end: each block emits
+``(indices, values)`` arrays, sorted by index with no zeros, and the
+pipeline offsets and concatenates them into a :class:`SparseVector`,
+which ``kernels.stack_csr`` stacks by concatenation.
 """
 
 from __future__ import annotations
@@ -25,32 +30,33 @@ from . import lexfeatures
 
 @dataclass
 class SparseVector:
-    """Index -> weight map over a fixed dimension; zeros are never stored."""
+    """One CSR row over a fixed dimension: strictly increasing int64
+    ``indices`` in ``[0, dimension)`` and float64 ``values``; zeros are
+    never stored."""
 
     dimension: int
-    entries: dict[int, float]
+    indices: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.entries = {i: w for i, w in self.entries.items() if w != 0.0}
-        if self.entries:
-            lo, hi = min(self.entries), max(self.entries)
-            if lo < 0 or hi >= self.dimension:
-                raise ValueError(f"index out of range: {lo if lo < 0 else hi}")
-
-    def items(self) -> list[tuple[int, float]]:
-        return sorted(self.entries.items())
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.indices.ndim != 1 or self.indices.shape != self.values.shape:
+            raise ValueError("indices and values must be 1-d arrays of one length")
+        if not self.values.all():
+            keep = self.values != 0.0
+            self.indices, self.values = self.indices[keep], self.values[keep]
+        if (np.diff(self.indices) <= 0).any():
+            raise ValueError("indices must be strictly increasing")
+        out_of_range = (self.indices < 0) | (self.indices >= self.dimension)
+        if out_of_range.any():
+            raise ValueError(f"index out of range: {self.indices[out_of_range][0]}")
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        items = self.items()
-        idx = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
-        val = np.fromiter((w for _, w in items), dtype=np.float64, count=len(items))
-        return idx, val
-
-    def l2_norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.entries.values()))
+        return self.indices, self.values
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.indices.shape[0]
 
 
 def _is_punct(ch: str) -> bool:
@@ -131,12 +137,20 @@ def skip_grams(tokens: Sequence[str], k: int, n: int) -> list[str]:
 
 @dataclass
 class Vocabulary:
-    """Bijective term/index maps plus document frequencies."""
+    """Bijective term/index maps plus document frequencies, and the idf
+    of each index, computed once here."""
 
     terms: list[str]  # index -> term, lexicographically sorted
     index: dict[str, int]
     document_frequency: dict[str, int]
     n_documents: int
+    idf: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n, df = self.n_documents, self.document_frequency
+        self.idf = np.array(
+            [math.log((1 + n) / (1 + df[term])) + 1.0 for term in self.terms], dtype=np.float64
+        )
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -160,33 +174,26 @@ def fit_vocabulary(corpus_terms: Iterable[Sequence[str]], min_df: int = 1) -> Vo
     )
 
 
-def idf_value(vocab: Vocabulary, term: str) -> float:
-    return math.log((1 + vocab.n_documents) / (1 + vocab.document_frequency[term])) + 1.0
-
-
-def tfidf_transform(terms: Sequence[str], vocab: Vocabulary) -> SparseVector:
-    """Raw-count TF times smoothed IDF, L2-normalized unless all-zero.
-    Out-of-vocabulary terms are ignored."""
-    counts: Counter[str] = Counter(terms)
-    entries: dict[int, float] = {}
-    for term, count in counts.items():
-        idx = vocab.index.get(term)
-        if idx is not None:
-            entries[idx] = count * idf_value(vocab, term)
-    norm = math.sqrt(sum(w * w for w in entries.values()))
+def tfidf_transform(terms: Sequence[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Raw-count TF times smoothed IDF, L2-normalized unless all-zero, as
+    ``(indices, values)`` sorted by index. Out-of-vocabulary terms are
+    ignored. The norm is summed left to right in first-occurrence order."""
+    index = vocab.index
+    hits = [(index[term], count) for term, count in Counter(terms).items() if term in index]
+    idx = np.array([i for i, _ in hits], dtype=np.int64)
+    weights = np.array([c for _, c in hits], dtype=np.float64) * vocab.idf[idx]
+    norm = math.sqrt(sum((weights * weights).tolist()))
     if norm > 0.0:
-        entries = {i: w / norm for i, w in entries.items()}
-    return SparseVector(dimension=len(vocab), entries=entries)
+        weights /= norm
+    order = np.argsort(idx)
+    return idx[order], weights[order]
 
 
-def binary_transform(terms: Sequence[str], vocab: Vocabulary) -> SparseVector:
-    """Presence/absence weighting; no normalization."""
-    entries = {}
-    for term in set(terms):
-        idx = vocab.index.get(term)
-        if idx is not None:
-            entries[idx] = 1.0
-    return SparseVector(dimension=len(vocab), entries=entries)
+def binary_transform(terms: Sequence[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Presence/absence weighting, no normalization, as ``(indices, values)``."""
+    index = vocab.index
+    idx = np.array(sorted({index[term] for term in terms if term in index}), dtype=np.int64)
+    return idx, np.ones(idx.shape[0])
 
 
 # Named feature blocks. Canonical short names match the usual ablation
@@ -341,13 +348,13 @@ class FeaturePipeline:
         self._assign_ranges()
         return self
 
-    def _block_vector(self, spec: FeatureBlockSpec, doc: Document, tokens: list[str]):
+    def _block_arrays(self, spec: FeatureBlockSpec, doc: Document, tokens: list[str]):
         if spec.kind in LEXICAL_KINDS:
             terms = _lexical_terms(spec, doc.text, tokens)
             vocab = self.vocabularies[spec.name]
             if spec.kind == "binary_word_ngram":
-                return binary_transform(terms, vocab).entries
-            return tfidf_transform(terms, vocab).entries
+                return binary_transform(terms, vocab)
+            return tfidf_transform(terms, vocab)
         res = self.resources
         if spec.kind == "embedding":
             vec, _coverage = lexfeatures.embed_average(tokens, res.embeddings)
@@ -357,7 +364,8 @@ class FeaturePipeline:
             vec = lexfeatures.liwc_features(tokens, res.category_lexicon)
         else:
             vec = lexfeatures.gender_features(tokens, res.gender_lexicon)
-        return {i: float(v) for i, v in enumerate(vec) if v != 0.0}
+        nonzero = np.flatnonzero(vec)
+        return nonzero, vec[nonzero]
 
     def transform(self, doc: Document) -> SparseVector:
         if not self.fitted:
@@ -365,14 +373,15 @@ class FeaturePipeline:
         # Empty text short-circuits to the all-zero vector, bypassing the
         # degenerate defaults of dense blocks.
         if not doc.text.strip():
-            return SparseVector(dimension=self.total_dimension, entries={})
+            return SparseVector(self.total_dimension, [], [])
         tokens = tokenize(doc.text)
-        entries: dict[int, float] = {}
+        # blocks occupy increasing offset ranges, so the concatenation is sorted
+        indices, values = [], []
         for spec in self.blocks:
-            offset = self.offsets[spec.name]
-            for i, w in self._block_vector(spec, doc, tokens).items():
-                entries[offset + i] = w
-        return SparseVector(dimension=self.total_dimension, entries=entries)
+            idx, val = self._block_arrays(spec, doc, tokens)
+            indices.append(idx + self.offsets[spec.name])
+            values.append(val)
+        return SparseVector(self.total_dimension, np.concatenate(indices), np.concatenate(values))
 
     def transform_many(self, documents: Sequence[Document]) -> list[SparseVector]:
         return [self.transform(doc) for doc in documents]

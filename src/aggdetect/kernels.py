@@ -52,19 +52,15 @@ def logistic_loss_sum(z, y):
 
 
 def stack_csr(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Stack SparseVectors into CSR arrays (indptr, indices, data, dim)."""
+    """Stack SparseVectors, each already one CSR row, into CSR arrays
+    (indptr, indices, data, dim): indptr is the running sum of the row
+    lengths, and indices and data are the rows concatenated in order."""
     dims = {v.dimension for v in vectors}
     if len(dims) > 1:
         raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
     dim = dims.pop() if dims else 0
     indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    chunks_idx = []
-    chunks_val = []
-    for i, vec in enumerate(vectors):
-        idx, val = vec.to_arrays()
-        indptr[i + 1] = indptr[i] + idx.shape[0]
-        chunks_idx.append(idx)
-        chunks_val.append(val)
-    indices = np.concatenate(chunks_idx) if chunks_idx else np.zeros(0, dtype=np.int64)
-    data = np.concatenate(chunks_val) if chunks_val else np.zeros(0)
+    np.cumsum([len(v) for v in vectors], out=indptr[1:])
+    indices = np.concatenate([v.indices for v in vectors] or [np.zeros(0, dtype=np.int64)])
+    data = np.concatenate([v.values for v in vectors] or [np.zeros(0)])
     return indptr, indices, data, dim

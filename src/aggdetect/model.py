@@ -323,9 +323,9 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _parse_bool(value: str, context: str) -> bool:
+def _parse_bool(value: str) -> bool:
     if value not in ("true", "false"):
-        raise ResourceError(f"model file: bad boolean {value!r} in {context}")
+        raise ValueError(f"bad boolean {value!r}")
     return value == "true"
 
 
@@ -386,8 +386,8 @@ def save_model(model: OvRModel, path: str | Path) -> None:
         if spec.kind in LEXICAL_KINDS:
             vocab = pipe.vocabularies[spec.name]
             out.append(f"n_documents = {vocab.n_documents}")
-        elif spec.kind == "embedding":
-            ref = _resource_ref(pipe.resources, "embedding")
+        elif spec.kind in ("embedding", "liwc", "gender"):
+            ref = _resource_ref(pipe.resources, spec.kind)
             out.append(f"path = {ref[0]}")
             out.append(f"sha256 = {ref[1]}")
         elif spec.kind == "sentiment":
@@ -399,14 +399,6 @@ def save_model(model: OvRModel, path: str | Path) -> None:
                     ref = _resource_ref(pipe.resources, f"sentiment_{side}")
                     out.append(f"{side}_path = {ref[0]}")
                     out.append(f"{side}_sha256 = {ref[1]}")
-        elif spec.kind == "liwc":
-            ref = _resource_ref(pipe.resources, "liwc")
-            out.append(f"path = {ref[0]}")
-            out.append(f"sha256 = {ref[1]}")
-        elif spec.kind == "gender":
-            ref = _resource_ref(pipe.resources, "gender")
-            out.append(f"path = {ref[0]}")
-            out.append(f"sha256 = {ref[1]}")
         if spec.kind in LEXICAL_KINDS:
             out.append(f"[vocab:{spec.name}]")
             vocab = pipe.vocabularies[spec.name]
@@ -468,10 +460,18 @@ def _kv(lines: list[str], section: str, path: Path) -> dict[str, str]:
     return result
 
 
-def _need(kv: dict[str, str], key: str, section: str, path: Path) -> str:
+def _parse(parse, text: str, section: str, line: str, path: Path):
+    """``parse(text)``, or a ResourceError naming the section and the line."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ResourceError(f"{path}: bad value in [{section}]: {line!r}") from None
+
+
+def _need(kv: dict[str, str], key: str, section: str, path: Path, parse=str):
     if key not in kv:
         raise ResourceError(f"{path}: missing key {key!r} in section [{section}]")
-    return kv[key]
+    return _parse(parse, kv[key], section, f"{key} = {kv[key]}", path)
 
 
 def _verify_checksum(file_path: str, expected: str, what: str) -> None:
@@ -501,26 +501,17 @@ def load_model(path: str | Path) -> OvRModel:
     labels_str = _need(meta, "labels", "meta", path)
     if labels_str != ",".join(label.name for label in LABELS):
         raise ResourceError(f"{path}: unsupported label order {labels_str!r}")
-    total_dimension = int(_need(meta, "total_dimension", "meta", path))
+    total_dimension = _need(meta, "total_dimension", "meta", path, int)
 
     prep_kv = _kv(by_name["preprocess"], "preprocess", path)
+    flags = ("lowercase", "strip_urls", "strip_emails", "strip_numbers", "minor_stemming")
     clean = CleanConfig(
-        lowercase=_parse_bool(_need(prep_kv, "lowercase", "preprocess", path), "lowercase"),
-        strip_urls=_parse_bool(_need(prep_kv, "strip_urls", "preprocess", path), "strip_urls"),
-        strip_emails=_parse_bool(
-            _need(prep_kv, "strip_emails", "preprocess", path), "strip_emails"
-        ),
-        strip_numbers=_parse_bool(
-            _need(prep_kv, "strip_numbers", "preprocess", path), "strip_numbers"
-        ),
-        minor_stemming=_parse_bool(
-            _need(prep_kv, "minor_stemming", "preprocess", path), "minor_stemming"
-        ),
-        expansions=json.loads(_need(prep_kv, "expansions", "preprocess", path)),
+        **{flag: _need(prep_kv, flag, "preprocess", path, _parse_bool) for flag in flags},
+        expansions=_need(prep_kv, "expansions", "preprocess", path, json.loads),
     )
     resources = lexfeatures.Resources()
     spell_dictionary = None
-    if _parse_bool(_need(prep_kv, "spell_correct", "preprocess", path), "spell_correct"):
+    if _need(prep_kv, "spell_correct", "preprocess", path, _parse_bool):
         dict_path = _need(prep_kv, "spell_dict_path", "preprocess", path)
         dict_sha = _need(prep_kv, "spell_dict_sha256", "preprocess", path)
         _verify_checksum(dict_path, dict_sha, "spell dictionary")
@@ -528,11 +519,9 @@ def load_model(path: str | Path) -> OvRModel:
         resources.provenance["spell_dict"] = (dict_path, dict_sha)
     preprocess = PreprocessSettings(
         clean=clean,
-        transliterate=_parse_bool(
-            _need(prep_kv, "transliterate", "preprocess", path), "transliterate"
-        ),
+        transliterate=_need(prep_kv, "transliterate", "preprocess", path, _parse_bool),
         spell_dictionary=spell_dictionary,
-        translit_table_version=int(_need(prep_kv, "translit_table_version", "preprocess", path)),
+        translit_table_version=_need(prep_kv, "translit_table_version", "preprocess", path, int),
     )
 
     pipe_kv = _kv(by_name["pipeline"], "pipeline", path)
@@ -551,7 +540,7 @@ def load_model(path: str | Path) -> OvRModel:
         params = {}
         for key in ("n", "k", "min_df"):
             if key in kv:
-                params[key] = int(kv[key])
+                params[key] = _need(kv, key, section, path, int)
         blocks.append(FeatureBlockSpec(name=name, kind=kind, params=params))
         if kind in LEXICAL_KINDS:
             vocab_section = f"vocab:{name}"
@@ -565,14 +554,14 @@ def load_model(path: str | Path) -> OvRModel:
                     raise ResourceError(f"{path}: malformed row in [{vocab_section}]: {line!r}")
                 term = unescape_field(parts[0])
                 terms.append(term)
-                df[term] = int(parts[1])
+                df[term] = _parse(int, parts[1], vocab_section, line, path)
             if terms != sorted(terms):
                 raise ResourceError(f"{path}: [{vocab_section}] terms are not sorted")
             vocabularies[name] = Vocabulary(
                 terms=terms,
                 index={t: i for i, t in enumerate(terms)},
                 document_frequency=df,
-                n_documents=int(_need(kv, "n_documents", section, path)),
+                n_documents=_need(kv, "n_documents", section, path, int),
             )
         elif kind == "embedding":
             ref = (_need(kv, "path", section, path), _need(kv, "sha256", section, path))
@@ -593,7 +582,7 @@ def load_model(path: str | Path) -> OvRModel:
                 resources.sentiment_provider = lexfeatures.BuiltinSentimentProvider(
                     pos_lexicon=lexfeatures.load_word_set(refs["pos"][0]),
                     neg_lexicon=lexfeatures.load_word_set(refs["neg"][0]),
-                    intensity_split=float(_need(kv, "intensity_split", section, path)),
+                    intensity_split=_need(kv, "intensity_split", section, path, float),
                 )
             elif provider_kind == "sidecar":
                 resources.sentiment_provider = _SidecarRequired()
@@ -627,7 +616,7 @@ def load_model(path: str | Path) -> OvRModel:
         weight_lines = [ln for ln in lines if " = " not in ln]
         kv = _kv(kv_lines, section, path)
         weights = np.zeros(total_dimension)
-        declared_nnz = int(_need(kv, "nnz", section, path))
+        declared_nnz = _need(kv, "nnz", section, path, int)
         if declared_nnz != len(weight_lines):
             raise ResourceError(
                 f"{path}: [{section}] declares {declared_nnz} weights but has "
@@ -637,19 +626,19 @@ def load_model(path: str | Path) -> OvRModel:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ResourceError(f"{path}: malformed row in [{section}]: {line!r}")
-            index = int(parts[0])
+            index = _parse(int, parts[0], section, line, path)
             if not 0 <= index < total_dimension:
                 raise ResourceError(
                     f"{path}: weight index {index} out of range in [{section}]"
                 )
-            weights[index] = float(parts[1])
+            weights[index] = _parse(float, parts[1], section, line, path)
         classifiers.append(
             BinaryLogReg(
                 weights=weights,
-                bias=float(_need(kv, "bias", section, path)),
-                reg_lambda=float(_need(kv, "reg_lambda", section, path)),
-                iterations=int(_need(kv, "iterations", section, path)),
-                final_grad_norm=float(_need(kv, "final_grad_norm", section, path)),
+                bias=_need(kv, "bias", section, path, float),
+                reg_lambda=_need(kv, "reg_lambda", section, path, float),
+                iterations=_need(kv, "iterations", section, path, int),
+                final_grad_norm=_need(kv, "final_grad_norm", section, path, float),
             )
         )
 
@@ -658,11 +647,7 @@ def load_model(path: str | Path) -> OvRModel:
         pipeline=pipeline,
         preprocess=preprocess,
         language=_need(meta, "language", "meta", path),
-        n_train_documents=int(_need(meta, "n_train_documents", "meta", path)),
-        merged_validation=_parse_bool(
-            _need(meta, "merged_validation", "meta", path), "merged_validation"
-        ),
-        single_class_warning=_parse_bool(
-            _need(meta, "single_class_warning", "meta", path), "single_class_warning"
-        ),
+        n_train_documents=_need(meta, "n_train_documents", "meta", path, int),
+        merged_validation=_need(meta, "merged_validation", "meta", path, _parse_bool),
+        single_class_warning=_need(meta, "single_class_warning", "meta", path, _parse_bool),
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from aggdetect.corpus_io import Label
+from aggdetect.featurize import SparseVector
 
 # Three disjoint signal-word families, one per class, plus shared noise.
 SIGNAL_WORDS = {
@@ -34,6 +35,13 @@ def synthetic_documents(
             rows.append((f"doc{counter}", " ".join(tokens), label))
             counter += 1
     return rows
+
+
+def sparse(dimension: int, weights: dict[int, float]) -> SparseVector:
+    """A SparseVector from an ``{index: weight}`` map in any order; zero
+    weights are dropped by the constructor."""
+    indices = sorted(weights)
+    return SparseVector(dimension, indices, [weights[i] for i in indices])
 
 
 def write_corpus_tsv(path: Path, rows: list[tuple[str, str, Label]]) -> Path:

@@ -21,7 +21,6 @@ from aggdetect.evaluate import confusion, random_baseline, weighted_f1
 from aggdetect.featurize import (
     FeatureBlockSpec,
     FeaturePipeline,
-    SparseVector,
     fit_vocabulary,
     skip_grams,
     tfidf_transform,
@@ -38,7 +37,7 @@ from aggdetect.model import (
 from aggdetect.corpus_io import Document
 from aggdetect.preprocess import CleanConfig, PreprocessSettings
 
-from helpers import synthetic_documents, write_corpus_tsv, write_lines
+from helpers import sparse, synthetic_documents, write_corpus_tsv, write_lines
 
 
 def report(name: str) -> None:
@@ -99,8 +98,7 @@ def test_gradient_matches_finite_differences():
         X_dense = np.where(rng.random((m, dim)) < 0.4, 0.0, rng.normal(size=(m, dim)))
         y = rng.integers(0, 2, size=m).astype(float)
         X = [
-            SparseVector(dimension=dim,
-                         entries={j: X_dense[i, j] for j in range(dim) if X_dense[i, j]})
+            sparse(dim, {j: X_dense[i, j] for j in range(dim) if X_dense[i, j]})
             for i in range(m)
         ]
         w = rng.normal(size=dim) * 0.8
@@ -198,10 +196,9 @@ def test_tfidf_dense_matrix_oracle():
             norm = np.linalg.norm(dense_row)
             if norm > 0:
                 dense_row /= norm
-            vec = tfidf_transform(terms, vocab)
+            indices, values = tfidf_transform(terms, vocab)
             sparse_row = np.zeros(len(vocab))
-            for i, w in vec.entries.items():
-                sparse_row[i] = w
+            sparse_row[indices] = values
             assert np.abs(sparse_row - dense_row).max(initial=0.0) <= 1e-9
     report("tf-idf dense-matrix oracle")
 
@@ -237,7 +234,7 @@ def test_persistence_round_trip_exact(tmp_path):
         nnz = int(rng.integers(0, 8))
         entries = {int(i): float(rng.normal())
                    for i in rng.choice(dim, size=min(nnz, dim), replace=False)}
-        x = SparseVector(dimension=dim, entries=entries)
+        x = sparse(dim, entries)
         assert predict_proba(model, x).tolist() == predict_proba(loaded, x).tolist()
     report("persistence round trip (100 vectors, exact)")
 
@@ -255,6 +252,17 @@ def test_training_is_byte_deterministic(tmp_path):
     assert main(["--quiet", "train", str(corpus), str(m2), "--config", str(config)]) == 0
     assert m1.read_bytes() == m2.read_bytes()
     report("byte-identical training determinism")
+
+
+def test_readme_library_example(capsys):
+    """The fenced Python block under README's "## Library use" runs as
+    written and prints one label."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip() in {str(label) for label in LABELS}
+    report("README library example")
 
 
 TRAC_ENV = "AGGDETECT_TRAC_DIR"

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,23 @@ class TestTrain:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("reg_lambda", "abc"), ("grad_tol", "abc"), ("min_df", "2.5"), ("max_iters", "x"),
+        ("intensity_split", "y"),
+    ])
+    def test_non_numeric_config_value_is_usage_error(
+        self, tmp_path, toy_corpus, capsys, key, value
+    ):
+        corpus_path, _rows = toy_corpus
+        config = write_lines(tmp_path / "bad.cfg", ["blocks = U", f"{key} = {value}"])
+        model_path = tmp_path / "m.txt"
+        assert run(["train", str(corpus_path), str(model_path),
+                    "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: config key '{key}' must be" in err
+        assert f"got '{value}'" in err
+        assert not model_path.exists()
+
     def test_logs_stop_reason_and_warns_when_not_converged(
         self, tmp_path, toy_corpus, basic_config, caplog
     ):
@@ -208,6 +226,23 @@ class TestPredict:
         out = tmp_path / "pred.tsv"
         assert run(["predict", str(model_path), str(empty), str(out)]) == 0
         assert load_predictions(out)["e1"] == expected
+
+    @pytest.mark.parametrize("pattern, replacement, section", [
+        (r"^calm0\t\d+$", "calm0\tx", "vocab:U"),
+        (r"^bias = .*$", "bias = nope", "weights:NAG"),
+    ])
+    def test_corrupted_number_in_model_is_resource_error(
+        self, tmp_path, toy_corpus, basic_config, capsys, pattern, replacement, section
+    ):
+        corpus_path, _rows = toy_corpus
+        model_path = self.train_model(tmp_path, corpus_path, basic_config)
+        text, n = re.subn(pattern, replacement, model_path.read_text(encoding="utf-8"),
+                          count=1, flags=re.M)
+        assert n == 1
+        model_path.write_text(text, encoding="utf-8")
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
+        err = capsys.readouterr().err
+        assert f"resource error: {model_path}: bad value in [{section}]" in err
 
     def test_unlabeled_corpus_accepted(self, tmp_path, toy_corpus, basic_config):
         corpus_path, _rows = toy_corpus

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from aggdetect.featurize import (
     tokenize,
     word_ngrams,
 )
+
+from helpers import sparse
 
 
 def brute_force_skip_grams(tokens, k, n):
@@ -126,18 +129,29 @@ class TestVocabulary:
         assert vocab.terms == ["apple", "mango", "zebra"]
 
 
+def as_dict(indices, values):
+    return dict(zip(indices.tolist(), values.tolist()))
+
+
 class TestSparseVector:
     def test_zero_weights_dropped(self):
-        v = SparseVector(dimension=4, entries={0: 1.0, 2: 0.0})
-        assert v.entries == {0: 1.0}
+        v = SparseVector(4, [0, 2], [1.0, 0.0])
+        assert as_dict(*v.to_arrays()) == {0: 1.0}
+        assert len(v) == 1
 
     def test_index_bounds_checked(self):
-        with pytest.raises(ValueError):
-            SparseVector(dimension=2, entries={5: 1.0})
+        with pytest.raises(ValueError, match="out of range"):
+            SparseVector(2, [5], [1.0])
+        with pytest.raises(ValueError, match="out of range"):
+            SparseVector(2, [-1], [1.0])
 
-    def test_items_sorted(self):
-        v = SparseVector(dimension=5, entries={3: 1.0, 1: 2.0})
-        assert v.items() == [(1, 2.0), (3, 1.0)]
+    def test_indices_sorted_and_typed(self):
+        v = sparse(5, {3: 1.0, 1: 2.0})
+        assert v.indices.tolist() == [1, 3] and v.values.tolist() == [2.0, 1.0]
+        assert v.indices.dtype == np.int64 and v.values.dtype == np.float64
+        for unsorted in ([3, 1], [1, 1]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                SparseVector(5, unsorted, [1.0, 2.0])
 
 
 def dense_tfidf_oracle(doc_terms, all_docs_terms, min_df=1):
@@ -163,20 +177,19 @@ def dense_tfidf_oracle(doc_terms, all_docs_terms, min_df=1):
 class TestTfidf:
     def test_single_term_normalizes_to_one(self):
         vocab = fit_vocabulary([["a"], ["a", "b"]], min_df=1)
-        vec = tfidf_transform(["a", "a"], vocab)
-        assert vec.entries == {0: 1.0}
+        assert as_dict(*tfidf_transform(["a", "a"], vocab)) == {0: 1.0}
 
     def test_hand_computed_weights(self):
         vocab = fit_vocabulary([["a"], ["a", "b"]], min_df=1)
-        vec = tfidf_transform(["a", "b"], vocab)
+        vec = as_dict(*tfidf_transform(["a", "b"], vocab))
         idf_b = math.log(3 / 2) + 1.0
         norm = math.sqrt(1.0 + idf_b**2)
-        assert vec.entries[0] == pytest.approx(1.0 / norm, abs=1e-12)
-        assert vec.entries[1] == pytest.approx(idf_b / norm, abs=1e-12)
+        assert vec[0] == pytest.approx(1.0 / norm, abs=1e-12)
+        assert vec[1] == pytest.approx(idf_b / norm, abs=1e-12)
 
     def test_oov_terms_ignored(self):
         vocab = fit_vocabulary([["a"]], min_df=1)
-        assert tfidf_transform(["zz", "qq"], vocab).entries == {}
+        assert as_dict(*tfidf_transform(["zz", "qq"], vocab)) == {}
 
     @given(
         st.lists(
@@ -189,33 +202,32 @@ class TestTfidf:
     def test_matches_dense_oracle(self, docs):
         vocab = fit_vocabulary(docs, min_df=1)
         for terms in docs:
-            vec = tfidf_transform(terms, vocab)
+            indices, values = tfidf_transform(terms, vocab)
             oracle_terms, oracle_row = dense_tfidf_oracle(terms, docs)
             assert oracle_terms == vocab.terms
             dense = np.zeros(len(vocab))
-            for i, w in vec.entries.items():
-                dense[i] = w
+            dense[indices] = values
             assert np.abs(dense - oracle_row).max(initial=0.0) <= 1e-9
 
     @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=15))
     def test_l2_norm_is_one_when_in_vocab(self, terms):
         vocab = fit_vocabulary([["a", "b", "c"]], min_df=1)
-        vec = tfidf_transform(terms, vocab)
-        assert vec.l2_norm() == pytest.approx(1.0, abs=1e-9)
+        _indices, values = tfidf_transform(terms, vocab)
+        assert np.linalg.norm(values) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestBinaryTransform:
     def test_presence_only(self):
         vocab = fit_vocabulary([["a", "b"]], min_df=1)
-        assert binary_transform(["a", "a", "b"], vocab).entries == {0: 1.0, 1: 1.0}
+        assert as_dict(*binary_transform(["a", "a", "b"], vocab)) == {0: 1.0, 1: 1.0}
 
     def test_repetition_ignored(self):
         vocab = fit_vocabulary([["a"]], min_df=1)
-        assert binary_transform(["a"] * 100, vocab).entries == {0: 1.0}
+        assert as_dict(*binary_transform(["a"] * 100, vocab)) == {0: 1.0}
 
     def test_all_oov(self):
         vocab = fit_vocabulary([["a"]], min_df=1)
-        assert binary_transform(["z"], vocab).entries == {}
+        assert as_dict(*binary_transform(["z"], vocab)) == {}
 
 
 class TestBlockSpecs:
@@ -247,7 +259,7 @@ class TestPipeline:
         pipeline = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).fit(docs)
         vec = pipeline.transform(docs[0])
         vocab = pipeline.vocabularies["U"]
-        assert vec.entries == tfidf_transform(["a", "b"], vocab).entries
+        assert as_dict(*vec.to_arrays()) == as_dict(*tfidf_transform(["a", "b"], vocab))
 
     def test_second_block_offset(self):
         docs = _docs("ab cd", "ab")
@@ -257,13 +269,13 @@ class TestPipeline:
         u_dim = pipeline.dimensions["U"]
         assert pipeline.offsets["C3"] == u_dim
         vec = pipeline.transform(docs[0])
-        assert any(i >= u_dim for i in vec.entries)
+        assert (vec.indices >= u_dim).any()
 
     def test_empty_text_gives_zero_vector(self):
         docs = _docs("a b", "c")
         pipeline = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).fit(docs)
         vec = pipeline.transform(Document(id="e", text=""))
-        assert vec.entries == {}
+        assert len(vec) == 0
         assert vec.dimension == pipeline.total_dimension
 
     def test_unfitted_pipeline_raises(self):
@@ -293,7 +305,8 @@ class TestPipeline:
         p2 = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).fit(docs)
         assert p1.vocabularies["U"].terms == p2.vocabularies["U"].terms
         for doc in docs:
-            assert p1.transform(doc).entries == p2.transform(doc).entries
+            v1, v2 = p1.transform(doc), p2.transform(doc)
+            assert as_dict(*v1.to_arrays()) == as_dict(*v2.to_arrays())
 
     def test_feature_names(self):
         docs = _docs("abc def", "abc")
@@ -308,4 +321,66 @@ class TestPipeline:
         docs = _docs("a a b", "a")
         pipeline = FeaturePipeline([FeatureBlockSpec.from_name("BU", min_df=1)]).fit(docs)
         vec = pipeline.transform(docs[0])
-        assert set(vec.entries.values()) == {1.0}
+        assert set(vec.values.tolist()) == {1.0}
+
+
+def reference_transform(pipeline, doc):
+    """The dict algorithm features were computed by before they became
+    arrays: per lexical block a Counter, count * idf, the L2 norm summed
+    left to right in first-occurrence order, then offsets and one sort."""
+    if not doc.text.strip():
+        return []
+    tokens = tokenize(doc.text)
+    entries = {}
+    for spec in pipeline.blocks:
+        n = spec.params["n"]
+        if spec.kind == "char_ngram":
+            terms = char_ngrams(doc.text, n)
+        elif spec.kind == "skip_gram":
+            terms = skip_grams(tokens, spec.params["k"], n)
+        else:
+            terms = word_ngrams(tokens, n)
+        vocab = pipeline.vocabularies[spec.name]
+        block = {}
+        if spec.kind == "binary_word_ngram":
+            block = {vocab.index[t]: 1.0 for t in set(terms) if t in vocab.index}
+        else:
+            for term, count in Counter(terms).items():
+                if term in vocab.index:
+                    df = vocab.document_frequency[term]
+                    idf = math.log((1 + vocab.n_documents) / (1 + df)) + 1.0
+                    block[vocab.index[term]] = count * idf
+            norm = math.sqrt(sum(w * w for w in block.values()))
+            if norm > 0.0:
+                block = {i: w / norm for i, w in block.items()}
+        for i, w in block.items():
+            entries[pipeline.offsets[spec.name] + i] = w
+    return sorted(entries.items())
+
+
+_TEXTS = st.text(alphabet="ab c.", max_size=40)
+
+
+@given(
+    fit_texts=st.lists(_TEXTS, min_size=1, max_size=6),
+    extra_texts=st.lists(_TEXTS, max_size=3),
+    names=st.lists(st.sampled_from(["U", "B", "BU", "C3", "SK2"]), min_size=1, max_size=5,
+                   unique=True),
+    min_df=st.integers(1, 2),
+)
+@settings(max_examples=200, deadline=None)
+def test_transform_matches_dict_reference(fit_texts, extra_texts, names, min_df):
+    """Sorted in-range indices, no zeros, and every value bit-equal to the
+    dict algorithm."""
+    pipeline = FeaturePipeline(
+        [FeatureBlockSpec.from_name(n, min_df=min_df) for n in names]
+    ).fit(_docs(*fit_texts))
+    for doc in _docs(*fit_texts, *extra_texts):
+        vec = pipeline.transform(doc)
+        assert vec.dimension == pipeline.total_dimension
+        assert (np.diff(vec.indices) > 0).all()
+        assert vec.indices.size == 0 or 0 <= vec.indices[0] <= vec.indices[-1] < vec.dimension
+        assert (vec.values != 0.0).all()
+        reference = reference_transform(pipeline, doc)
+        assert vec.indices.tolist() == [i for i, _ in reference]
+        assert vec.values.tobytes() == np.array([w for _, w in reference]).tobytes()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from aggdetect import kernels
-from aggdetect.featurize import SparseVector
+
+from helpers import sparse
 
 
 def random_vectors(rng, m=40, n=25, density=0.2):
@@ -11,7 +12,7 @@ def random_vectors(rng, m=40, n=25, density=0.2):
         nnz = rng.binomial(n, density)
         idx = rng.choice(n, size=nnz, replace=False)
         entries = {int(i): float(rng.normal()) for i in idx}
-        vectors.append(SparseVector(dimension=n, entries=entries))
+        vectors.append(sparse(n, entries))
     return vectors
 
 
@@ -19,7 +20,7 @@ def csr_cases(rng, n=25):
     """A random CSR matrix, the same with leading or with trailing empty
     rows, one with only empty rows, and one with no rows."""
     vectors = random_vectors(rng, n=n)
-    empty = [SparseVector(dimension=n, entries={})] * 3
+    empty = [sparse(n, {})] * 3
     cases = [kernels.stack_csr(rows) for rows in (vectors, empty + vectors, vectors + empty, empty)]
     return cases + [(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), n)]
 
@@ -44,8 +45,8 @@ class TestNumpyKernels:
             assert np.allclose(out, X @ w)
 
     def test_matvec_handles_empty_rows(self):
-        empty = SparseVector(dimension=3, entries={})
-        full = SparseVector(dimension=3, entries={1: 2.0})
+        empty = sparse(3, {})
+        full = sparse(3, {1: 2.0})
         indptr, indices, data, n = kernels.stack_csr([empty, full, empty])
         out = kernels.csr_matvec(indptr, indices, data, np.array([1.0, 3.0, 1.0]))
         assert out.tolist() == [0.0, 6.0, 0.0]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from aggdetect import kernels
 from aggdetect.corpus_io import Document, Label
 from aggdetect.errors import DataError, ResourceError
-from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, SparseVector
+from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline
 from aggdetect.model import (
     BinaryLogReg,
     OvRModel,
@@ -25,11 +26,11 @@ from aggdetect.model import (
 )
 from aggdetect.preprocess import CleanConfig, PreprocessSettings, file_sha256
 
-from helpers import write_lines
+from helpers import sparse, write_lines
 
 
 def sv(dimension, **entries):
-    return SparseVector(dimension=dimension, entries={int(k[1:]): v for k, v in entries.items()})
+    return sparse(dimension, {int(k[1:]): v for k, v in entries.items()})
 
 
 def decision_values(clf, X):
@@ -59,7 +60,7 @@ def random_problem(rng, max_dim=10, max_examples=20):
     X_dense = np.where(rng.random((m, dim)) < 0.5, 0.0, rng.normal(size=(m, dim)))
     y = rng.integers(0, 2, size=m).astype(float)
     vectors = [
-        SparseVector(dimension=int(dim), entries={j: X_dense[i, j] for j in range(dim) if X_dense[i, j] != 0.0})
+        sparse(int(dim), {j: X_dense[i, j] for j in range(dim) if X_dense[i, j] != 0.0})
         for i in range(m)
     ]
     return vectors, X_dense, y
@@ -132,7 +133,7 @@ class TestTrainBinary:
         assert p > 0.9
 
     def test_all_positive_targets_grow_bias(self):
-        X = [SparseVector(dimension=2, entries={}) for _ in range(4)]
+        X = [sparse(2, {}) for _ in range(4)]
         clf = fit(X, [1, 1, 1, 1], TrainConfig(reg_lambda=1.0, max_iters=200))
         assert clf.bias > 0
         assert np.all(clf.weights == 0.0)  # all-zero features leave w untouched
@@ -158,7 +159,7 @@ class TestTrainBinary:
             positive = i % 2 == 0
             entries = {0: 1.0} if positive else {1: 1.0}
             entries[2] = float(rng.normal() * 0.01)
-            X.append(SparseVector(dimension=3, entries=entries))
+            X.append(sparse(3, entries))
             labels.append(1 if positive else 0)
         clf = fit(X, labels, TrainConfig(reg_lambda=0.0, max_iters=200))
         correct = sum(
@@ -305,7 +306,7 @@ class TestPredict:
 
     def test_saturated_biases(self):
         model = hand_model([-1000.0, 0.0, 1000.0])
-        probs = predict_proba(model, SparseVector(dimension=1, entries={}))
+        probs = predict_proba(model, sparse(1, {}))
         assert probs[0] == pytest.approx(0.0, abs=1e-12)
         assert probs[1] == 0.5
         assert probs[2] == pytest.approx(1.0, abs=1e-12)
@@ -318,13 +319,13 @@ class TestPredict:
     def test_argmax_and_tie_break(self):
         model = hand_model([math.log(1 / 9), math.log(9), math.log(3 / 7)])
         # probabilities (0.1, 0.9, 0.3)
-        assert predict(model, SparseVector(dimension=1, entries={})) is Label.CAG
+        assert predict(model, sparse(1, {})) is Label.CAG
         tie = hand_model([0.0, 0.0, 0.0])
-        assert predict(tie, SparseVector(dimension=1, entries={})) is Label.NAG
+        assert predict(tie, sparse(1, {})) is Label.NAG
 
     def test_highest_wins_even_by_hair(self):
         model = hand_model([-1.0, -1.0, -0.99])
-        assert predict(model, SparseVector(dimension=1, entries={})) is Label.OAG
+        assert predict(model, sparse(1, {})) is Label.OAG
 
     def test_argmax_invariant_under_sigmoid(self):
         rng = np.random.default_rng(31)
@@ -350,8 +351,8 @@ class TestPredict:
             weights=[data.draw(st.lists(values, min_size=dim, max_size=dim)) for _ in range(3)],
         )
         rows = data.draw(st.lists(st.dictionaries(st.integers(0, dim - 1), values), max_size=12))
-        X = [SparseVector(dimension=dim, entries=entries) for entries in rows]
-        X.insert(data.draw(st.integers(0, len(X))), SparseVector(dimension=dim, entries={}))
+        X = [sparse(dim, entries) for entries in rows]
+        X.insert(data.draw(st.integers(0, len(X))), sparse(dim, {}))
         batch = np.column_stack([decision_values(clf, X) for clf in model.classifiers])
         labels = predict_many(model, X)
         for i, x in enumerate(X):
@@ -439,10 +440,23 @@ class TestPersistence:
                 int(i): float(rng.normal())
                 for i in rng.choice(dim, size=min(nnz, dim), replace=False)
             }
-            x = SparseVector(dimension=dim, entries=entries)
+            x = sparse(dim, entries)
             before = predict_proba(model, x)
             after = predict_proba(loaded, x)
             assert before.tolist() == after.tolist()
+
+    def test_loaded_pipeline_featurizes_bit_for_bit(self, tmp_path):
+        model, docs = trained_toy_model()
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+        docs = docs + [Document(id="empty", text=""), Document(id="oov", text="zzz qqq")]
+        fitted = kernels.stack_csr(model.pipeline.transform_many(docs))
+        restored = kernels.stack_csr(loaded.pipeline.transform_many(docs))
+        assert fitted[3] == restored[3]
+        for a, b in zip(fitted[:3], restored[:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert fitted[0][-1] == fitted[0][-3]  # the last two rows are empty
 
     def test_round_trip_preserves_metadata(self, tmp_path):
         model, _docs = trained_toy_model()
@@ -457,6 +471,25 @@ class TestPersistence:
         for a, b in zip(loaded.classifiers, model.classifiers):
             assert a.iterations == b.iterations
             assert a.bias == b.bias
+
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        (r"^calm\t\d+$", "calm\tx", re.escape(r"bad value in [vocab:U]: 'calm\tx'")),
+        (r"^(\d+)\t\S+$", r"\1\tnope", r"bad value in \[weights:NAG\]: '\d+\\tnope'"),
+        (r"^\d+\t(\S+)$", r"x\t\1", r"bad value in \[weights:NAG\]: 'x\\t"),
+        (r"^bias = .*$", "bias = nope", re.escape("bad value in [weights:NAG]: 'bias = nope'")),
+    ])
+    def test_corrupted_number_names_section_and_line(
+        self, tmp_path, pattern, replacement, message
+    ):
+        model, _docs = trained_toy_model()
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        text, n = re.subn(pattern, replacement, path.read_text(encoding="utf-8"),
+                          count=1, flags=re.M)
+        assert n == 1
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ResourceError, match=message):
+            load_model(path)
 
     def test_truncated_file_names_missing_section(self, tmp_path):
         model, _docs = trained_toy_model()
