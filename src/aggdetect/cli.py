@@ -395,14 +395,14 @@ def cmd_train(args) -> int:
 
     prepped = preprocess_corpus(Corpus(train_docs, corpus.language), settings)
     blocks = [FeatureBlockSpec.from_name(name, config.min_df) for name in config.blocks]
-    pipeline = FeaturePipeline(blocks, resources).fit(prepped)
+    pipeline = FeaturePipeline(blocks, resources)
+    X = pipeline.fit_transform(prepped)
     log.info("fitted %d feature blocks, total dimension %d",
              len(blocks), pipeline.total_dimension)
-    if "W2V" in config.blocks:
+    if "W2V" in config.blocks and log.isEnabledFor(logging.INFO):
         log.info("embedding coverage: %.1f%% of training tokens",
                  100.0 * _embedding_coverage(prepped, resources))
 
-    X = pipeline.transform_many(prepped)
     gold = [doc.gold for doc in prepped]
     ovr = train_ovr(X, gold, config.train, pipeline=pipeline,
                     preprocess=settings, language=config.language)

@@ -11,13 +11,27 @@ A document's features are one CSR row from end to end: each block emits
 ``(indices, values)`` arrays, sorted by index with no zeros, and the
 pipeline offsets and concatenates them into a :class:`SparseVector`,
 which ``kernels.stack_csr`` stacks by concatenation.
+
+``FeaturePipeline.fit_transform`` featurizes a training corpus with one
+term extraction per document.  Phase 1 tokenizes each document once and,
+per lexical block, counts its terms once, giving each distinct term a
+provisional id in first-occurrence order; document frequency is one
+``np.bincount`` over those ids, and ``min_df`` pruning plus the sort give
+the vocabulary and one remap array from provisional ids to vocabulary
+indices.  Phase 2 builds each row from the remapped ids and counts, with
+no string work.  ``fit`` (and ``fit_vocabulary``) is phase 1 alone, and
+``transform`` weights a new document through the same row helpers, so
+``fit_transform(docs)`` equals ``fit(docs).transform_many(docs)`` bit for
+bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import unicodedata
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -156,32 +170,64 @@ class Vocabulary:
         return len(self.terms)
 
 
-def fit_vocabulary(corpus_terms: Iterable[Sequence[str]], min_df: int = 1) -> Vocabulary:
-    """Build a vocabulary over terms with document frequency >= min_df."""
-    if min_df < 1:
-        raise ValueError("min_df must be >= 1")
-    df: Counter[str] = Counter()
-    n_documents = 0
+def _count_terms(
+    corpus_terms: Iterable[Sequence[str]],
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Count each document's terms once. Each distinct term gets a
+    provisional id in first-occurrence order. Returns the terms by
+    provisional id and, for all documents back to back, the int32 ids and
+    counts of each document's distinct terms in first-occurrence order, with
+    the offsets where each document's run starts and ends."""
+    pid: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    ids, counts, ends = array("i"), array("i"), [0]
     for terms in corpus_terms:
-        n_documents += 1
-        df.update(set(terms))
-    kept = sorted(term for term, count in df.items() if count >= min_df)
-    return Vocabulary(
-        terms=kept,
-        index={term: i for i, term in enumerate(kept)},
-        document_frequency={term: df[term] for term in kept},
-        n_documents=n_documents,
+        doc_counts = Counter(terms)
+        ids.extend(map(pid.__getitem__, doc_counts))
+        counts.extend(doc_counts.values())
+        ends.append(len(ids))
+    return (
+        list(pid),
+        np.frombuffer(ids, dtype=np.int32),
+        np.frombuffer(counts, dtype=np.int32),
+        np.array(ends),
     )
 
 
-def tfidf_transform(terms: Sequence[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-count TF times smoothed IDF, L2-normalized unless all-zero, as
-    ``(indices, values)`` sorted by index. Out-of-vocabulary terms are
-    ignored. The norm is summed left to right in first-occurrence order."""
-    index = vocab.index
-    hits = [(index[term], count) for term, count in Counter(terms).items() if term in index]
-    idx = np.array([i for i, _ in hits], dtype=np.int64)
-    weights = np.array([c for _, c in hits], dtype=np.float64) * vocab.idf[idx]
+def _fit_counts(
+    terms: list[str], ids: np.ndarray, n_documents: int, min_df: int
+) -> tuple[Vocabulary, np.ndarray]:
+    """The vocabulary of the terms with document frequency >= min_df, given
+    every document's distinct provisional ids, and the array that maps each
+    provisional id to its vocabulary index (-1 when pruned)."""
+    if min_df < 1:
+        raise ValueError("min_df must be >= 1")
+    df = np.bincount(ids, minlength=len(terms))
+    kept = sorted(np.flatnonzero(df >= min_df).tolist(), key=terms.__getitem__)
+    remap = np.full(len(terms), -1, dtype=np.int32)
+    remap[kept] = np.arange(len(kept))
+    vocab_terms = [terms[p] for p in kept]
+    vocab = Vocabulary(
+        terms=vocab_terms,
+        index={term: i for i, term in enumerate(vocab_terms)},
+        document_frequency=dict(zip(vocab_terms, df[kept].tolist())),
+        n_documents=n_documents,
+    )
+    return vocab, remap
+
+
+def fit_vocabulary(corpus_terms: Iterable[Sequence[str]], min_df: int = 1) -> Vocabulary:
+    """Build a vocabulary over terms with document frequency >= min_df."""
+    terms, ids, _counts, ends = _count_terms(corpus_terms)
+    return _fit_counts(terms, ids, len(ends) - 1, min_df)[0]
+
+
+def _tfidf_row(
+    idx: np.ndarray, counts: np.ndarray, idf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """TF-IDF weights of distinct vocabulary indices given in first-occurrence
+    order, L2-normalized unless all-zero, sorted by index. The norm is
+    summed left to right in that order."""
+    weights = counts * idf[idx]
     norm = math.sqrt(sum((weights * weights).tolist()))
     if norm > 0.0:
         weights /= norm
@@ -189,11 +235,26 @@ def tfidf_transform(terms: Sequence[str], vocab: Vocabulary) -> tuple[np.ndarray
     return idx[order], weights[order]
 
 
+def _binary_row(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Presence weights of distinct vocabulary indices, sorted by index."""
+    return np.sort(idx), np.ones(idx.shape[0])
+
+
+def tfidf_transform(terms: Sequence[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Raw-count TF times smoothed IDF, L2-normalized unless all-zero, as
+    ``(indices, values)`` sorted by index. Out-of-vocabulary terms are
+    ignored. The norm is summed left to right in first-occurrence order."""
+    counts = Counter(map(vocab.index.get, terms))
+    counts.pop(None, None)
+    idx = np.array(list(counts), dtype=np.int64)
+    return _tfidf_row(idx, np.array(list(counts.values()), dtype=np.int64), vocab.idf)
+
+
 def binary_transform(terms: Sequence[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """Presence/absence weighting, no normalization, as ``(indices, values)``."""
-    index = vocab.index
-    idx = np.array(sorted({index[term] for term in terms if term in index}), dtype=np.int64)
-    return idx, np.ones(idx.shape[0])
+    present = set(map(vocab.index.get, terms))
+    present.discard(None)
+    return _binary_row(np.array(list(present), dtype=np.int64))
 
 
 # Named feature blocks. Canonical short names match the usual ablation
@@ -328,19 +389,57 @@ class FeaturePipeline:
         self.total_dimension = offset
         self.fitted = True
 
+    def _fit_block(
+        self, spec: FeatureBlockSpec, documents: Sequence[Document], token_lists: list[list[str]]
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Phase 1 for one lexical block: count each document's terms once and
+        fit the block's vocabulary, whitespace-only documents included.
+        Returns, for all documents back to back, the vocabulary indices and
+        counts of each document's in-vocabulary terms in first-occurrence
+        order, and the offsets where each document's run starts and ends."""
+        terms, ids, counts, ends = _count_terms(
+            _lexical_terms(spec, doc.text, tokens) for doc, tokens in zip(documents, token_lists)
+        )
+        self.vocabularies[spec.name], remap = _fit_counts(
+            terms, ids, len(documents), spec.params.get("min_df", 1)
+        )
+        idx = remap[ids]
+        keep = idx >= 0
+        kept_before = np.zeros(len(ids) + 1, dtype=np.int32)
+        np.cumsum(keep, out=kept_before[1:])
+        return idx[keep], counts[keep], kept_before[ends].tolist()
+
     def fit(self, documents: Sequence[Document]) -> "FeaturePipeline":
         token_lists = [tokenize(doc.text) for doc in documents]
         for spec in self.blocks:
             if spec.kind in LEXICAL_KINDS:
-                per_doc = (
-                    _lexical_terms(spec, doc.text, tokens)
-                    for doc, tokens in zip(documents, token_lists)
-                )
-                self.vocabularies[spec.name] = fit_vocabulary(
-                    per_doc, spec.params.get("min_df", 1)
-                )
+                self._fit_block(spec, documents, token_lists)
         self._assign_ranges()
         return self
+
+    def fit_transform(self, documents: Sequence[Document]) -> list[SparseVector]:
+        """``fit(documents)`` then ``transform_many(documents)``, bit for bit,
+        with each document tokenized and its terms extracted once."""
+        token_lists = [tokenize(doc.text) for doc in documents]
+        counted_blocks = [
+            (spec, *self._fit_block(spec, documents, token_lists))
+            for spec in self.blocks
+            if spec.kind in LEXICAL_KINDS
+        ]
+        self._assign_ranges()
+        # Phase 2: rows from the remapped indices, with no string work.
+        rows = []
+        for i, (doc, tokens) in enumerate(zip(documents, token_lists)):
+            lexical = []
+            for spec, idx, counts, ends in counted_blocks:
+                start, end = ends[i], ends[i + 1]
+                if spec.kind == "binary_word_ngram":
+                    lexical.append(_binary_row(idx[start:end]))
+                else:
+                    idf = self.vocabularies[spec.name].idf
+                    lexical.append(_tfidf_row(idx[start:end], counts[start:end], idf))
+            rows.append(self._assemble(doc, tokens, lexical))
+        return rows
 
     def restore(self, vocabularies: dict[str, Vocabulary]) -> "FeaturePipeline":
         """Rebuild fitted state from deserialized vocabularies."""
@@ -348,13 +447,7 @@ class FeaturePipeline:
         self._assign_ranges()
         return self
 
-    def _block_arrays(self, spec: FeatureBlockSpec, doc: Document, tokens: list[str]):
-        if spec.kind in LEXICAL_KINDS:
-            terms = _lexical_terms(spec, doc.text, tokens)
-            vocab = self.vocabularies[spec.name]
-            if spec.kind == "binary_word_ngram":
-                return binary_transform(terms, vocab)
-            return tfidf_transform(terms, vocab)
+    def _dense_arrays(self, spec: FeatureBlockSpec, doc: Document, tokens: list[str]):
         res = self.resources
         if spec.kind == "embedding":
             vec, _coverage = lexfeatures.embed_average(tokens, res.embeddings)
@@ -367,21 +460,44 @@ class FeaturePipeline:
         nonzero = np.flatnonzero(vec)
         return nonzero, vec[nonzero]
 
-    def transform(self, doc: Document) -> SparseVector:
-        if not self.fitted:
-            raise DataError("feature pipeline used before fitting")
+    def _assemble(self, doc: Document, tokens: list[str], lexical: Iterable) -> SparseVector:
+        """One document's row from its lexical blocks' ``(indices, values)``,
+        in block order (not consumed for an empty document), plus its dense
+        blocks."""
         # Empty text short-circuits to the all-zero vector, bypassing the
         # degenerate defaults of dense blocks.
         if not doc.text.strip():
             return SparseVector(self.total_dimension, [], [])
-        tokens = tokenize(doc.text)
         # blocks occupy increasing offset ranges, so the concatenation is sorted
+        lexical_rows = iter(lexical)
         indices, values = [], []
         for spec in self.blocks:
-            idx, val = self._block_arrays(spec, doc, tokens)
-            indices.append(idx + self.offsets[spec.name])
+            if spec.kind in LEXICAL_KINDS:
+                idx, val = next(lexical_rows)
+            else:
+                idx, val = self._dense_arrays(spec, doc, tokens)
+            # fit_transform's lexical indices are int32
+            indices.append(np.add(idx, self.offsets[spec.name], dtype=np.int64))
             values.append(val)
         return SparseVector(self.total_dimension, np.concatenate(indices), np.concatenate(values))
+
+    def _lexical_arrays(self, spec: FeatureBlockSpec, text: str, tokens: list[str]):
+        terms = _lexical_terms(spec, text, tokens)
+        vocab = self.vocabularies[spec.name]
+        if spec.kind == "binary_word_ngram":
+            return binary_transform(terms, vocab)
+        return tfidf_transform(terms, vocab)
+
+    def transform(self, doc: Document) -> SparseVector:
+        if not self.fitted:
+            raise DataError("feature pipeline used before fitting")
+        tokens = tokenize(doc.text)
+        lexical = (
+            self._lexical_arrays(spec, doc.text, tokens)
+            for spec in self.blocks
+            if spec.kind in LEXICAL_KINDS
+        )
+        return self._assemble(doc, tokens, lexical)
 
     def transform_many(self, documents: Sequence[Document]) -> list[SparseVector]:
         return [self.transform(doc) for doc in documents]

@@ -146,6 +146,8 @@ class SpellDictionary:
 
     def __post_init__(self) -> None:
         self._alphabet = sorted({ch for token in self.entries for ch in token})
+        # out-of-dictionary token -> its correction, shared by every call
+        self._corrections: dict[str, str] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -205,12 +207,13 @@ def spell_correct(tokens: list[str], dictionary: SpellDictionary) -> list[str]:
 
     In-dictionary tokens are never changed.  Candidates are ranked by
     dictionary frequency, ties broken lexicographically; tokens with no
-    candidate stay as they are.
+    candidate stay as they are.  Corrections are remembered on the
+    dictionary, so each distinct token is corrected once.
     """
     entries = dictionary.entries
     alphabet = dictionary._alphabet
     corrected: list[str] = []
-    cache: dict[str, str] = {}
+    cache = dictionary._corrections
     for token in tokens:
         if token in entries:
             corrected.append(token)

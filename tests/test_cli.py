@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import aggdetect
+from aggdetect import cli, featurize
 from aggdetect.cli import main
-from aggdetect.corpus_io import Label, load_predictions
-from aggdetect.model import load_model
+from aggdetect.corpus_io import Label, load_corpus, load_predictions
+from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline
+from aggdetect.model import load_model, save_model, train_ovr
 
 from helpers import synthetic_documents, write_corpus_tsv, write_embeddings, write_lines
 
@@ -182,6 +184,74 @@ class TestTrain:
         assert run(["train", str(corpus_path), str(m1), "--config", str(basic_config)]) == 0
         assert run(["train", str(corpus_path), str(m2), "--config", str(basic_config)]) == 0
         assert m1.read_bytes() == m2.read_bytes()
+
+    def test_featurizes_each_document_once(self, tmp_path, toy_corpus, monkeypatch):
+        corpus_path, rows = toy_corpus
+        val_rows = synthetic_documents(4, seed=99)
+        val_path = write_corpus_tsv(tmp_path / "val.tsv", val_rows)
+        config_path = write_lines(
+            tmp_path / "run.cfg",
+            ["language = english", "blocks = U+BU+C3+SK2", "min_df = 2", "max_iters = 150"],
+        )
+        calls = []
+        real_tokenize = featurize.tokenize
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return real_tokenize(text)
+
+        monkeypatch.setattr(featurize, "tokenize", counting_tokenize)
+        model_path = tmp_path / "model.txt"
+        assert run(["train", str(corpus_path), str(model_path), "--config", str(config_path),
+                    "--validation", str(val_path)]) == 0
+        assert len(calls) == len(rows) + len(val_rows)
+        monkeypatch.undo()
+
+        # the library path: fit, transform_many, train_ovr, save_model
+        config = cli.load_run_config(config_path)
+        resources = cli.load_resources(config)
+        settings = cli.build_preprocess_settings(config, resources)
+        corpus = load_corpus(corpus_path, has_labels=True, language=config.language)
+        prepped = cli.preprocess_corpus(corpus, settings)
+        blocks = [FeatureBlockSpec.from_name(name, config.min_df) for name in config.blocks]
+        pipeline = FeaturePipeline(blocks, resources).fit(prepped)
+        ovr = train_ovr(pipeline.transform_many(prepped), [doc.gold for doc in prepped],
+                        config.train, pipeline=pipeline, preprocess=settings,
+                        language=config.language)
+        library_path = tmp_path / "library.txt"
+        save_model(ovr, library_path)
+        assert model_path.read_bytes() == library_path.read_bytes()
+
+    def test_embedding_coverage_only_computed_when_logged(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        rows = [("a", "calm day here", Label.NAG), ("b", "rage day", Label.OAG),
+                ("c", "sly calm calm", Label.CAG)]
+        corpus_path = write_corpus_tsv(tmp_path / "train.tsv", rows)
+        emb_path = write_embeddings(tmp_path / "emb.vec", {"calm": [1.0, 0.0], "day": [0.0, 1.0]})
+        config = write_lines(
+            tmp_path / "w2v.cfg",
+            ["language = english", "blocks = U+W2V", "min_df = 1", "max_iters = 50",
+             f"embeddings = {emb_path.name}"],
+        )
+        calls = []
+        real_coverage = cli._embedding_coverage
+
+        def counting_coverage(documents, resources):
+            calls.append(len(documents))
+            return real_coverage(documents, resources)
+
+        monkeypatch.setattr(cli, "_embedding_coverage", counting_coverage)
+        argv = ["train", str(corpus_path), str(tmp_path / "m.txt"), "--config", str(config)]
+        with caplog.at_level("INFO", logger="aggdetect"):
+            assert run(["--quiet", *argv]) == 0
+        assert calls == []
+        assert "embedding coverage" not in caplog.text
+        with caplog.at_level("INFO", logger="aggdetect"):
+            assert run(argv) == 0
+        assert calls == [3]
+        # 5 of the 8 training tokens have a vector
+        assert "embedding coverage: 62.5% of training tokens" in caplog.text
 
     def test_preset_config(self, tmp_path, toy_corpus):
         corpus_path, _rows = toy_corpus

@@ -384,3 +384,65 @@ def test_transform_matches_dict_reference(fit_texts, extra_texts, names, min_df)
         reference = reference_transform(pipeline, doc)
         assert vec.indices.tolist() == [i for i, _ in reference]
         assert vec.values.tobytes() == np.array([w for _, w in reference]).tobytes()
+
+
+_FIT_TEXTS = st.one_of(
+    st.sampled_from(["", "   ", "!!", "?! ...", ":) :)", "a a a a", "ab ab ab c", "c. c. c."]),
+    st.text(alphabet="ab c.!", max_size=40),
+)
+
+
+def reference_vocabulary(spec, documents):
+    """Document frequencies and document count by a plain set-per-document
+    count over every document, whitespace-only ones included."""
+    df = Counter()
+    for doc in documents:
+        tokens = tokenize(doc.text)
+        if spec.kind == "char_ngram":
+            terms = char_ngrams(doc.text, spec.params["n"])
+        elif spec.kind == "skip_gram":
+            terms = skip_grams(tokens, spec.params["k"], spec.params["n"])
+        else:
+            terms = word_ngrams(tokens, spec.params["n"])
+        df.update(set(terms))
+    min_df = spec.params["min_df"]
+    return {t: c for t, c in sorted(df.items()) if c >= min_df}, len(documents)
+
+
+@given(
+    texts=st.lists(_FIT_TEXTS, min_size=1, max_size=8),
+    names=st.lists(st.sampled_from(["U", "B", "T", "BU", "C3", "C5", "SK2"]), min_size=1,
+                   max_size=7, unique=True),
+    min_df=st.integers(1, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_fit_transform_matches_fit_then_transform_many(texts, names, min_df):
+    """Same vocabularies, offsets and rows, bit for bit, as fit followed by
+    transform_many, and both equal to the dict references."""
+    blocks = [FeatureBlockSpec.from_name(n, min_df=min_df) for n in names]
+    docs = _docs(*texts)
+    fitted = FeaturePipeline(blocks).fit(docs)
+    expected = fitted.transform_many(docs)
+    pipeline = FeaturePipeline(blocks)
+    rows = pipeline.fit_transform(docs)
+
+    assert pipeline.offsets == fitted.offsets
+    assert pipeline.total_dimension == fitted.total_dimension
+    for spec in blocks:
+        vocab, other = pipeline.vocabularies[spec.name], fitted.vocabularies[spec.name]
+        assert vocab.terms == other.terms
+        assert vocab.document_frequency == other.document_frequency
+        assert vocab.n_documents == other.n_documents
+        assert vocab.idf.tobytes() == other.idf.tobytes()
+        df, n_documents = reference_vocabulary(spec, docs)
+        assert list(vocab.document_frequency.items()) == list(df.items())
+        assert vocab.n_documents == n_documents
+    assert len(rows) == len(expected) == len(docs)
+    for doc, row, want in zip(docs, rows, expected):
+        assert row.dimension == want.dimension
+        assert row.indices.dtype == want.indices.dtype and row.values.dtype == want.values.dtype
+        assert row.indices.tobytes() == want.indices.tobytes()
+        assert row.values.tobytes() == want.values.tobytes()
+        reference = reference_transform(pipeline, doc)
+        assert row.indices.tolist() == [i for i, _ in reference]
+        assert row.values.tobytes() == np.array([w for _, w in reference]).tobytes()

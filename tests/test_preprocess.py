@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aggdetect import translit
+from aggdetect import preprocess, translit
 from aggdetect.preprocess import (
     CleanConfig,
     PreprocessSettings,
@@ -133,6 +135,27 @@ class TestSpellCorrect:
     def test_dictionary_tokens_never_change(self, tokens):
         d = SpellDictionary({"dog": 5, "dig": 2, "cat": 9, "hate": 1})
         assert spell_correct(tokens, d) == tokens
+
+
+    def test_corrections_remembered_across_documents(self, monkeypatch):
+        calls = Counter()
+        edits1 = preprocess._edits1
+
+        def counting_edits1(token, alphabet):
+            calls[token] += 1
+            return edits1(token, alphabet)
+
+        monkeypatch.setattr(preprocess, "_edits1", counting_edits1)
+        entries = {"dog": 5, "dig": 2, "hate": 4}
+        d = SpellDictionary(dict(entries))
+        documents = [["dgo", "hbte", "zzzz"], ["zzzz", "dgo", "dog"], ["dg", "hbte", "dgo"]]
+        corrected = [spell_correct(doc, d) for doc in documents]
+        assert calls == {"dgo": 1, "hbte": 1, "zzzz": 1, "dg": 1}
+        assert corrected == [spell_correct(doc, SpellDictionary(dict(entries)))
+                             for doc in documents]
+        # the memo is not part of the dictionary's value
+        assert d == SpellDictionary(dict(entries))
+        assert repr(d) == repr(SpellDictionary(dict(entries)))
 
 
 class TestSpellDictionaryIO:
