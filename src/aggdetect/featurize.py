@@ -27,6 +27,7 @@ bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import unicodedata
@@ -73,6 +74,7 @@ class SparseVector:
         return self.indices.shape[0]
 
 
+@functools.cache  # one entry per distinct character seen
 def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch)[0] in ("P", "S")
 
@@ -84,7 +86,8 @@ def tokenize(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for chunk in text.split():
-        if all(_is_punct(ch) for ch in chunk):
+        # an alphanumeric chunk holds no P or S character: nothing to peel
+        if chunk.isalnum() or all(_is_punct(ch) for ch in chunk):
             tokens.append(chunk)
             continue
         start = 0
@@ -225,10 +228,14 @@ def _tfidf_row(
     idx: np.ndarray, counts: np.ndarray, idf: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """TF-IDF weights of distinct vocabulary indices given in first-occurrence
-    order, L2-normalized unless all-zero, sorted by index. The norm is
-    summed left to right in that order."""
+    order, L2-normalized unless all-zero, sorted by index. The squares are
+    summed left to right in that order, one float64 addition at a time
+    (``np.bincount`` into one bin), so the norm does not depend on how the
+    Python version sums floats."""
     weights = counts * idf[idx]
-    norm = math.sqrt(sum((weights * weights).tolist()))
+    squares = weights * weights
+    one_bin = np.zeros(squares.shape[0], dtype=np.intp)
+    norm = math.sqrt(np.bincount(one_bin, weights=squares, minlength=1)[0])
     if norm > 0.0:
         weights /= norm
     order = np.argsort(idx)

@@ -1,40 +1,38 @@
-"""Numeric kernels shared by training and prediction: CSR matrix-vector
-products, the stable sigmoid, and the logistic-loss sum, in numpy.
+"""Numeric kernels shared by training and prediction: CSR matrix products,
+the stable sigmoid, and the logistic-loss sum.
 
-``csr_matvec`` sums each row on its own, in storage order, so a row's
-result does not depend on the rows stacked with it: one document scores
-bit for bit the same alone as inside a batch.
+The two CSR products run in scipy's compiled sparse code: each call wraps
+the caller's ``(indptr, indices, data)`` as a ``scipy.sparse.csr_array``
+without copying them (int64 indices stay int64) and multiplies. scipy adds
+each row's products in storage order from 0.0, so ``csr_matvec`` gives a
+row the same result whatever rows are stacked with it: one document scores
+bit for bit the same alone as inside a batch, and each column of a 2-d
+product equals the 1-d product with that column.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_array
 
 
 def active_backend() -> str:
-    """Name of the kernel implementation; numpy is the only one."""
-    return "numpy"
+    """Name of the implementation behind the CSR products."""
+    return "scipy"
+
+
+def _csr(indptr, indices, data, n_features) -> csr_array:
+    return csr_array((data, indices, indptr), shape=(indptr.shape[0] - 1, n_features), copy=False)
 
 
 def csr_matvec(indptr, indices, data, w):
-    """Row sums of X*w for CSR X; empty rows give 0.
-
-    ``np.bincount`` adds each row's products in storage order from 0.0, so
-    the sum is the same whatever rows come before it. (It returns
-    integers when it gets no entries at all, hence the cast.)
-    """
-    m = indptr.shape[0] - 1
-    rows = np.repeat(np.arange(m), np.diff(indptr))
-    out = np.bincount(rows, weights=data * w[indices], minlength=m)
-    return out.astype(np.float64, copy=False)
+    """X @ w for CSR X and ``w`` of shape (n,) or (n, k); empty rows give 0."""
+    return _csr(indptr, indices, data, w.shape[0]) @ w
 
 
 def csr_rmatvec(indptr, indices, data, r, n_features):
-    """X^T * r for CSR X."""
-    row_nnz = np.diff(indptr)
-    expanded = np.repeat(r, row_nnz)
-    out = np.bincount(indices, weights=data * expanded, minlength=n_features)
-    return out.astype(np.float64, copy=False)
+    """X^T @ r for CSR X with ``n_features`` columns."""
+    return _csr(indptr, indices, data, n_features).T @ r
 
 
 def sigmoid(z):

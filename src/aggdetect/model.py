@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -229,10 +229,19 @@ class OvRModel:
     n_train_documents: int = 0
     merged_validation: bool = False
     single_class_warning: bool = False
+    # the classifiers' weights as the columns of one (dim, n_classes)
+    # array and their biases as one vector, built once so that scoring is
+    # one CSR product; classifiers are not changed after construction
+    _weights: np.ndarray = field(init=False, repr=False, compare=False)
+    _biases: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._weights = np.column_stack([clf.weights for clf in self.classifiers])
+        self._biases = np.array([clf.bias for clf in self.classifiers])
 
     @property
     def dimension(self) -> int:
-        return self.classifiers[0].weights.shape[0]
+        return self._weights.shape[0]
 
 
 def train_ovr(
@@ -275,12 +284,7 @@ def _scores(model: OvRModel, X: Sequence[SparseVector]) -> np.ndarray:
         raise DataError(
             f"feature dimension {dim} does not match model dimension {model.dimension}"
         )
-    return np.column_stack(
-        [
-            kernels.csr_matvec(indptr, indices, data, clf.weights) + clf.bias
-            for clf in model.classifiers
-        ]
-    )
+    return kernels.csr_matvec(indptr, indices, data, model._weights) + model._biases
 
 
 def predict_proba(model: OvRModel, x: SparseVector) -> np.ndarray:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -12,6 +14,7 @@ from aggdetect.featurize import (
     FeatureBlockSpec,
     FeaturePipeline,
     SparseVector,
+    _tfidf_row,
     binary_transform,
     char_ngrams,
     fit_vocabulary,
@@ -33,6 +36,38 @@ def brute_force_skip_grams(tokens, k, n):
     return out
 
 
+def reference_tokenize(text):
+    """tokenize without the alphanumeric fast path or the per-character
+    memo: every chunk goes through the peeling loop."""
+
+    def is_punct(ch):
+        return unicodedata.category(ch)[0] in ("P", "S")
+
+    def runs(part):
+        out = []
+        for ch in part:
+            if out and out[-1][0] == ch:
+                out[-1] += ch
+            else:
+                out.append(ch)
+        return out
+
+    tokens = []
+    for chunk in text.split():
+        if all(is_punct(ch) for ch in chunk):
+            tokens.append(chunk)
+            continue
+        start, end = 0, len(chunk)
+        while start < end and is_punct(chunk[start]):
+            start += 1
+        while end > start and is_punct(chunk[end - 1]):
+            end -= 1
+        tokens.extend(runs(chunk[:start]))
+        tokens.append(chunk[start:end])
+        tokens.extend(runs(chunk[end:]))
+    return tokens
+
+
 class TestTokenize:
     def test_punctuation_split(self):
         assert tokenize("hello, world!") == ["hello", ",", "world", "!"]
@@ -51,6 +86,29 @@ class TestTokenize:
 
     def test_mixed_trailing_runs(self):
         assert tokenize("what?!") == ["what", "?", "!"]
+
+    def test_no_alphanumeric_character_is_punctuation_or_symbol(self):
+        """The invariant behind tokenize's fast path for alphanumeric chunks."""
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            if ch.isalnum():
+                assert unicodedata.category(ch)[0] not in ("P", "S"), hex(code)
+
+    @given(
+        st.text(
+            alphabet=st.sampled_from(
+                "abcXYZ019 \t\n"  # Latin, digits, whitespace
+                "अआकखगमरहािीुे्ंँ।॥०५"  # Devanagari letters, signs, danda, digits
+                "😀😡👍🏽"  # emoji and a skin-tone modifier
+                "!?.,:;'-_()@#$%&*+=<>/\\|~^`\"₹©®™…—"  # punctuation and symbols
+            )
+            | st.characters(),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_reference(self, text):
+        assert tokenize(text) == reference_tokenize(text)
 
 
 class TestNgrams:
@@ -209,6 +267,26 @@ class TestTfidf:
             dense[indices] = values
             assert np.abs(dense - oracle_row).max(initial=0.0) <= 1e-9
 
+    @given(st.data())
+    def test_norm_summed_sequentially_in_first_occurrence_order(self, data):
+        """The squares are added one at a time in the order the terms first
+        occur, as an explicit loop does; Python's ``sum`` compensates on
+        3.12+ and is no reference."""
+        size = data.draw(st.integers(0, 40))
+        idx = np.array(data.draw(st.permutations(range(size))), dtype=np.int64)
+        counts = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=size, max_size=size)),
+                          dtype=np.int64)
+        idf = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size)))
+        weights = counts * idf[idx]
+        total = 0.0
+        for v in weights.tolist():
+            total += v * v
+        expected = weights / math.sqrt(total) if total > 0.0 else weights
+        order = np.argsort(idx)
+        indices, values = _tfidf_row(idx, counts, idf)
+        assert indices.tolist() == idx[order].tolist()
+        assert values.tobytes() == expected[order].tobytes()
+
     @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=15))
     def test_l2_norm_is_one_when_in_vocab(self, terms):
         vocab = fit_vocabulary([["a", "b", "c"]], min_df=1)
@@ -350,7 +428,10 @@ def reference_transform(pipeline, doc):
                     df = vocab.document_frequency[term]
                     idf = math.log((1 + vocab.n_documents) / (1 + df)) + 1.0
                     block[vocab.index[term]] = count * idf
-            norm = math.sqrt(sum(w * w for w in block.values()))
+            squares = 0.0
+            for w in block.values():
+                squares += w * w
+            norm = math.sqrt(squares)
             if norm > 0.0:
                 block = {i: w / norm for i, w in block.items()}
         for i, w in block.items():
