@@ -3,7 +3,7 @@ Hindi social-media comments: preprocessing, lexical/semantic features,
 one-vs-rest logistic regression, and an evaluation harness."""
 
 from .corpus_io import Corpus, Document, Label, LABELS, load_corpus, parse_label, write_predictions
-from .featurize import FeatureBlockSpec, FeaturePipeline, SparseVector, Vocabulary
+from .featurize import FeatureBlockSpec, FeaturePipeline, SparseMatrix, SparseVector, Vocabulary
 from .model import OvRModel, TrainConfig, load_model, predict, predict_proba, save_model, train_ovr
 from .evaluate import ConfusionMatrix, EvalReport, build_report, weighted_f1
 
@@ -19,6 +19,7 @@ __all__ = [
     "write_predictions",
     "FeatureBlockSpec",
     "FeaturePipeline",
+    "SparseMatrix",
     "SparseVector",
     "Vocabulary",
     "OvRModel",

@@ -70,9 +70,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.documents)
 
-    def texts(self) -> list[str]:
-        return [doc.text for doc in self.documents]
-
     def gold_labels(self) -> list[Label]:
         missing = [doc.id for doc in self.documents if doc.gold is None]
         if missing:
@@ -171,17 +168,6 @@ def load_corpus(
         documents.append(Document(id=doc_id, text=fields[1], gold=gold))
 
     return Corpus(documents=documents, language=language, provenance=str(path))
-
-
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus in the canonical escaped-TSV format."""
-    lines = []
-    for doc in corpus.documents:
-        fields = [escape_field(doc.id), escape_field(doc.text)]
-        if doc.gold is not None:
-            fields.append(doc.gold.name)
-        lines.append("\t".join(fields))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def write_predictions(corpus: Corpus, predictions: list[Label], path: str | Path) -> None:

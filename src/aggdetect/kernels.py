@@ -15,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import csr_array
 
+from .featurize import SparseMatrix
+
 
 def active_backend() -> str:
     """Name of the implementation behind the CSR products."""
@@ -50,9 +52,12 @@ def logistic_loss_sum(z, y):
 
 
 def stack_csr(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Stack SparseVectors, each already one CSR row, into CSR arrays
-    (indptr, indices, data, dim): indptr is the running sum of the row
+    """CSR arrays (indptr, indices, data, dim) of a batch. A SparseMatrix
+    gives its own arrays, not copies. A sequence of SparseVectors, each
+    already one CSR row, is stacked: indptr is the running sum of the row
     lengths, and indices and data are the rows concatenated in order."""
+    if isinstance(vectors, SparseMatrix):
+        return vectors.indptr, vectors.indices, vectors.data, vectors.dimension
     dims = {v.dimension for v in vectors}
     if len(dims) > 1:
         raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")

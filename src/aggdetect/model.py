@@ -38,6 +38,7 @@ from .featurize import (
     FeatureBlockSpec,
     FeaturePipeline,
     LEXICAL_KINDS,
+    SparseMatrix,
     SparseVector,
     Vocabulary,
 )
@@ -245,14 +246,15 @@ class OvRModel:
 
 
 def train_ovr(
-    X: Sequence[SparseVector],
+    X: SparseMatrix | Sequence[SparseVector],
     labels: Sequence[Label],
     config: TrainConfig | None = None,
     pipeline: FeaturePipeline | None = None,
     preprocess: PreprocessSettings | None = None,
     language: str = "english",
 ) -> OvRModel:
-    """Train one classifier per label (class versus rest).
+    """Train one classifier per label (class versus rest) on one CSR stack
+    of ``X``; a SparseMatrix (``fit_transform``'s result) is used in place.
 
     A class with no positive examples still gets a classifier (trained on
     all-negative targets); a corpus containing a single distinct class is
@@ -277,9 +279,9 @@ def train_ovr(
     )
 
 
-def _scores(model: OvRModel, X: Sequence[SparseVector]) -> np.ndarray:
-    """Decision values w.x + b, one row per vector and one column per class."""
-    indptr, indices, data, dim = kernels.stack_csr(X)
+def _scores(model: OvRModel, csr: CSR) -> np.ndarray:
+    """Decision values w.x + b, one row per CSR row and one column per class."""
+    indptr, indices, data, dim = csr
     if dim != model.dimension:
         raise DataError(
             f"feature dimension {dim} does not match model dimension {model.dimension}"
@@ -287,21 +289,26 @@ def _scores(model: OvRModel, X: Sequence[SparseVector]) -> np.ndarray:
     return kernels.csr_matvec(indptr, indices, data, model._weights) + model._biases
 
 
+def _one_row(x: SparseVector) -> CSR:
+    """The CSR arrays of one vector, without a stack."""
+    return np.array([0, len(x)], dtype=np.int64), x.indices, x.values, x.dimension
+
+
 def predict_proba(model: OvRModel, x: SparseVector) -> np.ndarray:
     """Per-class sigmoid scores; not normalized across classes."""
-    return kernels.sigmoid(_scores(model, [x])[0])
+    return kernels.sigmoid(_scores(model, _one_row(x))[0])
 
 
 def predict(model: OvRModel, x: SparseVector) -> Label:
     """Class with the highest score; ties go to the earlier label."""
-    return LABELS[int(np.argmax(_scores(model, [x])[0]))]
+    return LABELS[int(np.argmax(_scores(model, _one_row(x))[0]))]
 
 
-def predict_many(model: OvRModel, X: Sequence[SparseVector]) -> list[Label]:
+def predict_many(model: OvRModel, X: SparseMatrix | Sequence[SparseVector]) -> list[Label]:
     """:func:`predict` for each vector, scored as one batch."""
     if not X:
         return []
-    return [LABELS[int(i)] for i in np.argmax(_scores(model, X), axis=1)]
+    return [LABELS[int(i)] for i in np.argmax(_scores(model, kernels.stack_csr(X)), axis=1)]
 
 
 def top_features(model: OvRModel, label: Label, k: int) -> list[tuple[str, float]]:
@@ -557,10 +564,13 @@ def load_model(path: str | Path) -> OvRModel:
                 if len(parts) != 2:
                     raise ResourceError(f"{path}: malformed row in [{vocab_section}]: {line!r}")
                 term = unescape_field(parts[0])
+                # save_model writes each term once, in sorted order
+                if terms and term <= terms[-1]:
+                    raise ResourceError(
+                        f"{path}: terms not strictly increasing in [{vocab_section}]: {line!r}"
+                    )
                 terms.append(term)
                 df[term] = _parse(int, parts[1], vocab_section, line, path)
-            if terms != sorted(terms):
-                raise ResourceError(f"{path}: [{vocab_section}] terms are not sorted")
             vocabularies[name] = Vocabulary(
                 terms=terms,
                 index={t: i for i, t in enumerate(terms)},
@@ -626,6 +636,7 @@ def load_model(path: str | Path) -> OvRModel:
                 f"{path}: [{section}] declares {declared_nnz} weights but has "
                 f"{len(weight_lines)}"
             )
+        previous = -1
         for line in weight_lines:
             parts = line.split("\t")
             if len(parts) != 2:
@@ -635,6 +646,12 @@ def load_model(path: str | Path) -> OvRModel:
                 raise ResourceError(
                     f"{path}: weight index {index} out of range in [{section}]"
                 )
+            # save_model writes each nonzero weight once, by increasing index
+            if index <= previous:
+                raise ResourceError(
+                    f"{path}: weight indices not strictly increasing in [{section}]: {line!r}"
+                )
+            previous = index
             weights[index] = _parse(float, parts[1], section, line, path)
         classifiers.append(
             BinaryLogReg(

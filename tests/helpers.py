@@ -6,8 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from aggdetect.corpus_io import Label
-from aggdetect.featurize import SparseVector
+from aggdetect.corpus_io import Corpus, Document, Label, escape_field
+from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, SparseVector, Vocabulary
 
 # Three disjoint signal-word families, one per class, plus shared noise.
 SIGNAL_WORDS = {
@@ -42,6 +42,25 @@ def sparse(dimension: int, weights: dict[int, float]) -> SparseVector:
     weights are dropped by the constructor."""
     indices = sorted(weights)
     return SparseVector(dimension, indices, [weights[i] for i in indices])
+
+
+def block_row(name: str, terms: list[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """``(indices, values)`` of the document made of ``terms``, each one
+    token, under a one-block pipeline restored with ``vocab``."""
+    pipeline = FeaturePipeline([FeatureBlockSpec.from_name(name, min_df=1)])
+    pipeline.restore({name: vocab})
+    return pipeline.transform(Document(id="d", text=" ".join(terms))).to_arrays()
+
+
+def write_corpus(corpus: Corpus, path: Path) -> None:
+    """Write a corpus in the canonical escaped-TSV format."""
+    lines = []
+    for doc in corpus.documents:
+        fields = [escape_field(doc.id), escape_field(doc.text)]
+        if doc.gold is not None:
+            fields.append(doc.gold.name)
+        lines.append("\t".join(fields))
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def write_corpus_tsv(path: Path, rows: list[tuple[str, str, Label]]) -> Path:

@@ -23,7 +23,6 @@ from aggdetect.featurize import (
     FeaturePipeline,
     fit_vocabulary,
     skip_grams,
-    tfidf_transform,
 )
 from aggdetect.model import (
     TrainConfig,
@@ -37,7 +36,7 @@ from aggdetect.model import (
 from aggdetect.corpus_io import Document
 from aggdetect.preprocess import CleanConfig, PreprocessSettings
 
-from helpers import sparse, synthetic_documents, write_corpus_tsv, write_lines
+from helpers import block_row, sparse, synthetic_documents, write_corpus_tsv, write_lines
 
 
 def report(name: str) -> None:
@@ -175,7 +174,7 @@ def test_skip_gram_brute_force_oracle():
 
 
 def test_tfidf_dense_matrix_oracle():
-    """tfidf_transform vs a dense-matrix implementation on 20-document
+    """A TF-IDF block's rows vs a dense-matrix implementation on 20-document
     corpora, elementwise |delta| <= 1e-9."""
     rng = np.random.default_rng(303)
     alphabet = ["a", "b", "c", "d", "e", "f", "g"]
@@ -196,7 +195,7 @@ def test_tfidf_dense_matrix_oracle():
             norm = np.linalg.norm(dense_row)
             if norm > 0:
                 dense_row /= norm
-            indices, values = tfidf_transform(terms, vocab)
+            indices, values = block_row("U", terms, vocab)
             sparse_row = np.zeros(len(vocab))
             sparse_row[indices] = values
             assert np.abs(sparse_row - dense_row).max(initial=0.0) <= 1e-9

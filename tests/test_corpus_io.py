@@ -9,10 +9,11 @@ from aggdetect.corpus_io import (
     load_predictions,
     parse_label,
     unescape_field,
-    write_corpus,
     write_predictions,
 )
 from aggdetect.errors import DataError
+
+from helpers import write_corpus
 
 from hypothesis import given, strategies as st
 

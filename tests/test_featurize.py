@@ -11,20 +11,35 @@ from hypothesis import given, settings, strategies as st
 from aggdetect.corpus_io import Document
 from aggdetect.errors import DataError, UsageError
 from aggdetect.featurize import (
+    DENSE_KINDS,
     FeatureBlockSpec,
     FeaturePipeline,
+    SparseMatrix,
     SparseVector,
-    _tfidf_row,
-    binary_transform,
+    _tfidf_weights,
     char_ngrams,
     fit_vocabulary,
     skip_grams,
-    tfidf_transform,
     tokenize,
     word_ngrams,
 )
+from aggdetect.lexfeatures import (
+    EmbeddingTable,
+    Resources,
+    WeightedLexicon,
+    embed_average,
+    gender_features,
+)
 
-from helpers import sparse
+from helpers import block_row, sparse
+
+
+def tfidf_row(terms, vocab):
+    return block_row("U", terms, vocab)
+
+
+def binary_row(terms, vocab):
+    return block_row("BU", terms, vocab)
 
 
 def brute_force_skip_grams(tokens, k, n):
@@ -235,11 +250,11 @@ def dense_tfidf_oracle(doc_terms, all_docs_terms, min_df=1):
 class TestTfidf:
     def test_single_term_normalizes_to_one(self):
         vocab = fit_vocabulary([["a"], ["a", "b"]], min_df=1)
-        assert as_dict(*tfidf_transform(["a", "a"], vocab)) == {0: 1.0}
+        assert as_dict(*tfidf_row(["a", "a"], vocab)) == {0: 1.0}
 
     def test_hand_computed_weights(self):
         vocab = fit_vocabulary([["a"], ["a", "b"]], min_df=1)
-        vec = as_dict(*tfidf_transform(["a", "b"], vocab))
+        vec = as_dict(*tfidf_row(["a", "b"], vocab))
         idf_b = math.log(3 / 2) + 1.0
         norm = math.sqrt(1.0 + idf_b**2)
         assert vec[0] == pytest.approx(1.0 / norm, abs=1e-12)
@@ -247,7 +262,7 @@ class TestTfidf:
 
     def test_oov_terms_ignored(self):
         vocab = fit_vocabulary([["a"]], min_df=1)
-        assert as_dict(*tfidf_transform(["zz", "qq"], vocab)) == {}
+        assert as_dict(*tfidf_row(["zz", "qq"], vocab)) == {}
 
     @given(
         st.lists(
@@ -260,7 +275,7 @@ class TestTfidf:
     def test_matches_dense_oracle(self, docs):
         vocab = fit_vocabulary(docs, min_df=1)
         for terms in docs:
-            indices, values = tfidf_transform(terms, vocab)
+            indices, values = tfidf_row(terms, vocab)
             oracle_terms, oracle_row = dense_tfidf_oracle(terms, docs)
             assert oracle_terms == vocab.terms
             dense = np.zeros(len(vocab))
@@ -269,43 +284,45 @@ class TestTfidf:
 
     @given(st.data())
     def test_norm_summed_sequentially_in_first_occurrence_order(self, data):
-        """The squares are added one at a time in the order the terms first
-        occur, as an explicit loop does; Python's ``sum`` compensates on
-        3.12+ and is no reference."""
-        size = data.draw(st.integers(0, 40))
-        idx = np.array(data.draw(st.permutations(range(size))), dtype=np.int64)
-        counts = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=size, max_size=size)),
-                          dtype=np.int64)
+        """The squares of each segment are added one at a time in the order
+        the terms first occur, as an explicit loop does, whatever other
+        segments share the arrays; Python's ``sum`` compensates on 3.12+ and
+        is no reference."""
+        lengths = data.draw(st.lists(st.integers(0, 12), max_size=5))
+        size = sum(lengths)
         idf = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size)))
-        weights = counts * idf[idx]
-        total = 0.0
-        for v in weights.tolist():
-            total += v * v
-        expected = weights / math.sqrt(total) if total > 0.0 else weights
-        order = np.argsort(idx)
-        indices, values = _tfidf_row(idx, counts, idf)
-        assert indices.tolist() == idx[order].tolist()
-        assert values.tobytes() == expected[order].tobytes()
+        counts = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=size, max_size=size)),
+                          dtype=np.int32)
+        seg = np.repeat(np.arange(len(lengths)), lengths)
+        expected = []
+        for k in range(len(lengths)):
+            weights = (counts * idf)[seg == k]
+            total = 0.0
+            for v in weights.tolist():
+                total += v * v
+            expected.extend((weights / math.sqrt(total) if total > 0.0 else weights).tolist())
+        values = _tfidf_weights(idf, counts, seg, len(lengths))
+        assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
     @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=15))
     def test_l2_norm_is_one_when_in_vocab(self, terms):
         vocab = fit_vocabulary([["a", "b", "c"]], min_df=1)
-        _indices, values = tfidf_transform(terms, vocab)
+        _indices, values = tfidf_row(terms, vocab)
         assert np.linalg.norm(values) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestBinaryTransform:
     def test_presence_only(self):
         vocab = fit_vocabulary([["a", "b"]], min_df=1)
-        assert as_dict(*binary_transform(["a", "a", "b"], vocab)) == {0: 1.0, 1: 1.0}
+        assert as_dict(*binary_row(["a", "a", "b"], vocab)) == {0: 1.0, 1: 1.0}
 
     def test_repetition_ignored(self):
         vocab = fit_vocabulary([["a"]], min_df=1)
-        assert as_dict(*binary_transform(["a"] * 100, vocab)) == {0: 1.0}
+        assert as_dict(*binary_row(["a"] * 100, vocab)) == {0: 1.0}
 
     def test_all_oov(self):
         vocab = fit_vocabulary([["a"]], min_df=1)
-        assert as_dict(*binary_transform(["z"], vocab)) == {}
+        assert as_dict(*binary_row(["z"], vocab)) == {}
 
 
 class TestBlockSpecs:
@@ -337,7 +354,7 @@ class TestPipeline:
         pipeline = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).fit(docs)
         vec = pipeline.transform(docs[0])
         vocab = pipeline.vocabularies["U"]
-        assert as_dict(*vec.to_arrays()) == as_dict(*tfidf_transform(["a", "b"], vocab))
+        assert as_dict(*vec.to_arrays()) == as_dict(*tfidf_row(["a", "b"], vocab))
 
     def test_second_block_offset(self):
         docs = _docs("ab cd", "ab")
@@ -411,6 +428,8 @@ def reference_transform(pipeline, doc):
     tokens = tokenize(doc.text)
     entries = {}
     for spec in pipeline.blocks:
+        if spec.kind in DENSE_KINDS:
+            continue
         n = spec.params["n"]
         if spec.kind == "char_ngram":
             terms = char_ngrams(doc.text, n)
@@ -527,3 +546,99 @@ def test_fit_transform_matches_fit_then_transform_many(texts, names, min_df):
         reference = reference_transform(pipeline, doc)
         assert row.indices.tolist() == [i for i, _ in reference]
         assert row.values.tobytes() == np.array([w for _, w in reference]).tobytes()
+
+
+# Tiny dense resources. Some embedding coordinates are 0, so the W2V block
+# has zeros to drop; "zz" and "qq" are in no vocabulary fitted from _TEXTS
+# and not in the table; the gender block is nonzero on every document, so
+# only the blank-document rule keeps it off whitespace-only ones.
+_TABLE = EmbeddingTable(
+    vectors={"a": np.array([0.5, 0.0, -1.25]), "b": np.array([0.0, 0.0, 3.0]),
+             "ab": np.array([-0.5, 2.0, 0.0])},
+    dimension=3,
+)
+_LEXICON = WeightedLexicon(weights={"a": 1.5, "zz": -2.0}, intercept=-0.25)
+_RESOURCES = Resources(embeddings=_TABLE, gender_lexicon=_LEXICON)
+_BATCH_TEXTS = st.one_of(
+    st.sampled_from(["", "   ", "\t\n ", "zz", "zz qq zz", "a a a", "ab ab c.", "b"]),
+    st.text(alphabet="ab cz.", max_size=30),
+)
+
+
+@given(
+    fit_texts=st.lists(_TEXTS, min_size=1, max_size=6),
+    batch=st.lists(_BATCH_TEXTS, max_size=8),
+    names=st.lists(st.sampled_from(["U", "B", "BU", "C3", "SK2", "W2V", "GP"]), min_size=1,
+                   max_size=7, unique=True),
+    min_df=st.integers(1, 2),
+)
+@settings(max_examples=200, deadline=None)
+def test_batch_rows_equal_single_rows_and_references(fit_texts, batch, names, min_df):
+    """Over mixed batches (empty, whitespace-only, out-of-vocabulary-only
+    and repeated documents), every transform_many row equals transform of
+    its document bit for bit; lexical entries equal the dict reference and
+    dense entries the nonzeros of embed_average and gender_features, on
+    documents that are not blank. fit_transform's matrix
+    equals transform_many of the same documents."""
+    blocks = [FeatureBlockSpec.from_name(n, min_df=min_df) for n in names]
+    fit_docs = _docs(*fit_texts)
+    pipeline = FeaturePipeline(blocks, _RESOURCES).fit(fit_docs)
+    docs = _docs(*batch, *batch[:2])
+    matrix = pipeline.transform_many(docs)
+
+    assert isinstance(matrix, SparseMatrix) and len(matrix) == len(docs)
+    assert matrix.dimension == pipeline.total_dimension
+    assert matrix.indptr.dtype == matrix.indices.dtype == np.int64
+    assert matrix.data.dtype == np.float64
+    assert matrix.indptr[0] == 0 and matrix.indptr[-1] == matrix.indices.size == matrix.data.size
+    for doc, row in zip(docs, matrix):
+        single = pipeline.transform(doc)
+        assert single.dimension == row.dimension == pipeline.total_dimension
+        assert single.indices.dtype == np.int64 and single.values.dtype == np.float64
+        assert row.indices.tobytes() == single.indices.tobytes()
+        assert row.values.tobytes() == single.values.tobytes()
+        assert (np.diff(row.indices) > 0).all() and (row.values != 0.0).all()
+
+        lexical = dict(reference_transform(pipeline, doc))
+        dense = {}
+        tokens = tokenize(doc.text)
+        for name in ("W2V", "GP") if doc.text.strip() else ():
+            if name in names:
+                if name == "W2V":
+                    vector = embed_average(tokens, _TABLE)[0]
+                else:
+                    vector = gender_features(tokens, _LEXICON)
+                offset = pipeline.offsets[name]
+                dense.update({offset + int(i): float(vector[i]) for i in np.flatnonzero(vector)})
+        expected = sorted({**lexical, **dense}.items())
+        assert row.indices.tolist() == [i for i, _ in expected]
+        assert row.values.tobytes() == np.array([w for _, w in expected]).tobytes()
+
+    fitted = FeaturePipeline(blocks, _RESOURCES).fit_transform(fit_docs)
+    again = pipeline.transform_many(fit_docs)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(fitted, name).tobytes() == getattr(again, name).tobytes()
+
+
+class TestSparseMatrix:
+    def test_rows_are_views_and_indexing_matches_iteration(self):
+        pipeline = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).fit(
+            _docs("a b", "b c", "c")
+        )
+        matrix = pipeline.transform_many(_docs("a b", "   ", "c c b"))
+        rows = list(matrix)
+        assert [len(row) for row in rows] == [2, 0, 2]
+        for i, row in enumerate(rows):
+            for other in (matrix[i], matrix[i - len(matrix)]):
+                assert other.indices.tolist() == row.indices.tolist()
+                assert other.values.tobytes() == row.values.tobytes()
+        assert np.shares_memory(rows[2].values, matrix.data)
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                matrix[bad]
+
+    def test_empty_batch(self):
+        pipeline = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).fit(_docs("a"))
+        matrix = pipeline.transform_many([])
+        assert len(matrix) == 0 and list(matrix) == []
+        assert matrix.indptr.tolist() == [0] and matrix.indices.size == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from aggdetect import kernels
+from aggdetect import model as model_module
 from aggdetect.corpus_io import Document, Label
 from aggdetect.errors import DataError, ResourceError
 from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline
@@ -26,7 +27,7 @@ from aggdetect.model import (
 )
 from aggdetect.preprocess import CleanConfig, PreprocessSettings, file_sha256
 
-from helpers import sparse, write_lines
+from helpers import sparse, synthetic_documents, write_lines
 
 
 def sv(dimension, **entries):
@@ -254,6 +255,22 @@ class TestTrainOvr:
         X = [sv(2, i0=1.0), sv(2, i1=1.0), sv(2, i0=1.0, i1=1.0)]
         train_ovr(X, [Label.NAG, Label.CAG, Label.OAG], TrainConfig(max_iters=20))
         assert calls == [3]
+
+        # fit_transform's matrix reaches every solve as it is, not a copy
+        docs = [Document(id=str(i), text=text, gold=label)
+                for i, (_id, text, label) in enumerate(synthetic_documents(3))]
+        matrix = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).fit_transform(docs)
+        solved = []
+        original_train = model_module.train_binary
+        monkeypatch.setattr(model_module, "train_binary",
+                            lambda csr, y, config=None: solved.append(csr)
+                            or original_train(csr, y, config))
+        train_ovr(matrix, [doc.gold for doc in docs], TrainConfig(max_iters=5))
+        assert calls == [3, len(docs)] and len(solved) == 3
+        for indptr, indices, data, dim in solved:
+            assert indptr is matrix.indptr and dim == matrix.dimension
+            assert np.shares_memory(indices, matrix.indices)
+            assert np.shares_memory(data, matrix.data)
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError, match="dimensions"):
@@ -489,6 +506,26 @@ class TestPersistence:
         assert n == 1
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ResourceError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("section", ["vocab:U", "weights:NAG"])
+    def test_repeated_term_or_weight_index_names_section_and_line(self, tmp_path, section):
+        """save_model writes each term and each weight index once, in
+        increasing order; a repeated one would leave a term unreachable or
+        zero a weight, so loading refuses it."""
+        model, _docs = trained_toy_model()
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        first = lines.index(f"[{section}]") + 1
+        while " = " in lines[first]:
+            first += 1
+        # the second row takes the first row's term or index
+        key, value = lines[first].split("\t")[0], lines[first + 1].split("\t")[1]
+        lines[first + 1] = f"{key}\t{value}"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        message = f"not strictly increasing in [{section}]: {lines[first + 1]!r}"
+        with pytest.raises(ResourceError, match=re.escape(message)):
             load_model(path)
 
     def test_truncated_file_names_missing_section(self, tmp_path):
