@@ -3,7 +3,8 @@ Hindi social-media comments: preprocessing, lexical/semantic features,
 one-vs-rest logistic regression, and an evaluation harness."""
 
 from .corpus_io import Corpus, Document, Label, LABELS, load_corpus, parse_label, write_predictions
-from .featurize import FeatureBlockSpec, FeaturePipeline, SparseMatrix, SparseVector, Vocabulary
+from .featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary
+from .kernels import SparseMatrix, SparseVector
 from .model import OvRModel, TrainConfig, load_model, predict, predict_proba, save_model, train_ovr
 from .evaluate import ConfusionMatrix, EvalReport, build_report, weighted_f1
 

@@ -8,29 +8,26 @@ lexicographic term order, so fitting the same corpus twice always yields
 identical pipelines.
 
 A batch of documents becomes one CSR matrix, a :class:`SparseMatrix`,
-with no per-row objects on the way.  Every lexical block is first reduced
-to three arrays over the whole batch: the vocabulary ids and counts of
-each document's distinct in-vocabulary terms in first-occurrence order,
-and the offsets where each document's run ends.  :meth:`_to_csr` sizes
-the output from those offsets, then weights, normalizes and sorts one
-block at a time with array operations and writes it into its place in
-each row, so only one block's temporaries are alive at once.  Dense
-blocks are computed per document by their own functions and written in
-the same way.  Whitespace-only documents are all-zero rows.
+with no per-row objects on the way.  Every block, lexical or dense, first
+gives one run per document: the document's entries in that block as local
+ids and values, in first-occurrence order of its distinct terms on a
+lexical block, where the values are term counts.  All runs sit in flat
+arrays with the offsets where each run ends, ``_CHUNK_ROWS`` documents at
+a time, block by block within those.  ``_to_csr`` then weights, normalizes
+and sorts one chunk's runs with one set of array operations for all
+blocks and writes them in place.  Whitespace-only documents are all-zero
+rows.
 
 ``FeaturePipeline.fit_transform`` featurizes a training corpus with one
-term extraction per document.  Phase 1 tokenizes each document once and,
-per lexical block, counts its terms once, giving each distinct term a
+term extraction per document and block: each distinct term gets a
 provisional id in first-occurrence order; document frequency is one
 ``np.bincount`` over those ids, and ``min_df`` pruning plus the sort give
 the vocabulary and one remap array from provisional ids to vocabulary
-indices, which turn phase 1's counts into the block's arrays.
-``transform_many`` gets them from one vocabulary lookup pass per block.
-``transform`` featurizes one document through the same weighting with
-all its lexical blocks in one set of arrays, since per-block array calls
-would cost more than the work on one row.  So ``fit_transform(docs)``,
-``fit(docs).transform_many(docs)`` and ``transform`` of each document
-agree bit for bit.
+indices, which turn the counted runs into the block's runs.
+``transform_many`` gets them with one vocabulary lookup per term, and
+``transform(doc)`` is ``transform_many([doc])[0]``.  So
+``fit_transform(docs)``, ``fit(docs).transform_many(docs)`` and
+``transform`` of each document agree bit for bit.
 """
 
 from __future__ import annotations
@@ -40,86 +37,15 @@ import itertools
 import math
 import unicodedata
 from collections import Counter, defaultdict
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .corpus_io import Document
 from .errors import DataError, UsageError
 from . import lexfeatures
-
-
-@dataclass
-class SparseVector:
-    """One CSR row over a fixed dimension: strictly increasing int64
-    ``indices`` in ``[0, dimension)`` and float64 ``values``; zeros are
-    never stored."""
-
-    dimension: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.indices.ndim != 1 or self.indices.shape != self.values.shape:
-            raise ValueError("indices and values must be 1-d arrays of one length")
-        if not self.values.all():
-            keep = self.values != 0.0
-            self.indices, self.values = self.indices[keep], self.values[keep]
-        if (np.diff(self.indices) <= 0).any():
-            raise ValueError("indices must be strictly increasing")
-        out_of_range = (self.indices < 0) | (self.indices >= self.dimension)
-        if out_of_range.any():
-            raise ValueError(f"index out of range: {self.indices[out_of_range][0]}")
-
-    @classmethod
-    def _trusted(cls, dimension: int, indices: np.ndarray, values: np.ndarray) -> "SparseVector":
-        """A row the pipeline built already in that form: no checks, no copies."""
-        row = object.__new__(cls)
-        row.dimension, row.indices, row.values = dimension, indices, values
-        return row
-
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.indices, self.values
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-
-class SparseMatrix(SequenceABC):
-    """A batch of CSR rows over one dimension: int64 ``indptr`` (one entry
-    more than rows), int64 ``indices`` strictly increasing within each row,
-    and float64 ``data``.  It is also a sequence of :class:`SparseVector`
-    rows, each a view into the arrays, and ``kernels.stack_csr`` returns
-    the arrays themselves."""
-
-    def __init__(self, dimension: int, indptr: np.ndarray, indices: np.ndarray,
-                 data: np.ndarray) -> None:
-        self.dimension = dimension
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-
-    def __len__(self) -> int:
-        return self.indptr.shape[0] - 1
-
-    def __getitem__(self, i: int) -> SparseVector:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("row index out of range")
-        start, end = self.indptr[i], self.indptr[i + 1]
-        return SparseVector._trusted(self.dimension, self.indices[start:end], self.data[start:end])
-
-    def __iter__(self):
-        bounds = self.indptr.tolist()
-        for start, end in zip(bounds, bounds[1:]):
-            yield SparseVector._trusted(self.dimension, self.indices[start:end],
-                                        self.data[start:end])
+from .kernels import SparseMatrix, SparseVector
 
 
 @functools.cache  # one entry per distinct character seen
@@ -221,31 +147,6 @@ class Vocabulary:
         return len(self.terms)
 
 
-def _count_terms(
-    corpus_terms: Iterable[Sequence[str]],
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Count each document's terms once. Each distinct term gets a
-    provisional id in first-occurrence order. Returns the terms by
-    provisional id and, for all documents back to back, the int32 ids and
-    counts of each document's distinct terms in first-occurrence order, with
-    the offsets where each document's run starts and ends."""
-    pid: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    ids: list[int] = []
-    counts: list[int] = []
-    ends = [0]
-    for terms in corpus_terms:
-        doc_counts = Counter(terms)
-        ids += map(pid.__getitem__, doc_counts)
-        counts += doc_counts.values()
-        ends.append(len(ids))
-    return (
-        list(pid),
-        np.fromiter(ids, np.int32, len(ids)),
-        np.fromiter(counts, np.int32, len(counts)),
-        np.array(ends),
-    )
-
-
 def _fit_counts(
     terms: list[str], ids: np.ndarray, n_documents: int, min_df: int
 ) -> tuple[Vocabulary, np.ndarray]:
@@ -270,48 +171,33 @@ def _fit_counts(
 
 def fit_vocabulary(corpus_terms: Iterable[Sequence[str]], min_df: int = 1) -> Vocabulary:
     """Build a vocabulary over terms with document frequency >= min_df."""
-    terms, ids, _counts, ends = _count_terms(corpus_terms)
-    return _fit_counts(terms, ids, len(ends) - 1, min_df)[0]
-
-
-def _lookup_terms(
-    index: dict[str, int], corpus_terms: Iterable[Sequence[str]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For all documents back to back, the int32 vocabulary indices and
-    counts of each document's distinct in-vocabulary terms in
-    first-occurrence order, and the offsets where each document's run starts
-    and ends. Out-of-vocabulary terms are dropped."""
-    get = index.get
+    pid: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     ids: list[int] = []
-    counts: list[int] = []
-    ends = [0]
+    n_documents = 0
     for terms in corpus_terms:
-        doc_counts = Counter(map(get, terms))
-        doc_counts.pop(None, None)
-        ids += doc_counts
-        counts += doc_counts.values()
-        ends.append(len(ids))
-    return (np.fromiter(ids, np.int32, len(ids)), np.fromiter(counts, np.int32, len(counts)),
-            np.array(ends))
+        ids += map(pid.__getitem__, set(terms))
+        n_documents += 1
+    return _fit_counts(list(pid), np.array(ids, dtype=np.intp), n_documents, min_df)[0]
 
 
-def _tfidf_weights(
-    idf: np.ndarray, counts: np.ndarray, seg: np.ndarray, n_seg: int,
-    unscaled: np.ndarray | None = None,
-) -> np.ndarray:
-    """``counts * idf`` L2-normalized within each segment, where ``seg``
-    gives each entry's segment (one document's block) and the entries of a
-    segment are its distinct terms in first-occurrence order. The squares
-    of a segment are summed in that order, one float64 addition at a time
-    (``np.bincount``), so the norm does not depend on how rows are batched
-    or on how the Python version sums floats. Segments listed in
-    ``unscaled`` are left unnormalized."""
-    weights = counts * idf
-    norms = np.sqrt(np.bincount(seg, weights=weights * weights, minlength=n_seg))
-    if unscaled is not None:
-        norms[unscaled] = 1.0
-    weights /= norms[seg]
-    return weights
+def _segment_norms(weights: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
+    """The L2 norm of each of ``n_seg`` segments, where ``seg`` gives each
+    entry's segment. A segment's squares are summed in array order, one
+    float64 addition at a time (``np.bincount``), so the norm does not
+    depend on the other segments in the arrays or on how the Python version
+    sums floats."""
+    return np.sqrt(np.bincount(seg, weights=weights * weights, minlength=n_seg))
+
+
+def _run_layout(n: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """The row and the block of each run that ``FeaturePipeline._runs``
+    gives for ``n`` documents and ``nb`` blocks."""
+    rows, blocks = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for r0 in range(0, n, _CHUNK_ROWS):
+        m = min(_CHUNK_ROWS, n - r0)
+        rows.append(np.tile(np.arange(r0, r0 + m), nb))
+        blocks.append(np.repeat(np.arange(nb), m))
+    return np.concatenate(rows), np.concatenate(blocks)
 
 
 # Named feature blocks. Canonical short names match the usual ablation
@@ -347,6 +233,13 @@ NAME_PREFIXES = {
 
 LEXICAL_KINDS = ("word_ngram", "binary_word_ngram", "char_ngram", "skip_gram")
 DENSE_KINDS = ("embedding", "sentiment", "liwc", "gender")
+
+# Documents whose runs FeaturePipeline._runs gathers, and _weigh_rows
+# weights and sorts, together: enough to spread the per-call cost of the
+# array operations thin, few enough to keep their temporaries small. One
+# transform_many of 1,000 English documents (BU+U+C4+C5+W2V) raised the
+# peak RSS by 43 MB at 1,024 rows a chunk and by 17 MB at 128.
+_CHUNK_ROWS = 128
 
 SENTIMENT_FEATURE_NAMES = [
     f"sentiment_{stat}_{cls}"
@@ -444,63 +337,126 @@ class FeaturePipeline:
             self.dimensions[spec.name] = dim
             offset += dim
         self.total_dimension = offset
-        # What transform needs on every call: the lexical blocks with their
-        # offsets, the positions of the binary ones (never normalized), and
-        # the idf of every lexical index in one array, 1 on binary blocks.
-        self._lexical = [spec for spec in self.blocks if spec.kind in LEXICAL_KINDS]
-        self._dense = [spec for spec in self.blocks if spec.kind in DENSE_KINDS]
-        self._lexical_offsets = np.array([self.offsets[s.name] for s in self._lexical],
-                                         dtype=np.int64)
-        self._binary = np.array([k for k, s in enumerate(self._lexical)
-                                 if s.kind == "binary_word_ngram"], dtype=np.intp)
+        # What _weigh_rows needs on every call: each block's offset, whether
+        # its runs are L2-normalized, and the idf of every TF-IDF index, 1
+        # on binary and dense indices.
+        self._block_offsets = np.array([self.offsets[spec.name] for spec in self.blocks])
+        normalized = [spec.kind in LEXICAL_KINDS and spec.kind != "binary_word_ngram"
+                      for spec in self.blocks]
+        self._unnormalized = ~np.array(normalized, dtype=bool)
         self._idf = np.ones(offset)
-        for spec in self._lexical:
-            if spec.kind != "binary_word_ngram":
+        for spec, tfidf in zip(self.blocks, normalized):
+            if tfidf:
                 start = self.offsets[spec.name]
                 self._idf[start : start + self.dimensions[spec.name]] = (
                     self.vocabularies[spec.name].idf
                 )
         self.fitted = True
 
-    def _fit_block(
-        self, spec: FeatureBlockSpec, documents: Sequence[Document], token_lists: list[list[str]]
+    def _append_runs(
+        self, spec: FeatureBlockSpec, key: Callable[[str], int | None] | None,
+        documents: Sequence[Document], texts: Sequence[str],
+        token_lists: Sequence[list[str]], ids: list, values: list, ends: list,
+    ) -> None:
+        """Append one block's run of each document to ``ids``, ``values`` and
+        ``ends`` (where each run ends). On a lexical block, a run is the ids
+        and counts of the distinct terms of the document's ``texts`` entry in
+        first-occurrence order, where ``key`` maps a term to its id or to
+        None to drop it, and every count is 1 on a binary block. On a dense
+        block (``key`` None), it is the nonzero local indices and values,
+        and empty for a whitespace-only document, whose function is not
+        called."""
+        if key is None:
+            for doc, tokens in zip(documents, token_lists):
+                if doc.text.strip():
+                    nonzero, vec = self._dense_arrays(spec, doc, tokens)
+                    ids += nonzero.tolist()
+                    values += vec.tolist()
+                ends.append(len(ids))
+            return
+        binary = spec.kind == "binary_word_ngram"
+        for text, tokens in zip(texts, token_lists):
+            doc_counts = Counter(map(key, _lexical_terms(spec, text, tokens)))
+            doc_counts.pop(None, None)
+            ids += doc_counts
+            values += [1] * len(doc_counts) if binary else doc_counts.values()
+            ends.append(len(ids))
+
+    def _runs(
+        self, plan: list, documents: Sequence[Document], texts: Sequence[str],
+        token_lists: list[list[str]],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Phase 1 for one lexical block: count each document's terms once and
-        fit the block's vocabulary, whitespace-only documents included.
-        Returns, for all documents back to back, the vocabulary indices and
-        counts of each document's in-vocabulary terms in first-occurrence
-        order, and the offsets where each document's run starts and ends."""
-        terms, ids, counts, ends = _count_terms(
-            _lexical_terms(spec, doc.text, tokens) for doc, tokens in zip(documents, token_lists)
-        )
-        self.vocabularies[spec.name], remap = _fit_counts(
-            terms, ids, len(documents), spec.params.get("min_df", 1)
-        )
-        idx = remap[ids]
-        keep = idx >= 0
-        kept_before = np.zeros(len(ids) + 1, dtype=np.int32)
+        """The runs of every ``(spec, key)`` block of ``plan`` (see
+        :meth:`_append_runs`) over the documents, as int32 ids, float64
+        values and the offsets where each run ends.
+
+        The runs come ``_CHUNK_ROWS`` documents at a time, block by block
+        within those, document by document within a block, so that
+        :meth:`_to_csr` finds each chunk's runs together, and term lookups
+        stay in one vocabulary's table for a whole chunk: document by
+        document, alternating between the blocks' tables, they ran about
+        1.6 times slower. Python lists gather the runs, converted once at
+        the end; extending a flat ``array('i')`` cost about 10 us a call,
+        which a one-document batch pays on every block."""
+        ids: list[int] = []
+        values: list[float] = []
+        ends = [0]
+        for r0 in range(0, len(documents), _CHUNK_ROWS):
+            rows = slice(r0, r0 + _CHUNK_ROWS)
+            for spec, key in plan:
+                self._append_runs(spec, key, documents[rows], texts[rows], token_lists[rows],
+                                  ids, values, ends)
+        return (np.fromiter(ids, np.int32, len(ids)), np.fromiter(values, np.float64, len(values)),
+                np.array(ends))
+
+    def _fit(
+        self, documents: Sequence[Document], blocks: list[FeatureBlockSpec]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fit the vocabularies of the lexical ``blocks`` from one term
+        extraction per document and block, whitespace-only documents
+        included, and return the :meth:`_runs` of ``blocks`` with vocabulary
+        indices, pruned terms dropped, and whitespace-only documents' runs
+        empty, as their rows are.
+
+        Each distinct term gets a provisional id in first-occurrence order;
+        document frequency is one ``np.bincount`` over the block's ids, and
+        ``min_df`` pruning plus the sort give the vocabulary and one remap
+        array from provisional ids to vocabulary indices (-1 when pruned)."""
+        provisional = {spec.name: defaultdict(itertools.count().__next__)
+                       for spec in blocks if spec.kind in LEXICAL_KINDS}
+        plan = [(spec, provisional[spec.name].__getitem__ if spec.name in provisional else None)
+                for spec in blocks]
+        ids, values, ends = self._runs(plan, documents, [doc.text for doc in documents],
+                                       [tokenize(doc.text) for doc in documents])
+        run_rows, run_blocks = _run_layout(len(documents), len(blocks))
+        lengths = np.diff(ends)
+        block_of = np.repeat(run_blocks, lengths)
+        for k, spec in enumerate(blocks):
+            if spec.name in provisional:
+                in_block = block_of == k
+                pids = ids[in_block]
+                self.vocabularies[spec.name], remap = _fit_counts(
+                    list(provisional.pop(spec.name)), pids, len(documents),
+                    spec.params.get("min_df", 1),
+                )
+                ids[in_block] = remap[pids]
+        del block_of
+        self._assign_ranges()
+        keep = ids >= 0
+        nonblank = np.array([bool(doc.text.strip()) for doc in documents], dtype=bool)
+        keep &= np.repeat(nonblank[run_rows], lengths)
+        kept_before = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(keep, out=kept_before[1:])
-        return idx[keep], counts[keep], kept_before[ends]
+        return ids[keep], values[keep], kept_before[ends]
 
     def fit(self, documents: Sequence[Document]) -> "FeaturePipeline":
-        token_lists = [tokenize(doc.text) for doc in documents]
-        for spec in self.blocks:
-            if spec.kind in LEXICAL_KINDS:
-                self._fit_block(spec, documents, token_lists)
-        self._assign_ranges()
+        self._fit(documents, [spec for spec in self.blocks if spec.kind in LEXICAL_KINDS])
         return self
 
     def fit_transform(self, documents: Sequence[Document]) -> SparseMatrix:
         """``fit(documents)`` then ``transform_many(documents)``, bit for bit,
         with each document tokenized and its terms extracted once."""
-        token_lists = [tokenize(doc.text) for doc in documents]
-        counted = [
-            self._fit_block(spec, documents, token_lists)
-            for spec in self.blocks
-            if spec.kind in LEXICAL_KINDS
-        ]
-        self._assign_ranges()
-        return self._to_csr(documents, token_lists, counted)
+        return self._to_csr(len(documents), *self._fit(documents, self.blocks))
 
     def restore(self, vocabularies: dict[str, Vocabulary]) -> "FeaturePipeline":
         """Rebuild fitted state from deserialized vocabularies."""
@@ -521,151 +477,63 @@ class FeaturePipeline:
         nonzero = np.flatnonzero(vec)
         return nonzero, vec[nonzero]
 
-    def _dense_block(
-        self, spec: FeatureBlockSpec, documents: Sequence[Document],
-        token_lists: list[list[str]], blank: list[bool],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One dense block over the batch: each row's nonzero indices and
-        values back to back, and the row lengths. Blank rows stay empty
-        without calling the block's function."""
-        indices, values, lengths = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], []
-        for doc, tokens, skip in zip(documents, token_lists, blank):
-            if skip:
-                lengths.append(0)
-                continue
-            idx, val = self._dense_arrays(spec, doc, tokens)
-            indices.append(idx)
-            values.append(val)
-            lengths.append(idx.shape[0])
-        return np.concatenate(indices), np.concatenate(values), np.array(lengths, dtype=np.int64)
+    def _to_csr(self, n: int, ids: np.ndarray, values: np.ndarray, ends: np.ndarray) -> SparseMatrix:
+        """The CSR matrix of ``n`` rows from the :meth:`_runs` of every block.
 
-    def _to_csr(
-        self, documents: Sequence[Document], token_lists: list[list[str]], counted: list
-    ) -> SparseMatrix:
-        """The batch's CSR matrix from each lexical block's ``(ids, counts,
-        ends)``, in block order, plus the dense blocks computed here.
-
-        Row lengths come from the offsets before anything is weighted, so
-        the output arrays are allocated once; each block is then weighted,
-        sorted within rows and written into its place by
-        :meth:`_write_block`. ``counted`` is emptied, so that each block's
-        arrays are freed as soon as they are written."""
-        n = len(documents)
-        blank = [not doc.text.strip() for doc in documents]
-        blank_rows = np.array(blank, dtype=bool)
-        parts = []  # (spec, ids, counts or values, row lengths) in block order
-        lexical = iter(counted)
-        for spec in self.blocks:
-            if spec.kind in LEXICAL_KINDS:
-                ids, counts, ends = next(lexical)
-                lengths = np.diff(ends)
-                if lengths[blank_rows].any():
-                    # phase 1 counted the terms of whitespace-only documents
-                    keep = np.repeat(~blank_rows, lengths)
-                    ids, counts = ids[keep], counts[keep]
-                    lengths[blank_rows] = 0
-                parts.append((spec, ids, counts, lengths))
-            else:
-                parts.append((spec, *self._dense_block(spec, documents, token_lists, blank)))
-        counted.clear()
+        A chunk's rows hold exactly the chunk's entries, so the output
+        arrays are allocated once and :meth:`_weigh_rows` fills them one
+        chunk at a time, which bounds its temporaries on a large batch."""
+        nb = len(self.blocks)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sum(part[3] for part in parts), out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int64)
-        data = np.empty(indptr[-1])
-        start = indptr[:-1].copy()  # where each row's next block begins
-        for k in range(len(parts)):
-            spec, ids, values, lengths = parts[k]
-            parts[k] = None
-            self._write_block(spec, ids, values, lengths, start, indices, data)
-            start += lengths
+        indices = np.empty(ends[-1], dtype=np.int64)
+        data = np.empty(ends[-1])
+        for r0 in range(0, n, _CHUNK_ROWS):
+            r1 = min(r0 + _CHUNK_ROWS, n)
+            runs = ends[r0 * nb : r1 * nb + 1]
+            lengths = (runs[1:] - runs[:-1]).reshape(nb, r1 - r0)
+            np.add.reduce(lengths, axis=0).cumsum(out=indptr[r0 + 1 : r1 + 1])
+            indptr[r0 + 1 : r1 + 1] += runs[0]
+            entries = slice(runs[0], runs[-1])
+            indices[entries], data[entries] = self._weigh_rows(ids[entries], values[entries],
+                                                               lengths)
         return SparseMatrix(self.total_dimension, indptr, indices, data)
 
-    def _write_block(
-        self, spec: FeatureBlockSpec, ids: np.ndarray, values: np.ndarray,
-        lengths: np.ndarray, start: np.ndarray, indices: np.ndarray, data: np.ndarray,
-    ) -> None:
-        """Write one block's entries into ``indices``/``data`` at each row's
-        ``start``: lexical ids are weighted (counts to TF-IDF, or 1 on a
-        binary block) and sorted within rows first, dense ones are final."""
-        m = ids.shape[0]
-        if m == 0:
-            return
-        if spec.kind in LEXICAL_KINDS:
-            n = lengths.shape[0]
-            row_of = np.repeat(np.arange(n), lengths)
-            if spec.kind == "binary_word_ngram":
-                values = np.ones(m)
-            else:
-                values = _tfidf_weights(self.vocabularies[spec.name].idf[ids], values, row_of, n)
-            row_of *= self.dimensions[spec.name]
-            row_of += ids  # now the sort key: row first, then vocabulary index
-            order = np.argsort(row_of)
-            del row_of
-            ids = ids[order]
-            values = values[order]
-            del order
-        # the j-th entry of row r within this block goes to start[r] + j
-        shift = start - (np.cumsum(lengths) - lengths)
-        if shift.any():
-            dest = np.repeat(shift, lengths)
-            dest += np.arange(m)
-        else:
-            dest = slice(0, m)
-        indices[dest] = np.add(ids, self.offsets[spec.name], dtype=np.int64)
-        data[dest] = values
+    def _weigh_rows(
+        self, ids: np.ndarray, values: np.ndarray, lengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The indices and data of one chunk's rows from its runs, block by
+        block, with ``lengths[k, r]`` entries in row ``r``'s run of block
+        ``k``.
+
+        Lexical counts become TF-IDF weights, ``counts * idf`` L2-normalized
+        within the run, or 1 on a binary block; dense values are final. Each
+        row's entries are then sorted by index."""
+        nb, m = lengths.shape
+        seg = np.repeat(np.arange(nb * m), lengths.ravel())  # run k * m + r
+        block, key = np.divmod(seg, m)  # key: the row, then the sort key
+        cols = np.add(ids, self._block_offsets[block])
+        weights = values * self._idf[cols]
+        norms = _segment_norms(weights, seg, nb * m)
+        norms.reshape(nb, m)[self._unnormalized] = 1.0
+        weights /= norms[seg]
+        key *= self.total_dimension  # row first, then index
+        key += cols
+        order = np.argsort(key)
+        return cols[order], weights[order]
 
     def transform(self, doc: Document) -> SparseVector:
-        """One document's row, bit for bit the row ``transform_many`` gives it.
-
-        The same TF-IDF weighting, with one segment per lexical block
-        instead of one per document, and one sort of the whole row."""
-        if not self.fitted:
-            raise DataError("feature pipeline used before fitting")
-        if not doc.text.strip():
-            return SparseVector._trusted(self.total_dimension, np.zeros(0, dtype=np.int64),
-                                         np.zeros(0))
-        tokens = tokenize(doc.text)
-        ids: list[int] = []
-        counts: list[int] = []
-        lengths = []
-        for spec in self._lexical:
-            doc_counts = Counter(map(self.vocabularies[spec.name].index.get,
-                                     _lexical_terms(spec, doc.text, tokens)))
-            doc_counts.pop(None, None)
-            ids += doc_counts
-            if spec.kind == "binary_word_ngram":
-                counts += [1] * len(doc_counts)
-            else:
-                counts += doc_counts.values()
-            lengths.append(len(doc_counts))
-        seg = np.repeat(np.arange(len(lengths)), lengths)
-        indices = np.array(ids, dtype=np.int64) + self._lexical_offsets[seg]
-        values = _tfidf_weights(self._idf[indices], np.array(counts, dtype=np.int64),
-                                seg, len(lengths), unscaled=self._binary)
-        if self._dense:
-            index_parts, value_parts = [indices], [values]
-            for spec in self._dense:
-                idx, val = self._dense_arrays(spec, doc, tokens)
-                index_parts.append(idx + self.offsets[spec.name])
-                value_parts.append(val)
-            indices, values = np.concatenate(index_parts), np.concatenate(value_parts)
-        order = np.argsort(indices)
-        return SparseVector._trusted(self.total_dimension, indices[order], values[order])
+        """One document's row: ``transform_many([doc])[0]``."""
+        return self.transform_many([doc])[0]
 
     def transform_many(self, documents: Sequence[Document]) -> SparseMatrix:
         """Every document's row, as one CSR matrix."""
         if not self.fitted:
             raise DataError("feature pipeline used before fitting")
-        token_lists = [tokenize(doc.text) for doc in documents]
+        plan = [(spec, self.vocabularies[spec.name].index.get if spec.kind in LEXICAL_KINDS
+                 else None) for spec in self.blocks]
         texts = [doc.text if doc.text.strip() else "" for doc in documents]
-        counted = [
-            _lookup_terms(
-                self.vocabularies[spec.name].index,
-                (_lexical_terms(spec, text, tokens) for text, tokens in zip(texts, token_lists)),
-            )
-            for spec in self._lexical
-        ]
-        return self._to_csr(documents, token_lists, counted)
+        token_lists = [tokenize(doc.text) for doc in documents]
+        return self._to_csr(len(documents), *self._runs(plan, documents, texts, token_lists))
 
     def feature_name(self, index: int) -> str:
         """Human-readable name of one feature dimension."""

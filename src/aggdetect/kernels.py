@@ -1,5 +1,12 @@
-"""Numeric kernels shared by training and prediction: CSR matrix products,
-the stable sigmoid, and the logistic-loss sum.
+"""Numeric kernels shared by training and prediction: the CSR row and
+matrix types, CSR matrix products, the stable sigmoid, and the
+logistic-loss sum.
+
+A :class:`SparseVector` is one CSR row; a :class:`SparseMatrix` is a batch
+of rows in one ``(indptr, indices, data)`` triple, which the featurizer
+builds directly.  ``csr()`` gives either one's arrays without copying, and
+:func:`stack_csr` gives them for a SparseMatrix or stacks a sequence of
+SparseVectors.
 
 The two CSR products run in scipy's compiled sparse code: each call wraps
 the caller's ``(indptr, indices, data)`` as a ``scipy.sparse.csr_array``
@@ -12,10 +19,92 @@ product equals the 1-d product with that column.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.sparse import csr_array
 
-from .featurize import SparseMatrix
+# (indptr, indices, data, dim): a batch's CSR arrays and its column count
+CSR = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
+@dataclass
+class SparseVector:
+    """One CSR row over a fixed dimension: strictly increasing int64
+    ``indices`` in ``[0, dimension)`` and float64 ``values``; zeros are
+    never stored."""
+
+    dimension: int
+    indices: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.indices.ndim != 1 or self.indices.shape != self.values.shape:
+            raise ValueError("indices and values must be 1-d arrays of one length")
+        if not self.values.all():
+            keep = self.values != 0.0
+            self.indices, self.values = self.indices[keep], self.values[keep]
+        if (np.diff(self.indices) <= 0).any():
+            raise ValueError("indices must be strictly increasing")
+        out_of_range = (self.indices < 0) | (self.indices >= self.dimension)
+        if out_of_range.any():
+            raise ValueError(f"index out of range: {self.indices[out_of_range][0]}")
+
+    @classmethod
+    def _trusted(cls, dimension: int, indices: np.ndarray, values: np.ndarray) -> "SparseVector":
+        """A row built already in that form: no checks, no copies."""
+        row = object.__new__(cls)
+        row.dimension, row.indices, row.values = dimension, indices, values
+        return row
+
+    def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.indices, self.values
+
+    def csr(self) -> CSR:
+        """This row as a one-row CSR matrix; the arrays are not copied."""
+        return np.array([0, len(self)], dtype=np.int64), self.indices, self.values, self.dimension
+
+    def __len__(self) -> int:
+        return self.indices.shape[0]
+
+
+class SparseMatrix(SequenceABC):
+    """A batch of CSR rows over one dimension: int64 ``indptr`` (one entry
+    more than rows), int64 ``indices`` strictly increasing within each row,
+    and float64 ``data``.  It is also a sequence of :class:`SparseVector`
+    rows, each a view into the arrays."""
+
+    def __init__(self, dimension: int, indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray) -> None:
+        self.dimension = dimension
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+
+    def __len__(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    def __getitem__(self, i: int) -> SparseVector:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("row index out of range")
+        start, end = self.indptr[i], self.indptr[i + 1]
+        return SparseVector._trusted(self.dimension, self.indices[start:end], self.data[start:end])
+
+    def __iter__(self):
+        bounds = self.indptr.tolist()
+        for start, end in zip(bounds, bounds[1:]):
+            yield SparseVector._trusted(self.dimension, self.indices[start:end],
+                                        self.data[start:end])
+
+    def csr(self) -> CSR:
+        """The matrix's own arrays, not copies."""
+        return self.indptr, self.indices, self.data, self.dimension
 
 
 def active_backend() -> str:
@@ -51,13 +140,13 @@ def logistic_loss_sum(z, y):
     return float(np.sum(np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))))
 
 
-def stack_csr(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def stack_csr(vectors) -> CSR:
     """CSR arrays (indptr, indices, data, dim) of a batch. A SparseMatrix
     gives its own arrays, not copies. A sequence of SparseVectors, each
     already one CSR row, is stacked: indptr is the running sum of the row
     lengths, and indices and data are the rows concatenated in order."""
     if isinstance(vectors, SparseMatrix):
-        return vectors.indptr, vectors.indices, vectors.data, vectors.dimension
+        return vectors.csr()
     dims = {v.dimension for v in vectors}
     if len(dims) > 1:
         raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")

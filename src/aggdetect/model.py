@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels, lexfeatures
+from .kernels import CSR, SparseMatrix, SparseVector
 from .corpus_io import LABELS, Label, escape_field, unescape_field
 from .errors import DataError, ResourceError
 from .featurize import (
@@ -38,8 +39,6 @@ from .featurize import (
     FeatureBlockSpec,
     FeaturePipeline,
     LEXICAL_KINDS,
-    SparseMatrix,
-    SparseVector,
     Vocabulary,
 )
 from .preprocess import (
@@ -81,10 +80,6 @@ class BinaryLogReg:
     # "grad_tol", "max_iters" or "line_search"; None on a loaded model,
     # because the model file does not record it
     stop_reason: str | None = None
-
-
-# (indptr, indices, data, dim), as kernels.stack_csr returns it
-CSR = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 
 def objective(
@@ -289,19 +284,14 @@ def _scores(model: OvRModel, csr: CSR) -> np.ndarray:
     return kernels.csr_matvec(indptr, indices, data, model._weights) + model._biases
 
 
-def _one_row(x: SparseVector) -> CSR:
-    """The CSR arrays of one vector, without a stack."""
-    return np.array([0, len(x)], dtype=np.int64), x.indices, x.values, x.dimension
-
-
 def predict_proba(model: OvRModel, x: SparseVector) -> np.ndarray:
     """Per-class sigmoid scores; not normalized across classes."""
-    return kernels.sigmoid(_scores(model, _one_row(x))[0])
+    return kernels.sigmoid(_scores(model, x.csr())[0])
 
 
 def predict(model: OvRModel, x: SparseVector) -> Label:
     """Class with the highest score; ties go to the earlier label."""
-    return LABELS[int(np.argmax(_scores(model, _one_row(x))[0]))]
+    return LABELS[int(np.argmax(_scores(model, x.csr())[0]))]
 
 
 def predict_many(model: OvRModel, X: SparseMatrix | Sequence[SparseVector]) -> list[Label]:

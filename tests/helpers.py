@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 
 from aggdetect.corpus_io import Corpus, Document, Label, escape_field
-from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, SparseVector, Vocabulary
+from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary
+from aggdetect.kernels import SparseVector
 
 # Three disjoint signal-word families, one per class, plus shared noise.
 SIGNAL_WORDS = {

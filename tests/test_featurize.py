@@ -3,26 +3,27 @@ import math
 import sys
 import unicodedata
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aggdetect import featurize
 from aggdetect.corpus_io import Document
 from aggdetect.errors import DataError, UsageError
 from aggdetect.featurize import (
     DENSE_KINDS,
     FeatureBlockSpec,
     FeaturePipeline,
-    SparseMatrix,
-    SparseVector,
-    _tfidf_weights,
+    _segment_norms,
     char_ngrams,
     fit_vocabulary,
     skip_grams,
     tokenize,
     word_ngrams,
 )
+from aggdetect.kernels import SparseMatrix, SparseVector
 from aggdetect.lexfeatures import (
     EmbeddingTable,
     Resources,
@@ -293,6 +294,8 @@ class TestTfidf:
         idf = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=size, max_size=size)))
         counts = np.array(data.draw(st.lists(st.integers(1, 10**6), min_size=size, max_size=size)),
                           dtype=np.int32)
+        scaled = np.array(data.draw(st.lists(st.booleans(), min_size=len(lengths),
+                                             max_size=len(lengths))), dtype=bool)
         seg = np.repeat(np.arange(len(lengths)), lengths)
         expected = []
         for k in range(len(lengths)):
@@ -300,8 +303,11 @@ class TestTfidf:
             total = 0.0
             for v in weights.tolist():
                 total += v * v
-            expected.extend((weights / math.sqrt(total) if total > 0.0 else weights).tolist())
-        values = _tfidf_weights(idf, counts, seg, len(lengths))
+            expected.extend((weights / math.sqrt(total) if scaled[k] else weights).tolist())
+        values = counts * idf
+        norms = _segment_norms(values, seg, len(lengths))
+        norms[~scaled] = 1.0
+        values /= norms[seg]
         assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
     @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=15))
@@ -576,15 +582,23 @@ _BATCH_TEXTS = st.one_of(
 def test_batch_rows_equal_single_rows_and_references(fit_texts, batch, names, min_df):
     """Over mixed batches (empty, whitespace-only, out-of-vocabulary-only
     and repeated documents), every transform_many row equals transform of
-    its document bit for bit; lexical entries equal the dict reference and
-    dense entries the nonzeros of embed_average and gender_features, on
-    documents that are not blank. fit_transform's matrix
-    equals transform_many of the same documents."""
+    its document alone bit for bit; lexical entries equal the dict
+    reference and dense entries the nonzeros of embed_average and
+    gender_features, on documents that are not blank. fit_transform's
+    matrix equals transform_many of the same documents, and weighting two
+    rows at a time changes no bit of either."""
     blocks = [FeatureBlockSpec.from_name(n, min_df=min_df) for n in names]
     fit_docs = _docs(*fit_texts)
     pipeline = FeaturePipeline(blocks, _RESOURCES).fit(fit_docs)
     docs = _docs(*batch, *batch[:2])
     matrix = pipeline.transform_many(docs)
+    fitted = FeaturePipeline(blocks, _RESOURCES).fit_transform(fit_docs)
+    with mock.patch.object(featurize, "_CHUNK_ROWS", 2):
+        chunked = FeaturePipeline(blocks, _RESOURCES).fit_transform(fit_docs)
+        chunked_batch = FeaturePipeline(blocks, _RESOURCES).fit(fit_docs).transform_many(docs)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(chunked, name).tobytes() == getattr(fitted, name).tobytes()
+        assert getattr(chunked_batch, name).tobytes() == getattr(matrix, name).tobytes()
 
     assert isinstance(matrix, SparseMatrix) and len(matrix) == len(docs)
     assert matrix.dimension == pipeline.total_dimension
@@ -614,7 +628,6 @@ def test_batch_rows_equal_single_rows_and_references(fit_texts, batch, names, mi
         assert row.indices.tolist() == [i for i, _ in expected]
         assert row.values.tobytes() == np.array([w for _, w in expected]).tobytes()
 
-    fitted = FeaturePipeline(blocks, _RESOURCES).fit_transform(fit_docs)
     again = pipeline.transform_many(fit_docs)
     for name in ("indptr", "indices", "data"):
         assert getattr(fitted, name).tobytes() == getattr(again, name).tobytes()

@@ -90,6 +90,14 @@ class TestNumpyKernels:
         out = kernels.csr_matvec(indptr, indices, data, np.array([1.0, 3.0, 1.0]))
         assert out.tolist() == [0.0, 6.0, 0.0]
 
+    def test_one_row_csr_is_the_stack_of_that_row(self):
+        x = sparse(5, {1: 2.0, 4: -0.5})
+        indptr, indices, data, n = x.csr()
+        stacked = kernels.stack_csr([x])
+        assert indptr.tolist() == stacked[0].tolist() == [0, 2] and n == stacked[3] == 5
+        assert indices is x.indices and data is x.values
+        assert kernels.stack_csr(kernels.SparseMatrix(n, indptr, indices, data))[1] is indices
+
     def test_rmatvec_matches_dense(self):
         rng = np.random.default_rng(1)
         for indptr, indices, data, n in csr_cases(rng):
