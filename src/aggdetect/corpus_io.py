@@ -77,15 +77,13 @@ class Corpus:
         return [doc.gold for doc in self.documents]  # type: ignore[misc]
 
 
-_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_ESCAPE_TABLE = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
 
 
 def escape_field(value: str) -> str:
     """Escape a field for the canonical TSV format."""
-    if not any(ch in value for ch in _ESCAPES):
-        return value
-    return "".join(_ESCAPES.get(ch, ch) for ch in value)
+    return value.translate(_ESCAPE_TABLE)
 
 
 def unescape_field(value: str) -> str:

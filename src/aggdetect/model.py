@@ -18,13 +18,28 @@ Model files are versioned, sectioned UTF-8 text.  Vocabularies and all
 weights are embedded; embeddings and lexicons are referenced by absolute
 path plus SHA-256 and re-verified on load, so a loaded model reproduces
 bit-identical predictions or fails loudly.
+
+Both directions work on whole sections.  :func:`save_model` formats each
+vocabulary and each class's nonzero weights in one pass over Python
+lists.  :func:`load_model` finds the section headers with one regex over
+the file, splits each ``[vocab:*]`` body once and parses its document
+frequencies with one ``int`` map, and parses each ``[weights:*]`` body
+with one ``np.loadtxt`` call, which rounds every value exactly as
+``float()`` does.  The checks run on the whole section: terms strictly
+increasing with ``1 <= df <= n_documents``; weight indices strictly
+increasing and in range; weights, ``bias`` and ``final_grad_norm``
+finite; ``reg_lambda`` finite and >= 0; the ``nnz`` count.  A fault
+raises ResourceError naming the section and its first offending line.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
+import re
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -402,9 +417,8 @@ def save_model(model: OvRModel, path: str | Path) -> None:
                     out.append(f"{side}_sha256 = {ref[1]}")
         if spec.kind in LEXICAL_KINDS:
             out.append(f"[vocab:{spec.name}]")
-            vocab = pipe.vocabularies[spec.name]
-            for term in vocab.terms:
-                out.append(f"{escape_field(term)}\t{vocab.document_frequency[term]}")
+            df = vocab.document_frequency
+            out.extend([f"{escape_field(t)}\t{df[t]}" for t in vocab.terms])
 
     for label, clf in zip(LABELS, model.classifiers):
         out.append(f"[weights:{label.name}]")
@@ -412,12 +426,13 @@ def save_model(model: OvRModel, path: str | Path) -> None:
         out.append(f"reg_lambda = {_fmt(clf.reg_lambda)}")
         out.append(f"iterations = {clf.iterations}")
         out.append(f"final_grad_norm = {_fmt(clf.final_grad_norm)}")
-        nonzero = np.nonzero(clf.weights)[0]
+        nonzero = np.flatnonzero(clf.weights)
         out.append(f"nnz = {nonzero.shape[0]}")
-        for i in nonzero:
-            out.append(f"{int(i)}\t{_fmt(clf.weights[i])}")
+        # tolist() gives Python ints and floats, so {v!r} is _fmt(v)
+        values = clf.weights[nonzero].astype(np.float64, copy=False).tolist()
+        out.extend([f"{i}\t{v!r}" for i, v in zip(nonzero.tolist(), values)])
 
-    Path(path).write_text("".join(line + "\n" for line in out), encoding="utf-8")
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 class _SidecarRequired(lexfeatures.SentimentProvider):
@@ -432,28 +447,37 @@ class _SidecarRequired(lexfeatures.SentimentProvider):
         )
 
 
-def _split_sections(raw: str, path: Path) -> list[tuple[str, list[str]]]:
-    lines = raw.split("\n")
-    if not lines or lines[0] != MODEL_FORMAT:
+# A section header is a whole line in brackets, matched with the line
+# break before it. The key = value lines that open a section come before
+# its rows.
+_HEADER_RE = re.compile(r"\n\[(.*)\]$", re.M)
+_KV_LINES_RE = re.compile(r"(?:.* = .*(?:\n|\Z)|\n)*")
+_WEIGHT_ROW = np.dtype([("index", np.int64), ("value", np.float64)])
+
+
+def _split_sections(raw: str, path: Path) -> dict[str, str]:
+    """Each section's body by name: the text between its header line and
+    the next header. A repeated section name keeps the last body."""
+    first = raw.partition("\n")[0]
+    if first != MODEL_FORMAT:
         raise ResourceError(
             f"{path}: not a recognized model file (expected header {MODEL_FORMAT!r})"
         )
-    sections: list[tuple[str, list[str]]] = []
-    current: list[str] | None = None
-    for line in lines[1:]:
-        if line.startswith("[") and line.endswith("]"):
-            current = []
-            sections.append((line[1:-1], current))
-        elif line:
-            if current is None:
-                raise ResourceError(f"{path}: content before first section")
-            current.append(line)
-    return sections
+    headers = list(_HEADER_RE.finditer(raw, len(first)))
+    if raw[len(first) : headers[0].start() if headers else len(raw)].strip("\n"):
+        raise ResourceError(f"{path}: content before first section")
+    ends = [m.start() for m in headers[1:]] + [len(raw)]
+    return {m[1]: raw[m.end() + 1 : end] for m, end in zip(headers, ends)}
 
 
-def _kv(lines: list[str], section: str, path: Path) -> dict[str, str]:
+def _lines(body: str) -> list[str]:
+    """The non-blank lines of a section body."""
+    return list(filter(None, body.split("\n")))
+
+
+def _kv(body: str, section: str, path: Path) -> dict[str, str]:
     result = {}
-    for line in lines:
+    for line in _lines(body):
         if " = " not in line:
             raise ResourceError(f"{path}: malformed line in [{section}]: {line!r}")
         key, value = line.split(" = ", 1)
@@ -467,6 +491,125 @@ def _parse(parse, text: str, section: str, line: str, path: Path):
         return parse(text)
     except ValueError:
         raise ResourceError(f"{path}: bad value in [{section}]: {line!r}") from None
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise ValueError(f"negative value {text!r}")
+    return value
+
+
+def _vocabulary(rows: list[str], n_documents: int, section: str, path: Path) -> Vocabulary:
+    """A ``[vocab:*]`` section's ``term<TAB>df`` rows, split in one pass;
+    each term once, in increasing order, with ``1 <= df <= n_documents``,
+    as :func:`save_model` writes them."""
+    joined = "\t".join(rows)
+    fields = joined.split("\t") if rows else []
+    # every row holds a tab, and there is one tab per row
+    if len(fields) == 2 * len(rows) and all(map(str.__contains__, rows, repeat("\t"))):
+        terms = fields[0::2]
+        if "\\" in joined:
+            terms = list(map(unescape_field, terms))
+        try:
+            df = list(map(int, fields[1::2]))
+        except ValueError:
+            df = None
+        if (
+            df is not None
+            and all(map(operator.lt, terms, islice(terms, 1, None)))
+            and (not df or (min(df) >= 1 and max(df) <= n_documents))
+        ):
+            return Vocabulary(
+                terms=terms,
+                index=dict(zip(terms, range(len(terms)))),
+                document_frequency=dict(zip(terms, df)),
+                n_documents=n_documents,
+            )
+    # name the first row that the checks above refuse
+    previous = None
+    for row in rows:
+        parts = row.split("\t")
+        if len(parts) != 2:
+            raise ResourceError(f"{path}: malformed row in [{section}]: {row!r}")
+        term = unescape_field(parts[0])
+        if previous is not None and term <= previous:
+            raise ResourceError(
+                f"{path}: terms not strictly increasing in [{section}]: {row!r}"
+            )
+        if not 1 <= _parse(int, parts[1], section, row, path) <= n_documents:
+            raise ResourceError(
+                f"{path}: document frequency outside 1..{n_documents} in [{section}]: {row!r}"
+            )
+        previous = term
+    raise AssertionError(f"no faulty row in [{section}]")
+
+
+def _read_weight_rows(rows: list[str]) -> np.ndarray:
+    """``index<TAB>value`` rows as one structured array. numpy rounds each
+    value exactly as ``float()`` does; a row that does not parse raises
+    ValueError."""
+    if not rows:
+        return np.empty(0, dtype=_WEIGHT_ROW)
+    table = np.loadtxt(rows, dtype=_WEIGHT_ROW, delimiter="\t", comments=None, ndmin=1)
+    if len(table) != len(rows):  # np.loadtxt skips a row that is only "\r"
+        raise ValueError("a row was skipped")
+    return table
+
+
+def _check_weight_rows(
+    table: np.ndarray, rows: list[str], dimension: int, section: str, path: Path
+) -> None:
+    """Refuse the first row whose index is out of range or not above the
+    previous row's, or whose value is not finite."""
+    index, value = table["index"], table["value"]
+    out_of_range = (index < 0) | (index >= dimension)
+    bad = out_of_range | ~np.isfinite(value)
+    bad[1:] |= index[1:] <= index[:-1]
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    if out_of_range[k]:
+        raise ResourceError(f"{path}: weight index {index[k]} out of range in [{section}]")
+    if k and index[k] <= index[k - 1]:
+        raise ResourceError(
+            f"{path}: weight indices not strictly increasing in [{section}]: {rows[k]!r}"
+        )
+    raise ResourceError(f"{path}: bad value in [{section}]: {rows[k]!r}")
+
+
+def _weight_rows(rows: list[str], dimension: int, section: str, path: Path) -> np.ndarray:
+    """A ``[weights:*]`` section's rows, parsed in one numpy call and
+    checked with array operations; a fault names the first offending row."""
+    try:
+        table = _read_weight_rows(rows)
+    except ValueError:
+        table = None
+    if table is None:
+        # bisect for the first row that does not parse: rows[good] with
+        # rows[:good] parsing and rows[:bad] not
+        good, bad = 0, len(rows)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                _read_weight_rows(rows[:mid])
+                good = mid
+            except ValueError:
+                bad = mid
+        _check_weight_rows(_read_weight_rows(rows[:good]), rows, dimension, section, path)
+        row = rows[good]
+        if row.count("\t") != 1:
+            raise ResourceError(f"{path}: malformed row in [{section}]: {row!r}")
+        raise ResourceError(f"{path}: bad value in [{section}]: {row!r}")
+    _check_weight_rows(table, rows, dimension, section, path)
+    return table
 
 
 def _need(kv: dict[str, str], key: str, section: str, path: Path, parse=str):
@@ -492,8 +635,7 @@ def load_model(path: str | Path) -> OvRModel:
     path = Path(path)
     if not path.is_file():
         raise ResourceError(f"model file not found: {path}")
-    sections = _split_sections(path.read_text(encoding="utf-8"), path)
-    by_name = dict(sections)
+    by_name = _split_sections(path.read_text(encoding="utf-8"), path)
     for required in ("meta", "preprocess", "pipeline"):
         if required not in by_name:
             raise ResourceError(f"{path}: missing section [{required}]")
@@ -547,25 +689,11 @@ def load_model(path: str | Path) -> OvRModel:
             vocab_section = f"vocab:{name}"
             if vocab_section not in by_name:
                 raise ResourceError(f"{path}: missing section [{vocab_section}]")
-            terms: list[str] = []
-            df: dict[str, int] = {}
-            for line in by_name[vocab_section]:
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ResourceError(f"{path}: malformed row in [{vocab_section}]: {line!r}")
-                term = unescape_field(parts[0])
-                # save_model writes each term once, in sorted order
-                if terms and term <= terms[-1]:
-                    raise ResourceError(
-                        f"{path}: terms not strictly increasing in [{vocab_section}]: {line!r}"
-                    )
-                terms.append(term)
-                df[term] = _parse(int, parts[1], vocab_section, line, path)
-            vocabularies[name] = Vocabulary(
-                terms=terms,
-                index={t: i for i, t in enumerate(terms)},
-                document_frequency=df,
-                n_documents=_need(kv, "n_documents", section, path, int),
+            vocabularies[name] = _vocabulary(
+                _lines(by_name[vocab_section]),
+                _need(kv, "n_documents", section, path, int),
+                vocab_section,
+                path,
             )
         elif kind == "embedding":
             ref = (_need(kv, "path", section, path), _need(kv, "sha256", section, path))
@@ -615,41 +743,26 @@ def load_model(path: str | Path) -> OvRModel:
         section = f"weights:{label.name}"
         if section not in by_name:
             raise ResourceError(f"{path}: missing section [{section}]")
-        lines = by_name[section]
-        kv_lines = [ln for ln in lines if " = " in ln]
-        weight_lines = [ln for ln in lines if " = " not in ln]
-        kv = _kv(kv_lines, section, path)
-        weights = np.zeros(total_dimension)
+        body = by_name[section]
+        kv_end = _KV_LINES_RE.match(body).end()
+        kv = _kv(body[:kv_end], section, path)
+        rows = _lines(body[kv_end:])
         declared_nnz = _need(kv, "nnz", section, path, int)
-        if declared_nnz != len(weight_lines):
+        if declared_nnz != len(rows):
             raise ResourceError(
-                f"{path}: [{section}] declares {declared_nnz} weights but has "
-                f"{len(weight_lines)}"
+                f"{path}: [{section}] declares {declared_nnz} weights but has {len(rows)}"
             )
-        previous = -1
-        for line in weight_lines:
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ResourceError(f"{path}: malformed row in [{section}]: {line!r}")
-            index = _parse(int, parts[0], section, line, path)
-            if not 0 <= index < total_dimension:
-                raise ResourceError(
-                    f"{path}: weight index {index} out of range in [{section}]"
-                )
-            # save_model writes each nonzero weight once, by increasing index
-            if index <= previous:
-                raise ResourceError(
-                    f"{path}: weight indices not strictly increasing in [{section}]: {line!r}"
-                )
-            previous = index
-            weights[index] = _parse(float, parts[1], section, line, path)
+        # save_model writes each nonzero weight once, by increasing index
+        table = _weight_rows(rows, total_dimension, section, path)
+        weights = np.zeros(total_dimension)
+        weights[table["index"]] = table["value"]
         classifiers.append(
             BinaryLogReg(
                 weights=weights,
-                bias=_need(kv, "bias", section, path, float),
-                reg_lambda=_need(kv, "reg_lambda", section, path, float),
+                bias=_need(kv, "bias", section, path, _finite),
+                reg_lambda=_need(kv, "reg_lambda", section, path, _non_negative),
                 iterations=_need(kv, "iterations", section, path, int),
-                final_grad_norm=_need(kv, "final_grad_norm", section, path, float),
+                final_grad_norm=_need(kv, "final_grad_norm", section, path, _finite),
             )
         )
 

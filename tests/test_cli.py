@@ -314,6 +314,28 @@ class TestPredict:
         err = capsys.readouterr().err
         assert f"resource error: {model_path}: bad value in [{section}]" in err
 
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        (r"^calm0\t\d+$", "calm0\t-1", "document frequency outside 1..36 in [vocab:U]"),
+        (r"^calm0\t\d+$", "calm0\t-5", "document frequency outside 1..36 in [vocab:U]"),
+        (r"^calm0\t\d+$", "calm0\t99999", "document frequency outside 1..36 in [vocab:U]"),
+        (r"^(\d+)\t\S+$", r"\1\tnan", "bad value in [weights:NAG]"),
+        (r"^bias = .*$", "bias = inf", "bad value in [weights:NAG]: 'bias = inf'"),
+    ])
+    def test_bad_number_in_model_exits_3(
+        self, tmp_path, toy_corpus, basic_config, capsys, pattern, replacement, message
+    ):
+        """Numbers save_model cannot have written: a document frequency
+        outside 1..n_documents (a crash or a negative idf before) and a
+        non-finite weight or bias (a confident NAG before)."""
+        corpus_path, _rows = toy_corpus
+        model_path = self.train_model(tmp_path, corpus_path, basic_config)
+        text, n = re.subn(pattern, replacement, model_path.read_text(encoding="utf-8"),
+                          count=1, flags=re.M)
+        assert n == 1
+        model_path.write_text(text, encoding="utf-8")
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
+        assert f"resource error: {model_path}: {message}" in capsys.readouterr().err
+
     def test_unlabeled_corpus_accepted(self, tmp_path, toy_corpus, basic_config):
         corpus_path, _rows = toy_corpus
         model_path = self.train_model(tmp_path, corpus_path, basic_config)

@@ -1,8 +1,11 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from aggdetect import lexfeatures
 
 from aggdetect.corpus_io import Document
 from aggdetect.errors import DataError, ResourceError
@@ -58,6 +61,124 @@ class TestEmbeddings:
         path.write_text("3 2\na 1 2\n", encoding="utf-8")
         with pytest.raises(ResourceError, match="declares 3"):
             load_embeddings(path)
+
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "inf", "1e400", "NaN"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "e.vec"
+        path.write_text(f"3 2\nb 0 1\n\na {value} 1\nc 1 2\n", encoding="utf-8")
+        with pytest.raises(ResourceError, match="non-finite value at line 4"):
+            load_embeddings(path)
+
+    def test_rows_fill_one_matrix(self, tmp_path):
+        path = write_embeddings(tmp_path / "e.vec", {"a": [1, 2, 3], "b": [0, 0, 1]})
+        with patch.object(lexfeatures, "_EMBEDDING_CHUNK", 1):  # one line per parse
+            table = load_embeddings(path)
+        matrix = table.vectors["a"].base
+        assert matrix.shape == (2, 3) and table.vectors["b"].base is matrix
+        assert matrix.tolist() == [[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]]
+
+
+def reference_load_embeddings(path):
+    """The per-value loader that load_embeddings' chunked numpy parse
+    replaced."""
+    with path.open(encoding="utf-8") as handle:
+        header = handle.readline().split()
+        if len(header) != 2:
+            raise ResourceError(f"{path}: malformed embedding header (expected 'V d')")
+        try:
+            count, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise ResourceError(f"{path}: malformed embedding header (expected 'V d')") from None
+        if count < 0 or dim < 1:
+            raise ResourceError(f"{path}: bad embedding header values {count} {dim}")
+        vectors = {}
+        for lineno, line in enumerate(handle, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) != dim + 1:
+                raise ResourceError(
+                    f"{path}: row arity mismatch at line {lineno}: expected "
+                    f"{dim + 1} fields, got {len(parts)}"
+                )
+            word = parts[0]
+            if word in vectors:
+                raise ResourceError(f"{path}: duplicate word {word!r} at line {lineno}")
+            try:
+                vectors[word] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            except ValueError:
+                raise ResourceError(f"{path}: non-numeric value at line {lineno}") from None
+    if len(vectors) != count:
+        raise ResourceError(
+            f"{path}: header declares {count} vectors but file has {len(vectors)}"
+        )
+    return EmbeddingTable(vectors=vectors, dimension=dim)
+
+
+# words hold no space and no line break; values are finite, subnormals and
+# extremes included, written as repr() or with four decimals
+_WORDS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters=" \n\r"),
+    min_size=1, max_size=6,
+)
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-3, 3).map("{:.4f}".format),
+    st.sampled_from(["5e-324", "-1e-310", "1e300", "-0.0", "0", "+2", ".5", "7."]),
+)
+_FAULTS = st.sampled_from([None, "arity_short", "arity_long", "duplicate", "count",
+                           "non_numeric"])
+
+
+@st.composite
+def embedding_files(draw):
+    """The text of a table, well formed or with one fault, with blank and
+    whitespace-only lines and a mix of LF and CRLF endings."""
+    dim = draw(st.integers(1, 4))
+    words = draw(st.lists(_WORDS, unique=True, max_size=8))
+    rows = [[w] + draw(st.lists(_VALUES, min_size=dim, max_size=dim)) for w in words]
+    count = len(rows)
+    fault = draw(_FAULTS)
+    if rows and fault is not None:
+        k = draw(st.integers(0, len(rows) - 1))
+        if fault == "arity_short":
+            rows[k] = rows[k][:-1]
+        elif fault == "arity_long":
+            rows[k] = rows[k] + ["1"]
+        elif fault == "duplicate":
+            rows.insert(k + 1, [rows[k][0]] + rows[k][1:])
+            count += 1
+        elif fault == "count":
+            count += draw(st.sampled_from([-1, 1]))
+        else:
+            rows[k][draw(st.integers(1, dim))] = draw(st.sampled_from(["x", "1.2.3", "", "--1"]))
+    lines = [f"{count} {dim}"] + [" ".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(load, path):
+    try:
+        table = load(path)
+    except ResourceError as exc:
+        return "error", str(exc)
+    return "table", table.dimension, [(w, v.dtype, v.shape, v.tobytes())
+                                      for w, v in table.vectors.items()]
+
+
+@given(embedding_files(), st.sampled_from([1, 64, 1 << 17]))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_embeddings_matches_the_per_value_loader(tmp_path, text, chunk):
+    """The same table bit for bit, or the same error and line, whatever
+    the chunk size."""
+    path = tmp_path / "e.vec"
+    path.write_bytes(text.encode("utf-8"))
+    with patch.object(lexfeatures, "_EMBEDDING_CHUNK", chunk):
+        assert _outcome(load_embeddings, path) == _outcome(reference_load_embeddings, path)
 
 
 class TestEmbedAverage:

@@ -1,15 +1,16 @@
+import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from aggdetect import kernels
 from aggdetect import model as model_module
 from aggdetect.corpus_io import Document, Label
 from aggdetect.errors import DataError, ResourceError
-from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline
+from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary
 from aggdetect.model import (
     BinaryLogReg,
     OvRModel,
@@ -494,6 +495,17 @@ class TestPersistence:
         (r"^(\d+)\t\S+$", r"\1\tnope", r"bad value in \[weights:NAG\]: '\d+\\tnope'"),
         (r"^\d+\t(\S+)$", r"x\t\1", r"bad value in \[weights:NAG\]: 'x\\t"),
         (r"^bias = .*$", "bias = nope", re.escape("bad value in [weights:NAG]: 'bias = nope'")),
+        # non-finite numbers and a negative reg_lambda
+        (r"^(\d+)\t\S+$", r"\1\tnan", r"bad value in \[weights:NAG\]: '\d+\\tnan'"),
+        (r"^(\d+)\t\S+$", r"\1\t-inf", r"bad value in \[weights:NAG\]: '\d+\\t-inf'"),
+        (r"^(\d+)\t\S+$", r"\1\t1e400", r"bad value in \[weights:NAG\]: '\d+\\t1e400'"),
+        (r"^bias = .*$", "bias = inf", re.escape("bad value in [weights:NAG]: 'bias = inf'")),
+        (r"^reg_lambda = .*$", "reg_lambda = nan",
+         re.escape("bad value in [weights:NAG]: 'reg_lambda = nan'")),
+        (r"^reg_lambda = .*$", "reg_lambda = -1.0",
+         re.escape("bad value in [weights:NAG]: 'reg_lambda = -1.0'")),
+        (r"^final_grad_norm = .*$", "final_grad_norm = inf",
+         re.escape("bad value in [weights:NAG]: 'final_grad_norm = inf'")),
     ])
     def test_corrupted_number_names_section_and_line(
         self, tmp_path, pattern, replacement, message
@@ -526,6 +538,51 @@ class TestPersistence:
         path.write_text("\n".join(lines), encoding="utf-8")
         message = f"not strictly increasing in [{section}]: {lines[first + 1]!r}"
         with pytest.raises(ResourceError, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize("df", ["-1", "-5", "0", "7", "99999"])
+    def test_document_frequency_outside_corpus_names_section_and_line(self, tmp_path, df):
+        """save_model writes 1 <= df <= n_documents (6 here); anything else
+        would give a division by zero, a log of a negative number or a
+        negative idf."""
+        model, _docs = trained_toy_model()
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        row = f"calm\t{df}"
+        text, n = re.subn(r"^calm\t\d+$", row, path.read_text(encoding="utf-8"),
+                          count=1, flags=re.M)
+        assert n == 1
+        path.write_text(text, encoding="utf-8")
+        message = f"document frequency outside 1..6 in [vocab:U]: {row!r}"
+        with pytest.raises(ResourceError, match=re.escape(message)):
+            load_model(path)
+
+    def test_first_offending_weight_row_is_named(self, tmp_path):
+        """A row that does not parse is named only when no earlier row
+        has a fault of its own."""
+        model, _docs = trained_toy_model()
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        first = lines.index("[weights:CAG]") + 6
+        rows = lines[first:first + 6]
+        assert all(row.count("\t") == 1 for row in rows)
+        index = [row.split("\t")[0] for row in rows]
+        lines[first + 4] = f"{index[4]}\t1_0"  # float() takes it; numpy does not
+        lines[first + 5] = f"{index[5]}\t0.5\textra"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ResourceError, match=re.escape(repr(lines[first + 4]))):
+            load_model(path)
+        lines[first + 2] = f"{index[1]}\t0.25"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ResourceError, match="not strictly increasing in \\[weights:CAG\\]: "
+                           + re.escape(repr(lines[first + 2]))):
+            load_model(path)
+        lines[first + 2] = rows[2]
+        lines[first + 4] = rows[4]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ResourceError, match="malformed row in \\[weights:CAG\\]: "
+                           + re.escape(repr(lines[first + 5]))):
             load_model(path)
 
     def test_truncated_file_names_missing_section(self, tmp_path):
@@ -569,3 +626,153 @@ class TestPersistence:
         lexicon_path.write_text("_intercept\t9.9\n", encoding="utf-8")  # tamper
         with pytest.raises(ResourceError, match="checksum mismatch"):
             load_model(path)
+
+
+# ----------------------------------------------------------------------
+# The bulk writer and reader against the per-line writer they replaced
+# ----------------------------------------------------------------------
+
+_REFERENCE_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+
+
+def reference_escape_field(value):
+    if not any(ch in value for ch in _REFERENCE_ESCAPES):
+        return value
+    return "".join(_REFERENCE_ESCAPES.get(ch, ch) for ch in value)
+
+
+def reference_save_model(model, path):
+    """The per-line writer that save_model's section-at-a-time version
+    replaced, for models with lexical blocks only."""
+    fmt, flag = model_module._fmt, model_module._bool
+    pipe, prep = model.pipeline, model.preprocess
+    out = [model_module.MODEL_FORMAT]
+    out.append("[meta]")
+    out.append(f"language = {model.language}")
+    out.append("labels = " + ",".join(label.name for label in Label))
+    out.append(f"n_train_documents = {model.n_train_documents}")
+    out.append(f"merged_validation = {flag(model.merged_validation)}")
+    out.append(f"single_class_warning = {flag(model.single_class_warning)}")
+    out.append(f"total_dimension = {pipe.total_dimension}")
+    out.append("[preprocess]")
+    clean = prep.clean
+    out.append(f"lowercase = {flag(clean.lowercase)}")
+    out.append(f"strip_urls = {flag(clean.strip_urls)}")
+    out.append(f"strip_emails = {flag(clean.strip_emails)}")
+    out.append(f"strip_numbers = {flag(clean.strip_numbers)}")
+    out.append(f"minor_stemming = {flag(clean.minor_stemming)}")
+    out.append("expansions = " + json.dumps(clean.expansions, sort_keys=True, ensure_ascii=False))
+    out.append(f"transliterate = {flag(prep.transliterate)}")
+    out.append(f"translit_table_version = {prep.translit_table_version}")
+    out.append("spell_correct = false")
+    out.append("[pipeline]")
+    out.append("blocks = " + ",".join(spec.name for spec in pipe.blocks))
+    for spec in pipe.blocks:
+        out.append(f"[block:{spec.name}]")
+        out.append(f"kind = {spec.kind}")
+        for key in ("n", "k", "min_df"):
+            if key in spec.params:
+                out.append(f"{key} = {spec.params[key]}")
+        out.append(f"offset = {pipe.offsets[spec.name]}")
+        out.append(f"dimension = {pipe.dimensions[spec.name]}")
+        vocab = pipe.vocabularies[spec.name]
+        out.append(f"n_documents = {vocab.n_documents}")
+        out.append(f"[vocab:{spec.name}]")
+        for term in vocab.terms:
+            out.append(f"{reference_escape_field(term)}\t{vocab.document_frequency[term]}")
+    for label, clf in zip(Label, model.classifiers):
+        out.append(f"[weights:{label.name}]")
+        out.append(f"bias = {fmt(clf.bias)}")
+        out.append(f"reg_lambda = {fmt(clf.reg_lambda)}")
+        out.append(f"iterations = {clf.iterations}")
+        out.append(f"final_grad_norm = {fmt(clf.final_grad_norm)}")
+        nonzero = np.nonzero(clf.weights)[0]
+        out.append(f"nnz = {nonzero.shape[0]}")
+        for i in nonzero:
+            out.append(f"{int(i)}\t{fmt(clf.weights[i])}")
+    path.write_text("".join(line + "\n" for line in out), encoding="utf-8")
+
+
+# pieces of vocabulary terms: the escaped characters, text that looks like a
+# header or a key = value line, Devanagari, an emoji, and any other character
+_TERM_PIECES = st.one_of(
+    st.sampled_from(["\t", "\n", "\r", "\\", "\\t", "[x]", "[", "]", " = ", "क", "ि",
+                     "\U0001F620", "a", "b", " "]),
+    st.characters(blacklist_categories=("Cs",)),
+)
+_TERMS = st.lists(st.lists(_TERM_PIECES, max_size=5).map("".join), unique=True, max_size=12)
+_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.sampled_from([5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, -1.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_models(draw):
+    """A model over one or two lexical blocks with arbitrary terms,
+    document frequencies and weights."""
+    names = draw(st.sampled_from([["U"], ["C3"], ["U", "C3"]]))
+    vocabularies = {}
+    for name in names:
+        terms = sorted(draw(_TERMS))
+        n_documents = draw(st.integers(1, 10**6))
+        df = draw(st.lists(st.integers(1, n_documents), min_size=len(terms),
+                           max_size=len(terms)))
+        vocabularies[name] = Vocabulary(
+            terms=terms,
+            index={t: i for i, t in enumerate(terms)},
+            document_frequency=dict(zip(terms, df)),
+            n_documents=n_documents,
+        )
+    pipeline = FeaturePipeline([FeatureBlockSpec.from_name(n, min_df=1) for n in names])
+    pipeline.restore(vocabularies)
+    dim = pipeline.total_dimension
+    classifiers = [
+        BinaryLogReg(
+            weights=np.array(draw(st.lists(_WEIGHTS, min_size=dim, max_size=dim)),
+                             dtype=np.float64),
+            bias=draw(_FINITE),
+            reg_lambda=draw(st.floats(min_value=0.0, allow_infinity=False)),
+            iterations=draw(st.integers(0, 10**6)),
+            final_grad_norm=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        )
+        for _label in Label
+    ]
+    return OvRModel(
+        classifiers=classifiers,
+        pipeline=pipeline,
+        preprocess=PreprocessSettings(clean=CleanConfig()),
+        n_train_documents=draw(st.integers(0, 10**6)),
+    )
+
+
+def bits(value):
+    return np.float64(value).tobytes()
+
+
+@given(random_models())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_save_model_writes_the_reference_bytes_and_loads_back_bit_for_bit(tmp_path, model):
+    path, reference = tmp_path / "model.txt", tmp_path / "reference.txt"
+    save_model(model, path)
+    reference_save_model(model, reference)
+    assert path.read_bytes() == reference.read_bytes()
+
+    loaded = load_model(path)
+    for got, want in zip(loaded.classifiers, model.classifiers):
+        # a zero of either sign is not written, and loads as +0.0
+        assert got.weights.tobytes() == (want.weights + 0.0).tobytes()
+        for key in ("bias", "reg_lambda", "final_grad_norm"):
+            assert bits(getattr(got, key)) == bits(getattr(want, key))
+        assert got.iterations == want.iterations
+    for name, want in model.pipeline.vocabularies.items():
+        got = loaded.pipeline.vocabularies[name]
+        assert got.terms == want.terms
+        assert got.index == want.index
+        assert got.document_frequency == want.document_frequency
+        assert got.n_documents == want.n_documents
+        assert got.idf.tobytes() == want.idf.tobytes()

@@ -12,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-import aggdetect.cli  # noqa: F401  (imports every module the tracer wraps)
+import aggdetect.cli  # imports every module the tracer wraps
 from aggdetect import kernels
 from aggdetect.corpus_io import Document
 from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline
+
+from helpers import synthetic_documents, write_corpus_tsv, write_embeddings, write_lines
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER_PATH)
@@ -86,3 +88,35 @@ def test_transform_many_rows_read_as_the_objective_reads_them():
     assert row_ids.tolist() == np.repeat(np.arange(len(vectors)), np.diff(indptr)).tolist()
     assert indices.tolist() == csr_indices.tolist()
     assert values.tobytes() == data.tobytes()
+
+
+def test_traced_train_and_predict_time_saving_and_loading(tmp_path):
+    """The per-layer metrics model.save_s, model.load_s and
+    lexfeatures.load_embeddings_s come from spans of these three functions;
+    a traced CLI train then predict of a W2V model must record each."""
+    corpus = write_corpus_tsv(tmp_path / "train.tsv", synthetic_documents(n_per_class=4))
+    words = ["calm0", "sly0", "rage0", "word0", "word1"]
+    embeddings = write_embeddings(tmp_path / "e.vec", {w: [float(i), 1.0] for i, w in
+                                                       enumerate(words)})
+    config = write_lines(tmp_path / "run.cfg", [
+        "language = english", "blocks = U+W2V", "min_df = 1", "max_iters = 5",
+        f"embeddings = {embeddings.name}",
+    ])
+    model = tmp_path / "model.txt"
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        with spans.span("op"):
+            assert aggdetect.cli.main(["--quiet", "train", str(corpus), str(model),
+                                       "--config", str(config)]) == 0
+            assert aggdetect.cli.main(["--quiet", "predict", str(model), str(corpus),
+                                       str(tmp_path / "pred.tsv")]) == 0
+    finally:
+        spans.uninstall()
+    names = [span[0] for span in spans.spans]
+    # train loads the table for its features, predict through the model
+    assert names.count("lexfeatures.load_embeddings") == 2
+    assert names.count("model.save_model") == names.count("model.load_model") == 1
+    metrics = tracer.layer_metrics(spans.spans, "op")
+    for key in ("model.save_s", "model.load_s", "lexfeatures.load_embeddings_s"):
+        assert metrics[key] > 0, key
