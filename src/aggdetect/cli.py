@@ -29,11 +29,7 @@ from .lexfeatures import (
     BuiltinSentimentProvider,
     Resources,
     SidecarSentimentProvider,
-    load_category_lexicon,
-    load_embeddings,
     load_sentiment_sidecar,
-    load_weighted_lexicon,
-    load_word_set,
 )
 from .model import (
     OvRModel,
@@ -47,8 +43,6 @@ from .model import (
 from .preprocess import (
     CleanConfig,
     PreprocessSettings,
-    file_sha256,
-    load_spell_dictionary,
     save_spell_dictionary,
     SpellDictionary,
 )
@@ -228,6 +222,8 @@ def load_run_config(path: str | Path) -> RunConfig:
             config.sentiment_provider = value
         elif key == "intensity_split":
             config.intensity_split = _config_number(key, value, float)
+            if not 0.0 <= config.intensity_split <= 1.0:
+                raise UsageError(f"config key 'intensity_split' must be in [0, 1], got {value!r}")
         elif key in ("reg_lambda", "grad_tol", "max_iters"):
             train_kwargs[key] = _config_number(key, value, int if key == "max_iters" else float)
         else:
@@ -274,48 +270,32 @@ def load_resources(config: RunConfig) -> Resources:
     before any training compute starts."""
     resources = Resources()
     if config.embeddings:
-        resources.embeddings = load_embeddings(config.embeddings)
-        resources.provenance["embedding"] = (config.embeddings, file_sha256(config.embeddings))
+        resources.load("embedding", config.embeddings)
     if "S" in config.blocks:
         if config.sentiment_provider == "builtin":
-            pos = load_word_set(config.positive_words)
-            neg = load_word_set(config.negative_words)
             resources.sentiment_provider = BuiltinSentimentProvider(
-                pos, neg, config.intensity_split
-            )
-            resources.provenance["sentiment_pos"] = (
-                config.positive_words,
-                file_sha256(config.positive_words),
-            )
-            resources.provenance["sentiment_neg"] = (
-                config.negative_words,
-                file_sha256(config.negative_words),
+                resources.load("sentiment_pos", config.positive_words),
+                resources.load("sentiment_neg", config.negative_words),
+                config.intensity_split,
             )
         else:
             resources.sentiment_provider = SidecarSentimentProvider(
                 load_sentiment_sidecar(config.sentiment_sidecar)
             )
     if config.liwc_lexicon:
-        resources.category_lexicon = load_category_lexicon(config.liwc_lexicon)
-        resources.provenance["liwc"] = (config.liwc_lexicon, file_sha256(config.liwc_lexicon))
+        resources.load("liwc", config.liwc_lexicon)
     if config.gender_lexicon:
-        resources.gender_lexicon = load_weighted_lexicon(config.gender_lexicon)
-        resources.provenance["gender"] = (
-            config.gender_lexicon,
-            file_sha256(config.gender_lexicon),
-        )
+        resources.load("gender", config.gender_lexicon)
     return resources
 
 
 def build_preprocess_settings(config: RunConfig, resources: Resources) -> PreprocessSettings:
-    spell_dictionary = None
-    if config.spell_correct:
-        spell_dictionary = load_spell_dictionary(config.spell_dict)
-        resources.provenance["spell_dict"] = (config.spell_dict, file_sha256(config.spell_dict))
     return PreprocessSettings(
         clean=config.clean_config(),
         transliterate=config.wants_transliteration(),
-        spell_dictionary=spell_dictionary,
+        spell_dictionary=(
+            resources.load("spell_dict", config.spell_dict) if config.spell_correct else None
+        ),
     )
 
 

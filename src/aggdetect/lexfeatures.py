@@ -14,6 +14,7 @@ File formats:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from typing import NoReturn, Sequence
 import numpy as np
 
 from .errors import DataError, ResourceError
+from .preprocess import load_spell_dictionary
 
 SENTIMENT_CLASSES = ("very_negative", "negative", "neutral", "positive", "very_positive")
 
@@ -393,6 +395,24 @@ def gender_features(tokens: Sequence[str], lexicon: WeightedLexicon) -> np.ndarr
     return np.array([probability, 1.0 if probability > 0.5 else 0.0])
 
 
+# Every file a model can reference, by its provenance key: what the file
+# is, for messages, and the name of its loader in this module. The loader
+# is looked up when called, so a wrapper put on the module attribute (a
+# profiler's, a test's) sees every load.
+RESOURCE_FILES = {
+    "embedding": ("embedding table", "load_embeddings"),
+    "sentiment_pos": ("positive sentiment lexicon", "load_word_set"),
+    "sentiment_neg": ("negative sentiment lexicon", "load_word_set"),
+    "liwc": ("category lexicon", "load_category_lexicon"),
+    "gender": ("gender lexicon", "load_weighted_lexicon"),
+    "spell_dict": ("spell dictionary", "load_spell_dictionary"),
+}
+
+
+def file_sha256(path: str | Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 @dataclass
 class Resources:
     """Loaded dense-feature resources handed to a pipeline."""
@@ -401,10 +421,11 @@ class Resources:
     sentiment_provider: SentimentProvider | None = None
     category_lexicon: CategoryLexicon | None = None
     gender_lexicon: WeightedLexicon | None = None
-    # Provenance for model files: kind -> (path, sha256).
+    # Provenance for model files: key of RESOURCE_FILES -> (path, sha256).
     provenance: dict[str, tuple[str, str]] = field(default_factory=dict)
 
-    _REQUIRED_FIELD = {
+    # The field each dense block kind reads.
+    _BLOCK_FIELD = {
         "embedding": "embeddings",
         "sentiment": "sentiment_provider",
         "liwc": "category_lexicon",
@@ -412,5 +433,26 @@ class Resources:
     }
 
     def require(self, kind: str) -> None:
-        if getattr(self, self._REQUIRED_FIELD[kind]) is None:
+        if getattr(self, self._BLOCK_FIELD[kind]) is None:
             raise ResourceError(f"feature block kind {kind!r} needs a loaded resource")
+
+    def load(self, key: str, path: str, sha256: str | None = None):
+        """Load the file at ``path`` as resource ``key`` of
+        :data:`RESOURCE_FILES`, record its ``(path, sha256)`` in
+        ``provenance`` and return it; for a dense block kind (``embedding``,
+        ``liwc``, ``gender``) it also fills that block's field. A missing
+        file, or a SHA-256 other than ``sha256`` when that is given, raises
+        ResourceError before anything is parsed."""
+        what, loader = RESOURCE_FILES[key]
+        if not Path(path).is_file():
+            raise ResourceError(f"{what} not found: {path}")
+        actual = file_sha256(path)
+        if sha256 is not None and actual != sha256:
+            raise ResourceError(
+                f"checksum mismatch for {what} {path}: expected {sha256}, got {actual}"
+            )
+        loaded = globals()[loader](path)
+        self.provenance[key] = (path, actual)
+        if key in self._BLOCK_FIELD:
+            setattr(self, self._BLOCK_FIELD[key], loaded)
+        return loaded

@@ -56,12 +56,7 @@ from .featurize import (
     LEXICAL_KINDS,
     Vocabulary,
 )
-from .preprocess import (
-    CleanConfig,
-    PreprocessSettings,
-    file_sha256,
-    load_spell_dictionary,
-)
+from .preprocess import CleanConfig, PreprocessSettings
 
 MODEL_FORMAT = "aggdetect-model 1"
 
@@ -345,13 +340,15 @@ def _parse_bool(value: str) -> bool:
     return value == "true"
 
 
-def _resource_ref(resources: lexfeatures.Resources, key: str) -> tuple[str, str]:
+def _resource_lines(resources: lexfeatures.Resources, key: str, prefix: str = "") -> list[str]:
+    """The ``path`` and ``sha256`` lines, keys prefixed by ``prefix``, of
+    the file that resource ``key`` was loaded from."""
     ref = resources.provenance.get(key)
     if ref is None:
         raise ResourceError(
             f"cannot serialize pipeline: resource {key!r} has no file provenance"
         )
-    return ref
+    return [f"{prefix}path = {ref[0]}", f"{prefix}sha256 = {ref[1]}"]
 
 
 def save_model(model: OvRModel, path: str | Path) -> None:
@@ -384,9 +381,7 @@ def save_model(model: OvRModel, path: str | Path) -> None:
     out.append(f"translit_table_version = {prep.translit_table_version}")
     out.append(f"spell_correct = {_bool(prep.spell_dictionary is not None)}")
     if prep.spell_dictionary is not None:
-        ref = _resource_ref(pipe.resources, "spell_dict")
-        out.append(f"spell_dict_path = {ref[0]}")
-        out.append(f"spell_dict_sha256 = {ref[1]}")
+        out.extend(_resource_lines(pipe.resources, "spell_dict", "spell_dict_"))
 
     out.append("[pipeline]")
     out.append("blocks = " + ",".join(spec.name for spec in pipe.blocks))
@@ -403,18 +398,14 @@ def save_model(model: OvRModel, path: str | Path) -> None:
             vocab = pipe.vocabularies[spec.name]
             out.append(f"n_documents = {vocab.n_documents}")
         elif spec.kind in ("embedding", "liwc", "gender"):
-            ref = _resource_ref(pipe.resources, spec.kind)
-            out.append(f"path = {ref[0]}")
-            out.append(f"sha256 = {ref[1]}")
+            out.extend(_resource_lines(pipe.resources, spec.kind))
         elif spec.kind == "sentiment":
             provider = pipe.resources.sentiment_provider
             out.append(f"provider = {provider.kind}")
             if provider.kind == "builtin":
                 out.append(f"intensity_split = {_fmt(provider.intensity_split)}")
                 for side in ("pos", "neg"):
-                    ref = _resource_ref(pipe.resources, f"sentiment_{side}")
-                    out.append(f"{side}_path = {ref[0]}")
-                    out.append(f"{side}_sha256 = {ref[1]}")
+                    out.extend(_resource_lines(pipe.resources, f"sentiment_{side}", f"{side}_"))
         if spec.kind in LEXICAL_KINDS:
             out.append(f"[vocab:{spec.name}]")
             df = vocab.document_frequency
@@ -504,6 +495,13 @@ def _non_negative(text: str) -> float:
     value = _finite(text)
     if value < 0:
         raise ValueError(f"negative value {text!r}")
+    return value
+
+
+def _unit_interval(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"value outside [0, 1]: {text!r}")
     return value
 
 
@@ -618,15 +616,14 @@ def _need(kv: dict[str, str], key: str, section: str, path: Path, parse=str):
     return _parse(parse, kv[key], section, f"{key} = {kv[key]}", path)
 
 
-def _verify_checksum(file_path: str, expected: str, what: str) -> None:
-    p = Path(file_path)
-    if not p.is_file():
-        raise ResourceError(f"referenced {what} not found: {file_path}")
-    actual = file_sha256(p)
-    if actual != expected:
-        raise ResourceError(
-            f"checksum mismatch for {what} {file_path}: expected {expected}, got {actual}"
-        )
+def _load_resource(
+    resources: lexfeatures.Resources, key: str, kv: dict[str, str], prefix: str,
+    section: str, path: Path,
+):
+    """Resource ``key``, loaded from the file that the section's
+    ``{prefix}path`` names and checked against its ``{prefix}sha256``."""
+    ref = [_need(kv, prefix + name, section, path) for name in ("path", "sha256")]
+    return resources.load(key, *ref)
 
 
 def load_model(path: str | Path) -> OvRModel:
@@ -655,11 +652,9 @@ def load_model(path: str | Path) -> OvRModel:
     resources = lexfeatures.Resources()
     spell_dictionary = None
     if _need(prep_kv, "spell_correct", "preprocess", path, _parse_bool):
-        dict_path = _need(prep_kv, "spell_dict_path", "preprocess", path)
-        dict_sha = _need(prep_kv, "spell_dict_sha256", "preprocess", path)
-        _verify_checksum(dict_path, dict_sha, "spell dictionary")
-        spell_dictionary = load_spell_dictionary(dict_path)
-        resources.provenance["spell_dict"] = (dict_path, dict_sha)
+        spell_dictionary = _load_resource(
+            resources, "spell_dict", prep_kv, "spell_dict_", "preprocess", path
+        )
     preprocess = PreprocessSettings(
         clean=clean,
         transliterate=_need(prep_kv, "transliterate", "preprocess", path, _parse_bool),
@@ -695,41 +690,22 @@ def load_model(path: str | Path) -> OvRModel:
                 vocab_section,
                 path,
             )
-        elif kind == "embedding":
-            ref = (_need(kv, "path", section, path), _need(kv, "sha256", section, path))
-            _verify_checksum(ref[0], ref[1], "embedding table")
-            resources.embeddings = lexfeatures.load_embeddings(ref[0])
-            resources.provenance["embedding"] = ref
+        elif kind in ("embedding", "liwc", "gender"):
+            _load_resource(resources, kind, kv, "", section, path)
         elif kind == "sentiment":
             provider_kind = _need(kv, "provider", section, path)
             if provider_kind == "builtin":
-                refs = {}
-                for side in ("pos", "neg"):
-                    refs[side] = (
-                        _need(kv, f"{side}_path", section, path),
-                        _need(kv, f"{side}_sha256", section, path),
-                    )
-                    _verify_checksum(refs[side][0], refs[side][1], f"{side} sentiment lexicon")
-                    resources.provenance[f"sentiment_{side}"] = refs[side]
+                pos, neg = (
+                    _load_resource(resources, f"sentiment_{side}", kv, f"{side}_", section, path)
+                    for side in ("pos", "neg")
+                )
                 resources.sentiment_provider = lexfeatures.BuiltinSentimentProvider(
-                    pos_lexicon=lexfeatures.load_word_set(refs["pos"][0]),
-                    neg_lexicon=lexfeatures.load_word_set(refs["neg"][0]),
-                    intensity_split=_need(kv, "intensity_split", section, path, float),
+                    pos, neg, _need(kv, "intensity_split", section, path, _unit_interval)
                 )
             elif provider_kind == "sidecar":
                 resources.sentiment_provider = _SidecarRequired()
             else:
                 raise ResourceError(f"{path}: unknown sentiment provider {provider_kind!r}")
-        elif kind == "liwc":
-            ref = (_need(kv, "path", section, path), _need(kv, "sha256", section, path))
-            _verify_checksum(ref[0], ref[1], "category lexicon")
-            resources.category_lexicon = lexfeatures.load_category_lexicon(ref[0])
-            resources.provenance["liwc"] = ref
-        elif kind == "gender":
-            ref = (_need(kv, "path", section, path), _need(kv, "sha256", section, path))
-            _verify_checksum(ref[0], ref[1], "gender lexicon")
-            resources.gender_lexicon = lexfeatures.load_weighted_lexicon(ref[0])
-            resources.provenance["gender"] = ref
 
     pipeline = FeaturePipeline(blocks, resources).restore(vocabularies)
     if pipeline.total_dimension != total_dimension:

@@ -9,7 +9,6 @@ relies on (a cleaned corpus can safely be cleaned again).
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -229,10 +228,6 @@ def spell_correct(tokens: list[str], dictionary: SpellDictionary) -> list[str]:
         cache[token] = best
         corrected.append(best)
     return corrected
-
-
-def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @dataclass

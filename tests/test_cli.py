@@ -34,6 +34,42 @@ def run(argv):
     return main(argv)
 
 
+# Config key naming each file a model can reference, by provenance key.
+RESOURCE_CONFIG_KEYS = {
+    "embedding": "embeddings",
+    "sentiment_pos": "positive_words",
+    "sentiment_neg": "negative_words",
+    "liwc": "liwc_lexicon",
+    "gender": "gender_lexicon",
+    "spell_dict": "spell_dict",
+}
+
+
+def write_resource_run(tmp_path):
+    """A corpus, one file of every kind a model references, and a
+    U+W2V+S+LIWC+GP config with spell correction that names them all:
+    ``(corpus_path, config_path, {provenance key: file path})``."""
+    rows = synthetic_documents(8, seed=17)
+    corpus_path = write_corpus_tsv(tmp_path / "train.tsv", rows)
+    words = sorted({w for _i, text, _l in rows for w in text.split()})
+    files = {
+        "embedding": write_embeddings(
+            tmp_path / "emb.vec", {w: [float(len(w)), float(i % 3)] for i, w in enumerate(words)}
+        ),
+        "sentiment_pos": write_lines(tmp_path / "pos.txt", ["calm0", "calm1"]),
+        "sentiment_neg": write_lines(tmp_path / "neg.txt", ["rage0", "rage1"]),
+        "liwc": write_lines(tmp_path / "liwc.tsv", ["calmness\tcalm*", "anger\trage*"]),
+        "gender": write_lines(tmp_path / "gender.tsv", ["_intercept\t-0.1", "sly0\t0.5"]),
+        "spell_dict": write_lines(tmp_path / "dict.tsv", [f"{w}\t5" for w in words]),
+    }
+    config = write_lines(tmp_path / "full.cfg", [
+        "language = english", "blocks = U+W2V+S+LIWC+GP", "min_df = 1", "max_iters = 30",
+        "spell_correct = true",
+        *(f"{RESOURCE_CONFIG_KEYS[key]} = {path.name}" for key, path in files.items()),
+    ])
+    return corpus_path, config, files
+
+
 class TestBuildDict:
     def test_counts_cleaned_tokens(self, tmp_path):
         corpus = write_corpus_tsv(
@@ -158,6 +194,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"usage error: config key '{key}' must be" in err
         assert f"got '{value}'" in err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+    def test_intensity_split_outside_unit_interval_is_usage_error(
+        self, tmp_path, toy_corpus, capsys, value
+    ):
+        """nan used to fail training as a data error blaming the corpus, and
+        1.5 trained with negative sentiment masses."""
+        corpus_path, _rows = toy_corpus
+        config = write_lines(tmp_path / "bad.cfg", ["blocks = U", f"intensity_split = {value}"])
+        model_path = tmp_path / "m.txt"
+        assert run(["train", str(corpus_path), str(model_path),
+                    "--config", str(config)]) == 1
+        assert (f"usage error: config key 'intensity_split' must be in [0, 1], got '{value}'"
+                in capsys.readouterr().err)
         assert not model_path.exists()
 
     def test_logs_stop_reason_and_warns_when_not_converged(
@@ -336,6 +387,21 @@ class TestPredict:
         assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
         assert f"resource error: {model_path}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1.5"])
+    def test_intensity_split_outside_unit_interval_in_model_exits_3(
+        self, tmp_path, capsys, value
+    ):
+        """A nan split used to predict NAG for every document."""
+        corpus_path, config, _files = write_resource_run(tmp_path)
+        model_path = self.train_model(tmp_path, corpus_path, config)
+        text = model_path.read_text(encoding="utf-8")
+        assert text.count("intensity_split = 0.7\n") == 1
+        model_path.write_text(text.replace("intensity_split = 0.7", f"intensity_split = {value}"),
+                              encoding="utf-8")
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
+        assert (f"resource error: {model_path}: bad value in [block:S]: "
+                f"'intensity_split = {value}'" in capsys.readouterr().err)
+
     def test_unlabeled_corpus_accepted(self, tmp_path, toy_corpus, basic_config):
         corpus_path, _rows = toy_corpus
         model_path = self.train_model(tmp_path, corpus_path, basic_config)
@@ -481,6 +547,55 @@ class TestDenseBlocksEndToEnd:
         # with it: fine
         assert run(["predict", str(model_path), str(corpus_path), str(out),
                     "--sentiment-sidecar", str(sidecar_path)]) == 0
+
+
+class TestReferencedFiles:
+    """Every file a model references, one test per provenance key."""
+
+    def train(self, tmp_path):
+        corpus_path, config, files = write_resource_run(tmp_path)
+        model_path = tmp_path / "model.txt"
+        assert run(["--quiet", "train", str(corpus_path), str(model_path),
+                    "--config", str(config)]) == 0
+        return model_path, corpus_path, files
+
+    @pytest.mark.parametrize("key", RESOURCE_CONFIG_KEYS)
+    def test_changed_file_exits_3_at_predict(self, tmp_path, capsys, key):
+        model_path, corpus_path, files = self.train(tmp_path)
+        with files[key].open("a", encoding="utf-8") as handle:
+            handle.write("\n")  # a blank line: every loader would accept the file
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
+        err = capsys.readouterr().err
+        assert "checksum mismatch" in err
+        assert str(files[key]) in err
+
+    @pytest.mark.parametrize("key", RESOURCE_CONFIG_KEYS)
+    def test_missing_file_exits_3_at_predict(self, tmp_path, capsys, key):
+        model_path, corpus_path, files = self.train(tmp_path)
+        files[key].unlink()
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
+        assert f"not found: {files[key]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", RESOURCE_CONFIG_KEYS)
+    def test_missing_file_exits_3_at_train(self, tmp_path, capsys, key):
+        corpus_path, config, files = write_resource_run(tmp_path)
+        files[key].unlink()
+        model_path = tmp_path / "model.txt"
+        assert run(["train", str(corpus_path), str(model_path), "--config", str(config)]) == 3
+        assert f"not found: {files[key]}" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_round_trip_rewrites_the_model_and_its_provenance(self, tmp_path):
+        model_path, _corpus_path, files = self.train(tmp_path)
+        config = cli.load_run_config(tmp_path / "full.cfg")
+        trained = cli.load_resources(config)
+        cli.build_preprocess_settings(config, trained)
+        assert set(trained.provenance) == set(files)
+        model = load_model(model_path)
+        assert model.pipeline.resources.provenance == trained.provenance
+        rewritten = tmp_path / "rewritten.txt"
+        save_model(model, rewritten)
+        assert rewritten.read_bytes() == model_path.read_bytes()
 
 
 class TestHindiEndToEnd:

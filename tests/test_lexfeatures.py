@@ -1,4 +1,5 @@
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -13,10 +14,12 @@ from aggdetect.lexfeatures import (
     BuiltinSentimentProvider,
     CategoryLexicon,
     EmbeddingTable,
+    Resources,
     SidecarSentimentProvider,
     WeightedLexicon,
     builtin_sentence_sentiment,
     embed_average,
+    file_sha256,
     gender_features,
     liwc_features,
     load_category_lexicon,
@@ -404,3 +407,24 @@ class TestBuiltinProvider:
         out = provider.document_features(doc)
         # sentence 1: p=1 -> (0,0,.5,.35,.15); sentence 2: q=1 mirrored
         assert out[:5] == pytest.approx([0.075, 0.175, 0.5, 0.175, 0.075])
+
+
+class TestResourcesLoad:
+    def test_records_provenance_and_fills_the_block_field(self, tmp_path):
+        path = str(write_embeddings(tmp_path / "e.vec", {"a": [1.0, 2.0]}))
+        resources = Resources()
+        table = resources.load("embedding", path, file_sha256(path))
+        assert resources.embeddings is table
+        assert table.dimension == 2
+        assert resources.provenance == {"embedding": (path, file_sha256(path))}
+
+    def test_checksum_is_checked_before_parsing(self, tmp_path):
+        path = tmp_path / "e.vec"
+        path.write_text("not an embedding table\n", encoding="utf-8")
+        resources = Resources()
+        message = re.escape(f"checksum mismatch for embedding table {path}")
+        with pytest.raises(ResourceError, match=message):
+            resources.load("embedding", str(path), "0" * 64)
+        assert resources.provenance == {}
+        with pytest.raises(ResourceError, match="malformed embedding header"):
+            resources.load("embedding", str(path))

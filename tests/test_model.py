@@ -26,7 +26,7 @@ from aggdetect.model import (
     train_binary,
     train_ovr,
 )
-from aggdetect.preprocess import CleanConfig, PreprocessSettings, file_sha256
+from aggdetect.preprocess import CleanConfig, PreprocessSettings
 
 from helpers import sparse, synthetic_documents, write_lines
 
@@ -602,7 +602,7 @@ class TestPersistence:
             load_model(path)
 
     def test_checksum_mismatch_on_referenced_file(self, tmp_path):
-        from aggdetect.lexfeatures import Resources, load_weighted_lexicon
+        from aggdetect.lexfeatures import Resources, file_sha256, load_weighted_lexicon
 
         lexicon_path = write_lines(tmp_path / "gender.tsv", ["_intercept\t0.0", "she\t1.0"])
         resources = Resources(

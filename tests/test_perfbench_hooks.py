@@ -92,15 +92,18 @@ def test_transform_many_rows_read_as_the_objective_reads_them():
 
 def test_traced_train_and_predict_time_saving_and_loading(tmp_path):
     """The per-layer metrics model.save_s, model.load_s and
-    lexfeatures.load_embeddings_s come from spans of these three functions;
-    a traced CLI train then predict of a W2V model must record each."""
+    lexfeatures.load_embeddings_s come from spans of these three functions,
+    and preprocess.s counts the spell dictionary's load; a traced CLI train
+    then predict of a spell-corrected W2V model must record each."""
     corpus = write_corpus_tsv(tmp_path / "train.tsv", synthetic_documents(n_per_class=4))
     words = ["calm0", "sly0", "rage0", "word0", "word1"]
     embeddings = write_embeddings(tmp_path / "e.vec", {w: [float(i), 1.0] for i, w in
                                                        enumerate(words)})
+    spell_dict = write_lines(tmp_path / "dict.tsv", [f"{w}\t3" for w in words])
     config = write_lines(tmp_path / "run.cfg", [
         "language = english", "blocks = U+W2V", "min_df = 1", "max_iters = 5",
-        f"embeddings = {embeddings.name}",
+        f"embeddings = {embeddings.name}", "spell_correct = true",
+        f"spell_dict = {spell_dict.name}",
     ])
     model = tmp_path / "model.txt"
     spans = tracer.Tracer()
@@ -114,8 +117,9 @@ def test_traced_train_and_predict_time_saving_and_loading(tmp_path):
     finally:
         spans.uninstall()
     names = [span[0] for span in spans.spans]
-    # train loads the table for its features, predict through the model
+    # train loads each file for its features, predict through the model
     assert names.count("lexfeatures.load_embeddings") == 2
+    assert names.count("preprocess.load_spell_dictionary") == 2
     assert names.count("model.save_model") == names.count("model.load_model") == 1
     metrics = tracer.layer_metrics(spans.spans, "op")
     for key in ("model.save_s", "model.load_s", "lexfeatures.load_embeddings_s"):
