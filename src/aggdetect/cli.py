@@ -266,13 +266,32 @@ def _validate_run_config(config: RunConfig) -> None:
 
 
 def load_resources(config: RunConfig) -> Resources:
-    """Load and checksum every resource the config references. Fails fast
-    before any training compute starts."""
+    """Load and checksum each resource that the config's blocks read: the
+    embedding table for W2V, the sentiment word lists for S with the
+    builtin provider or the sidecar with the sidecar provider, the category
+    lexicon for LIWC and the gender lexicon for GP. A resource path that
+    nothing uses, the spell dictionary without ``spell_correct`` included,
+    is not read, and logs one warning. Fails fast, before any training
+    compute starts."""
+    sentiment = "S" in config.blocks
+    builtin = config.sentiment_provider == "builtin"
+    used = {
+        "embeddings": "W2V" in config.blocks,
+        "positive_words": sentiment and builtin,
+        "negative_words": sentiment and builtin,
+        "sentiment_sidecar": sentiment and not builtin,
+        "liwc_lexicon": "LIWC" in config.blocks,
+        "gender_lexicon": "GP" in config.blocks,
+        "spell_dict": config.spell_correct,
+    }
+    for key in _PATH_KEYS:
+        if getattr(config, key) and not used[key]:
+            log.warning("config key %r names a file that no setting uses; not loaded", key)
     resources = Resources()
-    if config.embeddings:
+    if used["embeddings"]:
         resources.load("embedding", config.embeddings)
-    if "S" in config.blocks:
-        if config.sentiment_provider == "builtin":
+    if sentiment:
+        if builtin:
             resources.sentiment_provider = BuiltinSentimentProvider(
                 resources.load("sentiment_pos", config.positive_words),
                 resources.load("sentiment_neg", config.negative_words),
@@ -282,9 +301,9 @@ def load_resources(config: RunConfig) -> Resources:
             resources.sentiment_provider = SidecarSentimentProvider(
                 load_sentiment_sidecar(config.sentiment_sidecar)
             )
-    if config.liwc_lexicon:
+    if used["liwc_lexicon"]:
         resources.load("liwc", config.liwc_lexicon)
-    if config.gender_lexicon:
+    if used["gender_lexicon"]:
         resources.load("gender", config.gender_lexicon)
     return resources
 

@@ -36,6 +36,7 @@ import functools
 import itertools
 import math
 import unicodedata
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -138,10 +139,14 @@ class Vocabulary:
     idf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n, df = self.n_documents, self.document_frequency
-        self.idf = np.array(
-            [math.log((1 + n) / (1 + df[term])) + 1.0 for term in self.terms], dtype=np.float64
-        )
+        # one math.log per distinct document frequency; np.log need not
+        # round as math.log does
+        n = self.n_documents
+        dfs = np.fromiter(map(self.document_frequency.__getitem__, self.terms), np.int64,
+                          len(self.terms))
+        distinct, inverse = np.unique(dfs, return_inverse=True)
+        idf = [math.log((1 + n) / (1 + df)) + 1.0 for df in distinct.tolist()]
+        self.idf = np.array(idf, dtype=np.float64)[inverse]
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -388,26 +393,35 @@ class FeaturePipeline:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The runs of every ``(spec, key)`` block of ``plan`` (see
         :meth:`_append_runs`) over the documents, as int32 ids, float64
-        values and the offsets where each run ends.
+        values and the int64 offsets where each run ends.
 
         The runs come ``_CHUNK_ROWS`` documents at a time, block by block
         within those, document by document within a block, so that
         :meth:`_to_csr` finds each chunk's runs together, and term lookups
         stay in one vocabulary's table for a whole chunk: document by
         document, alternating between the blocks' tables, they ran about
-        1.6 times slower. Python lists gather the runs, converted once at
-        the end; extending a flat ``array('i')`` cost about 10 us a call,
-        which a one-document batch pays on every block."""
-        ids: list[int] = []
-        values: list[float] = []
-        ends = [0]
+        1.6 times slower. Python lists gather one chunk's runs, since
+        extending a typed array costs about 10 us a call, which a
+        one-document batch would pay on every block. Each chunk then goes
+        to growing typed arrays with ``fromlist`` (``extend`` took twice as
+        long), which the returned arrays view without a copy: the batch is
+        never held as Python objects, nor twice, as it would be if per-chunk
+        numpy arrays were concatenated at the end."""
+        ids, values, ends = array("i"), array("d"), array("q", [0])
         for r0 in range(0, len(documents), _CHUNK_ROWS):
             rows = slice(r0, r0 + _CHUNK_ROWS)
+            chunk_ids: list[int] = []
+            chunk_values: list[float] = []
+            chunk_ends: list[int] = []
             for spec, key in plan:
                 self._append_runs(spec, key, documents[rows], texts[rows], token_lists[rows],
-                                  ids, values, ends)
-        return (np.fromiter(ids, np.int32, len(ids)), np.fromiter(values, np.float64, len(values)),
-                np.array(ends))
+                                  chunk_ids, chunk_values, chunk_ends)
+            base = len(ids)
+            ids.fromlist(chunk_ids)
+            values.fromlist(chunk_values)
+            ends.fromlist([base + end for end in chunk_ends])
+        return (np.frombuffer(ids, np.int32), np.frombuffer(values, np.float64),
+                np.frombuffer(ends, np.int64))
 
     def _fit(
         self, documents: Sequence[Document], blocks: list[FeatureBlockSpec]
@@ -430,7 +444,7 @@ class FeaturePipeline:
                                        [tokenize(doc.text) for doc in documents])
         run_rows, run_blocks = _run_layout(len(documents), len(blocks))
         lengths = np.diff(ends)
-        block_of = np.repeat(run_blocks, lengths)
+        block_of = np.repeat(run_blocks.astype(np.min_scalar_type(len(blocks))), lengths)
         for k, spec in enumerate(blocks):
             if spec.name in provisional:
                 in_block = block_of == k
@@ -440,14 +454,17 @@ class FeaturePipeline:
                     spec.params.get("min_df", 1),
                 )
                 ids[in_block] = remap[pids]
+                del in_block, pids
         del block_of
         self._assign_ranges()
         keep = ids >= 0
         nonblank = np.array([bool(doc.text.strip()) for doc in documents], dtype=bool)
         keep &= np.repeat(nonblank[run_rows], lengths)
-        kept_before = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept_before[1:])
-        return ids[keep], values[keep], kept_before[ends]
+        # each run end moves back by the dropped entries before it
+        ends = ends - np.searchsorted(np.flatnonzero(~keep), ends)
+        ids = ids[keep]  # the full-length arrays are released one at a time
+        values = values[keep]
+        return ids, values, ends
 
     def fit(self, documents: Sequence[Document]) -> "FeaturePipeline":
         self._fit(documents, [spec for spec in self.blocks if spec.kind in LEXICAL_KINDS])
@@ -482,11 +499,15 @@ class FeaturePipeline:
 
         A chunk's rows hold exactly the chunk's entries, so the output
         arrays are allocated once and :meth:`_weigh_rows` fills them one
-        chunk at a time, which bounds its temporaries on a large batch."""
+        chunk at a time, which bounds its temporaries on a large batch.
+        ``data`` is ``values`` itself, overwritten chunk by chunk: each
+        chunk's values are read before its data is written, so the input
+        and output are never held at once. ``values`` is consumed, and
+        nothing else may hold it."""
         nb = len(self.blocks)
         indptr = np.zeros(n + 1, dtype=np.int64)
         indices = np.empty(ends[-1], dtype=np.int64)
-        data = np.empty(ends[-1])
+        data = values
         for r0 in range(0, n, _CHUNK_ROWS):
             r1 = min(r0 + _CHUNK_ROWS, n)
             runs = ends[r0 * nb : r1 * nb + 1]

@@ -21,15 +21,17 @@ bit-identical predictions or fails loudly.
 
 Both directions work on whole sections.  :func:`save_model` formats each
 vocabulary and each class's nonzero weights in one pass over Python
-lists.  :func:`load_model` finds the section headers with one regex over
-the file, splits each ``[vocab:*]`` body once and parses its document
-frequencies with one ``int`` map, and parses each ``[weights:*]`` body
-with one ``np.loadtxt`` call, which rounds every value exactly as
-``float()`` does.  The checks run on the whole section: terms strictly
-increasing with ``1 <= df <= n_documents``; weight indices strictly
-increasing and in range; weights, ``bias`` and ``final_grad_norm``
-finite; ``reg_lambda`` finite and >= 0; the ``nnz`` count.  A fault
-raises ResourceError naming the section and its first offending line.
+lists, and writes each section as soon as it is formatted, so it never
+holds the whole file.  :func:`load_model` finds the section headers with
+one regex over the file, splits each ``[vocab:*]`` body once and parses
+its document frequencies with one ``int`` map, and parses each
+``[weights:*]`` body with one ``np.loadtxt`` call, which rounds every
+value exactly as ``float()`` does.  The checks run on the whole section:
+terms strictly increasing with ``1 <= df <= n_documents``; weight
+indices strictly increasing and in range; weights, ``bias`` and
+``final_grad_norm`` finite; ``reg_lambda`` finite and >= 0; the ``nnz``
+count.  A fault raises ResourceError naming the section and its first
+offending line.
 """
 
 from __future__ import annotations
@@ -351,79 +353,96 @@ def _resource_lines(resources: lexfeatures.Resources, key: str, prefix: str = ""
     return [f"{prefix}path = {ref[0]}", f"{prefix}sha256 = {ref[1]}"]
 
 
+def _block_lines(pipe: FeaturePipeline, spec: FeatureBlockSpec) -> list[str]:
+    """The ``[block:*]`` section of one block, and the ``[vocab:*]`` header
+    line that follows it on a lexical block."""
+    out = [f"[block:{spec.name}]", f"kind = {spec.kind}"]
+    for key in ("n", "k", "min_df"):
+        if key in spec.params:
+            out.append(f"{key} = {spec.params[key]}")
+    out.append(f"offset = {pipe.offsets[spec.name]}")
+    out.append(f"dimension = {pipe.dimensions[spec.name]}")
+    if spec.kind in LEXICAL_KINDS:
+        out.append(f"n_documents = {pipe.vocabularies[spec.name].n_documents}")
+        out.append(f"[vocab:{spec.name}]")
+    elif spec.kind in ("embedding", "liwc", "gender"):
+        out.extend(_resource_lines(pipe.resources, spec.kind))
+    elif spec.kind == "sentiment":
+        provider = pipe.resources.sentiment_provider
+        out.append(f"provider = {provider.kind}")
+        if provider.kind == "builtin":
+            out.append(f"intensity_split = {_fmt(provider.intensity_split)}")
+            for side in ("pos", "neg"):
+                out.extend(_resource_lines(pipe.resources, f"sentiment_{side}", f"{side}_"))
+    return out
+
+
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
 def save_model(model: OvRModel, path: str | Path) -> None:
-    """Write the sectioned text serialization. Fully deterministic."""
+    """Write the sectioned text serialization. Fully deterministic.
+
+    Every line that can raise, a referenced file's provenance, is formatted
+    before the file is opened, so a failed save leaves the path as it was.
+    The header and then each ``[vocab:*]`` and ``[weights:*]`` section are
+    written as soon as they are formatted, so at most one section's lines
+    are held at a time, never the whole file."""
     if model.pipeline is None or not model.pipeline.fitted:
         raise DataError("cannot save a model without a fitted pipeline")
     if model.preprocess is None:
         raise DataError("cannot save a model without preprocessing settings")
     pipe = model.pipeline
     prep = model.preprocess
-    out: list[str] = [MODEL_FORMAT]
-
-    out.append("[meta]")
-    out.append(f"language = {model.language}")
-    out.append("labels = " + ",".join(label.name for label in LABELS))
-    out.append(f"n_train_documents = {model.n_train_documents}")
-    out.append(f"merged_validation = {_bool(model.merged_validation)}")
-    out.append(f"single_class_warning = {_bool(model.single_class_warning)}")
-    out.append(f"total_dimension = {pipe.total_dimension}")
-
-    out.append("[preprocess]")
     clean = prep.clean
-    out.append(f"lowercase = {_bool(clean.lowercase)}")
-    out.append(f"strip_urls = {_bool(clean.strip_urls)}")
-    out.append(f"strip_emails = {_bool(clean.strip_emails)}")
-    out.append(f"strip_numbers = {_bool(clean.strip_numbers)}")
-    out.append(f"minor_stemming = {_bool(clean.minor_stemming)}")
-    out.append("expansions = " + json.dumps(clean.expansions, sort_keys=True, ensure_ascii=False))
-    out.append(f"transliterate = {_bool(prep.transliterate)}")
-    out.append(f"translit_table_version = {prep.translit_table_version}")
-    out.append(f"spell_correct = {_bool(prep.spell_dictionary is not None)}")
+    head = [
+        MODEL_FORMAT,
+        "[meta]",
+        f"language = {model.language}",
+        "labels = " + ",".join(label.name for label in LABELS),
+        f"n_train_documents = {model.n_train_documents}",
+        f"merged_validation = {_bool(model.merged_validation)}",
+        f"single_class_warning = {_bool(model.single_class_warning)}",
+        f"total_dimension = {pipe.total_dimension}",
+        "[preprocess]",
+        f"lowercase = {_bool(clean.lowercase)}",
+        f"strip_urls = {_bool(clean.strip_urls)}",
+        f"strip_emails = {_bool(clean.strip_emails)}",
+        f"strip_numbers = {_bool(clean.strip_numbers)}",
+        f"minor_stemming = {_bool(clean.minor_stemming)}",
+        "expansions = " + json.dumps(clean.expansions, sort_keys=True, ensure_ascii=False),
+        f"transliterate = {_bool(prep.transliterate)}",
+        f"translit_table_version = {prep.translit_table_version}",
+        f"spell_correct = {_bool(prep.spell_dictionary is not None)}",
+    ]
     if prep.spell_dictionary is not None:
-        out.extend(_resource_lines(pipe.resources, "spell_dict", "spell_dict_"))
+        head.extend(_resource_lines(pipe.resources, "spell_dict", "spell_dict_"))
+    head.append("[pipeline]")
+    head.append("blocks = " + ",".join(spec.name for spec in pipe.blocks))
+    blocks = [_block_lines(pipe, spec) for spec in pipe.blocks]
 
-    out.append("[pipeline]")
-    out.append("blocks = " + ",".join(spec.name for spec in pipe.blocks))
-
-    for spec in pipe.blocks:
-        out.append(f"[block:{spec.name}]")
-        out.append(f"kind = {spec.kind}")
-        for key in ("n", "k", "min_df"):
-            if key in spec.params:
-                out.append(f"{key} = {spec.params[key]}")
-        out.append(f"offset = {pipe.offsets[spec.name]}")
-        out.append(f"dimension = {pipe.dimensions[spec.name]}")
-        if spec.kind in LEXICAL_KINDS:
-            vocab = pipe.vocabularies[spec.name]
-            out.append(f"n_documents = {vocab.n_documents}")
-        elif spec.kind in ("embedding", "liwc", "gender"):
-            out.extend(_resource_lines(pipe.resources, spec.kind))
-        elif spec.kind == "sentiment":
-            provider = pipe.resources.sentiment_provider
-            out.append(f"provider = {provider.kind}")
-            if provider.kind == "builtin":
-                out.append(f"intensity_split = {_fmt(provider.intensity_split)}")
-                for side in ("pos", "neg"):
-                    out.extend(_resource_lines(pipe.resources, f"sentiment_{side}", f"{side}_"))
-        if spec.kind in LEXICAL_KINDS:
-            out.append(f"[vocab:{spec.name}]")
-            df = vocab.document_frequency
-            out.extend([f"{escape_field(t)}\t{df[t]}" for t in vocab.terms])
-
-    for label, clf in zip(LABELS, model.classifiers):
-        out.append(f"[weights:{label.name}]")
-        out.append(f"bias = {_fmt(clf.bias)}")
-        out.append(f"reg_lambda = {_fmt(clf.reg_lambda)}")
-        out.append(f"iterations = {clf.iterations}")
-        out.append(f"final_grad_norm = {_fmt(clf.final_grad_norm)}")
-        nonzero = np.flatnonzero(clf.weights)
-        out.append(f"nnz = {nonzero.shape[0]}")
-        # tolist() gives Python ints and floats, so {v!r} is _fmt(v)
-        values = clf.weights[nonzero].astype(np.float64, copy=False).tolist()
-        out.extend([f"{i}\t{v!r}" for i, v in zip(nonzero.tolist(), values)])
-
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(_text(head))
+        for spec, lines in zip(pipe.blocks, blocks):
+            f.write(_text(lines))
+            if spec.kind in LEXICAL_KINDS:
+                vocab = pipe.vocabularies[spec.name]
+                df = vocab.document_frequency
+                f.write("".join([f"{escape_field(t)}\t{df[t]}\n" for t in vocab.terms]))
+        for label, clf in zip(LABELS, model.classifiers):
+            nonzero = np.flatnonzero(clf.weights)
+            f.write(_text([
+                f"[weights:{label.name}]",
+                f"bias = {_fmt(clf.bias)}",
+                f"reg_lambda = {_fmt(clf.reg_lambda)}",
+                f"iterations = {clf.iterations}",
+                f"final_grad_norm = {_fmt(clf.final_grad_norm)}",
+                f"nnz = {nonzero.shape[0]}",
+            ]))
+            # tolist() gives Python ints and floats, so {v!r} is _fmt(v)
+            values = clf.weights[nonzero].astype(np.float64, copy=False).tolist()
+            f.write("".join([f"{i}\t{v!r}\n" for i, v in zip(nonzero.tolist(), values)]))
 
 
 class _SidecarRequired(lexfeatures.SentimentProvider):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import ResourceError
 from .translit import TABLE_VERSION, is_devanagari, transliterate, transliterate_with_count
@@ -144,7 +145,7 @@ class SpellDictionary:
     entries: dict[str, int]
 
     def __post_init__(self) -> None:
-        self._alphabet = sorted({ch for token in self.entries for ch in token})
+        self._alphabet = sorted(set("".join(self.entries)))
         # out-of-dictionary token -> its correction, shared by every call
         self._corrections: dict[str, str] = {}
 
@@ -156,26 +157,46 @@ class SpellDictionary:
 
 
 def load_spell_dictionary(path: str | Path) -> SpellDictionary:
-    """Read a ``token<TAB>count`` dictionary file."""
+    """Read a ``token<TAB>count`` dictionary file. Blank lines are skipped,
+    tokens are lowercased, and the counts of tokens that lowercase alike are
+    summed. Each row is split once and its count parsed in one pass; only
+    the lines of a file with a fault are scanned again, one by one, to name
+    the first offending line."""
     path = Path(path)
     if not path.is_file():
         raise ResourceError(f"spell dictionary not found: {path}")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [line.split("\t") for line in lines if line.strip()]
+    try:
+        counts = [int(count) for _token, count in rows]
+        valid = not counts or min(counts) >= 1
+    except ValueError:  # a row without exactly one tab, or a count int() refuses
+        valid = False
+    if not valid:
+        _raise_first_fault(path, lines)
     entries: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for (token, _count), count in zip(rows, counts):
+        token = token.lower()
+        entries[token] = entries.get(token, 0) + count
+    return SpellDictionary(entries)
+
+
+def _raise_first_fault(path: Path, lines: list[str]) -> NoReturn:
+    """Raise ResourceError for the first row of a spell dictionary that is
+    malformed, has a bad count or a count below 1."""
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise ResourceError(f"{path}: malformed dictionary row at line {lineno}")
-        token, count_str = parts
         try:
-            count = int(count_str)
+            count = int(parts[1])
         except ValueError:
-            raise ResourceError(f"{path}: bad count at line {lineno}: {count_str!r}") from None
+            raise ResourceError(f"{path}: bad count at line {lineno}: {parts[1]!r}") from None
         if count < 1:
             raise ResourceError(f"{path}: count must be >= 1 at line {lineno}")
-        entries[token.lower()] = entries.get(token.lower(), 0) + count
-    return SpellDictionary(entries)
+    raise AssertionError(f"{path}: no faulty row found")
 
 
 def save_spell_dictionary(dictionary: SpellDictionary, path: str | Path) -> None:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
 
-from aggdetect.corpus_io import Corpus, Document, Label, escape_field
+from aggdetect.corpus_io import LABELS, Corpus, Document, Label, escape_field
 from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary
 from aggdetect.kernels import SparseVector
+from aggdetect.model import MODEL_FORMAT, OvRModel
 
 # Three disjoint signal-word families, one per class, plus shared noise.
 SIGNAL_WORDS = {
@@ -85,3 +87,79 @@ def write_embeddings(path: Path, vectors: dict[str, list[float]]) -> Path:
 def write_lines(path: Path, lines: list[str]) -> Path:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
+
+
+def reference_model_text(model: OvRModel) -> str:
+    """The text of a model file formatted the way save_model did before it
+    wrote one section at a time: every line in one list, joined once."""
+    flag = {True: "true", False: "false"}
+    pipe = model.pipeline
+    prep = model.preprocess
+
+    def provenance(key: str, prefix: str = "") -> list[str]:
+        path, sha256 = pipe.resources.provenance[key]
+        return [f"{prefix}path = {path}", f"{prefix}sha256 = {sha256}"]
+
+    out: list[str] = [MODEL_FORMAT]
+    out.append("[meta]")
+    out.append(f"language = {model.language}")
+    out.append("labels = " + ",".join(label.name for label in LABELS))
+    out.append(f"n_train_documents = {model.n_train_documents}")
+    out.append(f"merged_validation = {flag[model.merged_validation]}")
+    out.append(f"single_class_warning = {flag[model.single_class_warning]}")
+    out.append(f"total_dimension = {pipe.total_dimension}")
+
+    out.append("[preprocess]")
+    clean = prep.clean
+    out.append(f"lowercase = {flag[clean.lowercase]}")
+    out.append(f"strip_urls = {flag[clean.strip_urls]}")
+    out.append(f"strip_emails = {flag[clean.strip_emails]}")
+    out.append(f"strip_numbers = {flag[clean.strip_numbers]}")
+    out.append(f"minor_stemming = {flag[clean.minor_stemming]}")
+    out.append("expansions = " + json.dumps(clean.expansions, sort_keys=True, ensure_ascii=False))
+    out.append(f"transliterate = {flag[prep.transliterate]}")
+    out.append(f"translit_table_version = {prep.translit_table_version}")
+    out.append(f"spell_correct = {flag[prep.spell_dictionary is not None]}")
+    if prep.spell_dictionary is not None:
+        out.extend(provenance("spell_dict", "spell_dict_"))
+
+    out.append("[pipeline]")
+    out.append("blocks = " + ",".join(spec.name for spec in pipe.blocks))
+
+    for spec in pipe.blocks:
+        lexical = spec.name in pipe.vocabularies
+        out.append(f"[block:{spec.name}]")
+        out.append(f"kind = {spec.kind}")
+        for key in ("n", "k", "min_df"):
+            if key in spec.params:
+                out.append(f"{key} = {spec.params[key]}")
+        out.append(f"offset = {pipe.offsets[spec.name]}")
+        out.append(f"dimension = {pipe.dimensions[spec.name]}")
+        if lexical:
+            vocab = pipe.vocabularies[spec.name]
+            out.append(f"n_documents = {vocab.n_documents}")
+        elif spec.kind in ("embedding", "liwc", "gender"):
+            out.extend(provenance(spec.kind))
+        elif spec.kind == "sentiment":
+            provider = pipe.resources.sentiment_provider
+            out.append(f"provider = {provider.kind}")
+            if provider.kind == "builtin":
+                out.append(f"intensity_split = {float(provider.intensity_split)!r}")
+                for side in ("pos", "neg"):
+                    out.extend(provenance(f"sentiment_{side}", f"{side}_"))
+        if lexical:
+            out.append(f"[vocab:{spec.name}]")
+            df = vocab.document_frequency
+            out.extend([f"{escape_field(t)}\t{df[t]}" for t in vocab.terms])
+
+    for label, clf in zip(LABELS, model.classifiers):
+        out.append(f"[weights:{label.name}]")
+        out.append(f"bias = {float(clf.bias)!r}")
+        out.append(f"reg_lambda = {float(clf.reg_lambda)!r}")
+        out.append(f"iterations = {clf.iterations}")
+        out.append(f"final_grad_norm = {float(clf.final_grad_norm)!r}")
+        nonzero = np.flatnonzero(clf.weights)
+        out.append(f"nnz = {nonzero.shape[0]}")
+        values = clf.weights[nonzero].astype(np.float64, copy=False).tolist()
+        out.extend([f"{i}\t{v!r}" for i, v in zip(nonzero.tolist(), values)])
+    return "\n".join(out) + "\n"

@@ -10,10 +10,17 @@ import aggdetect
 from aggdetect import cli, featurize
 from aggdetect.cli import main
 from aggdetect.corpus_io import Label, load_corpus, load_predictions
+from aggdetect.errors import ResourceError
 from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline
 from aggdetect.model import load_model, save_model, train_ovr
 
-from helpers import synthetic_documents, write_corpus_tsv, write_embeddings, write_lines
+from helpers import (
+    reference_model_text,
+    synthetic_documents,
+    write_corpus_tsv,
+    write_embeddings,
+    write_lines,
+)
 
 
 @pytest.fixture
@@ -45,10 +52,11 @@ RESOURCE_CONFIG_KEYS = {
 }
 
 
-def write_resource_run(tmp_path):
-    """A corpus, one file of every kind a model references, and a
-    U+W2V+S+LIWC+GP config with spell correction that names them all:
-    ``(corpus_path, config_path, {provenance key: file path})``."""
+def write_resource_run(tmp_path, blocks="U+W2V+S+LIWC+GP", spell_correct=True):
+    """A corpus, one file of every kind a model references, and a config
+    with ``blocks`` (U+W2V+S+LIWC+GP by default) and spell correction that
+    names them all: ``(corpus_path, config_path, {provenance key: file
+    path})``."""
     rows = synthetic_documents(8, seed=17)
     corpus_path = write_corpus_tsv(tmp_path / "train.tsv", rows)
     words = sorted({w for _i, text, _l in rows for w in text.split()})
@@ -63,11 +71,26 @@ def write_resource_run(tmp_path):
         "spell_dict": write_lines(tmp_path / "dict.tsv", [f"{w}\t5" for w in words]),
     }
     config = write_lines(tmp_path / "full.cfg", [
-        "language = english", "blocks = U+W2V+S+LIWC+GP", "min_df = 1", "max_iters = 30",
-        "spell_correct = true",
+        "language = english", f"blocks = {blocks}", "min_df = 1", "max_iters = 30",
+        f"spell_correct = {str(spell_correct).lower()}",
         *(f"{RESOURCE_CONFIG_KEYS[key]} = {path.name}" for key, path in files.items()),
     ])
     return corpus_path, config, files
+
+
+def train_library(corpus_path, config_path):
+    """The model ``train`` writes, built through the library: fit,
+    transform_many, train_ovr."""
+    config = cli.load_run_config(config_path)
+    resources = cli.load_resources(config)
+    settings = cli.build_preprocess_settings(config, resources)
+    corpus = load_corpus(corpus_path, has_labels=True, language=config.language)
+    prepped = cli.preprocess_corpus(corpus, settings)
+    blocks = [FeatureBlockSpec.from_name(name, config.min_df) for name in config.blocks]
+    pipeline = FeaturePipeline(blocks, resources).fit(prepped)
+    return train_ovr(pipeline.transform_many(prepped), [doc.gold for doc in prepped],
+                     config.train, pipeline=pipeline, preprocess=settings,
+                     language=config.language)
 
 
 class TestBuildDict:
@@ -259,18 +282,8 @@ class TestTrain:
         monkeypatch.undo()
 
         # the library path: fit, transform_many, train_ovr, save_model
-        config = cli.load_run_config(config_path)
-        resources = cli.load_resources(config)
-        settings = cli.build_preprocess_settings(config, resources)
-        corpus = load_corpus(corpus_path, has_labels=True, language=config.language)
-        prepped = cli.preprocess_corpus(corpus, settings)
-        blocks = [FeatureBlockSpec.from_name(name, config.min_df) for name in config.blocks]
-        pipeline = FeaturePipeline(blocks, resources).fit(prepped)
-        ovr = train_ovr(pipeline.transform_many(prepped), [doc.gold for doc in prepped],
-                        config.train, pipeline=pipeline, preprocess=settings,
-                        language=config.language)
         library_path = tmp_path / "library.txt"
-        save_model(ovr, library_path)
+        save_model(train_library(corpus_path, config_path), library_path)
         assert model_path.read_bytes() == library_path.read_bytes()
 
     def test_embedding_coverage_only_computed_when_logged(
@@ -596,6 +609,54 @@ class TestReferencedFiles:
         rewritten = tmp_path / "rewritten.txt"
         save_model(model, rewritten)
         assert rewritten.read_bytes() == model_path.read_bytes()
+
+
+    def test_unused_resource_is_not_loaded(self, tmp_path, caplog):
+        """A config whose blocks read no resource trains when the files it
+        names are gone, warns once for each named key, and the model
+        references none of them."""
+        corpus_path, config, files = write_resource_run(tmp_path, blocks="U",
+                                                        spell_correct=False)
+        for path in files.values():
+            path.unlink()
+        model_path = tmp_path / "model.txt"
+        with caplog.at_level("WARNING", logger="aggdetect"):
+            assert run(["--quiet", "train", str(corpus_path), str(model_path),
+                        "--config", str(config)]) == 0
+        for key in RESOURCE_CONFIG_KEYS.values():
+            assert caplog.text.count(f"config key {key!r} names a file that no setting uses") == 1
+        text = model_path.read_text(encoding="utf-8")
+        assert "path = " not in text and "sha256 = " not in text
+        assert load_model(model_path).pipeline.resources.provenance == {}
+
+
+class TestSaveModel:
+    """save_model writes one section at a time."""
+
+    @pytest.mark.parametrize("blocks", ["U+B+BU+C3+C4+C5+SK2+W2V+S+LIWC+GP", "SK2+C4+BU",
+                                        "W2V+GP+U"])
+    @pytest.mark.parametrize("spell_correct", [True, False])
+    def test_bytes_equal_the_one_join_formatting(self, tmp_path, blocks, spell_correct):
+        corpus_path, config, _files = write_resource_run(tmp_path, blocks, spell_correct)
+        model = train_library(corpus_path, config)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        assert path.read_bytes() == reference_model_text(model).encode("utf-8")
+
+    @pytest.mark.parametrize("key", ["spell_dict", "gender"])
+    @pytest.mark.parametrize("existing", [b"an older model\n", None])
+    def test_failed_save_leaves_the_path_as_it_was(self, tmp_path, key, existing):
+        """The spell dictionary's provenance is in the header, and GP's
+        after every vocabulary; neither missing opens the file."""
+        corpus_path, config, _files = write_resource_run(tmp_path)
+        model = train_library(corpus_path, config)
+        del model.pipeline.resources.provenance[key]
+        path = tmp_path / "model.txt"
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(ResourceError, match=f"resource '{key}' has no file provenance"):
+            save_model(model, path)
+        assert (path.read_bytes() if path.exists() else None) == existing
 
 
 class TestHindiEndToEnd:

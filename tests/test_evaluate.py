@@ -183,6 +183,33 @@ class TestRandomBaseline:
         with pytest.raises(DataError, match="mode"):
             random_baseline([Label.NAG], seed=0, trials=1, mode="gaussian")
 
+    @pytest.mark.parametrize("mode", ["uniform", "empirical"])
+    @pytest.mark.parametrize("seed, trials", [(0, 1), (7, 3), (123, 50), (2**31, 250)])
+    @pytest.mark.parametrize("gold", [
+        [Label.NAG, Label.CAG, Label.OAG, Label.OAG, Label.NAG] * 7,
+        [Label.CAG] * 9,
+        [Label.OAG],
+    ])
+    def test_bit_equal_to_the_per_trial_loop(self, gold, seed, trials, mode):
+        assert random_baseline(gold, seed, trials, mode) == per_trial_baseline(
+            gold, seed, trials, mode)
+
+
+def per_trial_baseline(gold, seed, trials, mode):
+    """The loop random_baseline replaced: one confusion matrix and one
+    weighted_f1 per trial, added up in trial order."""
+    g = np.array([int(x) for x in gold], dtype=np.int64)
+    probabilities = np.bincount(g, minlength=3) / g.shape[0] if mode == "empirical" else None
+    total = 0.0
+    for trial in range(trials):
+        rng = np.random.default_rng(seed + trial)
+        if probabilities is None:
+            p = rng.integers(0, 3, size=g.shape[0])
+        else:
+            p = rng.choice(3, size=g.shape[0], p=probabilities)
+        total += weighted_f1(ConfusionMatrix(np.bincount(g * 3 + p, minlength=9).reshape(3, 3)))
+    return total / trials
+
 
 class TestRenderReport:
     def make_report(self, **kwargs):

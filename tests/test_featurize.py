@@ -16,6 +16,7 @@ from aggdetect.featurize import (
     DENSE_KINDS,
     FeatureBlockSpec,
     FeaturePipeline,
+    Vocabulary,
     _segment_norms,
     char_ngrams,
     fit_vocabulary,
@@ -201,6 +202,19 @@ class TestVocabulary:
     def test_indices_lexicographic(self):
         vocab = fit_vocabulary([["zebra", "apple", "mango"]], min_df=1)
         assert vocab.terms == ["apple", "mango", "zebra"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 999, 4096])
+    def test_idf_equals_one_log_per_term(self, n):
+        """Every df in 1..n, each on two terms, in no particular order: the
+        idf computed once per distinct df is bit-equal to math.log per term."""
+        dfs = np.random.default_rng(n).permutation(np.repeat(np.arange(1, n + 1), 2)).tolist()
+        terms = [f"t{i:05d}" for i in range(len(dfs))]
+        vocab = Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)},
+                           document_frequency=dict(zip(terms, dfs)), n_documents=n)
+        reference = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in dfs])
+        assert vocab.idf.dtype == np.float64
+        assert np.array_equal(vocab.idf, reference)
+        assert vocab.idf.tobytes() == reference.tobytes()
 
 
 def as_dict(indices, values):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -626,6 +627,40 @@ class TestPersistence:
         lexicon_path.write_text("_intercept\t9.9\n", encoding="utf-8")  # tamper
         with pytest.raises(ResourceError, match="checksum mismatch"):
             load_model(path)
+
+
+def test_save_model_peak_memory_stays_below_three_times_the_file_size(tmp_path):
+    """save_model holds one section's lines at a time, never the whole
+    file: about 1.9x its size on a model shaped like a trained one (two
+    vocabularies, three classes' weights of similar size), where joining
+    every line at once held 6.2x."""
+    rng = np.random.default_rng(5)
+    vocabularies = {}
+    for name, length in (("U", 6), ("C3", 3)):
+        letters = rng.integers(97, 123, size=(12_000, length)).astype(np.uint32)
+        terms = sorted(set(letters.view(f"U{length}").ravel().tolist()))
+        df = rng.integers(1, 800, size=len(terms)).tolist()
+        vocabularies[name] = Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)},
+                                        document_frequency=dict(zip(terms, df)),
+                                        n_documents=800)
+    pipeline = FeaturePipeline([FeatureBlockSpec.from_name(n) for n in vocabularies])
+    pipeline.restore(vocabularies)
+    dim = pipeline.total_dimension
+    model = OvRModel(
+        classifiers=[BinaryLogReg(weights=rng.normal(size=dim) * (rng.random(dim) < 0.8),
+                                  bias=0.5, reg_lambda=1.0) for _label in Label],
+        pipeline=pipeline,
+        preprocess=PreprocessSettings(clean=CleanConfig()),
+    )
+    path = tmp_path / "model.txt"
+    save_model(model, path)  # any one-time allocations happen here
+    tracemalloc.start()
+    try:
+        save_model(model, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aggdetect import preprocess, translit
+from aggdetect.errors import ResourceError
 from aggdetect.preprocess import (
     CleanConfig,
     PreprocessSettings,
@@ -166,11 +168,29 @@ class TestSpellDictionaryIO:
         loaded = load_spell_dictionary(path)
         assert loaded.entries == d.entries
 
-    def test_rejects_bad_rows(self, tmp_path):
+    def test_rows_that_lowercase_alike_are_summed(self, tmp_path):
         path = tmp_path / "dict.tsv"
-        path.write_text("dog\tfive\n", encoding="utf-8")
-        with pytest.raises(Exception, match="line 1"):
-            load_spell_dictionary(path)
+        path.write_text("Dog\t2\n\ncat\t1\n \t \nDOG\t3\ndog\t+4\nCat\t 1\n", encoding="utf-8")
+        loaded = load_spell_dictionary(path)
+        assert list(loaded.entries.items()) == [("dog", 9), ("cat", 2)]
+
+    def test_rejects_bad_rows(self, tmp_path):
+        """The first faulty row is named, also after rows that differ only
+        in case, which the loader merges."""
+        path = tmp_path / "dict.tsv"
+        for text, message in [
+            ("dog\tfive\n", "bad count at line 1: 'five'"),
+            ("dog\n", "malformed dictionary row at line 1"),
+            ("dog\t1\t2\n", "malformed dictionary row at line 1"),
+            ("dog\t0\n", "count must be >= 1 at line 1"),
+            ("Dog\t2\ndog\t3\n\nDOG\tx\ncat\t0\n", "bad count at line 4: 'x'"),
+            ("Dog\t2\ndOg\t3\nDOG\t-1\ncat\tx\n", "count must be >= 1 at line 3"),
+            ("Dog\t2\ndog\t3\n  \ndog\n", "malformed dictionary row at line 4"),
+            ("cat\t1\nCat\t\n", "bad count at line 2: ''"),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ResourceError, match=re.escape(f"{path}: {message}")):
+                load_spell_dictionary(path)
 
 
 class TestPreprocessSettings:
