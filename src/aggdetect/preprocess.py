@@ -10,12 +10,13 @@ relies on (a cleaned corpus can safely be cleaned again).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
 
 from .errors import ResourceError
-from .translit import TABLE_VERSION, is_devanagari, transliterate, transliterate_with_count
+from .translit import DEVANAGARI_RE, TABLE_VERSION, transliterate_with_count
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _EMAIL_RE = re.compile(r"[\w.+-]+@[\w-]+\.[\w.-]+")
@@ -140,12 +141,20 @@ def clean_text(text: str, config: CleanConfig | None = None) -> str:
 
 @dataclass
 class SpellDictionary:
-    """Token -> frequency map used for distance-1 spell correction."""
+    """Token -> frequency map used for distance-1 spell correction.
+
+    Construction also builds the search index of :func:`spell_correct`:
+    the alphabet of the entries, the entries in sorted order, and the
+    reversed entries in sorted order. ``entries`` must not change after
+    construction, or the index and the remembered corrections go stale.
+    """
 
     entries: dict[str, int]
 
     def __post_init__(self) -> None:
         self._alphabet = sorted(set("".join(self.entries)))
+        self._forward = sorted(self.entries)
+        self._backward = sorted(entry[::-1] for entry in self.entries)
         # out-of-dictionary token -> its correction, shared by every call
         self._corrections: dict[str, str] = {}
 
@@ -204,34 +213,57 @@ def save_spell_dictionary(dictionary: SpellDictionary, path: str | Path) -> None
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def _edits1(token: str, alphabet: list[str]) -> set[str]:
-    # Damerau-style single edits: deletes, adjacent transposes, replaces,
-    # inserts. Transpositions count as one edit, matching how misspellings
-    # like "dgo" are expected to resolve to "dog".
-    splits = [(token[:i], token[i:]) for i in range(len(token) + 1)]
-    edits = {left + right[1:] for left, right in splits if right}
-    edits.update(
-        left + right[1] + right[0] + right[2:] for left, right in splits if len(right) > 1
-    )
-    for left, right in splits:
-        for ch in alphabet:
-            edits.add(left + ch + right)
-            if right:
-                edits.add(left + ch + right[1:])
-    edits.discard(token)
-    return edits
+def _reach(token: str, ordered: list[str]) -> int:
+    """The length of the longest prefix of ``token`` that begins some string
+    of the sorted, non-empty list ``ordered``."""
+    lo = 0
+    for i in range(1, len(token) + 1):
+        prefix = token[:i]
+        lo = bisect_left(ordered, prefix, lo)
+        if lo == len(ordered) or not ordered[lo].startswith(prefix):
+            return i - 1
+    return len(token)
+
+
+def _candidates(token: str, dictionary: SpellDictionary) -> set[str]:
+    """The entries one delete, adjacent transpose, insert or replace away
+    from ``token``. An insert or a replace at position i keeps ``token[:i]``
+    as the head of the edit and the rest of the token as its tail, so the
+    alphabet is tried only where that head begins some entry and that tail
+    ends one."""
+    entries = dictionary.entries
+    if not entries:
+        return set()
+    n = len(token)
+    head = _reach(token, dictionary._forward)
+    tail = _reach(token[::-1], dictionary._backward)
+    alphabet = dictionary._alphabet
+    edits = [token[:i] + token[i + 1:] for i in range(n)]
+    edits += [token[:i] + token[i + 1] + token[i] + token[i + 2:] for i in range(n - 1)]
+    for i in range(max(0, n - tail), head + 1):  # inserts before token[i]
+        left, right = token[:i], token[i:]
+        edits += [left + ch + right for ch in alphabet]
+    for i in range(max(0, n - 1 - tail), min(head, n - 1) + 1):  # replaces of token[i]
+        left, right = token[:i], token[i + 1:]
+        edits += [left + ch + right for ch in alphabet]
+    found = {edit for edit in edits if edit in entries}
+    found.discard(token)
+    return found
 
 
 def spell_correct(tokens: list[str], dictionary: SpellDictionary) -> list[str]:
     """Correct out-of-dictionary tokens to their best distance-1 neighbor.
 
-    In-dictionary tokens are never changed.  Candidates are ranked by
+    In-dictionary tokens are never changed.  A token's candidates are the
+    entries one delete, adjacent transpose, insert or replace away (Norvig's
+    distance-1 edits); inserts and replaces are tried only at the positions
+    where the dictionary's sorted index shows an entry can start with the
+    token's head and end with its tail.  Candidates are ranked by
     dictionary frequency, ties broken lexicographically; tokens with no
     candidate stay as they are.  Corrections are remembered on the
     dictionary, so each distinct token is corrected once.
     """
     entries = dictionary.entries
-    alphabet = dictionary._alphabet
     corrected: list[str] = []
     cache = dictionary._corrections
     for token in tokens:
@@ -241,7 +273,7 @@ def spell_correct(tokens: list[str], dictionary: SpellDictionary) -> list[str]:
         if token in cache:
             corrected.append(cache[token])
             continue
-        candidates = [edit for edit in _edits1(token, alphabet) if edit in entries]
+        candidates = _candidates(token, dictionary)
         if candidates:
             best = min(candidates, key=lambda c: (-entries[c], c))
         else:
@@ -261,17 +293,15 @@ class PreprocessSettings:
     translit_table_version: int = TABLE_VERSION
 
     def apply(self, text: str) -> str:
-        if self.transliterate and any(is_devanagari(ch) for ch in text):
-            text = transliterate(text)
-        text = clean_text(text, self.clean)
-        if self.spell_dictionary is not None and text:
-            text = " ".join(spell_correct(text.split(" "), self.spell_dictionary))
-        return text
+        return self._apply(text)[0]
 
     def apply_with_stats(self, text: str) -> tuple[str, int]:
         """Like :meth:`apply` but also reports unknown-Devanagari count."""
+        return self._apply(text)
+
+    def _apply(self, text: str) -> tuple[str, int]:
         unknown = 0
-        if self.transliterate and any(is_devanagari(ch) for ch in text):
+        if self.transliterate and DEVANAGARI_RE.search(text):
             text, unknown = transliterate_with_count(text)
         text = clean_text(text, self.clean)
         if self.spell_dictionary is not None and text:

@@ -14,10 +14,14 @@ saved models can detect a transliteration drift.
 
 from __future__ import annotations
 
+import re
+
 TABLE_VERSION = 1
 
 _DEVANAGARI_LO = 0x0900
 _DEVANAGARI_HI = 0x097F
+# One search tells whether a text holds any Devanagari character.
+DEVANAGARI_RE = re.compile(f"[{chr(_DEVANAGARI_LO)}-{chr(_DEVANAGARI_HI)}]")
 
 # Independent vowels and other self-contained signs.
 INDEPENDENT = {

@@ -11,6 +11,7 @@ from aggdetect.corpus_io import LABELS, Corpus, Document, Label, escape_field
 from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary
 from aggdetect.kernels import SparseVector
 from aggdetect.model import MODEL_FORMAT, OvRModel
+from aggdetect.preprocess import SpellDictionary
 
 # Three disjoint signal-word families, one per class, plus shared noise.
 SIGNAL_WORDS = {
@@ -53,6 +54,41 @@ def block_row(name: str, terms: list[str], vocab: Vocabulary) -> tuple[np.ndarra
     pipeline = FeaturePipeline([FeatureBlockSpec.from_name(name, min_df=1)])
     pipeline.restore({name: vocab})
     return pipeline.transform(Document(id="d", text=" ".join(terms))).to_arrays()
+
+
+def edits1(token: str, alphabet: list[str]) -> set[str]:
+    """Every string one Damerau-style edit away from ``token`` (deletes,
+    adjacent transposes, replaces and inserts over ``alphabet``), built in
+    full as Norvig's corrector does: the reference for spell correction."""
+    splits = [(token[:i], token[i:]) for i in range(len(token) + 1)]
+    edits = {left + right[1:] for left, right in splits if right}
+    edits.update(
+        left + right[1] + right[0] + right[2:] for left, right in splits if len(right) > 1
+    )
+    for left, right in splits:
+        for ch in alphabet:
+            edits.add(left + ch + right)
+            if right:
+                edits.add(left + ch + right[1:])
+    edits.discard(token)
+    return edits
+
+
+def reference_candidates(token: str, dictionary: SpellDictionary) -> set[str]:
+    """The entries among all of ``token``'s single edits."""
+    return {edit for edit in edits1(token, dictionary._alphabet) if edit in dictionary.entries}
+
+
+def reference_spell_correct(tokens: list[str], dictionary: SpellDictionary) -> list[str]:
+    """Spell correction by generating every single edit and keeping the
+    entries, with no memo: each token ranked by ``(-frequency, term)``."""
+    entries = dictionary.entries
+    corrected = []
+    for token in tokens:
+        candidates = [] if token in entries else reference_candidates(token, dictionary)
+        corrected.append(min(candidates, key=lambda c: (-entries[c], c)) if candidates
+                         else token)
+    return corrected
 
 
 def write_corpus(corpus: Corpus, path: Path) -> None:

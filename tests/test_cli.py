@@ -2,12 +2,13 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import aggdetect
-from aggdetect import cli, featurize
+from aggdetect import cli, featurize, preprocess
 from aggdetect.cli import main
 from aggdetect.corpus_io import Label, load_corpus, load_predictions
 from aggdetect.errors import ResourceError
@@ -15,6 +16,7 @@ from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline
 from aggdetect.model import load_model, save_model, train_ovr
 
 from helpers import (
+    reference_candidates,
     reference_model_text,
     synthetic_documents,
     write_corpus_tsv,
@@ -705,6 +707,56 @@ class TestHindiEndToEnd:
         assert predictions["t1"] == Label.NAG
         assert predictions["t2"] == Label.CAG
         assert predictions["t3"] == Label.OAG
+
+
+class TestSpellCorrectionEndToEnd:
+    @staticmethod
+    def misspell(word: str, k: int) -> str:
+        """``word`` with one of four single edits or a double one, chosen by
+        ``k``, or as it is."""
+        return [word[1] + word[0] + word[2:], word[1:], word[:2] + "x" + word[2:],
+                word[:-1] + "q", word + "zz", word][k % 6]
+
+    def test_outputs_equal_the_brute_force_search(self, tmp_path, monkeypatch):
+        """Training and prediction through the reach-pruned candidate search
+        write the same model bytes and predictions as through the reference
+        that generates every single edit."""
+        rows = synthetic_documents(10, seed=23)
+        words = sorted({w for _i, text, _l in rows for w in text.split()})
+        dict_path = write_lines(tmp_path / "dict.tsv",
+                                [f"{w}\t{1 + i % 4}" for i, w in enumerate(words)])
+
+        def typos(doc_rows, shift):
+            return [(doc_id, " ".join(self.misspell(w, k + shift)
+                                      for k, w in enumerate(text.split())), label)
+                    for doc_id, text, label in doc_rows]
+
+        corpus_path = write_corpus_tsv(tmp_path / "train.tsv", typos(rows, 0))
+        test_path = write_corpus_tsv(tmp_path / "test.tsv",
+                                     typos(synthetic_documents(6, seed=29), 2))
+        config = write_lines(tmp_path / "run.cfg", [
+            "language = english", "blocks = U+C3", "min_df = 1", "max_iters = 30",
+            "spell_correct = true", f"spell_dict = {dict_path.name}",
+        ])
+
+        def train_and_predict(name):
+            model_path, out = tmp_path / f"{name}.model", tmp_path / f"{name}.tsv"
+            assert run(["train", str(corpus_path), str(model_path),
+                        "--config", str(config)]) == 0
+            assert run(["predict", str(model_path), str(test_path), str(out)]) == 0
+            return model_path.read_bytes(), out.read_bytes()
+
+        pruned = train_and_predict("pruned")
+        corrections = Counter()
+
+        def counting_reference(token, dictionary):
+            found = reference_candidates(token, dictionary)
+            corrections[bool(found)] += 1
+            return found
+
+        monkeypatch.setattr(preprocess, "_candidates", counting_reference)
+        assert train_and_predict("reference") == pruned
+        assert corrections[True] > 20 and corrections[False] > 0
 
 
 class TestCsvFormat:

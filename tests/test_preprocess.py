@@ -2,7 +2,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aggdetect import preprocess, translit
 from aggdetect.errors import ResourceError
@@ -15,6 +15,8 @@ from aggdetect.preprocess import (
     save_spell_dictionary,
     spell_correct,
 )
+
+from helpers import edits1, reference_candidates, reference_spell_correct
 
 
 class TestCleanText:
@@ -141,13 +143,13 @@ class TestSpellCorrect:
 
     def test_corrections_remembered_across_documents(self, monkeypatch):
         calls = Counter()
-        edits1 = preprocess._edits1
+        candidates = preprocess._candidates
 
-        def counting_edits1(token, alphabet):
+        def counting_candidates(token, dictionary):
             calls[token] += 1
-            return edits1(token, alphabet)
+            return candidates(token, dictionary)
 
-        monkeypatch.setattr(preprocess, "_edits1", counting_edits1)
+        monkeypatch.setattr(preprocess, "_candidates", counting_candidates)
         entries = {"dog": 5, "dig": 2, "hate": 4}
         d = SpellDictionary(dict(entries))
         documents = [["dgo", "hbte", "zzzz"], ["zzzz", "dgo", "dog"], ["dg", "hbte", "dgo"]]
@@ -158,6 +160,46 @@ class TestSpellCorrect:
         # the memo is not part of the dictionary's value
         assert d == SpellDictionary(dict(entries))
         assert repr(d) == repr(SpellDictionary(dict(entries)))
+
+
+# A small alphabet mixing ASCII, Devanagari and emoji, so that entries share
+# heads and tails and edits often land on one; tokens may also hold
+# characters no entry has.
+SPELL_CHARS = "ab\u0915\u094d\U0001F600"
+OUTSIDE_CHARS = "z\u00e9"
+
+
+@st.composite
+def dictionary_and_tokens(draw):
+    """Entries of up to 5 characters (the empty entry included) and tokens
+    of up to 8: free text, or one edit away from an entry."""
+    entries = draw(st.dictionaries(st.text(SPELL_CHARS, max_size=5), st.integers(1, 4),
+                                   max_size=12))
+    free = st.text(SPELL_CHARS + OUTSIDE_CHARS, max_size=8)
+    near = st.sampled_from(sorted(entries)).flatmap(
+        lambda entry: st.sampled_from(sorted(edits1(entry, list(SPELL_CHARS + OUTSIDE_CHARS)))))
+    tokens = draw(st.lists(st.one_of(free, near) if entries else free, max_size=10))
+    return entries, tokens
+
+
+class TestSpellCandidates:
+    """The reach-pruned search against the brute-force reference that
+    generates every single edit and keeps the entries."""
+
+    @given(dictionary_and_tokens())
+    @example(({}, ["", "a", "ab"]))  # empty dictionary
+    @example(({"": 5, "a": 1, "b": 2}, ["", "a", "ab", "z"]))  # the empty entry and token
+    @example(({"aa": 1, "aab": 2, "ba": 3}, ["aa", "aaa", "aba", "a"]))  # repeated letters
+    @example(({"ab": 1}, ["abababab", "zab", "a\u00e9b"]))  # long tokens, outside letters
+    @settings(max_examples=400)
+    def test_candidates_and_corrections_equal_the_reference(self, case):
+        entries, tokens = case
+        d = SpellDictionary(dict(entries))
+        for token in tokens:
+            assert preprocess._candidates(token, d) == reference_candidates(token, d)
+        expected = reference_spell_correct(tokens, d)
+        assert spell_correct(tokens, d) == expected
+        assert spell_correct(tokens, d) == expected  # answered from the memo
 
 
 class TestSpellDictionaryIO:
@@ -208,3 +250,16 @@ class TestPreprocessSettings:
             spell_dictionary=SpellDictionary({"dog": 3, "you": 1}),
         )
         assert settings.apply("DGO u") == "dog you"
+
+    @given(st.lists(st.sampled_from(["OK", "क्या", "chalak", "ॾ", "u", "DGO", "बात", "x1",
+                                     "visit http://x.co", "क", "", "dogs"]), max_size=8))
+    def test_apply_and_apply_with_stats_agree(self, words):
+        text = " ".join(words)
+        hindi = PreprocessSettings(clean=CleanConfig.for_language("hindi"), transliterate=True)
+        english = PreprocessSettings(
+            clean=CleanConfig(), spell_dictionary=SpellDictionary({"dog": 3, "you": 1})
+        )
+        for prep in (hindi, english):
+            unknown = text.count("ॾ") if prep.transliterate else 0
+            assert prep.apply_with_stats(text) == (prep.apply(text), unknown)
+        assert hindi.apply(text) == clean_text(translit.transliterate(text), hindi.clean)
