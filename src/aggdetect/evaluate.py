@@ -146,14 +146,12 @@ class EvalReport:
     accuracy: float
     support: dict[Label, int]
     baseline_weighted_f1: float | None = None
-    top_features: dict[Label, list[tuple[str, float]]] | None = None
 
 
 def build_report(
     gold: Sequence[Label],
     pred: Sequence[Label],
     baseline_weighted_f1: float | None = None,
-    top_features: dict[Label, list[tuple[str, float]]] | None = None,
 ) -> EvalReport:
     matrix = confusion(gold, pred)
     prf = {lab: class_prf(matrix, lab) for lab in LABELS}
@@ -167,7 +165,6 @@ def build_report(
         accuracy=accuracy(matrix),
         support={lab: matrix.support(lab) for lab in LABELS},
         baseline_weighted_f1=baseline_weighted_f1,
-        top_features=top_features,
     )
 
 
@@ -213,8 +210,8 @@ def _confusion_svg(matrix: ConfusionMatrix) -> str:
 
 
 def render_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
-    """Write metrics.tsv, confusion.tsv, confusion.svg, and (when present)
-    top_features.tsv into ``out_dir``. Returns the written paths."""
+    """Write metrics.tsv, confusion.tsv and confusion.svg into ``out_dir``.
+    Returns the written paths."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,13 +246,4 @@ def render_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     svg_path = out_dir / "confusion.svg"
     svg_path.write_text(_confusion_svg(report.matrix), encoding="utf-8")
     written.append(svg_path)
-
-    if report.top_features is not None:
-        top_path = out_dir / "top_features.tsv"
-        rows = ["class\trank\tfeature\tweight"]
-        for lab in LABELS:
-            for rank, (name, weight) in enumerate(report.top_features.get(lab, []), start=1):
-                rows.append(f"{lab.name}\t{rank}\t{name}\t{weight:.6f}")
-        top_path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
-        written.append(top_path)
     return written

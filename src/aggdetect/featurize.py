@@ -39,7 +39,7 @@ import unicodedata
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -172,17 +172,6 @@ def _fit_counts(
         n_documents=n_documents,
     )
     return vocab, remap
-
-
-def fit_vocabulary(corpus_terms: Iterable[Sequence[str]], min_df: int = 1) -> Vocabulary:
-    """Build a vocabulary over terms with document frequency >= min_df."""
-    pid: defaultdict[str, int] = defaultdict(itertools.count().__next__)
-    ids: list[int] = []
-    n_documents = 0
-    for terms in corpus_terms:
-        ids += map(pid.__getitem__, set(terms))
-        n_documents += 1
-    return _fit_counts(list(pid), np.array(ids, dtype=np.intp), n_documents, min_df)[0]
 
 
 def _segment_norms(weights: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
@@ -517,7 +506,7 @@ class FeaturePipeline:
             entries = slice(runs[0], runs[-1])
             indices[entries], data[entries] = self._weigh_rows(ids[entries], values[entries],
                                                                lengths)
-        return SparseMatrix(self.total_dimension, indptr, indices, data)
+        return SparseMatrix._trusted(self.total_dimension, indptr, indices, data)
 
     def _weigh_rows(
         self, ids: np.ndarray, values: np.ndarray, lengths: np.ndarray

@@ -2,11 +2,13 @@
 matrix types, CSR matrix products, the stable sigmoid, and the
 logistic-loss sum.
 
-A :class:`SparseVector` is one CSR row; a :class:`SparseMatrix` is a batch
-of rows in one ``(indptr, indices, data)`` triple, which the featurizer
-builds directly.  ``csr()`` gives either one's arrays without copying, and
-:func:`stack_csr` gives them for a SparseMatrix or stacks a sequence of
-SparseVectors.
+A :class:`SparseMatrix` is the one batch type from the featurizer to the
+solver and the scorer: rows in one ``(indptr, indices, data)`` triple.
+A :class:`SparseVector` is one row; its ``csr()`` is that row as a
+one-row SparseMatrix, not copied.  The public constructors check their
+arrays, since a bad index makes the products below read or write out of
+bounds; the featurizer and the row views build through ``_trusted``,
+which neither checks nor copies.
 
 The two CSR products run in scipy's compiled sparse code: each call wraps
 the caller's ``(indptr, indices, data)`` as a ``scipy.sparse.csr_array``
@@ -25,8 +27,38 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 
-# (indptr, indices, data, dim): a batch's CSR arrays and its column count
-CSR = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+def _int64(name: str, values) -> np.ndarray:
+    """``values`` as a 1-d int64 array, refusing non-integer entries; an
+    empty sequence is accepted whatever its dtype."""
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array")
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
+def _check_csr(dimension: int, indptr: np.ndarray, indices: np.ndarray,
+               data: np.ndarray) -> None:
+    """Raise ValueError unless the int64 ``indptr`` and ``indices`` and the
+    1-d ``data`` are CSR rows over ``dimension`` columns: ``indptr`` starts
+    at 0, does not decrease and ends at ``len(indices) == len(data)``, and
+    each row's indices are strictly increasing and in ``[0, dimension)``."""
+    if data.ndim != 1 or data.shape != indices.shape:
+        raise ValueError("indices and data must be 1-d arrays of one length")
+    nnz = indices.shape[0]
+    if indptr.shape[0] == 0 or indptr[0] != 0 or indptr[-1] != nnz:
+        raise ValueError(f"indptr must run from 0 to the {nnz} stored entries")
+    if (np.diff(indptr) < 0).any():
+        raise ValueError("indptr must not decrease")
+    row_start = np.zeros(nnz, dtype=bool)
+    row_start[indptr[:-1][indptr[:-1] < nnz]] = True
+    if ((np.diff(indices) <= 0) & ~row_start[1:]).any():
+        raise ValueError("indices must be strictly increasing within each row")
+    out_of_range = (indices < 0) | (indices >= dimension)
+    if out_of_range.any():
+        raise ValueError(f"index out of range: {indices[out_of_range][0]}")
 
 
 @dataclass
@@ -40,18 +72,12 @@ class SparseVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.indices = _int64("indices", self.indices)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.indices.ndim != 1 or self.indices.shape != self.values.shape:
-            raise ValueError("indices and values must be 1-d arrays of one length")
-        if not self.values.all():
+        if self.values.shape == self.indices.shape and not self.values.all():
             keep = self.values != 0.0
             self.indices, self.values = self.indices[keep], self.values[keep]
-        if (np.diff(self.indices) <= 0).any():
-            raise ValueError("indices must be strictly increasing")
-        out_of_range = (self.indices < 0) | (self.indices >= self.dimension)
-        if out_of_range.any():
-            raise ValueError(f"index out of range: {self.indices[out_of_range][0]}")
+        _check_csr(self.dimension, np.array([0, len(self.indices)]), self.indices, self.values)
 
     @classmethod
     def _trusted(cls, dimension: int, indices: np.ndarray, values: np.ndarray) -> "SparseVector":
@@ -63,9 +89,10 @@ class SparseVector:
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.indices, self.values
 
-    def csr(self) -> CSR:
-        """This row as a one-row CSR matrix; the arrays are not copied."""
-        return np.array([0, len(self)], dtype=np.int64), self.indices, self.values, self.dimension
+    def csr(self) -> "SparseMatrix":
+        """This row as a one-row SparseMatrix; the arrays are not copied."""
+        return SparseMatrix._trusted(self.dimension, np.array([0, len(self)], dtype=np.int64),
+                                     self.indices, self.values)
 
     def __len__(self) -> int:
         return self.indices.shape[0]
@@ -73,16 +100,27 @@ class SparseVector:
 
 class SparseMatrix(SequenceABC):
     """A batch of CSR rows over one dimension: int64 ``indptr`` (one entry
-    more than rows), int64 ``indices`` strictly increasing within each row,
-    and float64 ``data``.  It is also a sequence of :class:`SparseVector`
-    rows, each a view into the arrays."""
+    more than rows), int64 ``indices`` strictly increasing within each row
+    and in ``[0, dimension)``, and float64 ``data``.  It is also a sequence
+    of :class:`SparseVector` rows, each a view into the arrays.
 
-    def __init__(self, dimension: int, indptr: np.ndarray, indices: np.ndarray,
-                 data: np.ndarray) -> None:
-        self.dimension = dimension
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
+    The constructor checks that form and raises ValueError on a fault.
+    Arrays that are already int64 and float64 are kept, not copied."""
+
+    def __init__(self, dimension: int, indptr, indices, data) -> None:
+        indptr, indices = _int64("indptr", indptr), _int64("indices", indices)
+        data = np.asarray(data, dtype=np.float64)
+        _check_csr(dimension, indptr, indices, data)
+        self.dimension, self.indptr, self.indices, self.data = dimension, indptr, indices, data
+
+    @classmethod
+    def _trusted(cls, dimension: int, indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray) -> "SparseMatrix":
+        """A matrix built already in that form: no checks, no copies."""
+        matrix = object.__new__(cls)
+        matrix.dimension, matrix.indptr = dimension, indptr
+        matrix.indices, matrix.data = indices, data
+        return matrix
 
     def __len__(self) -> int:
         return self.indptr.shape[0] - 1
@@ -101,10 +139,6 @@ class SparseMatrix(SequenceABC):
         for start, end in zip(bounds, bounds[1:]):
             yield SparseVector._trusted(self.dimension, self.indices[start:end],
                                         self.data[start:end])
-
-    def csr(self) -> CSR:
-        """The matrix's own arrays, not copies."""
-        return self.indptr, self.indices, self.data, self.dimension
 
 
 def active_backend() -> str:
@@ -140,19 +174,9 @@ def logistic_loss_sum(z, y):
     return float(np.sum(np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))))
 
 
-def stack_csr(vectors) -> CSR:
-    """CSR arrays (indptr, indices, data, dim) of a batch. A SparseMatrix
-    gives its own arrays, not copies. A sequence of SparseVectors, each
-    already one CSR row, is stacked: indptr is the running sum of the row
-    lengths, and indices and data are the rows concatenated in order."""
-    if isinstance(vectors, SparseMatrix):
-        return vectors.csr()
-    dims = {v.dimension for v in vectors}
-    if len(dims) > 1:
-        raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
-    dim = dims.pop() if dims else 0
-    indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
-    np.cumsum([len(v) for v in vectors], out=indptr[1:])
-    indices = np.concatenate([v.indices for v in vectors] or [np.zeros(0, dtype=np.int64)])
-    data = np.concatenate([v.values for v in vectors] or [np.zeros(0)])
-    return indptr, indices, data, dim
+def stack_csr(matrix: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The matrix's own ``(indptr, indices, data, dimension)``, not copies.
+    Nothing in the package calls it: the solver and the scorer read a
+    SparseMatrix's arrays directly. It stays because the benchmark's
+    tracer wraps it by name."""
+    return matrix.indptr, matrix.indices, matrix.data, matrix.dimension

@@ -26,9 +26,6 @@ import numpy as np
 from .errors import DataError, ResourceError
 from .preprocess import load_spell_dictionary
 
-SENTIMENT_CLASSES = ("very_negative", "negative", "neutral", "positive", "very_positive")
-
-
 @dataclass
 class EmbeddingTable:
     vectors: dict[str, np.ndarray]

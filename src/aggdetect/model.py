@@ -1,18 +1,19 @@
 """One-vs-rest L2-regularized logistic regression.
 
 Each class gets its own binary classifier, trained by full-batch L-BFGS
-with Armijo backtracking from zero initialization on one CSR stack of the
-training vectors shared by all classes; nothing is random, so training
-is fully deterministic.  The objective per binary problem is
+with Armijo backtracking from zero initialization on the training
+SparseMatrix, shared as it is by all classes; nothing is random, so
+training is fully deterministic.  The objective per binary problem is
 
     J(w, b) = (1/m) * sum_i xent(sigmoid(w.x_i + b), y_i)
               + (lambda / 2m) * ||w||^2
 
 with the bias unregularized; :func:`objective` and :func:`gradient`
-compute J and its gradient on CSR arrays.  Prediction takes the class
+compute J and its gradient on a SparseMatrix.  Prediction takes the class
 with the highest decision value w.x + b; exact ties resolve to the
-earlier label in NAG < CAG < OAG order.  Single documents and batches
-are scored by the same kernel, so they get bit-identical scores.
+earlier label in NAG < CAG < OAG order.  A single document is scored as
+the one-row SparseMatrix of its ``csr()``, by the kernel that scores a
+batch, so both get bit-identical scores.
 
 Model files are versioned, sectioned UTF-8 text.  Vocabularies and all
 weights are embedded; embeddings and lexicons are referenced by absolute
@@ -48,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels, lexfeatures
-from .kernels import CSR, SparseMatrix, SparseVector
+from .kernels import SparseMatrix, SparseVector
 from .corpus_io import LABELS, Label, escape_field, unescape_field
 from .errors import DataError, ResourceError
 from .featurize import (
@@ -95,25 +96,24 @@ class BinaryLogReg:
 
 
 def objective(
-    csr: CSR, y: np.ndarray, w: np.ndarray, b: float, reg_lambda: float
+    X: SparseMatrix, y: np.ndarray, w: np.ndarray, b: float, reg_lambda: float
 ) -> tuple[float, np.ndarray]:
-    """J(w, b) on the CSR stack of the examples, and the scores
-    z = Xw + b it was computed from."""
-    indptr, indices, data, _dim = csr
-    z = kernels.csr_matvec(indptr, indices, data, w) + b
+    """J(w, b) on the examples ``X``, and the scores z = Xw + b it was
+    computed from."""
+    z = kernels.csr_matvec(X.indptr, X.indices, X.data, w) + b
     m = y.shape[0]
     return kernels.logistic_loss_sum(z, y) / m + 0.5 * reg_lambda * float(w @ w) / m, z
 
 
 def gradient(
-    csr: CSR, y: np.ndarray, w: np.ndarray, z: np.ndarray, reg_lambda: float
+    X: SparseMatrix, y: np.ndarray, w: np.ndarray, z: np.ndarray, reg_lambda: float
 ) -> tuple[np.ndarray, float]:
     """Gradient of J at (w, b), from the scores z that :func:`objective`
     returned there."""
-    indptr, indices, data, dim = csr
     m = y.shape[0]
     r = kernels.sigmoid(z) - y
-    gw = kernels.csr_rmatvec(indptr, indices, data, r, dim) / m + (reg_lambda / m) * w
+    rmatvec = kernels.csr_rmatvec(X.indptr, X.indices, X.data, r, X.dimension)
+    gw = rmatvec / m + (reg_lambda / m) * w
     return gw, float(r.mean())
 
 
@@ -135,8 +135,9 @@ def _lbfgs_direction(
     return q
 
 
-def train_binary(csr: CSR, y: Sequence[int], config: TrainConfig | None = None) -> BinaryLogReg:
-    """Train one binary classifier on the CSR stack of its examples by
+def train_binary(X: SparseMatrix, y: Sequence[int],
+                 config: TrainConfig | None = None) -> BinaryLogReg:
+    """Train one binary classifier on its examples ``X`` by
     L-BFGS (Liu & Nocedal 1989) over the vector (w, b).
 
     Deterministic: zero initialization, full-batch gradients, the last
@@ -153,19 +154,19 @@ def train_binary(csr: CSR, y: Sequence[int], config: TrainConfig | None = None) 
     "line_search" instead of taking steps that do not move.
     """
     config = config or TrainConfig()
-    indptr, _indices, data, dim = csr
+    dim = X.dimension
     y_arr = np.asarray(y, dtype=np.float64)
-    m = indptr.shape[0] - 1
+    m = len(X)
     if m != y_arr.shape[0]:
-        raise DataError(f"got {m} vectors but {y_arr.shape[0]} targets")
+        raise DataError(f"got {m} rows but {y_arr.shape[0]} targets")
     if m == 0:
         raise DataError("cannot train on an empty example set")
-    if data.size and not np.isfinite(data).all():
+    if X.data.size and not np.isfinite(X.data).all():
         raise DataError("non-finite feature values in training data")
     lam = config.reg_lambda
 
     def flat_gradient(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        gw, gb = gradient(csr, y_arr, theta[:dim], z, lam)
+        gw, gb = gradient(X, y_arr, theta[:dim], z, lam)
         return np.append(gw, gb)
 
     S = np.empty((_HISTORY, dim + 1))
@@ -173,7 +174,7 @@ def train_binary(csr: CSR, y: Sequence[int], config: TrainConfig | None = None) 
     rho = np.empty(_HISTORY)
     newest, n_pairs, gamma = -1, 0, 1.0
     theta = np.zeros(dim + 1)  # (w, b)
-    loss, z = objective(csr, y_arr, theta[:dim], 0.0, lam)
+    loss, z = objective(X, y_arr, theta[:dim], 0.0, lam)
     g = flat_gradient(theta, z)
     iterations = 0
     while True:
@@ -196,7 +197,7 @@ def train_binary(csr: CSR, y: Sequence[int], config: TrainConfig | None = None) 
         step = 1.0
         for _ in range(_MAX_BACKTRACKS):
             trial = theta + step * direction
-            new_loss, new_z = objective(csr, y_arr, trial[:dim], float(trial[dim]), lam)
+            new_loss, new_z = objective(X, y_arr, trial[:dim], float(trial[dim]), lam)
             if new_loss < loss + _ARMIJO_C1 * step * slope:
                 break
             step *= 0.5
@@ -253,27 +254,26 @@ class OvRModel:
 
 
 def train_ovr(
-    X: SparseMatrix | Sequence[SparseVector],
+    X: SparseMatrix,
     labels: Sequence[Label],
     config: TrainConfig | None = None,
     pipeline: FeaturePipeline | None = None,
     preprocess: PreprocessSettings | None = None,
     language: str = "english",
 ) -> OvRModel:
-    """Train one classifier per label (class versus rest) on one CSR stack
-    of ``X``; a SparseMatrix (``fit_transform``'s result) is used in place.
+    """Train one classifier per label (class versus rest) on ``X``, such
+    as ``fit_transform``'s result, which every solve uses as it is.
 
     A class with no positive examples still gets a classifier (trained on
     all-negative targets); a corpus containing a single distinct class is
     accepted but flagged via ``single_class_warning``.
     """
     if len(X) != len(labels):
-        raise DataError(f"got {len(X)} vectors but {len(labels)} labels")
+        raise DataError(f"got {len(X)} rows but {len(labels)} labels")
     if len(X) == 0:
         raise DataError("cannot train on an empty corpus")
-    csr = kernels.stack_csr(X)
     classifiers = [
-        train_binary(csr, [1 if lab == target else 0 for lab in labels], config)
+        train_binary(X, [1 if lab == target else 0 for lab in labels], config)
         for target in LABELS
     ]
     return OvRModel(
@@ -286,14 +286,13 @@ def train_ovr(
     )
 
 
-def _scores(model: OvRModel, csr: CSR) -> np.ndarray:
-    """Decision values w.x + b, one row per CSR row and one column per class."""
-    indptr, indices, data, dim = csr
-    if dim != model.dimension:
+def _scores(model: OvRModel, X: SparseMatrix) -> np.ndarray:
+    """Decision values w.x + b, one row per row of ``X`` and one column per class."""
+    if X.dimension != model.dimension:
         raise DataError(
-            f"feature dimension {dim} does not match model dimension {model.dimension}"
+            f"feature dimension {X.dimension} does not match model dimension {model.dimension}"
         )
-    return kernels.csr_matvec(indptr, indices, data, model._weights) + model._biases
+    return kernels.csr_matvec(X.indptr, X.indices, X.data, model._weights) + model._biases
 
 
 def predict_proba(model: OvRModel, x: SparseVector) -> np.ndarray:
@@ -306,11 +305,11 @@ def predict(model: OvRModel, x: SparseVector) -> Label:
     return LABELS[int(np.argmax(_scores(model, x.csr())[0]))]
 
 
-def predict_many(model: OvRModel, X: SparseMatrix | Sequence[SparseVector]) -> list[Label]:
-    """:func:`predict` for each vector, scored as one batch."""
+def predict_many(model: OvRModel, X: SparseMatrix) -> list[Label]:
+    """:func:`predict` for each row of ``X``, scored as one batch."""
     if not X:
         return []
-    return [LABELS[int(i)] for i in np.argmax(_scores(model, kernels.stack_csr(X)), axis=1)]
+    return [LABELS[int(i)] for i in np.argmax(_scores(model, X), axis=1)]
 
 
 def top_features(model: OvRModel, label: Label, k: int) -> list[tuple[str, float]]:

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import defaultdict
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from aggdetect.corpus_io import LABELS, Corpus, Document, Label, escape_field
-from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary
-from aggdetect.kernels import SparseVector
+from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary, _fit_counts
+from aggdetect.kernels import SparseMatrix, SparseVector
 from aggdetect.model import MODEL_FORMAT, OvRModel
 from aggdetect.preprocess import SpellDictionary
 
@@ -46,6 +49,31 @@ def sparse(dimension: int, weights: dict[int, float]) -> SparseVector:
     weights are dropped by the constructor."""
     indices = sorted(weights)
     return SparseVector(dimension, indices, [weights[i] for i in indices])
+
+
+def stack(rows: Sequence[SparseVector]) -> SparseMatrix:
+    """The rows, all of one dimension, as one SparseMatrix built through its
+    checking constructor: indptr is the running sum of the row lengths, and
+    indices and data are the rows concatenated in order. No rows give a
+    0 x 0 matrix."""
+    (dimension,) = {row.dimension for row in rows} or {0}
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    indices = np.concatenate([row.indices for row in rows] or [np.zeros(0, dtype=np.int64)])
+    data = np.concatenate([row.values for row in rows] or [np.zeros(0)])
+    return SparseMatrix(dimension, indptr, indices, data)
+
+
+def fit_vocabulary(corpus_terms: Iterable[Sequence[str]], min_df: int = 1) -> Vocabulary:
+    """The vocabulary of the terms with document frequency >= min_df, each
+    document given as its list of terms."""
+    pid: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    ids: list[int] = []
+    n_documents = 0
+    for terms in corpus_terms:
+        ids += map(pid.__getitem__, set(terms))
+        n_documents += 1
+    return _fit_counts(list(pid), np.array(ids, dtype=np.intp), n_documents, min_df)[0]
 
 
 def block_row(name: str, terms: list[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:

@@ -14,14 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aggdetect import kernels
 from aggdetect.cli import main
 from aggdetect.corpus_io import LABELS, Label, load_predictions
 from aggdetect.evaluate import confusion, random_baseline, weighted_f1
 from aggdetect.featurize import (
     FeatureBlockSpec,
     FeaturePipeline,
-    fit_vocabulary,
     skip_grams,
 )
 from aggdetect.model import (
@@ -36,7 +34,9 @@ from aggdetect.model import (
 from aggdetect.corpus_io import Document
 from aggdetect.preprocess import CleanConfig, PreprocessSettings
 
-from helpers import block_row, sparse, synthetic_documents, write_corpus_tsv, write_lines
+from helpers import (
+    block_row, fit_vocabulary, sparse, stack, synthetic_documents, write_corpus_tsv, write_lines,
+)
 
 
 def report(name: str) -> None:
@@ -96,16 +96,15 @@ def test_gradient_matches_finite_differences():
         m = int(rng.integers(1, 21))
         X_dense = np.where(rng.random((m, dim)) < 0.4, 0.0, rng.normal(size=(m, dim)))
         y = rng.integers(0, 2, size=m).astype(float)
-        X = [
+        X = stack([
             sparse(dim, {j: X_dense[i, j] for j in range(dim) if X_dense[i, j]})
             for i in range(m)
-        ]
+        ])
         w = rng.normal(size=dim) * 0.8
         b = float(rng.normal())
         lam = float(rng.choice([0.0, 1.0, 4.0]))
-        csr = kernels.stack_csr(X)
-        _loss, z = objective(csr, y, w, b, lam)
-        gw, gb = gradient(csr, y, w, z, lam)
+        _loss, z = objective(X, y, w, b, lam)
+        gw, gb = gradient(X, y, w, z, lam)
         analytic = np.concatenate([gw, [gb]])
         fd = np.zeros(dim + 1)
         for j in range(dim):
@@ -219,9 +218,8 @@ def test_persistence_round_trip_exact(tmp_path):
     pipeline = FeaturePipeline(
         [FeatureBlockSpec.from_name("U", 1), FeatureBlockSpec.from_name("C4", 1)]
     ).fit(docs)
-    X = [pipeline.transform(d) for d in docs]
     model = train_ovr(
-        X, [d.gold for d in docs], TrainConfig(max_iters=80),
+        pipeline.transform_many(docs), [d.gold for d in docs], TrainConfig(max_iters=80),
         pipeline=pipeline, preprocess=PreprocessSettings(clean=CleanConfig()),
     )
     path = tmp_path / "model.txt"

@@ -223,13 +223,6 @@ class TestRenderReport:
         names = {p.name for p in written}
         assert names == {"metrics.tsv", "confusion.tsv", "confusion.svg"}
 
-    def test_top_features_file_only_when_present(self, tmp_path):
-        report = self.make_report(top_features={Label.NAG: [("unigram_x", 1.5)]})
-        written = render_report(report, tmp_path / "out")
-        assert "top_features.tsv" in {p.name for p in written}
-        body = (tmp_path / "out" / "top_features.tsv").read_text(encoding="utf-8")
-        assert "NAG\t1\tunigram_x\t1.500000" in body
-
     def test_confusion_tsv_row_sums_are_supports(self, tmp_path):
         report = self.make_report()
         render_report(report, tmp_path / "out")

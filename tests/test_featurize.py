@@ -19,7 +19,6 @@ from aggdetect.featurize import (
     Vocabulary,
     _segment_norms,
     char_ngrams,
-    fit_vocabulary,
     skip_grams,
     tokenize,
     word_ngrams,
@@ -33,7 +32,7 @@ from aggdetect.lexfeatures import (
     gender_features,
 )
 
-from helpers import block_row, sparse
+from helpers import block_row, fit_vocabulary, sparse
 
 
 def tfidf_row(terms, vocab):
@@ -240,6 +239,14 @@ class TestSparseVector:
         for unsorted in ([3, 1], [1, 1]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 SparseVector(5, unsorted, [1.0, 2.0])
+
+    def test_refuses_float_indices_and_mismatched_lengths(self):
+        for floats in ([1.7], np.array([1.0])):
+            with pytest.raises(ValueError, match="integers"):
+                SparseVector(4, floats, [1.0])
+        with pytest.raises(ValueError, match="one length"):
+            SparseVector(4, [1, 2], [1.0])
+        assert len(SparseVector(4, [], [])) == 0
 
 
 def dense_tfidf_oracle(doc_terms, all_docs_terms, min_df=1):

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from aggdetect import kernels
 
-from helpers import sparse
+from helpers import sparse, stack
 
 
 def reference_matvec(indptr, indices, data, w):
@@ -60,7 +60,8 @@ def csr_cases(rng, n=25):
     rows, one with only empty rows, and one with no rows."""
     vectors = random_vectors(rng, n=n)
     empty = [sparse(n, {})] * 3
-    cases = [kernels.stack_csr(rows) for rows in (vectors, empty + vectors, vectors + empty, empty)]
+    cases = [kernels.stack_csr(stack(rows))
+             for rows in (vectors, empty + vectors, vectors + empty, empty)]
     return cases + [(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0), n)]
 
 
@@ -86,17 +87,19 @@ class TestNumpyKernels:
     def test_matvec_handles_empty_rows(self):
         empty = sparse(3, {})
         full = sparse(3, {1: 2.0})
-        indptr, indices, data, n = kernels.stack_csr([empty, full, empty])
+        indptr, indices, data, n = kernels.stack_csr(stack([empty, full, empty]))
         out = kernels.csr_matvec(indptr, indices, data, np.array([1.0, 3.0, 1.0]))
         assert out.tolist() == [0.0, 6.0, 0.0]
 
     def test_one_row_csr_is_the_stack_of_that_row(self):
         x = sparse(5, {1: 2.0, 4: -0.5})
-        indptr, indices, data, n = x.csr()
-        stacked = kernels.stack_csr([x])
-        assert indptr.tolist() == stacked[0].tolist() == [0, 2] and n == stacked[3] == 5
-        assert indices is x.indices and data is x.values
-        assert kernels.stack_csr(kernels.SparseMatrix(n, indptr, indices, data))[1] is indices
+        row = x.csr()
+        stacked = stack([x])
+        assert isinstance(row, kernels.SparseMatrix) and len(row) == 1
+        assert row.indptr.tolist() == stacked.indptr.tolist() == [0, 2]
+        assert row.indptr.dtype == np.int64 and row.dimension == stacked.dimension == 5
+        assert row.indices is x.indices and row.data is x.values
+        assert kernels.stack_csr(row) == (row.indptr, row.indices, row.data, 5)
 
     def test_rmatvec_matches_dense(self):
         rng = np.random.default_rng(1)
@@ -175,3 +178,52 @@ class TestCsrProductsMatchReference:
             row = (np.array([0, hi - lo], dtype=np.int64), indices[lo:hi], values[lo:hi])
             assert np.array_equal(kernels.csr_matvec(*row, W)[0], batch[i])
             assert np.array_equal(kernels.csr_matvec(*row, W[:, 0].copy())[0], batch[i, 0])
+
+
+def matrix_arrays(indptr, indices, data):
+    return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+            np.array(data, dtype=np.float64))
+
+
+class TestConstructorChecks:
+    """The public SparseMatrix constructor refuses arrays that would make
+    the products read or write out of bounds."""
+
+    @pytest.mark.parametrize("indptr, indices, data, match", [
+        ([], [], [], "indptr"),
+        ([1, 1], [0], [1.0], "indptr"),
+        ([0, 1], [0, 1], [1.0, 2.0], "indptr"),
+        ([0, 2], [0], [1.0], "indptr"),
+        ([0, 2, 1, 2], [0, 1], [1.0, 2.0], "decrease"),
+        ([0, 2], [0, 1], [1.0], "one length"),
+        ([0, 2], [1, 1], [1.0, 2.0], "strictly increasing"),
+        ([0, 2], [2, 1], [1.0, 2.0], "strictly increasing"),
+        ([0, 1], [3], [1.0], "out of range"),
+        ([0, 1], [-1], [1.0], "out of range"),
+        # scored unchecked, this row crashed the interpreter in the product
+        ([0, 1], [10**6], [1.0], "out of range"),
+    ])
+    def test_matrix_faults_raise(self, indptr, indices, data, match):
+        with pytest.raises(ValueError, match=match):
+            kernels.SparseMatrix(3, *matrix_arrays(indptr, indices, data))
+
+    def test_matrix_refuses_non_integer_arrays(self):
+        indptr, indices, data = matrix_arrays([0, 1], [1], [1.0])
+        with pytest.raises(ValueError, match="indices must be integers"):
+            kernels.SparseMatrix(3, indptr, indices.astype(np.float64), data)
+        with pytest.raises(ValueError, match="indptr must be integers"):
+            kernels.SparseMatrix(3, indptr.astype(np.float64), indices, data)
+        with pytest.raises(ValueError, match="1-d"):
+            kernels.SparseMatrix(3, indptr, indices.reshape(1, 1), data)
+
+    def test_rows_may_restart_lower_and_be_empty(self):
+        matrix = kernels.SparseMatrix(3, *matrix_arrays([0, 0, 2, 2, 3, 3], [1, 2, 0], [1.0] * 3))
+        assert [row.indices.tolist() for row in matrix] == [[], [1, 2], [], [0], []]
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_valid_arrays_are_kept_without_a_copy(self, data):
+        indptr, indices, values, n = data.draw(csr_matrices())
+        matrix = kernels.SparseMatrix(n, indptr, indices, values)
+        assert matrix.indptr is indptr and matrix.indices is indices and matrix.data is values
+        assert matrix.dimension == n

@@ -29,7 +29,7 @@ from aggdetect.model import (
 )
 from aggdetect.preprocess import CleanConfig, PreprocessSettings
 
-from helpers import sparse, synthetic_documents, write_lines
+from helpers import sparse, stack, synthetic_documents, write_lines
 
 
 def sv(dimension, **entries):
@@ -38,14 +38,14 @@ def sv(dimension, **entries):
 
 def decision_values(clf, X):
     """w.x + b of one binary classifier for each vector, scored as a batch."""
-    indptr, indices, data, _dim = kernels.stack_csr(X)
-    return kernels.csr_matvec(indptr, indices, data, clf.weights) + clf.bias
+    matrix = stack(X)
+    return kernels.csr_matvec(matrix.indptr, matrix.indices, matrix.data, clf.weights) + clf.bias
 
 
 def gradient_at(vectors, y, w, b, lam):
-    csr = kernels.stack_csr(vectors)
-    _loss, z = objective(csr, y, w, b, lam)
-    return gradient(csr, y, w, z, lam)
+    X = stack(vectors)
+    _loss, z = objective(X, y, w, b, lam)
+    return gradient(X, y, w, z, lam)
 
 
 def dense_reference_loss(X_dense, y, w, b, lam):
@@ -107,7 +107,7 @@ class TestGradient:
 
 
 def fit(vectors, y, config=None):
-    return train_binary(kernels.stack_csr(vectors), y, config)
+    return train_binary(stack(vectors), y, config)
 
 
 def newton_reference(X_dense, y, lam):
@@ -146,10 +146,10 @@ class TestTrainBinary:
         rng = np.random.default_rng(5)
         vectors, X_dense, y = random_problem(rng, max_dim=6, max_examples=15)
         config = TrainConfig(max_iters=50)
-        csr = kernels.stack_csr(vectors)
-        clf = train_binary(csr, y, config)
-        start, _z = objective(csr, y, np.zeros(X_dense.shape[1]), 0.0, config.reg_lambda)
-        end, _z = objective(csr, y, clf.weights, clf.bias, config.reg_lambda)
+        X = stack(vectors)
+        clf = train_binary(X, y, config)
+        start, _z = objective(X, y, np.zeros(X_dense.shape[1]), 0.0, config.reg_lambda)
+        end, _z = objective(X, y, clf.weights, clf.bias, config.reg_lambda)
         assert end <= start
 
     def test_separable_reaches_perfect_accuracy(self):
@@ -208,12 +208,12 @@ class TestTrainBinary:
         # sup-norm g leaves (w, b) about g / mu from it; float64 values
         # of J stop resolving descent near g ~ 1e-8 on these problems
         config = TrainConfig(reg_lambda=lam, grad_tol=4e-7 * mu)
-        csr = kernels.stack_csr(vectors)
-        clf = train_binary(csr, y, config)
+        X = stack(vectors)
+        clf = train_binary(X, y, config)
         assert clf.stop_reason == "grad_tol"
         assert clf.iterations < config.max_iters
-        _loss, z = objective(csr, y, clf.weights, clf.bias, lam)
-        gw, gb = gradient(csr, y, clf.weights, z, lam)
+        _loss, z = objective(X, y, clf.weights, clf.bias, lam)
+        gw, gb = gradient(X, y, clf.weights, z, lam)
         assert max(float(np.abs(gw).max()), abs(gb)) <= config.grad_tol
         assert np.abs(clf.weights - w_ref).max() <= 1e-6
         assert abs(clf.bias - b_ref) <= 1e-6
@@ -246,48 +246,33 @@ class TestTrainBinary:
 class TestTrainOvr:
     def test_one_classifier_per_class(self):
         X = [sv(2, i0=1.0), sv(2, i1=1.0), sv(2, i0=1.0, i1=1.0)]
-        model = train_ovr(X, [Label.NAG, Label.CAG, Label.OAG], TrainConfig(max_iters=20))
+        model = train_ovr(stack(X), [Label.NAG, Label.CAG, Label.OAG], TrainConfig(max_iters=20))
         assert len(model.classifiers) == 3
         assert not model.single_class_warning
 
     def test_stacks_the_training_vectors_once(self, monkeypatch):
-        calls = []
-        original = kernels.stack_csr
-        monkeypatch.setattr(kernels, "stack_csr", lambda X: calls.append(len(X)) or original(X))
-        X = [sv(2, i0=1.0), sv(2, i1=1.0), sv(2, i0=1.0, i1=1.0)]
-        train_ovr(X, [Label.NAG, Label.CAG, Label.OAG], TrainConfig(max_iters=20))
-        assert calls == [3]
-
-        # fit_transform's matrix reaches every solve as it is, not a copy
+        """fit_transform's matrix reaches every solve as it is, not a copy."""
         docs = [Document(id=str(i), text=text, gold=label)
                 for i, (_id, text, label) in enumerate(synthetic_documents(3))]
         matrix = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).fit_transform(docs)
         solved = []
         original_train = model_module.train_binary
         monkeypatch.setattr(model_module, "train_binary",
-                            lambda csr, y, config=None: solved.append(csr)
-                            or original_train(csr, y, config))
+                            lambda X, y, config=None: solved.append(X)
+                            or original_train(X, y, config))
         train_ovr(matrix, [doc.gold for doc in docs], TrainConfig(max_iters=5))
-        assert calls == [3, len(docs)] and len(solved) == 3
-        for indptr, indices, data, dim in solved:
-            assert indptr is matrix.indptr and dim == matrix.dimension
-            assert np.shares_memory(indices, matrix.indices)
-            assert np.shares_memory(data, matrix.data)
-
-    def test_rejects_mixed_dimensions(self):
-        with pytest.raises(ValueError, match="dimensions"):
-            train_ovr([sv(1, i0=1.0), sv(2, i0=1.0)], [Label.NAG, Label.CAG])
+        assert len(solved) == 3 and all(X is matrix for X in solved)
 
     def test_absent_class_trains_all_negative(self):
         X = [sv(1, i0=1.0), sv(1, i0=0.5), sv(1, i0=-1.0)]
-        model = train_ovr(X, [Label.NAG, Label.NAG, Label.OAG], TrainConfig(max_iters=200))
+        model = train_ovr(stack(X), [Label.NAG, Label.NAG, Label.OAG], TrainConfig(max_iters=200))
         cag = model.classifiers[int(Label.CAG)]
         probs = 1.0 / (1.0 + np.exp(-decision_values(cag, X)))
         assert all(p < 0.5 for p in probs)
 
     def test_single_class_flagged(self):
         X = [sv(1, i0=1.0), sv(1, i0=2.0)]
-        model = train_ovr(X, [Label.NAG, Label.NAG], TrainConfig(max_iters=10))
+        model = train_ovr(stack(X), [Label.NAG, Label.NAG], TrainConfig(max_iters=10))
         assert model.single_class_warning
 
     def test_two_class_argmax_matches_binary_threshold(self):
@@ -300,7 +285,7 @@ class TestTrainOvr:
             labels.append(Label.NAG if positive else Label.CAG)
             y.append(1 if positive else 0)
         config = TrainConfig(max_iters=300)
-        ovr = train_ovr(X, labels, config)
+        ovr = train_ovr(stack(X), labels, config)
         binary = fit(X, y, config)
         for x, z in zip(X, decision_values(binary, X)):
             ovr_says_nag = predict(ovr, x) is Label.NAG
@@ -373,10 +358,28 @@ class TestPredict:
         X = [sparse(dim, entries) for entries in rows]
         X.insert(data.draw(st.integers(0, len(X))), sparse(dim, {}))
         batch = np.column_stack([decision_values(clf, X) for clf in model.classifiers])
-        labels = predict_many(model, X)
+        labels = predict_many(model, stack(X))
         for i, x in enumerate(X):
             assert predict_proba(model, x).tobytes() == kernels.sigmoid(batch[i]).tobytes()
             assert predict(model, x) == labels[i]
+
+
+def test_featurizer_and_scoring_build_without_the_checks(monkeypatch):
+    """Only the public constructors check their arrays: the featurizer's
+    matrices, their rows and a row's csr() are built without, so neither a
+    batch nor a stream request pays for the checks."""
+    model, docs = trained_toy_model()
+    matrix = model.pipeline.transform_many(docs)
+
+    def refuse(*_args):
+        raise AssertionError("checked a matrix built by the program")
+
+    monkeypatch.setattr(kernels, "_check_csr", refuse)
+    assert predict_many(model, model.pipeline.transform_many(docs)) == [
+        predict(model, model.pipeline.transform(doc)) for doc in docs]
+    refit = FeaturePipeline(model.pipeline.blocks).fit_transform(docs)
+    assert predict_many(model, refit) == predict_many(model, matrix)
+    assert predict_proba(model, matrix[0]).shape == (3,)
 
 
 def fitted_toy_pipeline():
@@ -434,9 +437,8 @@ def trained_toy_model():
     pipeline = FeaturePipeline(
         [FeatureBlockSpec.from_name("U", min_df=1), FeatureBlockSpec.from_name("C3", min_df=1)]
     ).fit(docs)
-    X = [pipeline.transform(d) for d in docs]
     model = train_ovr(
-        X,
+        pipeline.transform_many(docs),
         [d.gold for d in docs],
         TrainConfig(max_iters=60),
         pipeline=pipeline,
@@ -470,12 +472,13 @@ class TestPersistence:
         save_model(model, path)
         loaded = load_model(path)
         docs = docs + [Document(id="empty", text=""), Document(id="oov", text="zzz qqq")]
-        fitted = kernels.stack_csr(model.pipeline.transform_many(docs))
-        restored = kernels.stack_csr(loaded.pipeline.transform_many(docs))
-        assert fitted[3] == restored[3]
-        for a, b in zip(fitted[:3], restored[:3]):
+        fitted = model.pipeline.transform_many(docs)
+        restored = loaded.pipeline.transform_many(docs)
+        assert fitted.dimension == restored.dimension
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(fitted, name), getattr(restored, name)
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert fitted[0][-1] == fitted[0][-3]  # the last two rows are empty
+        assert fitted.indptr[-1] == fitted.indptr[-3]  # the last two rows are empty
 
     def test_round_trip_preserves_metadata(self, tmp_path):
         model, _docs = trained_toy_model()
@@ -616,9 +619,8 @@ class TestPersistence:
             [FeatureBlockSpec.from_name("U", min_df=1), FeatureBlockSpec.from_name("GP")],
             resources,
         ).fit(docs)
-        X = [pipeline.transform(d) for d in docs]
         model = train_ovr(
-            X, [d.gold for d in docs], TrainConfig(max_iters=5),
+            pipeline.transform_many(docs), [d.gold for d in docs], TrainConfig(max_iters=5),
             pipeline=pipeline,
             preprocess=PreprocessSettings(clean=CleanConfig()),
         )

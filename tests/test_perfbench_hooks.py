@@ -57,6 +57,20 @@ def test_tracer_wraps_every_target_and_uninstalls():
         assert _target(module_name, attr) is original
 
 
+def test_names_run_py_reads_outside_the_tracer_exist():
+    """run.py calls these directly, so deleting one that looks unused in
+    the package breaks the benchmark."""
+    from aggdetect.cli import main
+    from aggdetect.corpus_io import Document, parse_label
+    from aggdetect.evaluate import random_baseline
+    from aggdetect.model import load_model, predict
+
+    assert all(callable(f) for f in (main, Document, parse_label, random_baseline,
+                                     load_model, predict))
+    backend = kernels.active_backend()
+    assert isinstance(backend, str) and backend
+
+
 def test_traced_transform_and_stack_record_their_notes():
     pipeline, docs = _pipeline()
     spans = tracer.Tracer()
