@@ -18,16 +18,27 @@ and sorts one chunk's runs with one set of array operations for all
 blocks and writes them in place.  Whitespace-only documents are all-zero
 rows.
 
+Word and skip-gram blocks count each document's terms with a ``Counter``.
+Char n-gram blocks (C3/C4/C5) count with array operations over the chunk's
+code points (:class:`_CharWindows`): each window of n characters becomes
+one code, and one stable sort of a block's codes gives every document's
+distinct codes with their counts.  A code packs the window's characters,
+numbered in code-point order within an alphabet, into one int64 with
+``b = bit_length(alphabet size)`` bits each; where ``n * b > 63`` (over
+4,095 distinct characters for C5) it is the window's UTF-32-BE bytes
+instead.  Either way code order is term order.
+
 ``FeaturePipeline.fit_transform`` featurizes a training corpus with one
-term extraction per document and block: each distinct term gets a
-provisional id in first-occurrence order; document frequency is one
-``np.bincount`` over those ids, and ``min_df`` pruning plus the sort give
-the vocabulary and one remap array from provisional ids to vocabulary
-indices, which turn the counted runs into the block's runs.
-``transform_many`` gets them with one vocabulary lookup per term, and
-``transform(doc)`` is ``transform_many([doc])[0]``.  So
-``fit_transform(docs)``, ``fit(docs).transform_many(docs)`` and
-``transform`` of each document agree bit for bit.
+term extraction per document and block: each distinct term (or char code)
+gets a provisional id; document frequency is one ``np.bincount`` over
+those ids, and ``min_df`` pruning plus the sort give the vocabulary and
+one remap array from provisional ids to vocabulary indices, which turn the
+counted runs into the block's runs.  ``transform_many`` gets them with one
+vocabulary lookup per term, or one ``searchsorted`` of a chunk's distinct
+char codes in the block's vocabulary codes, and ``transform(doc)`` is
+``transform_many([doc])[0]``.  So ``fit_transform(docs)``,
+``fit(docs).transform_many(docs)`` and ``transform`` of each document agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -94,13 +105,6 @@ def word_ngrams(tokens: Sequence[str], n: int) -> list[str]:
     return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
-def char_ngrams(text: str, n: int) -> list[str]:
-    """All contiguous n-character windows over the whole text, spaces included."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [text[i : i + n] for i in range(len(text) - n + 1)]
-
-
 def skip_grams(tokens: Sequence[str], k: int, n: int) -> list[str]:
     """k-skip-n-grams: ordered n-token subsequences where consecutive
     chosen positions are at most k+1 apart. Contiguous n-grams included."""
@@ -153,11 +157,14 @@ class Vocabulary:
 
 
 def _fit_counts(
-    terms: list[str], ids: np.ndarray, n_documents: int, min_df: int
+    terms: list, ids: np.ndarray, n_documents: int, min_df: int,
+    decode: Callable[[list], list[str]] | None = None,
 ) -> tuple[Vocabulary, np.ndarray]:
     """The vocabulary of the terms with document frequency >= min_df, given
     every document's distinct provisional ids, and the array that maps each
-    provisional id to its vocabulary index (-1 when pruned)."""
+    provisional id to its vocabulary index (-1 when pruned). With
+    ``decode``, ``terms`` are codes that sort as their terms do, and only
+    the kept ones are decoded to terms."""
     if min_df < 1:
         raise ValueError("min_df must be >= 1")
     df = np.bincount(ids, minlength=len(terms))
@@ -165,6 +172,8 @@ def _fit_counts(
     remap = np.full(len(terms), -1, dtype=np.int32)
     remap[kept] = np.arange(len(kept))
     vocab_terms = [terms[p] for p in kept]
+    if decode is not None:
+        vocab_terms = decode(vocab_terms)
     vocab = Vocabulary(
         terms=vocab_terms,
         index={term: i for i, term in enumerate(vocab_terms)},
@@ -192,6 +201,142 @@ def _run_layout(n: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
         rows.append(np.tile(np.arange(r0, r0 + m), nb))
         blocks.append(np.repeat(np.arange(nb), m))
     return np.concatenate(rows), np.concatenate(blocks)
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The text's code points, one per character of the str, a lone
+    surrogate included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+class _Alphabet:
+    """A set of characters numbered 1, 2, ... in code-point order, and the
+    codes of the windows of characters over it.
+
+    A window of n characters, all in the alphabet, packs into one int64
+    with ``bits`` bits per number, the first character highest, so code
+    order is term order. Where ``n * bits > 63`` the code is the window's
+    UTF-32-BE bytes as a numpy ``S{4n}`` string instead, which sorts the
+    same way; its trailing zero bytes drop out of ``tolist()`` but come
+    back at the fixed width, so the bytes stand for the window too."""
+
+    def __init__(self, points: np.ndarray) -> None:
+        self.points = np.unique(points)
+        self.bits = len(self.points).bit_length()
+        # one entry past the largest character, 0, which clipped lookups of
+        # larger code points land on
+        size = int(self.points[-1]) + 2 if len(self.points) else 1
+        self.table = np.zeros(size, dtype=np.min_scalar_type(len(self.points)))
+        self.table[self.points] = np.arange(1, len(self.points) + 1)
+
+    def ranks(self, points: np.ndarray) -> np.ndarray:
+        """Each code point's number, 0 outside the alphabet."""
+        return self.table.take(points, mode="clip")
+
+    def codes(self, points: np.ndarray, ranks: np.ndarray, starts: np.ndarray,
+              n: int) -> np.ndarray:
+        """The codes of the n-character windows of ``points`` (numbered
+        ``ranks``) that begin at ``starts``."""
+        if n * self.bits <= 63:
+            code = ranks[starts].astype(np.int64)
+            for j in range(1, n):
+                code <<= self.bits
+                code |= ranks[starts + j]
+            return code
+        return points[starts[:, None] + np.arange(n)].astype(">u4").view(f"S{4 * n}").ravel()
+
+    def terms(self, codes: list, n: int) -> list[str]:
+        """The n-character windows that ``codes`` (as ``tolist()`` gives
+        them) stand for."""
+        if n * self.bits <= 63:
+            shifts = self.bits * np.arange(n - 1, -1, -1)
+            ranks = np.array(codes, dtype=np.int64)[:, None] >> shifts & (1 << self.bits) - 1
+            text = self.points[ranks - 1].tobytes().decode("utf-32-le", "surrogatepass")
+        else:
+            text = np.array(codes, dtype=f"S{4 * n}").tobytes().decode("utf-32-be",
+                                                                       "surrogatepass")
+        return [text[i : i + n] for i in range(0, len(text), n)]
+
+
+def _alphabet_of(texts: Sequence[str]) -> _Alphabet:
+    """The alphabet of the characters in ``texts``, gathered ``_CHUNK_ROWS``
+    texts at a time, so that no temporary is as large as the texts."""
+    points = [np.unique(_code_points("".join(texts[i : i + _CHUNK_ROWS])))
+              for i in range(0, len(texts), _CHUNK_ROWS)]
+    return _Alphabet(np.concatenate(points) if points else np.zeros(0, dtype="<u4"))
+
+
+def _vocabulary_codes(alphabet: _Alphabet, terms: list[str], n: int) -> np.ndarray:
+    """The codes of a char block's vocabulary terms, n characters each, all
+    in ``alphabet``: increasing, as the terms are."""
+    if not set(map(len, terms)) <= {n}:
+        raise ValueError(f"a char {n}-gram vocabulary holds a term of another length")
+    points = _code_points("".join(terms))
+    return alphabet.codes(points, alphabet.ranks(points), np.arange(0, len(points), n), n)
+
+
+def _search(vocabulary: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The index of each of ``codes`` in the increasing ``vocabulary``, -1
+    where it is not there."""
+    if not len(vocabulary):
+        return np.full(len(codes), -1)
+    at = vocabulary.searchsorted(codes)
+    return np.where(vocabulary.take(at, mode="clip") == codes, at, -1)
+
+
+class _CharWindows:
+    """One chunk's texts as code points, for its char n-gram blocks.
+
+    ``room[i]`` is how many characters run from position ``i`` to the next
+    one outside the alphabet or the end of ``i``'s document, whichever
+    comes first, so a window of n characters starting at ``i`` is counted
+    if and only if ``room[i] >= n``."""
+
+    def __init__(self, alphabet: _Alphabet, texts: Sequence[str]) -> None:
+        self.alphabet = alphabet
+        self.points = _code_points("".join(texts))
+        self.ranks = alphabet.ranks(self.points)
+        self.ends = np.cumsum(np.fromiter(map(len, texts), np.int64, len(texts)))
+        outside = (self.ranks == 0).nonzero()[0]
+        stops = np.sort(np.concatenate((outside, self.ends)))
+        at = np.arange(len(self.points))
+        self.room = stops[stops.searchsorted(at, side="right")] - at
+        self.room[outside] = 0
+
+    def runs(
+        self, n: int, lookup: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each document's run of n-character windows: the int32 ids of its
+        distinct windows in first-occurrence order, their counts, and the
+        offset where each document's run ends. ``lookup`` maps the chunk's
+        distinct codes, increasing, to ids, or to -1 to drop them.
+
+        One stable sort by code puts each document's occurrences of a code
+        together, first occurrence first; the groups then go back to the
+        position of that first occurrence."""
+        starts = (self.room >= n).nonzero()[0]
+        codes = self.alphabet.codes(self.points, self.ranks, starts, n)
+        rows = self.ends.searchsorted(starts, side="right")
+        order = codes.argsort(kind="stable")
+        codes, sorted_rows = codes[order], rows[order]
+        k = len(codes)
+        # new_code[i]: sorted entry i starts a code; bounds: where a
+        # document's occurrences of one code start, then k
+        new_code = np.ones(k + 1, dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=new_code[1:k])
+        new_group = new_code.copy()
+        new_group[1:k] |= sorted_rows[1:] != sorted_rows[:-1]
+        bounds = new_group.nonzero()[0]
+        group = bounds[:-1]
+        first = order[group]
+        # ids and counts at each group's first occurrence, -1 elsewhere
+        ids = np.full(k, -1, dtype=np.int32)
+        ids[first] = lookup(codes[new_code[:k]])[new_code[group].cumsum() - 1]
+        counts = np.empty(k)
+        counts[first] = bounds[1:] - group
+        kept = ids >= 0
+        ends = np.bincount(rows[kept], minlength=len(self.ends)).cumsum()
+        return ids[kept], counts[kept], ends
 
 
 # Named feature blocks. Canonical short names match the usual ablation
@@ -274,9 +419,8 @@ class FeatureBlockSpec:
         return FeatureBlockSpec(name=name, kind=kind, params=params)
 
 
-def _lexical_terms(spec: FeatureBlockSpec, text: str, tokens: Sequence[str]) -> list[str]:
-    if spec.kind == "char_ngram":
-        return char_ngrams(text, spec.params["n"])
+def _lexical_terms(spec: FeatureBlockSpec, tokens: Sequence[str]) -> list[str]:
+    """The terms of a word or skip-gram block."""
     if spec.kind == "skip_gram":
         return skip_grams(tokens, spec.params["k"], spec.params["n"])
     return word_ngrams(tokens, spec.params["n"])
@@ -345,18 +489,31 @@ class FeaturePipeline:
                 self._idf[start : start + self.dimensions[spec.name]] = (
                     self.vocabularies[spec.name].idf
                 )
+        # What transform_many looks terms up with: the vocabulary's index on
+        # a word block, and on a char block its vocabulary codes over one
+        # alphabet of every char vocabulary's characters.
+        chars = [spec for spec in self.blocks if spec.kind == "char_ngram"]
+        self._alphabet = _alphabet_of([term for spec in chars
+                                       for term in self.vocabularies[spec.name].terms])
+        self._keys = {spec.name: self.vocabularies[spec.name].index.get for spec in self.blocks
+                      if spec.kind in LEXICAL_KINDS}
+        for spec in chars:
+            self._keys[spec.name] = functools.partial(_search, _vocabulary_codes(
+                self._alphabet, self.vocabularies[spec.name].terms, spec.params["n"]))
         self.fitted = True
 
     def _append_runs(
         self, spec: FeatureBlockSpec, key: Callable[[str], int | None] | None,
-        documents: Sequence[Document], texts: Sequence[str],
-        token_lists: Sequence[list[str]], ids: list, values: list, ends: list,
+        documents: Sequence[Document], token_lists: Sequence[list[str]],
+        ids: list, values: list, ends: list,
     ) -> None:
         """Append one block's run of each document to ``ids``, ``values`` and
-        ``ends`` (where each run ends). On a lexical block, a run is the ids
-        and counts of the distinct terms of the document's ``texts`` entry in
-        first-occurrence order, where ``key`` maps a term to its id or to
-        None to drop it, and every count is 1 on a binary block. On a dense
+        ``ends`` (where each run ends). On a word or skip-gram block, a run
+        is the ids and counts of the distinct terms of the document's tokens
+        in first-occurrence order, counted with a ``Counter``, where ``key``
+        maps a term to its id or to None to drop it, and every count is 1 on
+        a binary block. Char blocks do not come here (see
+        :meth:`_CharWindows.runs`). On a dense
         block (``key`` None), it is the nonzero local indices and values,
         and empty for a whitespace-only document, whose function is not
         called."""
@@ -369,8 +526,8 @@ class FeaturePipeline:
                 ends.append(len(ids))
             return
         binary = spec.kind == "binary_word_ngram"
-        for text, tokens in zip(texts, token_lists):
-            doc_counts = Counter(map(key, _lexical_terms(spec, text, tokens)))
+        for tokens in token_lists:
+            doc_counts = Counter(map(key, _lexical_terms(spec, tokens)))
             doc_counts.pop(None, None)
             ids += doc_counts
             values += [1] * len(doc_counts) if binary else doc_counts.values()
@@ -378,39 +535,51 @@ class FeaturePipeline:
 
     def _runs(
         self, plan: list, documents: Sequence[Document], texts: Sequence[str],
-        token_lists: list[list[str]],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The runs of every ``(spec, key)`` block of ``plan`` (see
-        :meth:`_append_runs`) over the documents, as int32 ids, float64
-        values and the int64 offsets where each run ends.
+        token_lists: list[list[str]], alphabet: _Alphabet | None,
+    ) -> tuple[array, array, array]:
+        """The runs of every ``(spec, key)`` block of ``plan`` over the
+        documents, as typed arrays of int32 ids, float64 values and the
+        int64 offsets where each run ends. A char block's runs are those of
+        :meth:`_CharWindows.runs` over ``texts`` and ``alphabet``, with
+        ``key`` its lookup of the windows' codes: packed int64s, or
+        UTF-32-BE byte strings where n times the alphabet's bits per
+        character exceeds 63. A word or skip-gram block's runs are counted
+        with a ``Counter`` by :meth:`_append_runs`, which also gives the
+        dense blocks' runs.
 
         The runs come ``_CHUNK_ROWS`` documents at a time, block by block
         within those, document by document within a block, so that
-        :meth:`_to_csr` finds each chunk's runs together, and term lookups
-        stay in one vocabulary's table for a whole chunk: document by
-        document, alternating between the blocks' tables, they ran about
-        1.6 times slower. Python lists gather one chunk's runs, since
-        extending a typed array costs about 10 us a call, which a
-        one-document batch would pay on every block. Each chunk then goes
-        to growing typed arrays with ``fromlist`` (``extend`` took twice as
-        long), which the returned arrays view without a copy: the batch is
-        never held as Python objects, nor twice, as it would be if per-chunk
-        numpy arrays were concatenated at the end."""
+        :meth:`_to_csr` finds each chunk's runs together, term lookups stay
+        in one vocabulary's table for a whole chunk (document by document,
+        alternating between the blocks' tables, they ran about 1.6 times
+        slower), and the chunk's char blocks share one encoding of its
+        texts. Each block's runs go to growing typed arrays, a char block's
+        as the bytes of its arrays and any other's from Python lists with
+        ``fromlist`` (``extend`` took twice as long), and ``np.asarray``
+        views them without a copy: the batch is never held as Python
+        objects, nor twice, as it would be if per-chunk numpy arrays were
+        concatenated at the end."""
         ids, values, ends = array("i"), array("d"), array("q", [0])
         for r0 in range(0, len(documents), _CHUNK_ROWS):
             rows = slice(r0, r0 + _CHUNK_ROWS)
-            chunk_ids: list[int] = []
-            chunk_values: list[float] = []
-            chunk_ends: list[int] = []
+            windows = None
             for spec, key in plan:
-                self._append_runs(spec, key, documents[rows], texts[rows], token_lists[rows],
-                                  chunk_ids, chunk_values, chunk_ends)
-            base = len(ids)
-            ids.fromlist(chunk_ids)
-            values.fromlist(chunk_values)
-            ends.fromlist([base + end for end in chunk_ends])
-        return (np.frombuffer(ids, np.int32), np.frombuffer(values, np.float64),
-                np.frombuffer(ends, np.int64))
+                base = len(ids)
+                if spec.kind == "char_ngram":
+                    if windows is None:
+                        windows = _CharWindows(alphabet, texts[rows])
+                    block_ids, counts, block_ends = windows.runs(spec.params["n"], key)
+                    ids.frombytes(block_ids.tobytes())
+                    values.frombytes(counts.tobytes())
+                    ends.frombytes((block_ends + base).tobytes())
+                    continue
+                block_ids, block_values, block_ends = [], [], []
+                self._append_runs(spec, key, documents[rows], token_lists[rows],
+                                  block_ids, block_values, block_ends)
+                ids.fromlist(block_ids)
+                values.fromlist(block_values)
+                ends.fromlist([base + end for end in block_ends])
+        return ids, values, ends
 
     def _fit(
         self, documents: Sequence[Document], blocks: list[FeatureBlockSpec]
@@ -421,16 +590,37 @@ class FeaturePipeline:
         indices, pruned terms dropped, and whitespace-only documents' runs
         empty, as their rows are.
 
-        Each distinct term gets a provisional id in first-occurrence order;
-        document frequency is one ``np.bincount`` over the block's ids, and
-        ``min_df`` pruning plus the sort give the vocabulary and one remap
-        array from provisional ids to vocabulary indices (-1 when pruned)."""
+        Each distinct term gets a provisional id; document frequency is one
+        ``np.bincount`` over the block's ids, and ``min_df`` pruning plus
+        the sort give the vocabulary and one remap array from provisional
+        ids to vocabulary indices (-1 when pruned). On a word block the
+        provisional keys are the terms, looked up once per occurrence. On a
+        char block they are the windows' codes over the alphabet of the
+        whole corpus (packed int64s, or byte strings past the width rule
+        of :class:`_Alphabet`), looked up once per distinct code of a
+        chunk, and only the kept codes are decoded to terms.
+
+        The kept entries are then moved forward within the runs' own
+        buffers, which are cut to them, so no compacted copy is ever held
+        beside the full-length runs."""
         provisional = {spec.name: defaultdict(itertools.count().__next__)
                        for spec in blocks if spec.kind in LEXICAL_KINDS}
-        plan = [(spec, provisional[spec.name].__getitem__ if spec.name in provisional else None)
-                for spec in blocks]
-        ids, values, ends = self._runs(plan, documents, [doc.text for doc in documents],
-                                       [tokenize(doc.text) for doc in documents])
+        texts = [doc.text for doc in documents]
+        chars = any(spec.kind == "char_ngram" for spec in blocks)
+        alphabet = _alphabet_of(texts) if chars else None
+
+        def key(spec: FeatureBlockSpec):
+            if spec.name not in provisional:
+                return None
+            pid = provisional[spec.name].__getitem__
+            if spec.kind != "char_ngram":
+                return pid
+            return lambda codes: np.fromiter(map(pid, codes.tolist()), np.int64, len(codes))
+
+        id_buffer, value_buffer, ends = self._runs(
+            [(spec, key(spec)) for spec in blocks], documents, texts,
+            [tokenize(text) for text in texts], alphabet)
+        ids, values, ends = np.asarray(id_buffer), np.asarray(value_buffer), np.asarray(ends)
         run_rows, run_blocks = _run_layout(len(documents), len(blocks))
         lengths = np.diff(ends)
         block_of = np.repeat(run_blocks.astype(np.min_scalar_type(len(blocks))), lengths)
@@ -438,22 +628,33 @@ class FeaturePipeline:
             if spec.name in provisional:
                 in_block = block_of == k
                 pids = ids[in_block]
+                decode = (functools.partial(alphabet.terms, n=spec.params["n"])
+                          if spec.kind == "char_ngram" else None)
                 self.vocabularies[spec.name], remap = _fit_counts(
                     list(provisional.pop(spec.name)), pids, len(documents),
-                    spec.params.get("min_df", 1),
+                    spec.params.get("min_df", 1), decode,
                 )
                 ids[in_block] = remap[pids]
                 del in_block, pids
         del block_of
         self._assign_ranges()
         keep = ids >= 0
-        nonblank = np.array([bool(doc.text.strip()) for doc in documents], dtype=bool)
+        nonblank = np.array([bool(text.strip()) for text in texts], dtype=bool)
         keep &= np.repeat(nonblank[run_rows], lengths)
         # each run end moves back by the dropped entries before it
         ends = ends - np.searchsorted(np.flatnonzero(~keep), ends)
-        ids = ids[keep]  # the full-length arrays are released one at a time
-        values = values[keep]
-        return ids, values, ends
+        size = 0
+        step = 1 << 16  # entries compacted at a time: temporaries of 512 kB at most
+        for start in range(0, len(keep), step):
+            part = keep[start : start + step]
+            count = np.count_nonzero(part)
+            # each right-hand side is a copy, and size <= start
+            ids[size : size + count] = ids[start : start + step][part]
+            values[size : size + count] = values[start : start + step][part]
+            size += count
+        del ids, values  # a typed array shrinks only when nothing views it
+        del id_buffer[size:], value_buffer[size:]
+        return np.asarray(id_buffer), np.asarray(value_buffer), ends
 
     def fit(self, documents: Sequence[Document]) -> "FeaturePipeline":
         self._fit(documents, [spec for spec in self.blocks if spec.kind in LEXICAL_KINDS])
@@ -539,11 +740,11 @@ class FeaturePipeline:
         """Every document's row, as one CSR matrix."""
         if not self.fitted:
             raise DataError("feature pipeline used before fitting")
-        plan = [(spec, self.vocabularies[spec.name].index.get if spec.kind in LEXICAL_KINDS
-                 else None) for spec in self.blocks]
+        plan = [(spec, self._keys.get(spec.name)) for spec in self.blocks]
         texts = [doc.text if doc.text.strip() else "" for doc in documents]
         token_lists = [tokenize(doc.text) for doc in documents]
-        return self._to_csr(len(documents), *self._runs(plan, documents, texts, token_lists))
+        runs = self._runs(plan, documents, texts, token_lists, self._alphabet)
+        return self._to_csr(len(documents), *map(np.asarray, runs))
 
     def feature_name(self, index: int) -> str:
         """Human-readable name of one feature dimension."""

@@ -523,10 +523,13 @@ def _unit_interval(text: str) -> float:
     return value
 
 
-def _vocabulary(rows: list[str], n_documents: int, section: str, path: Path) -> Vocabulary:
+def _vocabulary(
+    rows: list[str], n_documents: int, section: str, path: Path, length: int | None
+) -> Vocabulary:
     """A ``[vocab:*]`` section's ``term<TAB>df`` rows, split in one pass;
     each term once, in increasing order, with ``1 <= df <= n_documents``,
-    as :func:`save_model` writes them."""
+    as :func:`save_model` writes them, and of ``length`` characters unless
+    that is None (a char n-gram block's terms are exactly n characters)."""
     joined = "\t".join(rows)
     fields = joined.split("\t") if rows else []
     # every row holds a tab, and there is one tab per row
@@ -542,6 +545,7 @@ def _vocabulary(rows: list[str], n_documents: int, section: str, path: Path) -> 
             df is not None
             and all(map(operator.lt, terms, islice(terms, 1, None)))
             and (not df or (min(df) >= 1 and max(df) <= n_documents))
+            and (length is None or set(map(len, terms)) <= {length})
         ):
             return Vocabulary(
                 terms=terms,
@@ -563,6 +567,10 @@ def _vocabulary(rows: list[str], n_documents: int, section: str, path: Path) -> 
         if not 1 <= _parse(int, parts[1], section, row, path) <= n_documents:
             raise ResourceError(
                 f"{path}: document frequency outside 1..{n_documents} in [{section}]: {row!r}"
+            )
+        if length is not None and len(term) != length:
+            raise ResourceError(
+                f"{path}: term of {len(term)} characters, not {length}, in [{section}]: {row!r}"
             )
         previous = term
     raise AssertionError(f"no faulty row in [{section}]")
@@ -707,6 +715,7 @@ def load_model(path: str | Path) -> OvRModel:
                 _need(kv, "n_documents", section, path, int),
                 vocab_section,
                 path,
+                params.get("n") if kind == "char_ngram" else None,
             )
         elif kind in ("embedding", "liwc", "gender"):
             _load_resource(resources, kind, kv, "", section, path)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .errors import ResourceError
-from .translit import DEVANAGARI_RE, TABLE_VERSION, transliterate_with_count
+from .translit import DEVANAGARI_RUN_RE, TABLE_VERSION, transliterate_with_count
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _EMAIL_RE = re.compile(r"[\w.+-]+@[\w-]+\.[\w.-]+")
@@ -285,12 +285,25 @@ def spell_correct(tokens: list[str], dictionary: SpellDictionary) -> list[str]:
 
 @dataclass
 class PreprocessSettings:
-    """Everything needed to replay preprocessing at prediction time."""
+    """Everything needed to replay preprocessing at prediction time.
+
+    Transliteration is local to a maximal run of Devanagari characters
+    (every other character ends the pending consonant), so each distinct
+    run is transliterated once per settings object and remembered with its
+    unknown count. The memo is not a field: ``==`` and ``repr`` ignore it,
+    and it starts empty in every ``train`` and every loaded model. It only
+    pays on input whose runs repeat, and like the spell dictionary's
+    corrections it grows without bound in a long-lived process.
+    """
 
     clean: CleanConfig
     transliterate: bool = False
     spell_dictionary: SpellDictionary | None = None
     translit_table_version: int = TABLE_VERSION
+
+    def __post_init__(self) -> None:
+        # Devanagari run -> (romanized run, unknown count)
+        self._romanized: dict[str, tuple[str, int]] = {}
 
     def apply(self, text: str) -> str:
         return self._apply(text)[0]
@@ -300,10 +313,19 @@ class PreprocessSettings:
         return self._apply(text)
 
     def _apply(self, text: str) -> tuple[str, int]:
-        unknown = 0
-        if self.transliterate and DEVANAGARI_RE.search(text):
-            text, unknown = transliterate_with_count(text)
+        unknowns: list[int] = []
+        if self.transliterate:
+            memo = self._romanized
+
+            def romanize(run: re.Match) -> str:
+                hit = memo.get(run[0])
+                if hit is None:
+                    hit = memo[run[0]] = transliterate_with_count(run[0])
+                unknowns.append(hit[1])
+                return hit[0]
+
+            text = DEVANAGARI_RUN_RE.sub(romanize, text)
         text = clean_text(text, self.clean)
         if self.spell_dictionary is not None and text:
             text = " ".join(spell_correct(text.split(" "), self.spell_dictionary))
-        return text, unknown
+        return text, sum(unknowns)

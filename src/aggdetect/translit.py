@@ -20,8 +20,9 @@ TABLE_VERSION = 1
 
 _DEVANAGARI_LO = 0x0900
 _DEVANAGARI_HI = 0x097F
-# One search tells whether a text holds any Devanagari character.
-DEVANAGARI_RE = re.compile(f"[{chr(_DEVANAGARI_LO)}-{chr(_DEVANAGARI_HI)}]")
+# A maximal run of Devanagari characters: transliteration never looks
+# past one, since every other character flushes the pending consonant.
+DEVANAGARI_RUN_RE = re.compile(f"[{chr(_DEVANAGARI_LO)}-{chr(_DEVANAGARI_HI)}]+")
 
 # Independent vowels and other self-contained signs.
 INDEPENDENT = {

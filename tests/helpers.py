@@ -64,6 +64,14 @@ def stack(rows: Sequence[SparseVector]) -> SparseMatrix:
     return SparseMatrix(dimension, indptr, indices, data)
 
 
+def char_ngrams(text: str, n: int) -> list[str]:
+    """All contiguous n-character windows over the whole text, spaces
+    included: the reference for the char n-gram blocks."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return [text[i : i + n] for i in range(len(text) - n + 1)]
+
+
 def fit_vocabulary(corpus_terms: Iterable[Sequence[str]], min_df: int = 1) -> Vocabulary:
     """The vocabulary of the terms with document frequency >= min_df, each
     document given as its list of terms."""

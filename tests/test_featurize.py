@@ -18,7 +18,6 @@ from aggdetect.featurize import (
     FeaturePipeline,
     Vocabulary,
     _segment_norms,
-    char_ngrams,
     skip_grams,
     tokenize,
     word_ngrams,
@@ -32,7 +31,7 @@ from aggdetect.lexfeatures import (
     gender_features,
 )
 
-from helpers import block_row, fit_vocabulary, sparse
+from helpers import block_row, char_ngrams, fit_vocabulary, sparse
 
 
 def tfidf_row(terms, vocab):
@@ -486,13 +485,17 @@ def reference_transform(pipeline, doc):
 
 
 _TEXTS = st.text(alphabet="ab c.", max_size=40)
+# NUL, an astral emoji, Devanagari and a lone surrogate beside ASCII: the
+# char blocks count code points, as Python slices strings
+_WIDE_CHARS = "ab c.!\x00\U0001f600\u0915\u094d\ud800"
+_WIDE_TEXTS = st.text(alphabet=st.sampled_from(_WIDE_CHARS), max_size=40)
 
 
 @given(
-    fit_texts=st.lists(_TEXTS, min_size=1, max_size=6),
-    extra_texts=st.lists(_TEXTS, max_size=3),
-    names=st.lists(st.sampled_from(["U", "B", "BU", "C3", "SK2"]), min_size=1, max_size=5,
-                   unique=True),
+    fit_texts=st.lists(_WIDE_TEXTS, min_size=1, max_size=6),
+    extra_texts=st.lists(_WIDE_TEXTS, max_size=3),
+    names=st.lists(st.sampled_from(["U", "B", "BU", "C3", "C4", "C5", "SK2"]), min_size=1,
+                   max_size=7, unique=True),
     min_df=st.integers(1, 2),
 )
 @settings(max_examples=200, deadline=None)
@@ -515,7 +518,7 @@ def test_transform_matches_dict_reference(fit_texts, extra_texts, names, min_df)
 
 _FIT_TEXTS = st.one_of(
     st.sampled_from(["", "   ", "!!", "?! ...", ":) :)", "a a a a", "ab ab ab c", "c. c. c."]),
-    st.text(alphabet="ab c.!", max_size=40),
+    _WIDE_TEXTS,
 )
 
 
@@ -538,8 +541,8 @@ def reference_vocabulary(spec, documents):
 
 @given(
     texts=st.lists(_FIT_TEXTS, min_size=1, max_size=8),
-    names=st.lists(st.sampled_from(["U", "B", "T", "BU", "C3", "C5", "SK2"]), min_size=1,
-                   max_size=7, unique=True),
+    names=st.lists(st.sampled_from(["U", "B", "T", "BU", "C3", "C4", "C5", "SK2"]),
+                   min_size=1, max_size=8, unique=True),
     min_df=st.integers(1, 3),
 )
 @settings(max_examples=200, deadline=None)
@@ -573,6 +576,34 @@ def test_fit_transform_matches_fit_then_transform_many(texts, names, min_df):
         reference = reference_transform(pipeline, doc)
         assert row.indices.tolist() == [i for i, _ in reference]
         assert row.values.tobytes() == np.array([w for _, w in reference]).tobytes()
+
+
+def test_char_codes_past_4095_characters_match_references():
+    """With over 4,095 distinct characters a C5 code needs 5 x 13 bits, so
+    its codes are UTF-32-BE byte strings while C3's and C4's still pack
+    into int64; fitted two documents a chunk, every block equals the
+    references bit for bit."""
+    chars = [chr(0x4E00 + i) for i in range(4200)]
+    texts = ["".join(chars[i : i + 70]) + " ab ab ab" for i in range(0, 4200, 60)]
+    docs = _docs(*texts, "\x00 ab \U0001f600 ab", "   ", "")
+    extra = _docs("".join(chars[::-7]), "\u0915\u094d ab ab" + chars[0] * 6)
+    blocks = [FeatureBlockSpec.from_name(n, min_df=1) for n in ("C3", "C4", "C5", "U")]
+    with mock.patch.object(featurize, "_CHUNK_ROWS", 2):
+        pipeline = FeaturePipeline(blocks)
+        rows = pipeline.fit_transform(docs)
+        batch = pipeline.transform_many(docs + extra)
+    assert pipeline._alphabet.bits == 13
+    for spec in blocks:
+        df, n_documents = reference_vocabulary(spec, docs)
+        vocab = pipeline.vocabularies[spec.name]
+        assert list(vocab.document_frequency.items()) == list(df.items())
+        assert vocab.n_documents == n_documents
+    fitted = list(rows)
+    for i, doc in enumerate(docs + extra):
+        reference = reference_transform(pipeline, doc)
+        for vec in [batch[i]] + fitted[i : i + 1]:
+            assert vec.indices.tolist() == [i for i, _ in reference]
+            assert vec.values.tobytes() == np.array([w for _, w in reference]).tobytes()
 
 
 # Tiny dense resources. Some embedding coordinates are 0, so the W2V block

@@ -561,6 +561,23 @@ class TestPersistence:
         with pytest.raises(ResourceError, match=re.escape(message)):
             load_model(path)
 
+    @pytest.mark.parametrize("term", ["ca", "calm"])
+    def test_char_term_of_wrong_length_names_section_and_line(self, tmp_path, term):
+        """A [vocab:C3] term holds exactly 3 characters; one of any other
+        length could never match a window, so loading refuses it."""
+        model, _docs = trained_toy_model()
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        head, vocab = text.split("[vocab:C3]\n")
+        vocab, n = re.subn(r"^cal\t(\d+)$", term + r"\t\1", vocab, count=1, flags=re.M)
+        assert n == 1
+        path.write_text(head + "[vocab:C3]\n" + vocab, encoding="utf-8")
+        row = re.search(f"^{term}\t\\d+$", vocab, flags=re.M)[0]
+        message = f"term of {len(term)} characters, not 3, in [vocab:C3]: {row!r}"
+        with pytest.raises(ResourceError, match=re.escape(message)):
+            load_model(path)
+
     def test_first_offending_weight_row_is_named(self, tmp_path):
         """A row that does not parse is named only when no earlier row
         has a fault of its own."""
@@ -738,6 +755,13 @@ _TERM_PIECES = st.one_of(
     st.characters(blacklist_categories=("Cs",)),
 )
 _TERMS = st.lists(st.lists(_TERM_PIECES, max_size=5).map("".join), unique=True, max_size=12)
+# a char trigram block's terms are three characters each
+_CHARS = st.one_of(
+    st.sampled_from(["\t", "\n", "\r", "\\", "[", "]", "=", "क", "ि", "\U0001F620", "a", " "]),
+    st.characters(blacklist_categories=("Cs",)),
+)
+_TRIGRAMS = st.lists(st.lists(_CHARS, min_size=3, max_size=3).map("".join), unique=True,
+                     max_size=12)
 _WEIGHTS = st.one_of(
     st.just(0.0),
     st.just(-0.0),
@@ -754,7 +778,7 @@ def random_models(draw):
     names = draw(st.sampled_from([["U"], ["C3"], ["U", "C3"]]))
     vocabularies = {}
     for name in names:
-        terms = sorted(draw(_TERMS))
+        terms = sorted(draw(_TRIGRAMS if name == "C3" else _TERMS))
         n_documents = draw(st.integers(1, 10**6))
         df = draw(st.lists(st.integers(1, n_documents), min_size=len(terms),
                            max_size=len(terms)))

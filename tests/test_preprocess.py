@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -263,3 +264,30 @@ class TestPreprocessSettings:
             unknown = text.count("ॾ") if prep.transliterate else 0
             assert prep.apply_with_stats(text) == (prep.apply(text), unknown)
         assert hindi.apply(text) == clean_text(translit.transliterate(text), hindi.clean)
+
+    @given(st.lists(st.sampled_from(["क्", "क़", "क", "्", "़", "ऀ", "ॾ", "ि", "बात", "क्या",
+                                     "ड़", "ं", " ", "a", "Z", "।"]), max_size=12))
+    @settings(max_examples=300)
+    def test_each_devanagari_run_transliterated_once(self, parts):
+        """Cold and warm, the run memo gives what transliterating the whole
+        text gives (runs that end in a virama or a nukta, unknown code
+        points, runs split by one space or one Latin letter), and
+        transliterate_with_count runs once per distinct run."""
+        text = "".join(parts)
+        romanized, unknown = translit.transliterate_with_count(text)
+        expected = (clean_text(romanized, CleanConfig.for_language("hindi")), unknown)
+        prep = PreprocessSettings(clean=CleanConfig.for_language("hindi"), transliterate=True)
+        calls = []
+
+        def counted(run):
+            calls.append(run)
+            return translit.transliterate_with_count(run)
+
+        with mock.patch.object(preprocess, "transliterate_with_count", counted):
+            assert prep.apply_with_stats(text) == expected
+            assert prep.apply_with_stats(text) == expected
+        runs = re.findall("[\u0900-\u097f]+", text)
+        assert sorted(calls) == sorted(set(runs))
+        fresh = PreprocessSettings(clean=CleanConfig.for_language("hindi"), transliterate=True)
+        assert fresh._romanized == {}
+        assert fresh == prep and repr(fresh) == repr(prep)
