@@ -21,9 +21,10 @@ rows.
 Word and skip-gram blocks count each document's terms with a ``Counter``.
 Char n-gram blocks (C3/C4/C5) count with array operations over the chunk's
 code points (:class:`_CharWindows`): each window of n characters becomes
-one code, and one stable sort of a block's codes gives every document's
-distinct codes with their counts.  A code packs the window's characters,
-numbered in code-point order within an alphabet, into one int64 with
+one code, and one value sort of a block's codes, each packed with its
+position (:func:`_sort_with_positions`), gives every document's distinct
+codes with their counts.  A code packs the window's characters, numbered
+in code-point order within an alphabet, into one int64 with
 ``b = bit_length(alphabet size)`` bits each; where ``n * b > 63`` (over
 4,095 distinct characters for C5) it is the window's UTF-32-BE bytes
 instead.  Either way code order is term order.
@@ -102,6 +103,8 @@ def word_ngrams(tokens: Sequence[str], n: int) -> list[str]:
     """All contiguous n-token windows, space-joined, duplicates kept."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n == 1:
+        return list(tokens)
     return [" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
 
 
@@ -275,6 +278,30 @@ def _vocabulary_codes(alphabet: _Alphabet, terms: list[str], n: int) -> np.ndarr
     return alphabet.codes(points, alphabet.ranks(points), np.arange(0, len(points), n), n)
 
 
+def _sort_with_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``keys[order]`` and ``order``, where ``order`` is what a stable
+    argsort of ``keys`` gives, from one value sort.
+
+    Each key goes above its position in one int64, so the packed values are
+    distinct and sort in (key, position) order, and ``np.sort`` orders them
+    several times faster than the stable argsort (timsort on int64 keys)
+    would. A key that does not fit beside the positions' bits in 63 bits,
+    or is negative or not an int64 (the ``S{4n}`` byte-string codes), is
+    replaced by its rank among the distinct keys (``np.unique``), which is
+    below ``len(keys)`` and so always fits."""
+    shift = max(len(keys) - 1, 0).bit_length()  # bits of a position
+    distinct = None
+    # the OR of all keys is negative if one is, and as wide as the largest
+    if keys.dtype != np.int64 or not 0 <= int(np.bitwise_or.reduce(keys)) < 1 << 63 - shift:
+        distinct, keys = np.unique(keys, return_inverse=True)
+    packed = np.left_shift(keys, shift, dtype=np.int64)
+    packed |= np.arange(len(keys))
+    packed.sort()
+    order = packed & (1 << shift) - 1
+    packed >>= shift
+    return (packed if distinct is None else distinct[packed]), order
+
+
 def _search(vocabulary: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The index of each of ``codes`` in the increasing ``vocabulary``, -1
     where it is not there."""
@@ -311,14 +338,18 @@ class _CharWindows:
         offset where each document's run ends. ``lookup`` maps the chunk's
         distinct codes, increasing, to ids, or to -1 to drop them.
 
-        One stable sort by code puts each document's occurrences of a code
-        together, first occurrence first; the groups then go back to the
-        position of that first occurrence."""
+        One sort by code, stable by position, puts each document's
+        occurrences of a code together, first occurrence first; the groups
+        then go back to the position of that first occurrence. The sort is
+        :func:`_sort_with_positions`: a value sort of each code packed with
+        its position in one int64 where the code's bits plus the position's
+        fit in 63, and of the code's rank among the chunk's distinct codes
+        where they do not (a wide alphabet, or byte-string codes)."""
         starts = (self.room >= n).nonzero()[0]
-        codes = self.alphabet.codes(self.points, self.ranks, starts, n)
+        codes, order = _sort_with_positions(
+            self.alphabet.codes(self.points, self.ranks, starts, n))
         rows = self.ends.searchsorted(starts, side="right")
-        order = codes.argsort(kind="stable")
-        codes, sorted_rows = codes[order], rows[order]
+        sorted_rows = rows[order]
         k = len(codes)
         # new_code[i]: sorted entry i starts a code; bounds: where a
         # document's occurrences of one code start, then k
@@ -372,6 +403,9 @@ NAME_PREFIXES = {
 
 LEXICAL_KINDS = ("word_ngram", "binary_word_ngram", "char_ngram", "skip_gram")
 DENSE_KINDS = ("embedding", "sentiment", "liwc", "gender")
+# The kinds that read a document's tokens; a sentiment provider splits and
+# tokenizes the document's sentences itself.
+TOKEN_KINDS = ("word_ngram", "binary_word_ngram", "skip_gram", "embedding", "liwc", "gender")
 
 # Documents whose runs FeaturePipeline._runs gathers, and _weigh_rows
 # weights and sorts, together: enough to spread the per-call cost of the
@@ -417,6 +451,13 @@ class FeatureBlockSpec:
         if kind in LEXICAL_KINDS:
             params["min_df"] = min_df
         return FeatureBlockSpec(name=name, kind=kind, params=params)
+
+
+def _token_lists(blocks: Sequence[FeatureBlockSpec], texts: Sequence[str]) -> list:
+    """Each text's tokens where a block reads them, else None for each."""
+    if any(spec.kind in TOKEN_KINDS for spec in blocks):
+        return [tokenize(text) for text in texts]
+    return [None] * len(texts)
 
 
 def _lexical_terms(spec: FeatureBlockSpec, tokens: Sequence[str]) -> list[str]:
@@ -504,7 +545,7 @@ class FeaturePipeline:
 
     def _append_runs(
         self, spec: FeatureBlockSpec, key: Callable[[str], int | None] | None,
-        documents: Sequence[Document], token_lists: Sequence[list[str]],
+        documents: Sequence[Document], token_lists: Sequence[list[str] | None],
         ids: list, values: list, ends: list,
     ) -> None:
         """Append one block's run of each document to ``ids``, ``values`` and
@@ -535,7 +576,7 @@ class FeaturePipeline:
 
     def _runs(
         self, plan: list, documents: Sequence[Document], texts: Sequence[str],
-        token_lists: list[list[str]], alphabet: _Alphabet | None,
+        token_lists: list[list[str] | None], alphabet: _Alphabet | None,
     ) -> tuple[array, array, array]:
         """The runs of every ``(spec, key)`` block of ``plan`` over the
         documents, as typed arrays of int32 ids, float64 values and the
@@ -545,7 +586,8 @@ class FeaturePipeline:
         UTF-32-BE byte strings where n times the alphabet's bits per
         character exceeds 63. A word or skip-gram block's runs are counted
         with a ``Counter`` by :meth:`_append_runs`, which also gives the
-        dense blocks' runs.
+        dense blocks' runs. ``token_lists`` holds each document's tokens,
+        or None for each where no block reads tokens (``TOKEN_KINDS``).
 
         The runs come ``_CHUNK_ROWS`` documents at a time, block by block
         within those, document by document within a block, so that
@@ -619,7 +661,7 @@ class FeaturePipeline:
 
         id_buffer, value_buffer, ends = self._runs(
             [(spec, key(spec)) for spec in blocks], documents, texts,
-            [tokenize(text) for text in texts], alphabet)
+            _token_lists(blocks, texts), alphabet)
         ids, values, ends = np.asarray(id_buffer), np.asarray(value_buffer), np.asarray(ends)
         run_rows, run_blocks = _run_layout(len(documents), len(blocks))
         lengths = np.diff(ends)
@@ -662,7 +704,7 @@ class FeaturePipeline:
 
     def fit_transform(self, documents: Sequence[Document]) -> SparseMatrix:
         """``fit(documents)`` then ``transform_many(documents)``, bit for bit,
-        with each document tokenized and its terms extracted once."""
+        with each document tokenized at most once and its terms extracted once."""
         return self._to_csr(len(documents), *self._fit(documents, self.blocks))
 
     def restore(self, vocabularies: dict[str, Vocabulary]) -> "FeaturePipeline":
@@ -671,7 +713,7 @@ class FeaturePipeline:
         self._assign_ranges()
         return self
 
-    def _dense_arrays(self, spec: FeatureBlockSpec, doc: Document, tokens: list[str]):
+    def _dense_arrays(self, spec: FeatureBlockSpec, doc: Document, tokens: list[str] | None):
         res = self.resources
         if spec.kind == "embedding":
             vec, _coverage = lexfeatures.embed_average(tokens, res.embeddings)
@@ -729,7 +771,7 @@ class FeaturePipeline:
         weights /= norms[seg]
         key *= self.total_dimension  # row first, then index
         key += cols
-        order = np.argsort(key)
+        order = _sort_with_positions(key)[1]
         return cols[order], weights[order]
 
     def transform(self, doc: Document) -> SparseVector:
@@ -742,7 +784,7 @@ class FeaturePipeline:
             raise DataError("feature pipeline used before fitting")
         plan = [(spec, self._keys.get(spec.name)) for spec in self.blocks]
         texts = [doc.text if doc.text.strip() else "" for doc in documents]
-        token_lists = [tokenize(doc.text) for doc in documents]
+        token_lists = _token_lists(self.blocks, [doc.text for doc in documents])
         runs = self._runs(plan, documents, texts, token_lists, self._alphabet)
         return self._to_csr(len(documents), *map(np.asarray, runs))
 

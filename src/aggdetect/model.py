@@ -380,6 +380,18 @@ def _text(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _vocab_rows(vocab: Vocabulary) -> str:
+    """A ``[vocab:*]`` section's ``term<TAB>df`` rows. The terms are
+    escaped one by one only when their joined text holds a character that
+    ``escape_field`` changes, which no term of most vocabularies does."""
+    terms = vocab.terms
+    joined = "".join(terms)
+    if any(ch in joined for ch in "\\\t\n\r"):
+        terms = list(map(escape_field, terms))
+    dfs = list(map(vocab.document_frequency.__getitem__, vocab.terms))
+    return "".join(map("{}\t{}\n".format, terms, dfs))
+
+
 def save_model(model: OvRModel, path: str | Path) -> None:
     """Write the sectioned text serialization. Fully deterministic.
 
@@ -426,9 +438,7 @@ def save_model(model: OvRModel, path: str | Path) -> None:
         for spec, lines in zip(pipe.blocks, blocks):
             f.write(_text(lines))
             if spec.kind in LEXICAL_KINDS:
-                vocab = pipe.vocabularies[spec.name]
-                df = vocab.document_frequency
-                f.write("".join([f"{escape_field(t)}\t{df[t]}\n" for t in vocab.terms]))
+                f.write(_vocab_rows(pipe.vocabularies[spec.name]))
         for label, clf in zip(LABELS, model.classifiers):
             nonzero = np.flatnonzero(clf.weights)
             f.write(_text([

@@ -136,6 +136,12 @@ class TestNgrams:
     def test_too_few_tokens(self):
         assert word_ngrams(["a", "b"], 3) == []
 
+    @given(st.lists(st.text(alphabet="xy z", max_size=3), max_size=12))
+    def test_word_unigrams_equal_the_joined_windows(self, tokens):
+        unigrams = word_ngrams(tokens, 1)
+        assert unigrams == [" ".join(tokens[i : i + 1]) for i in range(len(tokens))]
+        assert unigrams is not tokens
+
     @given(st.lists(st.sampled_from("xyz"), max_size=12), st.sampled_from([1, 2, 3]))
     def test_word_ngram_count(self, tokens, n):
         assert len(word_ngrams(tokens, n)) == max(0, len(tokens) - n + 1)
@@ -604,6 +610,124 @@ def test_char_codes_past_4095_characters_match_references():
         for vec in [batch[i]] + fitted[i : i + 1]:
             assert vec.indices.tolist() == [i for i, _ in reference]
             assert vec.values.tobytes() == np.array([w for _, w in reference]).tobytes()
+
+
+def assert_sorts_as_stable_argsort(keys, ranked):
+    """``_sort_with_positions`` gives the keys in stable argsort order and
+    that order, through the ranked branch (``np.unique``) exactly when
+    ``ranked``."""
+    with mock.patch("numpy.unique", wraps=np.unique) as unique:
+        got, order = featurize._sort_with_positions(keys)
+    assert unique.called == ranked
+    want = keys.argsort(kind="stable")
+    assert order.tolist() == want.tolist()
+    assert got.dtype == keys.dtype
+    assert got.tobytes() == keys[want].tobytes()
+
+
+class TestSortWithPositions:
+    @given(st.lists(st.integers(0, 2**20), max_size=300))
+    def test_small_keys_are_packed(self, keys):
+        assert_sorts_as_stable_argsort(np.array(keys, dtype=np.int64), ranked=False)
+
+    @given(st.lists(st.integers(2**62, 2**62 + 8), min_size=2, max_size=50))
+    def test_keys_too_wide_for_their_positions_are_ranked(self, keys):
+        assert_sorts_as_stable_argsort(np.array(keys, dtype=np.int64), ranked=True)
+
+    @given(st.lists(st.integers(-(2**63), -1), min_size=1).flatmap(
+        lambda negative: st.permutations(negative + [0, 2**63 - 1])))
+    def test_negative_keys_are_ranked(self, keys):
+        assert_sorts_as_stable_argsort(np.array(keys, dtype=np.int64), ranked=True)
+
+    @given(st.lists(st.binary(max_size=8), max_size=60))
+    def test_byte_string_codes_are_ranked(self, keys):
+        assert_sorts_as_stable_argsort(np.array(keys, dtype="S8"), ranked=True)
+
+    @pytest.mark.parametrize("keys, ranked", [
+        (np.zeros(0, dtype=np.int64), False),
+        (np.zeros(0, dtype="S20"), True),
+        (np.array([7]), False),
+        (np.array([2**63 - 1]), False),
+        (np.array([b"\x00\x00\x00a"], dtype="S4"), True),
+        (np.full(9, 5), False),
+        (np.full(9, 2**62), True),
+        (np.full(9, b"ab", dtype="S4"), True),
+    ])
+    def test_empty_one_and_all_equal_keys(self, keys, ranked):
+        assert_sorts_as_stable_argsort(keys, ranked)
+
+
+def test_char_codes_too_wide_for_their_positions_match_references():
+    """Over about 2,000 distinct characters a C5 code takes 5 x 11 bits, so
+    a chunk of more than 256 windows is sorted by rank; C3's codes still
+    pack beside their positions. Fitted and transformed, every block
+    equals the references bit for bit."""
+    chars = [chr(0x4E00 + i) for i in range(2000)]
+    texts = ["".join(chars[i : i + 100]) + " " + "".join(chars[i : i + 7]) * 3
+             for i in range(0, 2000, 80)]
+    docs = _docs(*texts, "   ", "\x00 ab")
+    blocks = [FeatureBlockSpec.from_name(n, min_df=1) for n in ("C3", "C5")]
+    sort = featurize._sort_with_positions
+    with mock.patch.object(featurize, "_sort_with_positions", wraps=sort) as spy:
+        pipeline = FeaturePipeline(blocks)
+        rows = list(pipeline.fit_transform(docs))
+        batch = pipeline.transform_many(docs)
+    assert pipeline._alphabet.bits == 11
+    widths = [int(keys.max()).bit_length() + (len(keys) - 1).bit_length()
+              for (keys,), _ in spy.call_args_list if keys.dtype == np.int64 and len(keys)]
+    assert sum(width > 63 for width in widths) == 2  # C5, in fit and in transform
+    for spec in blocks:
+        df, _ = reference_vocabulary(spec, docs)
+        assert list(pipeline.vocabularies[spec.name].document_frequency.items()) == list(df.items())
+    for doc, row, vec in zip(docs, rows, batch):
+        reference = reference_transform(pipeline, doc)
+        for got in (row, vec):
+            assert got.indices.tolist() == [i for i, _ in reference]
+            assert got.values.tobytes() == np.array([w for _, w in reference]).tobytes()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_weigh_rows_orders_each_row_by_index(data):
+    """With every weight left as its value, the indices and data that
+    ``_weigh_rows`` gives are the entries in the order of a stable argsort
+    by (row, index)."""
+    pipeline = FeaturePipeline([FeatureBlockSpec.from_name(n, min_df=1) for n in ("U", "C3", "BU")])
+    pipeline.fit(_docs("ab cd ef gh", "ab ab cd", "x y z"))
+    pipeline._idf = np.ones(pipeline.total_dimension)
+    pipeline._unnormalized[:] = True
+    m = data.draw(st.integers(1, 5))
+    ids, lengths = [], np.zeros((3, m), dtype=np.int64)
+    for k, spec in enumerate(pipeline.blocks):
+        for r in range(m):
+            run = data.draw(st.lists(st.integers(0, pipeline.dimensions[spec.name] - 1),
+                                     unique=True))
+            ids += run
+            lengths[k, r] = len(run)
+    ids = np.array(ids, dtype=np.int32)
+    values = np.arange(1.0, len(ids) + 1)
+    indices, weights = pipeline._weigh_rows(ids, values.copy(), lengths)
+    seg = np.repeat(np.arange(3 * m), lengths.ravel())
+    cols = ids + pipeline._block_offsets[seg // m]
+    order = (seg % m * pipeline.total_dimension + cols).argsort(kind="stable")
+    assert indices.tolist() == cols[order].tolist()
+    assert weights.tolist() == values[order].tolist()
+
+
+def test_char_only_pipeline_never_tokenizes():
+    """No block reads tokens, so neither fitting nor transforming
+    tokenizes, and the rows equal the references."""
+    docs = _docs("ab ab. c", "  ", "", "c.c. ab!", "\U0001f600 ab")
+    blocks = [FeatureBlockSpec.from_name(n, min_df=1) for n in ("C3", "C4")]
+    with mock.patch.object(featurize, "tokenize", side_effect=AssertionError("tokenized")):
+        pipeline = FeaturePipeline(blocks)
+        rows = list(pipeline.fit_transform(docs))
+        batch = FeaturePipeline(blocks).fit(docs).transform_many(docs)
+    for doc, row, vec in zip(docs, rows, batch):
+        reference = reference_transform(pipeline, doc)
+        for got in (row, vec):
+            assert got.indices.tolist() == [i for i, _ in reference]
+            assert got.values.tobytes() == np.array([w for _, w in reference]).tobytes()
 
 
 # Tiny dense resources. Some embedding coordinates are 0, so the W2V block

@@ -837,3 +837,24 @@ def test_save_model_writes_the_reference_bytes_and_loads_back_bit_for_bit(tmp_pa
         assert got.document_frequency == want.document_frequency
         assert got.n_documents == want.n_documents
         assert got.idf.tobytes() == want.idf.tobytes()
+
+
+@pytest.mark.parametrize("terms", [["a\\b", "plain"], ["\\", "\\t", "x\ty", "z"], ["ab", "cd"]])
+def test_vocab_rows_write_the_reference_bytes_and_load_back(tmp_path, terms):
+    """A term holding a backslash (alone or beside other escaped
+    characters) is escaped as the per-term writer escaped it, and loads
+    back as itself; terms with nothing to escape are written as they are."""
+    terms = sorted(terms)
+    vocab = Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)},
+                       document_frequency={t: i + 1 for i, t in enumerate(terms)}, n_documents=9)
+    pipeline = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).restore({"U": vocab})
+    weights = np.arange(1.0, len(terms) + 1)
+    model = OvRModel(classifiers=[BinaryLogReg(weights=weights, bias=0.5, reg_lambda=1.0)] * 3,
+                     pipeline=pipeline, preprocess=PreprocessSettings(clean=CleanConfig()))
+    path, reference = tmp_path / "model.txt", tmp_path / "reference.txt"
+    save_model(model, path)
+    reference_save_model(model, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    loaded = load_model(path).pipeline.vocabularies["U"]
+    assert loaded.terms == terms
+    assert loaded.document_frequency == vocab.document_frequency
