@@ -503,6 +503,15 @@ def cmd_inspect(args) -> int:
     print("NAG\tCAG\tOAG")
     for row in range(max((len(c) for c in columns), default=0)):
         print("\t".join(col[row] if row < len(col) else "" for col in columns))
+    # after a blank line: the format's header line, then each class's
+    # convergence ("-" where a version 1 file does not record it)
+    with open(args.model, encoding="utf-8") as f:
+        print(f"\nformat\t{f.readline().rstrip()}")
+    print("class\titerations\tstop_reason\tfinal_loss\tfinal_grad_norm")
+    for label, clf in zip(LABELS, ovr.classifiers):
+        loss = "-" if clf.final_loss is None else f"{clf.final_loss:.6g}"
+        print(f"{label.name}\t{clf.iterations}\t{clf.stop_reason or '-'}\t{loss}\t"
+              f"{clf.final_grad_norm:.2e}")
     return 0
 
 
@@ -571,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("inspect", help="print the top features per class")
+    p = sub.add_parser("inspect", help="print the top features and the convergence per class")
     p.add_argument("model")
     p.add_argument("--top", type=int, default=10, help="features per class (default 10)")
     p.set_defaults(func=cmd_inspect)

@@ -18,25 +18,41 @@ batch, so both get bit-identical scores.
 Model files are versioned, sectioned UTF-8 text.  Vocabularies and all
 weights are embedded; embeddings and lexicons are referenced by absolute
 path plus SHA-256 and re-verified on load, so a loaded model reproduces
-bit-identical predictions or fails loudly.
+bit-identical predictions or fails loudly.  Training is deterministic, and
+so are the file's bytes at a fixed OpenBLAS thread count: the BLAS sums
+in the solver round differently with the number of threads.
 
-Both directions work on whole sections.  :func:`save_model` formats each
-vocabulary and each class's nonzero weights in one pass over Python
-lists, and writes each section as soon as it is formatted, so it never
-holds the whole file.  :func:`load_model` finds the section headers with
-one regex over the file, splits each ``[vocab:*]`` body once and parses
-its document frequencies with one ``int`` map, and parses each
-``[weights:*]`` body with one ``np.loadtxt`` call, which rounds every
-value exactly as ``float()`` does.  The checks run on the whole section:
-terms strictly increasing with ``1 <= df <= n_documents``; weight
-indices strictly increasing and in range; weights, ``bias`` and
-``final_grad_norm`` finite; ``reg_lambda`` finite and >= 0; the ``nnz``
-count.  A fault raises ResourceError naming the section and its first
-offending line.
+:func:`save_model` writes ``aggdetect-model 2``.  Each ``[weights:*]``
+section holds ``key = value`` lines (``bias``, ``reg_lambda``,
+``iterations``, ``final_grad_norm``, and ``stop_reason`` and
+``final_loss`` when they are known) and then the class's whole weight
+vector, ``total_dimension`` values with its zeros, as little-endian
+float64 bytes in base64 lines of 76 characters, which load back bit for
+bit.  It writes each section as soon as it is formatted, so it never
+holds the whole file.  :func:`load_model` also reads version 1 files, whose
+weight sections list each nonzero weight as an ``index<TAB>repr(value)``
+row after an ``nnz`` line; such a model loads with ``stop_reason`` and
+``final_loss`` None.
+
+:func:`load_model` finds the section headers with one regex over the
+file, splits each ``[vocab:*]`` body once and parses its document
+frequencies with one ``int`` map.  A version 2 weights block is decoded
+by one strict base64 call; a version 1 weights section is parsed with one
+``np.loadtxt`` call, which rounds every value exactly as ``float()``
+does.  The checks run on the whole section: terms strictly increasing
+with ``1 <= df <= n_documents``; a weights block of exactly
+``total_dimension`` float64 values (version 2), or weight indices
+strictly increasing and in range and the ``nnz`` count (version 1);
+weights, ``bias``, ``final_grad_norm`` and ``final_loss`` finite;
+``reg_lambda`` and ``final_loss`` >= 0; ``stop_reason`` one of
+``STOP_REASONS``.  A fault raises ResourceError
+naming the section and, for a line-based fault, its first offending line.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 import operator
@@ -61,7 +77,10 @@ from .featurize import (
 )
 from .preprocess import CleanConfig, PreprocessSettings
 
-MODEL_FORMAT = "aggdetect-model 1"
+MODEL_FORMAT = "aggdetect-model 2"
+# the header line of each format that load_model reads, and its version
+_FORMATS = {"aggdetect-model 1": 1, MODEL_FORMAT: 2}
+STOP_REASONS = ("grad_tol", "max_iters", "line_search")
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
@@ -90,9 +109,10 @@ class BinaryLogReg:
     reg_lambda: float
     iterations: int = 0
     final_grad_norm: float = 0.0
-    # "grad_tol", "max_iters" or "line_search"; None on a loaded model,
-    # because the model file does not record it
+    # one of STOP_REASONS, and J at the returned weights; None on a model
+    # loaded from a version 1 file, which does not record them
     stop_reason: str | None = None
+    final_loss: float | None = None
 
 
 def objective(
@@ -224,6 +244,7 @@ def train_binary(X: SparseMatrix, y: Sequence[int],
         iterations=iterations,
         final_grad_norm=grad_norm,
         stop_reason=stop_reason,
+        final_loss=loss,
     )
 
 
@@ -393,10 +414,14 @@ def _vocab_rows(vocab: Vocabulary) -> str:
 
 
 def save_model(model: OvRModel, path: str | Path) -> None:
-    """Write the sectioned text serialization. Fully deterministic.
+    """Write the sectioned text serialization, format version 2. Fully
+    deterministic.
 
-    Every line that can raise, a referenced file's provenance, is formatted
-    before the file is opened, so a failed save leaves the path as it was.
+    Each class's weights are one base64 block of its float64 values; a
+    ``stop_reason`` or ``final_loss`` that is None, as on a model loaded
+    from a version 1 file, is left out. Every line that can raise, a
+    referenced file's provenance, is formatted before the file is opened,
+    so a failed save leaves the path as it was.
     The header and then each ``[vocab:*]`` and ``[weights:*]`` section are
     written as soon as they are formatted, so at most one section's lines
     are held at a time, never the whole file."""
@@ -440,18 +465,20 @@ def save_model(model: OvRModel, path: str | Path) -> None:
             if spec.kind in LEXICAL_KINDS:
                 f.write(_vocab_rows(pipe.vocabularies[spec.name]))
         for label, clf in zip(LABELS, model.classifiers):
-            nonzero = np.flatnonzero(clf.weights)
-            f.write(_text([
+            lines = [
                 f"[weights:{label.name}]",
                 f"bias = {_fmt(clf.bias)}",
                 f"reg_lambda = {_fmt(clf.reg_lambda)}",
                 f"iterations = {clf.iterations}",
                 f"final_grad_norm = {_fmt(clf.final_grad_norm)}",
-                f"nnz = {nonzero.shape[0]}",
-            ]))
-            # tolist() gives Python ints and floats, so {v!r} is _fmt(v)
-            values = clf.weights[nonzero].astype(np.float64, copy=False).tolist()
-            f.write("".join([f"{i}\t{v!r}\n" for i, v in zip(nonzero.tolist(), values)]))
+            ]
+            if clf.stop_reason is not None:
+                lines.append(f"stop_reason = {clf.stop_reason}")
+            if clf.final_loss is not None:
+                lines.append(f"final_loss = {_fmt(clf.final_loss)}")
+            f.write(_text(lines))
+            weights = clf.weights.astype("<f8", copy=False).tobytes()
+            f.write(base64.encodebytes(weights).decode("ascii"))
 
 
 class _SidecarRequired(lexfeatures.SentimentProvider):
@@ -474,19 +501,19 @@ _KV_LINES_RE = re.compile(r"(?:.* = .*(?:\n|\Z)|\n)*")
 _WEIGHT_ROW = np.dtype([("index", np.int64), ("value", np.float64)])
 
 
-def _split_sections(raw: str, path: Path) -> dict[str, str]:
-    """Each section's body by name: the text between its header line and
-    the next header. A repeated section name keeps the last body."""
+def _split_sections(raw: str, path: Path) -> tuple[int, dict[str, str]]:
+    """The format version that the header line names, and each section's
+    body by name: the text between its header line and the next header.
+    A repeated section name keeps the last body."""
     first = raw.partition("\n")[0]
-    if first != MODEL_FORMAT:
-        raise ResourceError(
-            f"{path}: not a recognized model file (expected header {MODEL_FORMAT!r})"
-        )
+    if first not in _FORMATS:
+        expected = " or ".join(map(repr, _FORMATS))
+        raise ResourceError(f"{path}: not a recognized model file (expected header {expected})")
     headers = list(_HEADER_RE.finditer(raw, len(first)))
     if raw[len(first) : headers[0].start() if headers else len(raw)].strip("\n"):
         raise ResourceError(f"{path}: content before first section")
     ends = [m.start() for m in headers[1:]] + [len(raw)]
-    return {m[1]: raw[m.end() + 1 : end] for m, end in zip(headers, ends)}
+    return _FORMATS[first], {m[1]: raw[m.end() + 1 : end] for m, end in zip(headers, ends)}
 
 
 def _lines(body: str) -> list[str]:
@@ -620,8 +647,9 @@ def _check_weight_rows(
 
 
 def _weight_rows(rows: list[str], dimension: int, section: str, path: Path) -> np.ndarray:
-    """A ``[weights:*]`` section's rows, parsed in one numpy call and
-    checked with array operations; a fault names the first offending row."""
+    """A version 1 ``[weights:*]`` section's rows, parsed in one numpy call
+    and checked with array operations; a fault names the first offending
+    row."""
     try:
         table = _read_weight_rows(rows)
     except ValueError:
@@ -646,10 +674,55 @@ def _weight_rows(rows: list[str], dimension: int, section: str, path: Path) -> n
     return table
 
 
+def _weights_v1(kv: dict[str, str], rows: list[str], dimension: int, section: str,
+                path: Path) -> np.ndarray:
+    """A version 1 weight vector: ``nnz`` rows of ``index<TAB>value``, each
+    nonzero weight once, by increasing index."""
+    declared_nnz = _need(kv, "nnz", section, path, int)
+    if declared_nnz != len(rows):
+        raise ResourceError(
+            f"{path}: [{section}] declares {declared_nnz} weights but has {len(rows)}"
+        )
+    table = _weight_rows(rows, dimension, section, path)
+    weights = np.zeros(dimension)
+    weights[table["index"]] = table["value"]
+    return weights
+
+
+def _weights_v2(block: str, dimension: int, section: str, path: Path) -> np.ndarray:
+    """A version 2 weight vector: base64 lines of exactly ``dimension``
+    finite little-endian float64 values, as a writable native array."""
+    try:
+        raw = binascii.a2b_base64(block.replace("\n", ""), strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise ResourceError(f"{path}: weights block in [{section}] is not base64: {exc}") from None
+    if len(raw) != 8 * dimension:
+        raise ResourceError(
+            f"{path}: weights block in [{section}] holds {len(raw)} bytes, not the "
+            f"{8 * dimension} of {dimension} float64 values"
+        )
+    weights = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        raise ResourceError(f"{path}: non-finite weight at index {bad[0]} in [{section}]")
+    return weights
+
+
+def _stop_reason(text: str) -> str:
+    if text not in STOP_REASONS:
+        raise ValueError(f"unknown stop reason {text!r}")
+    return text
+
+
 def _need(kv: dict[str, str], key: str, section: str, path: Path, parse=str):
     if key not in kv:
         raise ResourceError(f"{path}: missing key {key!r} in section [{section}]")
     return _parse(parse, kv[key], section, f"{key} = {kv[key]}", path)
+
+
+def _optional(kv: dict[str, str], key: str, section: str, path: Path, parse):
+    """:func:`_need`, or None when the section has no ``key``."""
+    return _need(kv, key, section, path, parse) if key in kv else None
 
 
 def _load_resource(
@@ -663,12 +736,13 @@ def _load_resource(
 
 
 def load_model(path: str | Path) -> OvRModel:
-    """Load a model file, re-reading referenced resources and verifying
-    their checksums. Predictions after a round trip are bit-identical."""
+    """Load a model file of format version 1 or 2, re-reading referenced
+    resources and verifying their checksums. Predictions after a round
+    trip are bit-identical."""
     path = Path(path)
     if not path.is_file():
         raise ResourceError(f"model file not found: {path}")
-    by_name = _split_sections(path.read_text(encoding="utf-8"), path)
+    version, by_name = _split_sections(path.read_text(encoding="utf-8"), path)
     for required in ("meta", "preprocess", "pipeline"):
         if required not in by_name:
             raise ResourceError(f"{path}: missing section [{required}]")
@@ -759,16 +833,10 @@ def load_model(path: str | Path) -> OvRModel:
         body = by_name[section]
         kv_end = _KV_LINES_RE.match(body).end()
         kv = _kv(body[:kv_end], section, path)
-        rows = _lines(body[kv_end:])
-        declared_nnz = _need(kv, "nnz", section, path, int)
-        if declared_nnz != len(rows):
-            raise ResourceError(
-                f"{path}: [{section}] declares {declared_nnz} weights but has {len(rows)}"
-            )
-        # save_model writes each nonzero weight once, by increasing index
-        table = _weight_rows(rows, total_dimension, section, path)
-        weights = np.zeros(total_dimension)
-        weights[table["index"]] = table["value"]
+        if version == 1:
+            weights = _weights_v1(kv, _lines(body[kv_end:]), total_dimension, section, path)
+        else:
+            weights = _weights_v2(body[kv_end:], total_dimension, section, path)
         classifiers.append(
             BinaryLogReg(
                 weights=weights,
@@ -776,6 +844,8 @@ def load_model(path: str | Path) -> OvRModel:
                 reg_lambda=_need(kv, "reg_lambda", section, path, _non_negative),
                 iterations=_need(kv, "iterations", section, path, int),
                 final_grad_norm=_need(kv, "final_grad_norm", section, path, _finite),
+                stop_reason=_optional(kv, "stop_reason", section, path, _stop_reason),
+                final_loss=_optional(kv, "final_loss", section, path, _non_negative),
             )
         )
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
+import struct
 from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -13,7 +15,7 @@ import numpy as np
 from aggdetect.corpus_io import LABELS, Corpus, Document, Label, escape_field
 from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary, _fit_counts
 from aggdetect.kernels import SparseMatrix, SparseVector
-from aggdetect.model import MODEL_FORMAT, OvRModel
+from aggdetect.model import BinaryLogReg, OvRModel
 from aggdetect.preprocess import SpellDictionary
 
 # Three disjoint signal-word families, one per class, plus shared noise.
@@ -161,9 +163,51 @@ def write_lines(path: Path, lines: list[str]) -> Path:
     return path
 
 
+_REFERENCE_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+
+
+def reference_escape_field(value: str) -> str:
+    """``escape_field`` one character at a time."""
+    return "".join(_REFERENCE_ESCAPES.get(ch, ch) for ch in value)
+
+
 def reference_model_text(model: OvRModel) -> str:
-    """The text of a model file formatted the way save_model did before it
-    wrote one section at a time: every line in one list, joined once."""
+    """The text of a version 1 model file, formatted the way save_model
+    wrote it before format 2: every line in one list, joined once, and each
+    class's nonzero weights as ``index<TAB>repr(value)`` rows after an
+    ``nnz`` line. Version 1 has no ``stop_reason`` or ``final_loss``."""
+    return _reference_text(model, "aggdetect-model 1", _v1_weight_lines)
+
+
+def reference_model_text_v2(model: OvRModel) -> str:
+    """The text of a version 2 model file, every line in one list, joined
+    once: each class's convergence keys that are not None, then its whole
+    weight vector packed by ``struct`` as little-endian float64, in base64
+    cut into lines of 76 characters."""
+    return _reference_text(model, "aggdetect-model 2", _v2_weight_lines)
+
+
+def _v1_weight_lines(clf: BinaryLogReg) -> list[str]:
+    nonzero = np.flatnonzero(clf.weights)
+    out = [f"nnz = {nonzero.shape[0]}"]
+    values = clf.weights[nonzero].astype(np.float64, copy=False).tolist()
+    out.extend([f"{i}\t{v!r}" for i, v in zip(nonzero.tolist(), values)])
+    return out
+
+
+def _v2_weight_lines(clf: BinaryLogReg) -> list[str]:
+    out = []
+    if clf.stop_reason is not None:
+        out.append(f"stop_reason = {clf.stop_reason}")
+    if clf.final_loss is not None:
+        out.append(f"final_loss = {float(clf.final_loss)!r}")
+    values = [float(v) for v in clf.weights]
+    block = base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+    out.extend(block[i : i + 76] for i in range(0, len(block), 76))
+    return out
+
+
+def _reference_text(model: OvRModel, header: str, weight_lines) -> str:
     flag = {True: "true", False: "false"}
     pipe = model.pipeline
     prep = model.preprocess
@@ -172,7 +216,7 @@ def reference_model_text(model: OvRModel) -> str:
         path, sha256 = pipe.resources.provenance[key]
         return [f"{prefix}path = {path}", f"{prefix}sha256 = {sha256}"]
 
-    out: list[str] = [MODEL_FORMAT]
+    out: list[str] = [header]
     out.append("[meta]")
     out.append(f"language = {model.language}")
     out.append("labels = " + ",".join(label.name for label in LABELS))
@@ -222,7 +266,7 @@ def reference_model_text(model: OvRModel) -> str:
         if lexical:
             out.append(f"[vocab:{spec.name}]")
             df = vocab.document_frequency
-            out.extend([f"{escape_field(t)}\t{df[t]}" for t in vocab.terms])
+            out.extend([f"{reference_escape_field(t)}\t{df[t]}" for t in vocab.terms])
 
     for label, clf in zip(LABELS, model.classifiers):
         out.append(f"[weights:{label.name}]")
@@ -230,8 +274,5 @@ def reference_model_text(model: OvRModel) -> str:
         out.append(f"reg_lambda = {float(clf.reg_lambda)!r}")
         out.append(f"iterations = {clf.iterations}")
         out.append(f"final_grad_norm = {float(clf.final_grad_norm)!r}")
-        nonzero = np.flatnonzero(clf.weights)
-        out.append(f"nnz = {nonzero.shape[0]}")
-        values = clf.weights[nonzero].astype(np.float64, copy=False).tolist()
-        out.extend([f"{i}\t{v!r}" for i, v in zip(nonzero.tolist(), values)])
+        out.extend(weight_lines(clf))
     return "\n".join(out) + "\n"

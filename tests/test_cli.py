@@ -1,3 +1,4 @@
+import base64
 import os
 import re
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aggdetect
@@ -18,6 +20,7 @@ from aggdetect.model import load_model, save_model, train_ovr
 from helpers import (
     reference_candidates,
     reference_model_text,
+    reference_model_text_v2,
     synthetic_documents,
     write_corpus_tsv,
     write_embeddings,
@@ -392,9 +395,11 @@ class TestPredict:
     ):
         """Numbers save_model cannot have written: a document frequency
         outside 1..n_documents (a crash or a negative idf before) and a
-        non-finite weight or bias (a confident NAG before)."""
+        non-finite weight or bias (a confident NAG before), in a version 1
+        file, whose weights are rows."""
         corpus_path, _rows = toy_corpus
         model_path = self.train_model(tmp_path, corpus_path, basic_config)
+        model_path.write_text(reference_model_text(load_model(model_path)), encoding="utf-8")
         text, n = re.subn(pattern, replacement, model_path.read_text(encoding="utf-8"),
                           count=1, flags=re.M)
         assert n == 1
@@ -416,6 +421,54 @@ class TestPredict:
         assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
         assert (f"resource error: {model_path}: bad value in [block:S]: "
                 f"'intensity_split = {value}'" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("character", "weights block in [weights:NAG] is not base64"),
+        ("short", "weights block in [weights:NAG] holds {short} bytes, not the {size}"),
+        ("long", "weights block in [weights:NAG] holds {long} bytes, not the {size}"),
+        ("nan", "non-finite weight at index 3 in [weights:NAG]"),
+        ("inf", "non-finite weight at index 3 in [weights:NAG]"),
+        ("missing", "weights block in [weights:NAG] holds 0 bytes, not the {size}"),
+    ])
+    def test_bad_weights_block_exits_3(
+        self, tmp_path, toy_corpus, basic_config, capsys, fault, message
+    ):
+        """A version 2 weights block must be base64 of exactly
+        total_dimension finite float64 values."""
+        corpus_path, _rows = toy_corpus
+        model_path = self.train_model(tmp_path, corpus_path, basic_config)
+        text = model_path.read_text(encoding="utf-8")
+        head, rest = text.split("[weights:NAG]\n")
+        body, tail = rest.split("[weights:CAG]\n")
+        keys = "".join(line + "\n" for line in body.splitlines() if " = " in line)
+        weights = load_model(model_path).classifiers[0].weights
+        values = {"short": weights[:-1], "long": np.append(weights, 0.5),
+                  "nan": np.where(np.arange(weights.size) == 3, np.nan, weights),
+                  "inf": np.where(np.arange(weights.size) == 3, np.inf, weights),
+                  "missing": weights[:0]}.get(fault, weights)
+        block = base64.encodebytes(values.astype("<f8").tobytes()).decode("ascii")
+        if fault == "character":
+            block = block[:40] + "*" + block[41:]
+        model_path.write_text(f"{head}[weights:NAG]\n{keys}{block}[weights:CAG]\n{tail}",
+                              encoding="utf-8")
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
+        size = 8 * weights.size
+        message = message.format(short=size - 8, long=size + 8, size=size)
+        assert f"resource error: {model_path}: {message}" in capsys.readouterr().err
+
+    def test_version_1_file_predicts_the_same_labels(
+        self, tmp_path, toy_corpus, basic_config
+    ):
+        corpus_path, _rows = toy_corpus
+        model_path = self.train_model(tmp_path, corpus_path, basic_config)
+        v1_path = tmp_path / "v1.txt"
+        v1_path.write_text(reference_model_text(load_model(model_path)), encoding="utf-8")
+        outputs = []
+        for path in (model_path, v1_path):
+            out = tmp_path / f"pred-{path.stem}.tsv"
+            assert run(["predict", str(path), str(corpus_path), str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_unlabeled_corpus_accepted(self, tmp_path, toy_corpus, basic_config):
         corpus_path, _rows = toy_corpus
@@ -476,13 +529,40 @@ class TestInspect:
         run(["train", str(corpus_path), str(model_path), "--config", str(basic_config)])
         capsys.readouterr()
         assert run(["inspect", str(model_path), "--top", "5"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+        table, _convergence = capsys.readouterr().out.split("\n\n")
+        lines = table.strip().splitlines()
         assert lines[0] == "NAG\tCAG\tOAG"
         assert len(lines) == 6
         assert all(len(line.split("\t")) == 3 for line in lines[1:])
         # class-exclusive signal words should surface as top unigrams
         assert any(cell.startswith("unigram_calm") for cell in
                    (line.split("\t")[0] for line in lines[1:]))
+
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_convergence_per_class(self, tmp_path, toy_corpus, basic_config, capsys, version):
+        corpus_path, _rows = toy_corpus
+        model_path = tmp_path / "model.txt"
+        run(["train", str(corpus_path), str(model_path), "--config", str(basic_config)])
+        model = load_model(model_path)
+        if version == 1:
+            model_path.write_text(reference_model_text(model), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["--quiet", "inspect", str(model_path), "--top", "1"]) == 0
+        _table, convergence = capsys.readouterr().out.split("\n\n")
+        lines = convergence.splitlines()
+        assert lines[:2] == [f"format\taggdetect-model {version}",
+                             "class\titerations\tstop_reason\tfinal_loss\tfinal_grad_norm"]
+        assert len(lines) == 5
+        for line, label, clf in zip(lines[2:], Label, model.classifiers):
+            name, iterations, stop_reason, final_loss, grad_norm = line.split("\t")
+            assert (name, int(iterations)) == (label.name, clf.iterations)
+            assert float(grad_norm) == pytest.approx(clf.final_grad_norm, rel=1e-2)
+            if version == 1:
+                assert (stop_reason, final_loss) == ("-", "-")
+            else:
+                assert stop_reason == clf.stop_reason == "grad_tol"
+                assert float(final_loss) == pytest.approx(clf.final_loss, rel=1e-5)
 
 
 class TestDumpTranslitTable:
@@ -643,7 +723,7 @@ class TestSaveModel:
         model = train_library(corpus_path, config)
         path = tmp_path / "model.txt"
         save_model(model, path)
-        assert path.read_bytes() == reference_model_text(model).encode("utf-8")
+        assert path.read_bytes() == reference_model_text_v2(model).encode("utf-8")
 
     @pytest.mark.parametrize("key", ["spell_dict", "gender"])
     @pytest.mark.parametrize("existing", [b"an older model\n", None])

@@ -1,4 +1,3 @@
-import json
 import math
 import re
 import tracemalloc
@@ -29,7 +28,14 @@ from aggdetect.model import (
 )
 from aggdetect.preprocess import CleanConfig, PreprocessSettings
 
-from helpers import sparse, stack, synthetic_documents, write_lines
+from helpers import (
+    reference_model_text,
+    reference_model_text_v2,
+    sparse,
+    stack,
+    synthetic_documents,
+    write_lines,
+)
 
 
 def sv(dimension, **entries):
@@ -425,6 +431,11 @@ class TestTopFeatures:
         assert top_features(model, Label.CAG, 5) == [("unigram_dd", 0.3)]
 
 
+def save_v1(model, path):
+    """Write ``model`` as a version 1 file, by the reference writer."""
+    path.write_text(reference_model_text(model), encoding="utf-8")
+
+
 def trained_toy_model():
     docs = [
         Document(id="d0", text="calm soft words", gold=Label.NAG),
@@ -494,6 +505,67 @@ class TestPersistence:
             assert a.iterations == b.iterations
             assert a.bias == b.bias
 
+    def test_convergence_round_trips_in_version_2_and_is_none_in_version_1(self, tmp_path):
+        model, _docs = trained_toy_model()
+        v1, v2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
+        save_v1(model, v1)
+        save_model(model, v2)
+        for got, want in zip(load_model(v2).classifiers, model.classifiers):
+            assert want.stop_reason == "grad_tol"
+            assert got.stop_reason == want.stop_reason
+            assert bits(got.final_loss) == bits(want.final_loss)
+        for got in load_model(v1).classifiers:
+            assert (got.stop_reason, got.final_loss) == (None, None)
+        # a version 1 model saves as version 2 without the unknown keys
+        save_model(load_model(v1), v2)
+        text = v2.read_text(encoding="utf-8")
+        assert text.startswith("aggdetect-model 2\n")
+        assert "stop_reason" not in text and "final_loss" not in text
+        assert [clf.stop_reason for clf in load_model(v2).classifiers] == [None] * 3
+
+    def test_final_loss_is_the_objective_at_the_returned_weights(self):
+        model, docs = trained_toy_model()
+        X = model.pipeline.transform_many(docs)
+        for label, clf in zip(Label, model.classifiers):
+            y = np.array([float(d.gold == label) for d in docs])
+            loss, _z = objective(X, y, clf.weights, clf.bias, clf.reg_lambda)
+            assert bits(clf.final_loss) == bits(loss)
+
+    def test_version_1_file_loads_and_predicts_as_the_version_2_file(self, tmp_path):
+        model, docs = trained_toy_model()
+        v1, v2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
+        save_v1(model, v1)
+        save_model(model, v2)
+        old, new = load_model(v1), load_model(v2)
+        for a, b in zip(old.classifiers, new.classifiers):
+            assert np.array_equal(a.weights.view(np.int64), b.weights.view(np.int64))
+        docs = docs + [Document(id="oov", text="zzz qqq calm sly")]
+        X = new.pipeline.transform_many(docs)
+        assert predict_many(old, X) == predict_many(new, X)
+        assert np.array_equal(model_module._scores(old, X).view(np.int64),
+                              model_module._scores(new, X).view(np.int64))
+        for doc in docs:
+            x = new.pipeline.transform(doc)
+            assert predict_proba(old, x).tolist() == predict_proba(new, x).tolist()
+
+    @pytest.mark.parametrize("pattern, replacement", [
+        (r"^stop_reason = .*$", "stop_reason = converged"),
+        (r"^final_loss = .*$", "final_loss = nan"),
+        (r"^final_loss = .*$", "final_loss = -0.5"),
+        (r"^final_loss = .*$", "final_loss = inf"),
+    ])
+    def test_bad_convergence_value_names_section_and_line(self, tmp_path, pattern, replacement):
+        model, _docs = trained_toy_model()
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        text, n = re.subn(pattern, replacement, path.read_text(encoding="utf-8"),
+                          count=1, flags=re.M)
+        assert n == 1
+        path.write_text(text, encoding="utf-8")
+        message = f"bad value in [weights:NAG]: {replacement!r}"
+        with pytest.raises(ResourceError, match=re.escape(message)):
+            load_model(path)
+
     @pytest.mark.parametrize("pattern, replacement, message", [
         (r"^calm\t\d+$", "calm\tx", re.escape(r"bad value in [vocab:U]: 'calm\tx'")),
         (r"^(\d+)\t\S+$", r"\1\tnope", r"bad value in \[weights:NAG\]: '\d+\\tnope'"),
@@ -516,7 +588,7 @@ class TestPersistence:
     ):
         model, _docs = trained_toy_model()
         path = tmp_path / "model.txt"
-        save_model(model, path)
+        save_v1(model, path)
         text, n = re.subn(pattern, replacement, path.read_text(encoding="utf-8"),
                           count=1, flags=re.M)
         assert n == 1
@@ -531,7 +603,7 @@ class TestPersistence:
         zero a weight, so loading refuses it."""
         model, _docs = trained_toy_model()
         path = tmp_path / "model.txt"
-        save_model(model, path)
+        save_v1(model, path)
         lines = path.read_text(encoding="utf-8").split("\n")
         first = lines.index(f"[{section}]") + 1
         while " = " in lines[first]:
@@ -583,7 +655,7 @@ class TestPersistence:
         has a fault of its own."""
         model, _docs = trained_toy_model()
         path = tmp_path / "model.txt"
-        save_model(model, path)
+        save_v1(model, path)
         lines = path.read_text(encoding="utf-8").split("\n")
         first = lines.index("[weights:CAG]") + 6
         rows = lines[first:first + 6]
@@ -683,68 +755,8 @@ def test_save_model_peak_memory_stays_below_three_times_the_file_size(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The bulk writer and reader against the per-line writer they replaced
+# The bulk writer and reader against the per-line reference writers
 # ----------------------------------------------------------------------
-
-_REFERENCE_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
-
-
-def reference_escape_field(value):
-    if not any(ch in value for ch in _REFERENCE_ESCAPES):
-        return value
-    return "".join(_REFERENCE_ESCAPES.get(ch, ch) for ch in value)
-
-
-def reference_save_model(model, path):
-    """The per-line writer that save_model's section-at-a-time version
-    replaced, for models with lexical blocks only."""
-    fmt, flag = model_module._fmt, model_module._bool
-    pipe, prep = model.pipeline, model.preprocess
-    out = [model_module.MODEL_FORMAT]
-    out.append("[meta]")
-    out.append(f"language = {model.language}")
-    out.append("labels = " + ",".join(label.name for label in Label))
-    out.append(f"n_train_documents = {model.n_train_documents}")
-    out.append(f"merged_validation = {flag(model.merged_validation)}")
-    out.append(f"single_class_warning = {flag(model.single_class_warning)}")
-    out.append(f"total_dimension = {pipe.total_dimension}")
-    out.append("[preprocess]")
-    clean = prep.clean
-    out.append(f"lowercase = {flag(clean.lowercase)}")
-    out.append(f"strip_urls = {flag(clean.strip_urls)}")
-    out.append(f"strip_emails = {flag(clean.strip_emails)}")
-    out.append(f"strip_numbers = {flag(clean.strip_numbers)}")
-    out.append(f"minor_stemming = {flag(clean.minor_stemming)}")
-    out.append("expansions = " + json.dumps(clean.expansions, sort_keys=True, ensure_ascii=False))
-    out.append(f"transliterate = {flag(prep.transliterate)}")
-    out.append(f"translit_table_version = {prep.translit_table_version}")
-    out.append("spell_correct = false")
-    out.append("[pipeline]")
-    out.append("blocks = " + ",".join(spec.name for spec in pipe.blocks))
-    for spec in pipe.blocks:
-        out.append(f"[block:{spec.name}]")
-        out.append(f"kind = {spec.kind}")
-        for key in ("n", "k", "min_df"):
-            if key in spec.params:
-                out.append(f"{key} = {spec.params[key]}")
-        out.append(f"offset = {pipe.offsets[spec.name]}")
-        out.append(f"dimension = {pipe.dimensions[spec.name]}")
-        vocab = pipe.vocabularies[spec.name]
-        out.append(f"n_documents = {vocab.n_documents}")
-        out.append(f"[vocab:{spec.name}]")
-        for term in vocab.terms:
-            out.append(f"{reference_escape_field(term)}\t{vocab.document_frequency[term]}")
-    for label, clf in zip(Label, model.classifiers):
-        out.append(f"[weights:{label.name}]")
-        out.append(f"bias = {fmt(clf.bias)}")
-        out.append(f"reg_lambda = {fmt(clf.reg_lambda)}")
-        out.append(f"iterations = {clf.iterations}")
-        out.append(f"final_grad_norm = {fmt(clf.final_grad_norm)}")
-        nonzero = np.nonzero(clf.weights)[0]
-        out.append(f"nnz = {nonzero.shape[0]}")
-        for i in nonzero:
-            out.append(f"{int(i)}\t{fmt(clf.weights[i])}")
-    path.write_text("".join(line + "\n" for line in out), encoding="utf-8")
 
 
 # pieces of vocabulary terms: the escaped characters, text that looks like a
@@ -799,6 +811,8 @@ def random_models(draw):
             reg_lambda=draw(st.floats(min_value=0.0, allow_infinity=False)),
             iterations=draw(st.integers(0, 10**6)),
             final_grad_norm=draw(st.floats(min_value=0.0, allow_infinity=False)),
+            stop_reason=draw(st.sampled_from([None, *model_module.STOP_REASONS])),
+            final_loss=draw(st.none() | st.floats(min_value=0.0, allow_infinity=False)),
         )
         for _label in Label
     ]
@@ -818,18 +832,23 @@ def bits(value):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_save_model_writes_the_reference_bytes_and_loads_back_bit_for_bit(tmp_path, model):
-    path, reference = tmp_path / "model.txt", tmp_path / "reference.txt"
+    path = tmp_path / "model.txt"
     save_model(model, path)
-    reference_save_model(model, reference)
-    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_bytes() == reference_model_text_v2(model).encode("utf-8")
 
     loaded = load_model(path)
     for got, want in zip(loaded.classifiers, model.classifiers):
-        # a zero of either sign is not written, and loads as +0.0
-        assert got.weights.tobytes() == (want.weights + 0.0).tobytes()
+        # every weight is written, a zero of either sign included
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.weights.flags.writeable
         for key in ("bias", "reg_lambda", "final_grad_norm"):
             assert bits(getattr(got, key)) == bits(getattr(want, key))
         assert got.iterations == want.iterations
+        assert got.stop_reason == want.stop_reason
+        if want.final_loss is None:
+            assert got.final_loss is None
+        else:
+            assert bits(got.final_loss) == bits(want.final_loss)
     for name, want in model.pipeline.vocabularies.items():
         got = loaded.pipeline.vocabularies[name]
         assert got.terms == want.terms
@@ -837,6 +856,22 @@ def test_save_model_writes_the_reference_bytes_and_loads_back_bit_for_bit(tmp_pa
         assert got.document_frequency == want.document_frequency
         assert got.n_documents == want.n_documents
         assert got.idf.tobytes() == want.idf.tobytes()
+
+
+@given(random_models())
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_version_1_reference_file_loads_back_bit_for_bit(tmp_path, model):
+    """Version 1 rows round-trip through repr: every nonzero weight loads
+    as written, a zero of either sign as +0.0."""
+    path = tmp_path / "model.txt"
+    path.write_text(reference_model_text(model), encoding="utf-8")
+    loaded = load_model(path)
+    for got, want in zip(loaded.classifiers, model.classifiers):
+        assert got.weights.tobytes() == (want.weights + 0.0).tobytes()
+        for key in ("bias", "reg_lambda", "final_grad_norm"):
+            assert bits(getattr(got, key)) == bits(getattr(want, key))
+        assert (got.stop_reason, got.final_loss) == (None, None)
 
 
 @pytest.mark.parametrize("terms", [["a\\b", "plain"], ["\\", "\\t", "x\ty", "z"], ["ab", "cd"]])
@@ -851,10 +886,9 @@ def test_vocab_rows_write_the_reference_bytes_and_load_back(tmp_path, terms):
     weights = np.arange(1.0, len(terms) + 1)
     model = OvRModel(classifiers=[BinaryLogReg(weights=weights, bias=0.5, reg_lambda=1.0)] * 3,
                      pipeline=pipeline, preprocess=PreprocessSettings(clean=CleanConfig()))
-    path, reference = tmp_path / "model.txt", tmp_path / "reference.txt"
+    path = tmp_path / "model.txt"
     save_model(model, path)
-    reference_save_model(model, reference)
-    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_bytes() == reference_model_text_v2(model).encode("utf-8")
     loaded = load_model(path).pipeline.vocabularies["U"]
     assert loaded.terms == terms
     assert loaded.document_frequency == vocab.document_frequency
