@@ -505,8 +505,7 @@ def cmd_inspect(args) -> int:
         print("\t".join(col[row] if row < len(col) else "" for col in columns))
     # after a blank line: the format's header line, then each class's
     # convergence ("-" where a version 1 file does not record it)
-    with open(args.model, encoding="utf-8") as f:
-        print(f"\nformat\t{f.readline().rstrip()}")
+    print(f"\nformat\t{ovr.file_format}")
     print("class\titerations\tstop_reason\tfinal_loss\tfinal_grad_norm")
     for label, clf in zip(LABELS, ovr.classifiers):
         loss = "-" if clf.final_loss is None else f"{clf.final_loss:.6g}"

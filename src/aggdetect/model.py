@@ -52,7 +52,6 @@ naming the section and, for a line-based fault, its first offending line.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import math
 import operator
@@ -80,7 +79,9 @@ from .preprocess import CleanConfig, PreprocessSettings
 MODEL_FORMAT = "aggdetect-model 2"
 # the header line of each format that load_model reads, and its version
 _FORMATS = {"aggdetect-model 1": 1, MODEL_FORMAT: 2}
-STOP_REASONS = ("grad_tol", "max_iters", "line_search")
+# why train_binary stopped: the gradient's sup-norm reached grad_tol,
+# max_iters steps were taken, or no step decreased J
+GRAD_TOL, MAX_ITERS, LINE_SEARCH = STOP_REASONS = ("grad_tol", "max_iters", "line_search")
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
@@ -200,10 +201,10 @@ def train_binary(X: SparseMatrix, y: Sequence[int],
     while True:
         grad_norm = float(np.abs(g).max())
         if grad_norm <= config.grad_tol:
-            stop_reason = "grad_tol"
+            stop_reason = GRAD_TOL
             break
         if iterations >= config.max_iters:
-            stop_reason = "max_iters"
+            stop_reason = MAX_ITERS
             break
         if n_pairs:
             slots = [(newest - k) % _HISTORY for k in range(n_pairs)]
@@ -222,7 +223,7 @@ def train_binary(X: SparseMatrix, y: Sequence[int],
                 break
             step *= 0.5
         else:
-            stop_reason = "line_search"
+            stop_reason = LINE_SEARCH
             break
         assert new_loss <= loss, "line search accepted an increasing step"
         new_g = flat_gradient(trial, new_z)
@@ -259,6 +260,9 @@ class OvRModel:
     n_train_documents: int = 0
     merged_validation: bool = False
     single_class_warning: bool = False
+    # the header line of the file that load_model read this model from;
+    # None on a model trained in this process
+    file_format: str | None = None
     # the classifiers' weights as the columns of one (dim, n_classes)
     # array and their biases as one vector, built once so that scoring is
     # one CSR product; classifiers are not changed after construction
@@ -501,10 +505,10 @@ _KV_LINES_RE = re.compile(r"(?:.* = .*(?:\n|\Z)|\n)*")
 _WEIGHT_ROW = np.dtype([("index", np.int64), ("value", np.float64)])
 
 
-def _split_sections(raw: str, path: Path) -> tuple[int, dict[str, str]]:
-    """The format version that the header line names, and each section's
-    body by name: the text between its header line and the next header.
-    A repeated section name keeps the last body."""
+def _split_sections(raw: str, path: Path) -> tuple[str, dict[str, str]]:
+    """The header line, one of ``_FORMATS``, and each section's body by
+    name: the text between its header line and the next header. A
+    repeated section name keeps the last body."""
     first = raw.partition("\n")[0]
     if first not in _FORMATS:
         expected = " or ".join(map(repr, _FORMATS))
@@ -513,7 +517,7 @@ def _split_sections(raw: str, path: Path) -> tuple[int, dict[str, str]]:
     if raw[len(first) : headers[0].start() if headers else len(raw)].strip("\n"):
         raise ResourceError(f"{path}: content before first section")
     ends = [m.start() for m in headers[1:]] + [len(raw)]
-    return _FORMATS[first], {m[1]: raw[m.end() + 1 : end] for m, end in zip(headers, ends)}
+    return first, {m[1]: raw[m.end() + 1 : end] for m, end in zip(headers, ends)}
 
 
 def _lines(body: str) -> list[str]:
@@ -693,7 +697,7 @@ def _weights_v2(block: str, dimension: int, section: str, path: Path) -> np.ndar
     """A version 2 weight vector: base64 lines of exactly ``dimension``
     finite little-endian float64 values, as a writable native array."""
     try:
-        raw = binascii.a2b_base64(block.replace("\n", ""), strict_mode=True)
+        raw = base64.b64decode(block.replace("\n", ""), validate=True)
     except ValueError as exc:  # binascii.Error, or a character outside ASCII
         raise ResourceError(f"{path}: weights block in [{section}] is not base64: {exc}") from None
     if len(raw) != 8 * dimension:
@@ -742,7 +746,7 @@ def load_model(path: str | Path) -> OvRModel:
     path = Path(path)
     if not path.is_file():
         raise ResourceError(f"model file not found: {path}")
-    version, by_name = _split_sections(path.read_text(encoding="utf-8"), path)
+    file_format, by_name = _split_sections(path.read_text(encoding="utf-8"), path)
     for required in ("meta", "preprocess", "pipeline"):
         if required not in by_name:
             raise ResourceError(f"{path}: missing section [{required}]")
@@ -833,7 +837,7 @@ def load_model(path: str | Path) -> OvRModel:
         body = by_name[section]
         kv_end = _KV_LINES_RE.match(body).end()
         kv = _kv(body[:kv_end], section, path)
-        if version == 1:
+        if _FORMATS[file_format] == 1:
             weights = _weights_v1(kv, _lines(body[kv_end:]), total_dimension, section, path)
         else:
             weights = _weights_v2(body[kv_end:], total_dimension, section, path)
@@ -857,4 +861,5 @@ def load_model(path: str | Path) -> OvRModel:
         n_train_documents=_need(meta, "n_train_documents", "meta", path, int),
         merged_validation=_need(meta, "merged_validation", "meta", path, _parse_bool),
         single_class_warning=_need(meta, "single_class_warning", "meta", path, _parse_bool),
+        file_format=file_format,
     )

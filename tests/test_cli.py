@@ -395,11 +395,13 @@ class TestPredict:
     ):
         """Numbers save_model cannot have written: a document frequency
         outside 1..n_documents (a crash or a negative idf before) and a
-        non-finite weight or bias (a confident NAG before), in a version 1
-        file, whose weights are rows."""
+        non-finite weight or bias (a confident NAG before). A weight row
+        exists only in a version 1 file."""
         corpus_path, _rows = toy_corpus
         model_path = self.train_model(tmp_path, corpus_path, basic_config)
-        model_path.write_text(reference_model_text(load_model(model_path)), encoding="utf-8")
+        if pattern == r"^(\d+)\t\S+$":
+            model_path.write_text(reference_model_text(load_model(model_path)),
+                                  encoding="utf-8")
         text, n = re.subn(pattern, replacement, model_path.read_text(encoding="utf-8"),
                           count=1, flags=re.M)
         assert n == 1

@@ -436,6 +436,10 @@ def save_v1(model, path):
     path.write_text(reference_model_text(model), encoding="utf-8")
 
 
+# patterns of an index<TAB>value weight row, which only a version 1 file has
+WEIGHT_ROW_PATTERNS = (r"^(\d+)\t\S+$", r"^\d+\t(\S+)$")
+
+
 def trained_toy_model():
     docs = [
         Document(id="d0", text="calm soft words", gold=Label.NAG),
@@ -516,6 +520,9 @@ class TestPersistence:
             assert bits(got.final_loss) == bits(want.final_loss)
         for got in load_model(v1).classifiers:
             assert (got.stop_reason, got.final_loss) == (None, None)
+        assert model.file_format is None
+        assert load_model(v1).file_format == "aggdetect-model 1"
+        assert load_model(v2).file_format == "aggdetect-model 2"
         # a version 1 model saves as version 2 without the unknown keys
         save_model(load_model(v1), v2)
         text = v2.read_text(encoding="utf-8")
@@ -588,7 +595,7 @@ class TestPersistence:
     ):
         model, _docs = trained_toy_model()
         path = tmp_path / "model.txt"
-        save_v1(model, path)
+        (save_v1 if pattern in WEIGHT_ROW_PATTERNS else save_model)(model, path)
         text, n = re.subn(pattern, replacement, path.read_text(encoding="utf-8"),
                           count=1, flags=re.M)
         assert n == 1
@@ -600,10 +607,11 @@ class TestPersistence:
     def test_repeated_term_or_weight_index_names_section_and_line(self, tmp_path, section):
         """save_model writes each term and each weight index once, in
         increasing order; a repeated one would leave a term unreachable or
-        zero a weight, so loading refuses it."""
+        zero a weight, so loading refuses it. Weights are rows only in a
+        version 1 file."""
         model, _docs = trained_toy_model()
         path = tmp_path / "model.txt"
-        save_v1(model, path)
+        (save_v1 if section.startswith("weights:") else save_model)(model, path)
         lines = path.read_text(encoding="utf-8").split("\n")
         first = lines.index(f"[{section}]") + 1
         while " = " in lines[first]:
