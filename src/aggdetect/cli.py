@@ -351,9 +351,7 @@ def _embedding_coverage(documents: list[Document], resources: Resources) -> floa
 
 
 def cmd_build_dict(args) -> int:
-    corpus = load_corpus(
-        args.corpus, has_labels=not args.unlabeled, language=args.language, format=args.format
-    )
+    corpus = load_corpus(args.corpus, has_labels=not args.unlabeled, format=args.format)
     settings = PreprocessSettings(
         clean=CleanConfig.for_language(args.language),
         transliterate=args.language == "hindi",
@@ -377,12 +375,10 @@ def cmd_train(args) -> int:
     resources = load_resources(config)
     settings = build_preprocess_settings(config, resources)
 
-    corpus = load_corpus(args.train_corpus, has_labels=True,
-                         language=config.language, format=args.format)
+    corpus = load_corpus(args.train_corpus, has_labels=True, format=args.format)
     validation = None
     if args.validation:
-        validation = load_corpus(args.validation, has_labels=True,
-                                 language=config.language, format=args.format)
+        validation = load_corpus(args.validation, has_labels=True, format=args.format)
 
     train_docs = list(corpus.documents)
     if config.merge_validation and validation is not None:
@@ -392,7 +388,7 @@ def cmd_train(args) -> int:
             len(corpus.documents), len(validation.documents), len(train_docs),
         )
 
-    prepped = preprocess_corpus(Corpus(train_docs, corpus.language), settings)
+    prepped = preprocess_corpus(Corpus(train_docs), settings)
     blocks = [FeatureBlockSpec.from_name(name, config.min_df) for name in config.blocks]
     pipeline = FeaturePipeline(blocks, resources)
     X = pipeline.fit_transform(prepped)
@@ -435,8 +431,7 @@ def cmd_predict(args) -> int:
         ovr.pipeline.resources.sentiment_provider = SidecarSentimentProvider(
             load_sentiment_sidecar(args.sentiment_sidecar)
         )
-    corpus = load_corpus(args.corpus, has_labels=not args.unlabeled,
-                         language=ovr.language, format=args.format)
+    corpus = load_corpus(args.corpus, has_labels=not args.unlabeled, format=args.format)
     prepped = preprocess_corpus(corpus, ovr.preprocess)
     predictions = predict_many(ovr, ovr.pipeline.transform_many(prepped))
     write_predictions(corpus, predictions, args.out)

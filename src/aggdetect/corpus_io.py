@@ -61,8 +61,6 @@ class Corpus:
     """An ordered collection of documents with unique ids."""
 
     documents: list[Document]
-    language: str = "english"
-    provenance: str = ""
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -125,7 +123,6 @@ def _iter_csv_records(raw: str) -> Iterable[tuple[int, list[str]]]:
 def load_corpus(
     path: str | Path,
     has_labels: bool = True,
-    language: str = "english",
     format: str = "tsv",
 ) -> Corpus:
     """Load a corpus file into a :class:`Corpus`.
@@ -165,7 +162,7 @@ def load_corpus(
                 raise DataError(f"{path}: {exc} at line {lineno}") from None
         documents.append(Document(id=doc_id, text=fields[1], gold=gold))
 
-    return Corpus(documents=documents, language=language, provenance=str(path))
+    return Corpus(documents)
 
 
 def write_predictions(corpus: Corpus, predictions: list[Label], path: str | Path) -> None:

@@ -3,8 +3,9 @@ fitting, TF-IDF and binary weighting, and the named feature-block pipeline.
 
 Weighting follows the usual smoothed convention: ``idf(t) = ln((1 + N) /
 (1 + df(t))) + 1`` with raw term counts, and each TF-IDF block is
-L2-normalized per document.  Vocabulary indices are assigned by
-lexicographic term order, so fitting the same corpus twice always yields
+L2-normalized per document.  A :class:`Vocabulary` is its terms in
+lexicographic order, whose positions are their indices, and one int64
+array of their document frequencies, so fitting a corpus twice gives
 identical pipelines.
 
 A batch of documents becomes one CSR matrix, a :class:`SparseMatrix`,
@@ -35,8 +36,9 @@ gets a provisional id; document frequency is one ``np.bincount`` over
 those ids, and ``min_df`` pruning plus the sort give the vocabulary and
 one remap array from provisional ids to vocabulary indices, which turn the
 counted runs into the block's runs.  ``transform_many`` gets them with one
-vocabulary lookup per term, or one ``searchsorted`` of a chunk's distinct
-char codes in the block's vocabulary codes, and ``transform(doc)`` is
+term-to-index dict lookup per term on a word or skip-gram block, or one
+``searchsorted`` of a chunk's distinct char codes in the block's
+vocabulary codes, and ``transform(doc)`` is
 ``transform_many([doc])[0]``.  So ``fit_transform(docs)``,
 ``fit(docs).transform_many(docs)`` and ``transform`` of each document agree
 bit for bit.
@@ -134,23 +136,25 @@ def skip_grams(tokens: Sequence[str], k: int, n: int) -> list[str]:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class Vocabulary:
-    """Bijective term/index maps plus document frequencies, and the idf
-    of each index, computed once here."""
+    """Sorted terms (a term's index is its position), their document
+    frequencies as one int64 array aligned with them, made from any integer
+    sequence of their length, and the idf of each index, computed once
+    here. Vocabularies compare by identity; compare their fields."""
 
-    terms: list[str]  # index -> term, lexicographically sorted
-    index: dict[str, int]
-    document_frequency: dict[str, int]
+    terms: list[str]
+    document_frequency: np.ndarray
     n_documents: int
-    idf: np.ndarray = field(init=False, repr=False, compare=False)
+    idf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.document_frequency = dfs = np.asarray(self.document_frequency, dtype=np.int64)
+        if dfs.shape != (len(self.terms),):
+            raise ValueError(f"{len(self.terms)} terms but document frequencies {dfs.shape}")
         # one math.log per distinct document frequency; np.log need not
         # round as math.log does
         n = self.n_documents
-        dfs = np.fromiter(map(self.document_frequency.__getitem__, self.terms), np.int64,
-                          len(self.terms))
         distinct, inverse = np.unique(dfs, return_inverse=True)
         idf = [math.log((1 + n) / (1 + df)) + 1.0 for df in distinct.tolist()]
         self.idf = np.array(idf, dtype=np.float64)[inverse]
@@ -177,13 +181,7 @@ def _fit_counts(
     vocab_terms = [terms[p] for p in kept]
     if decode is not None:
         vocab_terms = decode(vocab_terms)
-    vocab = Vocabulary(
-        terms=vocab_terms,
-        index={term: i for i, term in enumerate(vocab_terms)},
-        document_frequency=dict(zip(vocab_terms, df[kept].tolist())),
-        n_documents=n_documents,
-    )
-    return vocab, remap
+    return Vocabulary(vocab_terms, df[kept], n_documents), remap
 
 
 def _segment_norms(weights: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
@@ -530,14 +528,14 @@ class FeaturePipeline:
                 self._idf[start : start + self.dimensions[spec.name]] = (
                     self.vocabularies[spec.name].idf
                 )
-        # What transform_many looks terms up with: the vocabulary's index on
-        # a word block, and on a char block its vocabulary codes over one
-        # alphabet of every char vocabulary's characters.
+        # What transform_many looks terms up with: a dict from term to index
+        # on a word or skip-gram block, and on a char block its vocabulary
+        # codes over one alphabet of every char vocabulary's characters.
         chars = [spec for spec in self.blocks if spec.kind == "char_ngram"]
         self._alphabet = _alphabet_of([term for spec in chars
                                        for term in self.vocabularies[spec.name].terms])
-        self._keys = {spec.name: self.vocabularies[spec.name].index.get for spec in self.blocks
-                      if spec.kind in LEXICAL_KINDS}
+        self._keys = {spec.name: dict(zip(self.vocabularies[spec.name].terms, itertools.count())).get
+                      for spec in self.blocks if spec.kind in LEXICAL_KINDS and spec not in chars}
         for spec in chars:
             self._keys[spec.name] = functools.partial(_search, _vocabulary_codes(
                 self._alphabet, self.vocabularies[spec.name].terms, spec.params["n"]))

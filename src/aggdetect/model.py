@@ -39,14 +39,15 @@ file, splits each ``[vocab:*]`` body once and parses its document
 frequencies with one ``int`` map.  A version 2 weights block is decoded
 by one strict base64 call; a version 1 weights section is parsed with one
 ``np.loadtxt`` call, which rounds every value exactly as ``float()``
-does.  The checks run on the whole section: terms strictly increasing
-with ``1 <= df <= n_documents``; a weights block of exactly
-``total_dimension`` float64 values (version 2), or weight indices
-strictly increasing and in range and the ``nnz`` count (version 1);
-weights, ``bias``, ``final_grad_norm`` and ``final_loss`` finite;
-``reg_lambda`` and ``final_loss`` >= 0; ``stop_reason`` one of
-``STOP_REASONS``.  A fault raises ResourceError
-naming the section and, for a line-based fault, its first offending line.
+does.  The checks run on the whole section: block entries as
+:class:`FeaturePipeline` takes them; ``0 <= n_documents < 2**63`` and
+terms strictly increasing with ``1 <= df <= n_documents``; a weights
+block of exactly ``total_dimension`` float64 values (version 2), or
+weight indices strictly increasing and in range and the ``nnz`` count
+(version 1); weights, ``bias``, ``final_grad_norm`` and ``final_loss``
+finite; ``reg_lambda`` and ``final_loss`` >= 0; ``stop_reason`` one of
+``STOP_REASONS``.  A fault raises ResourceError naming the section and,
+for a line-based fault, its first offending line.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import numpy as np
 from . import kernels, lexfeatures
 from .kernels import SparseMatrix, SparseVector
 from .corpus_io import LABELS, Label, escape_field, unescape_field
-from .errors import DataError, ResourceError
+from .errors import DataError, ResourceError, UsageError
 from .featurize import (
     DENSE_KINDS,
     FeatureBlockSpec,
@@ -413,8 +414,7 @@ def _vocab_rows(vocab: Vocabulary) -> str:
     joined = "".join(terms)
     if any(ch in joined for ch in "\\\t\n\r"):
         terms = list(map(escape_field, terms))
-    dfs = list(map(vocab.document_frequency.__getitem__, vocab.terms))
-    return "".join(map("{}\t{}\n".format, terms, dfs))
+    return "".join(map("{}\t{}\n".format, terms, vocab.document_frequency.tolist()))
 
 
 def save_model(model: OvRModel, path: str | Path) -> None:
@@ -557,6 +557,14 @@ def _non_negative(text: str) -> float:
     return value
 
 
+def _document_count(text: str) -> int:
+    """``n_documents``, which bounds a vocabulary's int64 document frequencies."""
+    value = int(text)
+    if not 0 <= value < 1 << 63:
+        raise ValueError(f"document count outside int64: {text!r}")
+    return value
+
+
 def _unit_interval(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -588,12 +596,7 @@ def _vocabulary(
             and (not df or (min(df) >= 1 and max(df) <= n_documents))
             and (length is None or set(map(len, terms)) <= {length})
         ):
-            return Vocabulary(
-                terms=terms,
-                index=dict(zip(terms, range(len(terms)))),
-                document_frequency=dict(zip(terms, df)),
-                n_documents=n_documents,
-            )
+            return Vocabulary(terms, np.array(df, dtype=np.int64), n_documents)
     # name the first row that the checks above refuse
     previous = None
     for row in rows:
@@ -793,14 +796,17 @@ def load_model(path: str | Path) -> OvRModel:
         for key in ("n", "k", "min_df"):
             if key in kv:
                 params[key] = _need(kv, key, section, path, int)
-        blocks.append(FeatureBlockSpec(name=name, kind=kind, params=params))
+        try:
+            blocks.append(FeatureBlockSpec(name=name, kind=kind, params=params))
+        except UsageError as exc:
+            raise ResourceError(f"{path}: bad entry in [{section}]: {exc}") from None
         if kind in LEXICAL_KINDS:
             vocab_section = f"vocab:{name}"
             if vocab_section not in by_name:
                 raise ResourceError(f"{path}: missing section [{vocab_section}]")
             vocabularies[name] = _vocabulary(
                 _lines(by_name[vocab_section]),
-                _need(kv, "n_documents", section, path, int),
+                _need(kv, "n_documents", section, path, _document_count),
                 vocab_section,
                 path,
                 params.get("n") if kind == "char_ngram" else None,
@@ -822,7 +828,10 @@ def load_model(path: str | Path) -> OvRModel:
             else:
                 raise ResourceError(f"{path}: unknown sentiment provider {provider_kind!r}")
 
-    pipeline = FeaturePipeline(blocks, resources).restore(vocabularies)
+    try:
+        pipeline = FeaturePipeline(blocks, resources).restore(vocabularies)
+    except UsageError as exc:
+        raise ResourceError(f"{path}: bad entry in [pipeline]: {exc}") from None
     if pipeline.total_dimension != total_dimension:
         raise ResourceError(
             f"{path}: restored dimension {pipeline.total_dimension} does not match "

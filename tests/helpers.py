@@ -86,6 +86,14 @@ def fit_vocabulary(corpus_terms: Iterable[Sequence[str]], min_df: int = 1) -> Vo
     return _fit_counts(list(pid), np.array(ids, dtype=np.intp), n_documents, min_df)[0]
 
 
+def terms_and_dfs(vocab: Vocabulary) -> list[tuple[str, int]]:
+    """Each term of ``vocab`` with its document frequency, by index; the
+    frequencies are one int64 array aligned with the terms."""
+    assert vocab.document_frequency.dtype == np.int64
+    assert vocab.document_frequency.shape == (len(vocab.terms),)
+    return list(zip(vocab.terms, vocab.document_frequency.tolist()))
+
+
 def block_row(name: str, terms: list[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """``(indices, values)`` of the document made of ``terms``, each one
     token, under a one-block pipeline restored with ``vocab``."""
@@ -265,8 +273,7 @@ def _reference_text(model: OvRModel, header: str, weight_lines) -> str:
                     out.extend(provenance(f"sentiment_{side}", f"{side}_"))
         if lexical:
             out.append(f"[vocab:{spec.name}]")
-            df = vocab.document_frequency
-            out.extend([f"{reference_escape_field(t)}\t{df[t]}" for t in vocab.terms])
+            out.extend([f"{reference_escape_field(t)}\t{df}" for t, df in terms_and_dfs(vocab)])
 
     for label, clf in zip(LABELS, model.classifiers):
         out.append(f"[weights:{label.name}]")

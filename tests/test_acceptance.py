@@ -35,7 +35,8 @@ from aggdetect.corpus_io import Document
 from aggdetect.preprocess import CleanConfig, PreprocessSettings
 
 from helpers import (
-    block_row, fit_vocabulary, sparse, stack, synthetic_documents, write_corpus_tsv, write_lines,
+    block_row, fit_vocabulary, sparse, stack, synthetic_documents, terms_and_dfs,
+    write_corpus_tsv, write_lines,
 )
 
 
@@ -184,7 +185,7 @@ def test_tfidf_dense_matrix_oracle():
         ]
         vocab = fit_vocabulary(docs, min_df=1)
         n_docs = len(docs)
-        df = {t: vocab.document_frequency[t] for t in vocab.terms}
+        df = dict(terms_and_dfs(vocab))
         dense_idf = np.array(
             [math.log((1 + n_docs) / (1 + df[t])) + 1.0 for t in vocab.terms]
         )
@@ -310,7 +311,7 @@ def test_trac_validation_scores(tmp_path):
 
         from aggdetect.corpus_io import load_corpus
 
-        dev = load_corpus(dev_path, has_labels=True, language=language, format=fmt)
+        dev = load_corpus(dev_path, has_labels=True, format=fmt)
         predictions = load_predictions(pred_path)
         gold = dev.gold_labels()
         pred = [predictions[d.id] for d in dev.documents]

@@ -89,7 +89,7 @@ def train_library(corpus_path, config_path):
     config = cli.load_run_config(config_path)
     resources = cli.load_resources(config)
     settings = cli.build_preprocess_settings(config, resources)
-    corpus = load_corpus(corpus_path, has_labels=True, language=config.language)
+    corpus = load_corpus(corpus_path, has_labels=True)
     prepped = cli.preprocess_corpus(corpus, settings)
     blocks = [FeatureBlockSpec.from_name(name, config.min_df) for name in config.blocks]
     pipeline = FeaturePipeline(blocks, resources).fit(prepped)
@@ -387,6 +387,8 @@ class TestPredict:
         (r"^calm0\t\d+$", "calm0\t-1", "document frequency outside 1..36 in [vocab:U]"),
         (r"^calm0\t\d+$", "calm0\t-5", "document frequency outside 1..36 in [vocab:U]"),
         (r"^calm0\t\d+$", "calm0\t99999", "document frequency outside 1..36 in [vocab:U]"),
+        (r"^n_documents = \d+$", "n_documents = 99999999999999999999",
+         "bad value in [block:U]: 'n_documents = 99999999999999999999'"),
         (r"^(\d+)\t\S+$", r"\1\tnan", "bad value in [weights:NAG]"),
         (r"^bias = .*$", "bias = inf", "bad value in [weights:NAG]: 'bias = inf'"),
     ])
@@ -408,6 +410,29 @@ class TestPredict:
         model_path.write_text(text, encoding="utf-8")
         assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
         assert f"resource error: {model_path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pattern, replacement, section", [
+        (r"^kind = word_ngram$", "kind = bogus", "block:U"),
+        (r"^n = 4$", "n = 7", "block:C4"),
+        (r"^min_df = 1$", "min_df = 0", "block:U"),
+        (r"^blocks = U,C4,C5$", "blocks = U,U,C4,C5", "pipeline"),
+    ])
+    def test_bad_block_entry_in_model_exits_3(
+        self, tmp_path, toy_corpus, capsys, pattern, replacement, section
+    ):
+        """Block entries that FeatureBlockSpec or FeaturePipeline refuse are
+        faults of the model file, not usage errors."""
+        corpus_path, _rows = toy_corpus
+        config = write_lines(tmp_path / "run.cfg",
+                             ["language = english", "blocks = U+C4+C5", "min_df = 1"])
+        model_path = self.train_model(tmp_path, corpus_path, config)
+        text, n = re.subn(pattern, replacement, model_path.read_text(encoding="utf-8"),
+                          count=1, flags=re.M)
+        assert n == 1
+        model_path.write_text(text, encoding="utf-8")
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
+        err = capsys.readouterr().err
+        assert f"resource error: {model_path}: bad entry in [{section}]" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1.5"])
     def test_intensity_split_outside_unit_interval_in_model_exits_3(

@@ -31,7 +31,7 @@ from aggdetect.lexfeatures import (
     gender_features,
 )
 
-from helpers import block_row, char_ngrams, fit_vocabulary, sparse
+from helpers import block_row, char_ngrams, fit_vocabulary, sparse, terms_and_dfs
 
 
 def tfidf_row(terms, vocab):
@@ -191,13 +191,15 @@ class TestSkipGrams:
 class TestVocabulary:
     def test_fit_and_indices(self):
         vocab = fit_vocabulary([["a", "b"], ["a"]], min_df=1)
-        assert vocab.index == {"a": 0, "b": 1}
-        assert vocab.document_frequency == {"a": 2, "b": 1}
+        assert vocab.terms == ["a", "b"]
+        assert vocab.document_frequency.dtype == np.int64
+        assert vocab.document_frequency.tolist() == [2, 1]
         assert vocab.n_documents == 2
 
     def test_min_df_prunes(self):
         vocab = fit_vocabulary([["a", "b"], ["a"]], min_df=2)
-        assert vocab.index == {"a": 0}
+        assert vocab.terms == ["a"]
+        assert vocab.document_frequency.tolist() == [2]
 
     def test_empty(self):
         vocab = fit_vocabulary([], min_df=1)
@@ -213,12 +215,18 @@ class TestVocabulary:
         idf computed once per distinct df is bit-equal to math.log per term."""
         dfs = np.random.default_rng(n).permutation(np.repeat(np.arange(1, n + 1), 2)).tolist()
         terms = [f"t{i:05d}" for i in range(len(dfs))]
-        vocab = Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)},
-                           document_frequency=dict(zip(terms, dfs)), n_documents=n)
+        vocab = Vocabulary(terms=terms, document_frequency=dfs, n_documents=n)
+        assert vocab.document_frequency.dtype == np.int64
+        assert vocab.document_frequency.tolist() == dfs
         reference = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in dfs])
         assert vocab.idf.dtype == np.float64
         assert np.array_equal(vocab.idf, reference)
         assert vocab.idf.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("dfs", [[], [1], [1, 2, 3], [[1, 2]]])
+    def test_document_frequencies_not_aligned_with_terms_are_refused(self, dfs):
+        with pytest.raises(ValueError, match="2 terms but document frequencies"):
+            Vocabulary(terms=["a", "b"], document_frequency=dfs, n_documents=3)
 
 
 def as_dict(indices, values):
@@ -470,15 +478,17 @@ def reference_transform(pipeline, doc):
         else:
             terms = word_ngrams(tokens, n)
         vocab = pipeline.vocabularies[spec.name]
+        index = {term: i for i, term in enumerate(vocab.terms)}
+        dfs = dict(terms_and_dfs(vocab))
         block = {}
         if spec.kind == "binary_word_ngram":
-            block = {vocab.index[t]: 1.0 for t in set(terms) if t in vocab.index}
+            block = {index[t]: 1.0 for t in set(terms) if t in index}
         else:
             for term, count in Counter(terms).items():
-                if term in vocab.index:
-                    df = vocab.document_frequency[term]
+                if term in index:
+                    df = dfs[term]
                     idf = math.log((1 + vocab.n_documents) / (1 + df)) + 1.0
-                    block[vocab.index[term]] = count * idf
+                    block[index[term]] = count * idf
             squares = 0.0
             for w in block.values():
                 squares += w * w
@@ -567,11 +577,12 @@ def test_fit_transform_matches_fit_then_transform_many(texts, names, min_df):
     for spec in blocks:
         vocab, other = pipeline.vocabularies[spec.name], fitted.vocabularies[spec.name]
         assert vocab.terms == other.terms
-        assert vocab.document_frequency == other.document_frequency
+        assert vocab.document_frequency.dtype == other.document_frequency.dtype == np.int64
+        assert np.array_equal(vocab.document_frequency, other.document_frequency)
         assert vocab.n_documents == other.n_documents
         assert vocab.idf.tobytes() == other.idf.tobytes()
         df, n_documents = reference_vocabulary(spec, docs)
-        assert list(vocab.document_frequency.items()) == list(df.items())
+        assert terms_and_dfs(vocab) == list(df.items())
         assert vocab.n_documents == n_documents
     assert len(rows) == len(expected) == len(docs)
     for doc, row, want in zip(docs, rows, expected):
@@ -602,7 +613,7 @@ def test_char_codes_past_4095_characters_match_references():
     for spec in blocks:
         df, n_documents = reference_vocabulary(spec, docs)
         vocab = pipeline.vocabularies[spec.name]
-        assert list(vocab.document_frequency.items()) == list(df.items())
+        assert terms_and_dfs(vocab) == list(df.items())
         assert vocab.n_documents == n_documents
     fitted = list(rows)
     for i, doc in enumerate(docs + extra):
@@ -678,7 +689,7 @@ def test_char_codes_too_wide_for_their_positions_match_references():
     assert sum(width > 63 for width in widths) == 2  # C5, in fit and in transform
     for spec in blocks:
         df, _ = reference_vocabulary(spec, docs)
-        assert list(pipeline.vocabularies[spec.name].document_frequency.items()) == list(df.items())
+        assert terms_and_dfs(pipeline.vocabularies[spec.name]) == list(df.items())
     for doc, row, vec in zip(docs, rows, batch):
         reference = reference_transform(pipeline, doc)
         for got in (row, vec):

@@ -34,6 +34,7 @@ from helpers import (
     sparse,
     stack,
     synthetic_documents,
+    terms_and_dfs,
     write_lines,
 )
 
@@ -481,6 +482,29 @@ class TestPersistence:
             after = predict_proba(loaded, x)
             assert before.tolist() == after.tolist()
 
+    def test_document_frequencies_are_int64_arrays_after_fit_and_load(self, tmp_path):
+        """Every lexical kind's vocabulary, fitted by fit_transform and
+        loaded back, holds its document frequencies as one int64 array
+        aligned with its terms; fit and load agree, idf bit for bit."""
+        _model, docs = trained_toy_model()
+        names = ("U", "BU", "C3", "SK2")
+        pipeline = FeaturePipeline([FeatureBlockSpec.from_name(n, min_df=1) for n in names])
+        X = pipeline.fit_transform(docs)
+        model = train_ovr(X, [d.gold for d in docs], TrainConfig(max_iters=20),
+                          pipeline=pipeline, preprocess=PreprocessSettings(clean=CleanConfig()))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        loaded = load_model(path).pipeline.vocabularies
+        for name in names:
+            fitted = pipeline.vocabularies[name]
+            for vocab in (fitted, loaded[name]):
+                assert vocab.document_frequency.dtype == np.int64
+                assert vocab.document_frequency.shape == (len(vocab.terms),)
+                assert not hasattr(vocab, "index")
+            assert loaded[name].terms == fitted.terms
+            assert np.array_equal(loaded[name].document_frequency, fitted.document_frequency)
+            assert loaded[name].idf.tobytes() == fitted.idf.tobytes()
+
     def test_loaded_pipeline_featurizes_bit_for_bit(self, tmp_path):
         model, docs = trained_toy_model()
         path = tmp_path / "model.txt"
@@ -624,7 +648,7 @@ class TestPersistence:
         with pytest.raises(ResourceError, match=re.escape(message)):
             load_model(path)
 
-    @pytest.mark.parametrize("df", ["-1", "-5", "0", "7", "99999"])
+    @pytest.mark.parametrize("df", ["-1", "-5", "0", "7", "99999", "99999999999999999999"])
     def test_document_frequency_outside_corpus_names_section_and_line(self, tmp_path, df):
         """save_model writes 1 <= df <= n_documents (6 here); anything else
         would give a division by zero, a log of a negative number or a
@@ -638,6 +662,23 @@ class TestPersistence:
         assert n == 1
         path.write_text(text, encoding="utf-8")
         message = f"document frequency outside 1..6 in [vocab:U]: {row!r}"
+        with pytest.raises(ResourceError, match=re.escape(message)):
+            load_model(path)
+
+    def test_document_count_beyond_int64_names_section_and_line(self, tmp_path):
+        """A df of 2**63 or more fits no int64 array, so a vocabulary's
+        n_documents, which bounds its dfs, must be below 2**63; with both
+        past it, loading raised OverflowError."""
+        model, _docs = trained_toy_model()
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        huge = "99999999999999999999"
+        text, n = re.subn(r"^n_documents = \d+$", f"n_documents = {huge}",
+                          path.read_text(encoding="utf-8"), count=1, flags=re.M)
+        text, m = re.subn(r"^calm\t\d+$", f"calm\t{huge}", text, count=1, flags=re.M)
+        assert n == m == 1
+        path.write_text(text, encoding="utf-8")
+        message = f"bad value in [block:U]: 'n_documents = {huge}'"
         with pytest.raises(ResourceError, match=re.escape(message)):
             load_model(path)
 
@@ -739,9 +780,7 @@ def test_save_model_peak_memory_stays_below_three_times_the_file_size(tmp_path):
         letters = rng.integers(97, 123, size=(12_000, length)).astype(np.uint32)
         terms = sorted(set(letters.view(f"U{length}").ravel().tolist()))
         df = rng.integers(1, 800, size=len(terms)).tolist()
-        vocabularies[name] = Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)},
-                                        document_frequency=dict(zip(terms, df)),
-                                        n_documents=800)
+        vocabularies[name] = Vocabulary(terms=terms, document_frequency=df, n_documents=800)
     pipeline = FeaturePipeline([FeatureBlockSpec.from_name(n) for n in vocabularies])
     pipeline.restore(vocabularies)
     dim = pipeline.total_dimension
@@ -802,12 +841,8 @@ def random_models(draw):
         n_documents = draw(st.integers(1, 10**6))
         df = draw(st.lists(st.integers(1, n_documents), min_size=len(terms),
                            max_size=len(terms)))
-        vocabularies[name] = Vocabulary(
-            terms=terms,
-            index={t: i for i, t in enumerate(terms)},
-            document_frequency=dict(zip(terms, df)),
-            n_documents=n_documents,
-        )
+        vocabularies[name] = Vocabulary(terms=terms, document_frequency=df,
+                                        n_documents=n_documents)
     pipeline = FeaturePipeline([FeatureBlockSpec.from_name(n, min_df=1) for n in names])
     pipeline.restore(vocabularies)
     dim = pipeline.total_dimension
@@ -860,8 +895,7 @@ def test_save_model_writes_the_reference_bytes_and_loads_back_bit_for_bit(tmp_pa
     for name, want in model.pipeline.vocabularies.items():
         got = loaded.pipeline.vocabularies[name]
         assert got.terms == want.terms
-        assert got.index == want.index
-        assert got.document_frequency == want.document_frequency
+        assert terms_and_dfs(got) == terms_and_dfs(want)
         assert got.n_documents == want.n_documents
         assert got.idf.tobytes() == want.idf.tobytes()
 
@@ -888,8 +922,7 @@ def test_vocab_rows_write_the_reference_bytes_and_load_back(tmp_path, terms):
     characters) is escaped as the per-term writer escaped it, and loads
     back as itself; terms with nothing to escape are written as they are."""
     terms = sorted(terms)
-    vocab = Vocabulary(terms=terms, index={t: i for i, t in enumerate(terms)},
-                       document_frequency={t: i + 1 for i, t in enumerate(terms)}, n_documents=9)
+    vocab = Vocabulary(terms=terms, document_frequency=range(1, len(terms) + 1), n_documents=9)
     pipeline = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).restore({"U": vocab})
     weights = np.arange(1.0, len(terms) + 1)
     model = OvRModel(classifiers=[BinaryLogReg(weights=weights, bias=0.5, reg_lambda=1.0)] * 3,
@@ -899,4 +932,4 @@ def test_vocab_rows_write_the_reference_bytes_and_load_back(tmp_path, terms):
     assert path.read_bytes() == reference_model_text_v2(model).encode("utf-8")
     loaded = load_model(path).pipeline.vocabularies["U"]
     assert loaded.terms == terms
-    assert loaded.document_frequency == vocab.document_frequency
+    assert terms_and_dfs(loaded) == terms_and_dfs(vocab)
