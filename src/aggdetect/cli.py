@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import translit
 from .corpus_io import Corpus, Document, load_corpus, load_predictions, write_predictions
-from .errors import DataError, ResourceError, UsageError
+from .errors import DataError, ResourceError, UsageError, read_utf8
 from .evaluate import build_report, random_baseline, render_report
 from .featurize import BLOCK_DEFS, FeatureBlockSpec, FeaturePipeline
 from .lexfeatures import (
@@ -32,6 +32,7 @@ from .lexfeatures import (
     load_sentiment_sidecar,
 )
 from .model import (
+    MODEL_FORMAT,
     OvRModel,
     TrainConfig,
     load_model,
@@ -177,7 +178,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not path.is_file():
         raise ResourceError(f"config file not found: {path}")
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path, UsageError).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -499,8 +500,8 @@ def cmd_inspect(args) -> int:
     for row in range(max((len(c) for c in columns), default=0)):
         print("\t".join(col[row] if row < len(col) else "" for col in columns))
     # after a blank line: the format's header line, then each class's
-    # convergence ("-" where a version 1 file does not record it)
-    print(f"\nformat\t{ovr.file_format}")
+    # convergence ("-" where the file does not record it)
+    print(f"\nformat\t{MODEL_FORMAT}")
     print("class\titerations\tstop_reason\tfinal_loss\tfinal_grad_norm")
     for label, clf in zip(LABELS, ovr.classifiers):
         loss = "-" if clf.final_loss is None else f"{clf.final_loss:.6g}"

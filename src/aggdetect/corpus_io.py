@@ -19,7 +19,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Iterable
 
-from .errors import DataError
+from .errors import DataError, read_utf8
 
 
 class Label(IntEnum):
@@ -136,7 +136,7 @@ def load_corpus(
     if format not in ("tsv", "csv"):
         raise DataError(f"unknown corpus format {format!r} (expected tsv or csv)")
 
-    raw = path.read_text(encoding="utf-8")
+    raw = read_utf8(path, DataError)
     records = _iter_tsv_records(raw) if format == "tsv" else _iter_csv_records(raw)
 
     min_fields = 3 if has_labels else 2
@@ -185,7 +185,7 @@ def load_predictions(path: str | Path) -> dict[str, Label]:
     if not path.is_file():
         raise DataError(f"prediction file not found: {path}")
     result: dict[str, Label] = {}
-    for lineno, fields in _iter_tsv_records(path.read_text(encoding="utf-8")):
+    for lineno, fields in _iter_tsv_records(read_utf8(path, DataError)):
         if len(fields) != 2:
             raise DataError(f"{path}: malformed prediction at line {lineno}")
         doc_id = fields[0]

@@ -23,7 +23,7 @@ from typing import NoReturn, Sequence
 
 import numpy as np
 
-from .errors import DataError, ResourceError
+from .errors import DataError, ResourceError, read_utf8
 from .preprocess import load_spell_dictionary
 
 @dataclass
@@ -268,7 +268,7 @@ def load_sentiment_sidecar(path: str | Path) -> dict[tuple[str, int], np.ndarray
     if not path.is_file():
         raise ResourceError(f"sentiment sidecar not found: {path}")
     result: dict[tuple[str, int], np.ndarray] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path, ResourceError).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -439,7 +439,8 @@ class Resources:
         ``provenance`` and return it; for a dense block kind (``embedding``,
         ``liwc``, ``gender``) it also fills that block's field. A missing
         file, or a SHA-256 other than ``sha256`` when that is given, raises
-        ResourceError before anything is parsed."""
+        ResourceError before anything is parsed, and so does a file that is
+        not UTF-8."""
         what, loader = RESOURCE_FILES[key]
         if not Path(path).is_file():
             raise ResourceError(f"{what} not found: {path}")
@@ -448,7 +449,10 @@ class Resources:
             raise ResourceError(
                 f"checksum mismatch for {what} {path}: expected {sha256}, got {actual}"
             )
-        loaded = globals()[loader](path)
+        try:
+            loaded = globals()[loader](path)
+        except UnicodeDecodeError as exc:
+            raise ResourceError(f"{what} {path} is not UTF-8 text ({exc.reason})") from None
         self.provenance[key] = (path, actual)
         if key in self._BLOCK_FIELD:
             setattr(self, self._BLOCK_FIELD[key], loaded)

@@ -15,7 +15,8 @@ earlier label in NAG < CAG < OAG order.  A single document is scored as
 the one-row SparseMatrix of its ``csr()``, by the kernel that scores a
 batch, so both get bit-identical scores.
 
-Model files are versioned, sectioned UTF-8 text.  Vocabularies and all
+Model files are sectioned UTF-8 text of one format, named by the first
+line; a file with any other first line is refused.  Vocabularies and all
 weights are embedded; embeddings and lexicons are referenced by absolute
 path plus SHA-256 and re-verified on load, so a loaded model reproduces
 bit-identical predictions or fails loudly.  Training is deterministic, and
@@ -29,24 +30,17 @@ section holds ``key = value`` lines (``bias``, ``reg_lambda``,
 vector, ``total_dimension`` values with its zeros, as little-endian
 float64 bytes in base64 lines of 76 characters, which load back bit for
 bit.  It writes each section as soon as it is formatted, so it never
-holds the whole file.  :func:`load_model` also reads version 1 files, whose
-weight sections list each nonzero weight as an ``index<TAB>repr(value)``
-row after an ``nnz`` line; such a model loads with ``stop_reason`` and
-``final_loss`` None.
+holds the whole file.
 
 :func:`load_model` finds the section headers with one regex over the
 file, splits each ``[vocab:*]`` body once and parses its document
-frequencies with one ``int`` map.  A version 2 weights block is decoded
-by one strict base64 call; a version 1 weights section is parsed with one
-``np.loadtxt`` call, which rounds every value exactly as ``float()``
-does.  The checks run on the whole section: block entries as
-:class:`FeaturePipeline` takes them; ``0 <= n_documents < 2**63`` and
+frequencies with one ``int`` map.  A weights block is decoded by one
+strict base64 call.  The checks run on the whole section: block entries
+as :class:`FeaturePipeline` takes them; ``0 <= n_documents < 2**63`` and
 terms strictly increasing with ``1 <= df <= n_documents``; a weights
-block of exactly ``total_dimension`` float64 values (version 2), or
-weight indices strictly increasing and in range and the ``nnz`` count
-(version 1); weights, ``bias``, ``final_grad_norm`` and ``final_loss``
-finite; ``reg_lambda`` and ``final_loss`` >= 0; ``stop_reason`` one of
-``STOP_REASONS``.  A fault raises ResourceError naming the section and,
+block of exactly ``total_dimension`` float64 values; weights, ``bias``,
+``final_grad_norm`` and ``final_loss`` finite; ``reg_lambda`` and
+``final_loss`` >= 0; ``stop_reason`` one of ``STOP_REASONS``.  A fault raises ResourceError naming the section and,
 for a line-based fault, its first offending line.
 """
 
@@ -67,7 +61,7 @@ import numpy as np
 from . import kernels, lexfeatures
 from .kernels import SparseMatrix, SparseVector
 from .corpus_io import LABELS, Label, escape_field, unescape_field
-from .errors import DataError, ResourceError, UsageError
+from .errors import DataError, ResourceError, UsageError, read_utf8
 from .featurize import (
     DENSE_KINDS,
     FeatureBlockSpec,
@@ -78,8 +72,6 @@ from .featurize import (
 from .preprocess import CleanConfig, PreprocessSettings
 
 MODEL_FORMAT = "aggdetect-model 2"
-# the header line of each format that load_model reads, and its version
-_FORMATS = {"aggdetect-model 1": 1, MODEL_FORMAT: 2}
 # why train_binary stopped: the gradient's sup-norm reached grad_tol,
 # max_iters steps were taken, or no step decreased J
 GRAD_TOL, MAX_ITERS, LINE_SEARCH = STOP_REASONS = ("grad_tol", "max_iters", "line_search")
@@ -111,8 +103,8 @@ class BinaryLogReg:
     reg_lambda: float
     iterations: int = 0
     final_grad_norm: float = 0.0
-    # one of STOP_REASONS, and J at the returned weights; None on a model
-    # loaded from a version 1 file, which does not record them
+    # one of STOP_REASONS, and J at the returned weights; None where not
+    # known, as on a classifier built by hand
     stop_reason: str | None = None
     final_loss: float | None = None
 
@@ -261,9 +253,6 @@ class OvRModel:
     n_train_documents: int = 0
     merged_validation: bool = False
     single_class_warning: bool = False
-    # the header line of the file that load_model read this model from;
-    # None on a model trained in this process
-    file_format: str | None = None
     # the classifiers' weights as the columns of one (dim, n_classes)
     # array and their biases as one vector, built once so that scoring is
     # one CSR product; classifiers are not changed after construction
@@ -385,8 +374,6 @@ def _block_lines(pipe: FeaturePipeline, spec: FeatureBlockSpec) -> list[str]:
     for key in ("n", "k", "min_df"):
         if key in spec.params:
             out.append(f"{key} = {spec.params[key]}")
-    out.append(f"offset = {pipe.offsets[spec.name]}")
-    out.append(f"dimension = {pipe.dimensions[spec.name]}")
     if spec.kind in LEXICAL_KINDS:
         out.append(f"n_documents = {pipe.vocabularies[spec.name].n_documents}")
         out.append(f"[vocab:{spec.name}]")
@@ -418,14 +405,13 @@ def _vocab_rows(vocab: Vocabulary) -> str:
 
 
 def save_model(model: OvRModel, path: str | Path) -> None:
-    """Write the sectioned text serialization, format version 2. Fully
+    """Write the sectioned text serialization, :data:`MODEL_FORMAT`. Fully
     deterministic.
 
     Each class's weights are one base64 block of its float64 values; a
-    ``stop_reason`` or ``final_loss`` that is None, as on a model loaded
-    from a version 1 file, is left out. Every line that can raise, a
-    referenced file's provenance, is formatted before the file is opened,
-    so a failed save leaves the path as it was.
+    ``stop_reason`` or ``final_loss`` that is None is left out. Every line
+    that can raise, a referenced file's provenance, is formatted before the
+    file is opened, so a failed save leaves the path as it was.
     The header and then each ``[vocab:*]`` and ``[weights:*]`` section are
     written as soon as they are formatted, so at most one section's lines
     are held at a time, never the whole file."""
@@ -502,22 +488,22 @@ class _SidecarRequired(lexfeatures.SentimentProvider):
 # its rows.
 _HEADER_RE = re.compile(r"\n\[(.*)\]$", re.M)
 _KV_LINES_RE = re.compile(r"(?:.* = .*(?:\n|\Z)|\n)*")
-_WEIGHT_ROW = np.dtype([("index", np.int64), ("value", np.float64)])
 
 
-def _split_sections(raw: str, path: Path) -> tuple[str, dict[str, str]]:
-    """The header line, one of ``_FORMATS``, and each section's body by
-    name: the text between its header line and the next header. A
+def _split_sections(raw: str, path: Path) -> dict[str, str]:
+    """Each section's body by name: the text between its header line and
+    the next header, after a first line of :data:`MODEL_FORMAT`. A
     repeated section name keeps the last body."""
     first = raw.partition("\n")[0]
-    if first not in _FORMATS:
-        expected = " or ".join(map(repr, _FORMATS))
-        raise ResourceError(f"{path}: not a recognized model file (expected header {expected})")
+    if first != MODEL_FORMAT:
+        raise ResourceError(
+            f"{path}: not a recognized model file (expected header {MODEL_FORMAT!r})"
+        )
     headers = list(_HEADER_RE.finditer(raw, len(first)))
     if raw[len(first) : headers[0].start() if headers else len(raw)].strip("\n"):
         raise ResourceError(f"{path}: content before first section")
     ends = [m.start() for m in headers[1:]] + [len(raw)]
-    return first, {m[1]: raw[m.end() + 1 : end] for m, end in zip(headers, ends)}
+    return {m[1]: raw[m.end() + 1 : end] for m, end in zip(headers, ends)}
 
 
 def _lines(body: str) -> list[str]:
@@ -620,85 +606,9 @@ def _vocabulary(
     raise AssertionError(f"no faulty row in [{section}]")
 
 
-def _read_weight_rows(rows: list[str]) -> np.ndarray:
-    """``index<TAB>value`` rows as one structured array. numpy rounds each
-    value exactly as ``float()`` does; a row that does not parse raises
-    ValueError."""
-    if not rows:
-        return np.empty(0, dtype=_WEIGHT_ROW)
-    table = np.loadtxt(rows, dtype=_WEIGHT_ROW, delimiter="\t", comments=None, ndmin=1)
-    if len(table) != len(rows):  # np.loadtxt skips a row that is only "\r"
-        raise ValueError("a row was skipped")
-    return table
-
-
-def _check_weight_rows(
-    table: np.ndarray, rows: list[str], dimension: int, section: str, path: Path
-) -> None:
-    """Refuse the first row whose index is out of range or not above the
-    previous row's, or whose value is not finite."""
-    index, value = table["index"], table["value"]
-    out_of_range = (index < 0) | (index >= dimension)
-    bad = out_of_range | ~np.isfinite(value)
-    bad[1:] |= index[1:] <= index[:-1]
-    if not bad.any():
-        return
-    k = int(np.argmax(bad))
-    if out_of_range[k]:
-        raise ResourceError(f"{path}: weight index {index[k]} out of range in [{section}]")
-    if k and index[k] <= index[k - 1]:
-        raise ResourceError(
-            f"{path}: weight indices not strictly increasing in [{section}]: {rows[k]!r}"
-        )
-    raise ResourceError(f"{path}: bad value in [{section}]: {rows[k]!r}")
-
-
-def _weight_rows(rows: list[str], dimension: int, section: str, path: Path) -> np.ndarray:
-    """A version 1 ``[weights:*]`` section's rows, parsed in one numpy call
-    and checked with array operations; a fault names the first offending
-    row."""
-    try:
-        table = _read_weight_rows(rows)
-    except ValueError:
-        table = None
-    if table is None:
-        # bisect for the first row that does not parse: rows[good] with
-        # rows[:good] parsing and rows[:bad] not
-        good, bad = 0, len(rows)
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                _read_weight_rows(rows[:mid])
-                good = mid
-            except ValueError:
-                bad = mid
-        _check_weight_rows(_read_weight_rows(rows[:good]), rows, dimension, section, path)
-        row = rows[good]
-        if row.count("\t") != 1:
-            raise ResourceError(f"{path}: malformed row in [{section}]: {row!r}")
-        raise ResourceError(f"{path}: bad value in [{section}]: {row!r}")
-    _check_weight_rows(table, rows, dimension, section, path)
-    return table
-
-
-def _weights_v1(kv: dict[str, str], rows: list[str], dimension: int, section: str,
-                path: Path) -> np.ndarray:
-    """A version 1 weight vector: ``nnz`` rows of ``index<TAB>value``, each
-    nonzero weight once, by increasing index."""
-    declared_nnz = _need(kv, "nnz", section, path, int)
-    if declared_nnz != len(rows):
-        raise ResourceError(
-            f"{path}: [{section}] declares {declared_nnz} weights but has {len(rows)}"
-        )
-    table = _weight_rows(rows, dimension, section, path)
-    weights = np.zeros(dimension)
-    weights[table["index"]] = table["value"]
-    return weights
-
-
 def _weights_v2(block: str, dimension: int, section: str, path: Path) -> np.ndarray:
-    """A version 2 weight vector: base64 lines of exactly ``dimension``
-    finite little-endian float64 values, as a writable native array."""
+    """A weight vector: base64 lines of exactly ``dimension`` finite
+    little-endian float64 values, as a writable native array."""
     try:
         raw = base64.b64decode(block.replace("\n", ""), validate=True)
     except ValueError as exc:  # binascii.Error, or a character outside ASCII
@@ -743,13 +653,13 @@ def _load_resource(
 
 
 def load_model(path: str | Path) -> OvRModel:
-    """Load a model file of format version 1 or 2, re-reading referenced
+    """Load a model file of :data:`MODEL_FORMAT`, re-reading referenced
     resources and verifying their checksums. Predictions after a round
     trip are bit-identical."""
     path = Path(path)
     if not path.is_file():
         raise ResourceError(f"model file not found: {path}")
-    file_format, by_name = _split_sections(path.read_text(encoding="utf-8"), path)
+    by_name = _split_sections(read_utf8(path, ResourceError), path)
     for required in ("meta", "preprocess", "pipeline"):
         if required not in by_name:
             raise ResourceError(f"{path}: missing section [{required}]")
@@ -846,13 +756,9 @@ def load_model(path: str | Path) -> OvRModel:
         body = by_name[section]
         kv_end = _KV_LINES_RE.match(body).end()
         kv = _kv(body[:kv_end], section, path)
-        if _FORMATS[file_format] == 1:
-            weights = _weights_v1(kv, _lines(body[kv_end:]), total_dimension, section, path)
-        else:
-            weights = _weights_v2(body[kv_end:], total_dimension, section, path)
         classifiers.append(
             BinaryLogReg(
-                weights=weights,
+                weights=_weights_v2(body[kv_end:], total_dimension, section, path),
                 bias=_need(kv, "bias", section, path, _finite),
                 reg_lambda=_need(kv, "reg_lambda", section, path, _non_negative),
                 iterations=_need(kv, "iterations", section, path, int),
@@ -870,5 +776,4 @@ def load_model(path: str | Path) -> OvRModel:
         n_train_documents=_need(meta, "n_train_documents", "meta", path, int),
         merged_validation=_need(meta, "merged_validation", "meta", path, _parse_bool),
         single_class_warning=_need(meta, "single_class_warning", "meta", path, _parse_bool),
-        file_format=file_format,
     )

@@ -15,7 +15,7 @@ import numpy as np
 from aggdetect.corpus_io import LABELS, Corpus, Document, Label, escape_field
 from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary, _fit_counts
 from aggdetect.kernels import SparseMatrix, SparseVector
-from aggdetect.model import BinaryLogReg, OvRModel
+from aggdetect.model import OvRModel
 from aggdetect.preprocess import SpellDictionary
 
 # Three disjoint signal-word families, one per class, plus shared noise.
@@ -179,43 +179,11 @@ def reference_escape_field(value: str) -> str:
     return "".join(_REFERENCE_ESCAPES.get(ch, ch) for ch in value)
 
 
-def reference_model_text(model: OvRModel) -> str:
-    """The text of a version 1 model file, formatted the way save_model
-    wrote it before format 2: every line in one list, joined once, and each
-    class's nonzero weights as ``index<TAB>repr(value)`` rows after an
-    ``nnz`` line. Version 1 has no ``stop_reason`` or ``final_loss``."""
-    return _reference_text(model, "aggdetect-model 1", _v1_weight_lines)
-
-
 def reference_model_text_v2(model: OvRModel) -> str:
-    """The text of a version 2 model file, every line in one list, joined
-    once: each class's convergence keys that are not None, then its whole
-    weight vector packed by ``struct`` as little-endian float64, in base64
-    cut into lines of 76 characters."""
-    return _reference_text(model, "aggdetect-model 2", _v2_weight_lines)
-
-
-def _v1_weight_lines(clf: BinaryLogReg) -> list[str]:
-    nonzero = np.flatnonzero(clf.weights)
-    out = [f"nnz = {nonzero.shape[0]}"]
-    values = clf.weights[nonzero].astype(np.float64, copy=False).tolist()
-    out.extend([f"{i}\t{v!r}" for i, v in zip(nonzero.tolist(), values)])
-    return out
-
-
-def _v2_weight_lines(clf: BinaryLogReg) -> list[str]:
-    out = []
-    if clf.stop_reason is not None:
-        out.append(f"stop_reason = {clf.stop_reason}")
-    if clf.final_loss is not None:
-        out.append(f"final_loss = {float(clf.final_loss)!r}")
-    values = [float(v) for v in clf.weights]
-    block = base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
-    out.extend(block[i : i + 76] for i in range(0, len(block), 76))
-    return out
-
-
-def _reference_text(model: OvRModel, header: str, weight_lines) -> str:
+    """The text of a model file, every line in one list, joined once: each
+    class's convergence keys that are not None, then its whole weight
+    vector packed by ``struct`` as little-endian float64, in base64 cut
+    into lines of 76 characters."""
     flag = {True: "true", False: "false"}
     pipe = model.pipeline
     prep = model.preprocess
@@ -224,7 +192,7 @@ def _reference_text(model: OvRModel, header: str, weight_lines) -> str:
         path, sha256 = pipe.resources.provenance[key]
         return [f"{prefix}path = {path}", f"{prefix}sha256 = {sha256}"]
 
-    out: list[str] = [header]
+    out: list[str] = ["aggdetect-model 2"]
     out.append("[meta]")
     out.append(f"language = {model.language}")
     out.append("labels = " + ",".join(label.name for label in LABELS))
@@ -257,8 +225,6 @@ def _reference_text(model: OvRModel, header: str, weight_lines) -> str:
         for key in ("n", "k", "min_df"):
             if key in spec.params:
                 out.append(f"{key} = {spec.params[key]}")
-        out.append(f"offset = {pipe.offsets[spec.name]}")
-        out.append(f"dimension = {pipe.dimensions[spec.name]}")
         if lexical:
             vocab = pipe.vocabularies[spec.name]
             out.append(f"n_documents = {vocab.n_documents}")
@@ -281,5 +247,11 @@ def _reference_text(model: OvRModel, header: str, weight_lines) -> str:
         out.append(f"reg_lambda = {float(clf.reg_lambda)!r}")
         out.append(f"iterations = {clf.iterations}")
         out.append(f"final_grad_norm = {float(clf.final_grad_norm)!r}")
-        out.extend(weight_lines(clf))
+        if clf.stop_reason is not None:
+            out.append(f"stop_reason = {clf.stop_reason}")
+        if clf.final_loss is not None:
+            out.append(f"final_loss = {float(clf.final_loss)!r}")
+        values = [float(v) for v in clf.weights]
+        block = base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+        out.extend(block[i : i + 76] for i in range(0, len(block), 76))
     return "\n".join(out) + "\n"

@@ -19,7 +19,6 @@ from aggdetect.model import load_model, save_model, train_ovr
 
 from helpers import (
     reference_candidates,
-    reference_model_text,
     reference_model_text_v2,
     synthetic_documents,
     write_corpus_tsv,
@@ -389,7 +388,6 @@ class TestPredict:
         (r"^calm0\t\d+$", "calm0\t99999", "document frequency outside 1..36 in [vocab:U]"),
         (r"^n_documents = \d+$", "n_documents = 99999999999999999999",
          "bad value in [block:U]: 'n_documents = 99999999999999999999'"),
-        (r"^(\d+)\t\S+$", r"\1\tnan", "bad value in [weights:NAG]"),
         (r"^bias = .*$", "bias = inf", "bad value in [weights:NAG]: 'bias = inf'"),
     ])
     def test_bad_number_in_model_exits_3(
@@ -397,13 +395,9 @@ class TestPredict:
     ):
         """Numbers save_model cannot have written: a document frequency
         outside 1..n_documents (a crash or a negative idf before) and a
-        non-finite weight or bias (a confident NAG before). A weight row
-        exists only in a version 1 file."""
+        non-finite bias (a confident NAG before)."""
         corpus_path, _rows = toy_corpus
         model_path = self.train_model(tmp_path, corpus_path, basic_config)
-        if pattern == r"^(\d+)\t\S+$":
-            model_path.write_text(reference_model_text(load_model(model_path)),
-                                  encoding="utf-8")
         text, n = re.subn(pattern, replacement, model_path.read_text(encoding="utf-8"),
                           count=1, flags=re.M)
         assert n == 1
@@ -460,8 +454,8 @@ class TestPredict:
     def test_bad_weights_block_exits_3(
         self, tmp_path, toy_corpus, basic_config, capsys, fault, message
     ):
-        """A version 2 weights block must be base64 of exactly
-        total_dimension finite float64 values."""
+        """A weights block must be base64 of exactly total_dimension finite
+        float64 values."""
         corpus_path, _rows = toy_corpus
         model_path = self.train_model(tmp_path, corpus_path, basic_config)
         text = model_path.read_text(encoding="utf-8")
@@ -483,19 +477,35 @@ class TestPredict:
         message = message.format(short=size - 8, long=size + 8, size=size)
         assert f"resource error: {model_path}: {message}" in capsys.readouterr().err
 
-    def test_version_1_file_predicts_the_same_labels(
-        self, tmp_path, toy_corpus, basic_config
-    ):
+    def test_version_1_file_exits_3(self, tmp_path, toy_corpus, capsys):
+        """Format 1, whose weight sections list each nonzero weight as an
+        index<TAB>value row after an nnz line, is no longer read."""
         corpus_path, _rows = toy_corpus
-        model_path = self.train_model(tmp_path, corpus_path, basic_config)
-        v1_path = tmp_path / "v1.txt"
-        v1_path.write_text(reference_model_text(load_model(model_path)), encoding="utf-8")
-        outputs = []
-        for path in (model_path, v1_path):
-            out = tmp_path / f"pred-{path.stem}.tsv"
-            assert run(["predict", str(path), str(corpus_path), str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        weights = "".join(
+            f"[weights:{name}]\nbias = -0.5\nreg_lambda = 1.0\niterations = 8\n"
+            f"final_grad_norm = 1e-07\nnnz = 1\n{index}\t1.5\n"
+            for name, index in (("NAG", 0), ("CAG", 2), ("OAG", 1))
+        )
+        model_path = write_lines(tmp_path / "v1.txt", [
+            "aggdetect-model 1",
+            "[meta]", "language = english", "labels = NAG,CAG,OAG", "n_train_documents = 3",
+            "merged_validation = false", "single_class_warning = false",
+            "total_dimension = 3",
+            "[preprocess]", "lowercase = true", "strip_urls = true", "strip_emails = true",
+            "strip_numbers = true", "minor_stemming = true", "expansions = {}",
+            "transliterate = false", "translit_table_version = 1", "spell_correct = false",
+            "[pipeline]", "blocks = U",
+            "[block:U]", "kind = word_ngram", "n = 1", "min_df = 1", "offset = 0",
+            "dimension = 3", "n_documents = 3",
+            "[vocab:U]", "calm0\t1", "rage0\t1", "sly0\t1",
+            weights.rstrip("\n"),
+        ])
+        message = (f"resource error: {model_path}: not a recognized model file "
+                   "(expected header 'aggdetect-model 2')")
+        for argv in (["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")],
+                     ["inspect", str(model_path)]):
+            assert run(argv) == 3
+            assert message in capsys.readouterr().err
 
     def test_unlabeled_corpus_accepted(self, tmp_path, toy_corpus, basic_config):
         corpus_path, _rows = toy_corpus
@@ -566,26 +576,31 @@ class TestInspect:
                    (line.split("\t")[0] for line in lines[1:]))
 
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_convergence_per_class(self, tmp_path, toy_corpus, basic_config, capsys, version):
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_convergence_per_class(self, tmp_path, toy_corpus, basic_config, capsys, recorded):
+        """Each class's convergence, and "-" for what the file does not
+        record, as for a hand-built classifier."""
         corpus_path, _rows = toy_corpus
         model_path = tmp_path / "model.txt"
         run(["train", str(corpus_path), str(model_path), "--config", str(basic_config)])
         model = load_model(model_path)
-        if version == 1:
-            model_path.write_text(reference_model_text(model), encoding="utf-8")
+        if not recorded:
+            text, n = re.subn(r"^(stop_reason|final_loss) = .*\n", "",
+                              model_path.read_text(encoding="utf-8"), flags=re.M)
+            assert n == 6
+            model_path.write_text(text, encoding="utf-8")
         capsys.readouterr()
         assert run(["--quiet", "inspect", str(model_path), "--top", "1"]) == 0
         _table, convergence = capsys.readouterr().out.split("\n\n")
         lines = convergence.splitlines()
-        assert lines[:2] == [f"format\taggdetect-model {version}",
+        assert lines[:2] == ["format\taggdetect-model 2",
                              "class\titerations\tstop_reason\tfinal_loss\tfinal_grad_norm"]
         assert len(lines) == 5
         for line, label, clf in zip(lines[2:], Label, model.classifiers):
             name, iterations, stop_reason, final_loss, grad_norm = line.split("\t")
             assert (name, int(iterations)) == (label.name, clf.iterations)
             assert float(grad_norm) == pytest.approx(clf.final_grad_norm, rel=1e-2)
-            if version == 1:
+            if not recorded:
                 assert (stop_reason, final_loss) == ("-", "-")
             else:
                 assert stop_reason == clf.stop_reason == "grad_tol"
@@ -737,6 +752,50 @@ class TestReferencedFiles:
         text = model_path.read_text(encoding="utf-8")
         assert "path = " not in text and "sha256 = " not in text
         assert load_model(model_path).pipeline.resources.provenance == {}
+
+
+class TestFileNotUtf8:
+    """A file with a byte that is not UTF-8 exits with the code that the
+    file's other faults get, naming the file; it used to raise
+    UnicodeDecodeError, a traceback and exit 1."""
+
+    @pytest.mark.parametrize("command, name, code", [
+        ("predict", "model", 3),
+        ("inspect", "model", 3),
+        ("train", "corpus", 2),
+        ("predict", "corpus", 2),
+        ("evaluate", "predictions", 2),
+        ("train", "config", 1),
+        ("predict", "sidecar", 3),
+        *(("train", key, 3) for key in RESOURCE_CONFIG_KEYS),
+    ])
+    def test_exits_with_the_files_fault_code(self, tmp_path, capsys, command, name, code):
+        corpus_path, config, files = write_resource_run(tmp_path)
+        model_path, out = tmp_path / "model.txt", tmp_path / "out"
+        paths = {"corpus": corpus_path, "config": config, "model": model_path,
+                 "predictions": tmp_path / "pred.tsv",
+                 "sidecar": write_lines(tmp_path / "side.tsv", ["doc0\t0\t0 0 1 0 0"]),
+                 **files}
+        if command != "train":
+            assert run(["--quiet", "train", str(corpus_path), str(model_path),
+                        "--config", str(config)]) == 0
+            assert run(["--quiet", "predict", str(model_path), str(corpus_path),
+                        str(paths["predictions"])]) == 0
+        bad = paths[name]
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        argv = {
+            "train": ["train", str(corpus_path), str(out), "--config", str(config)],
+            "predict": ["predict", str(model_path), str(corpus_path), str(out)],
+            "inspect": ["inspect", str(model_path)],
+            "evaluate": ["evaluate", str(corpus_path), str(paths["predictions"]), str(out)],
+        }[command]
+        if name == "sidecar":
+            argv += ["--sentiment-sidecar", str(bad)]
+        capsys.readouterr()
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        kind = {1: "usage error", 2: "data error", 3: "resource error"}[code]
+        assert f"{kind}: " in err and str(bad) in err and "not UTF-8 text" in err
 
 
 class TestSaveModel:

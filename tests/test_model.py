@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from aggdetect.model import (
 from aggdetect.preprocess import CleanConfig, PreprocessSettings
 
 from helpers import (
-    reference_model_text,
     reference_model_text_v2,
     sparse,
     stack,
@@ -432,15 +432,6 @@ class TestTopFeatures:
         assert top_features(model, Label.CAG, 5) == [("unigram_dd", 0.3)]
 
 
-def save_v1(model, path):
-    """Write ``model`` as a version 1 file, by the reference writer."""
-    path.write_text(reference_model_text(model), encoding="utf-8")
-
-
-# patterns of an index<TAB>value weight row, which only a version 1 file has
-WEIGHT_ROW_PATTERNS = (r"^(\d+)\t\S+$", r"^\d+\t(\S+)$")
-
-
 def trained_toy_model():
     docs = [
         Document(id="d0", text="calm soft words", gold=Label.NAG),
@@ -533,26 +524,60 @@ class TestPersistence:
             assert a.iterations == b.iterations
             assert a.bias == b.bias
 
-    def test_convergence_round_trips_in_version_2_and_is_none_in_version_1(self, tmp_path):
+    def test_convergence_round_trips_and_unknown_convergence_is_left_out(self, tmp_path):
         model, _docs = trained_toy_model()
-        v1, v2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
-        save_v1(model, v1)
-        save_model(model, v2)
-        for got, want in zip(load_model(v2).classifiers, model.classifiers):
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        for got, want in zip(load_model(path).classifiers, model.classifiers):
             assert want.stop_reason == "grad_tol"
             assert got.stop_reason == want.stop_reason
             assert bits(got.final_loss) == bits(want.final_loss)
-        for got in load_model(v1).classifiers:
-            assert (got.stop_reason, got.final_loss) == (None, None)
-        assert model.file_format is None
-        assert load_model(v1).file_format == "aggdetect-model 1"
-        assert load_model(v2).file_format == "aggdetect-model 2"
-        # a version 1 model saves as version 2 without the unknown keys
-        save_model(load_model(v1), v2)
-        text = v2.read_text(encoding="utf-8")
+        # hand-built classifiers record no convergence: saved without the
+        # keys, they load back with None
+        model.classifiers = [replace(clf, stop_reason=None, final_loss=None)
+                             for clf in model.classifiers]
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
         assert text.startswith("aggdetect-model 2\n")
         assert "stop_reason" not in text and "final_loss" not in text
-        assert [clf.stop_reason for clf in load_model(v2).classifiers] == [None] * 3
+        for got in load_model(path).classifiers:
+            assert (got.stop_reason, got.final_loss) == (None, None)
+
+    def test_file_with_block_offset_and_dimension_lines_loads_the_same(self, tmp_path):
+        """Format 2 files written before the [block:*] offset and dimension
+        lines were dropped still load, to the same vocabularies, weights
+        and scores."""
+        model, docs = trained_toy_model()
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        save_model(model, new)
+        pipe = model.pipeline
+
+        def with_offset_and_dimension(match):
+            name = match[1]
+            return (f"{match[0]}offset = {pipe.offsets[name]}\n"
+                    f"dimension = {pipe.dimensions[name]}\n")
+
+        # where they stood: after the kind and parameter lines
+        text, n = re.subn(r"^\[block:(.*)\]\nkind = .*\n(?:(?:n|k|min_df) = .*\n)*",
+                          with_offset_and_dimension, new.read_text(encoding="utf-8"),
+                          flags=re.M)
+        assert n == len(pipe.blocks) == 2 and "offset = 0\n" in text
+        old.write_text(text, encoding="utf-8")
+        a, b = load_model(old), load_model(new)
+        for name in ("U", "C3"):
+            got, want = a.pipeline.vocabularies[name], b.pipeline.vocabularies[name]
+            assert got.terms == want.terms
+            assert terms_and_dfs(got) == terms_and_dfs(want)
+            assert got.n_documents == want.n_documents
+        assert (a.pipeline.offsets, a.pipeline.dimensions) == (b.pipeline.offsets,
+                                                               b.pipeline.dimensions)
+        for got, want in zip(a.classifiers, b.classifiers):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert bits(got.bias) == bits(want.bias)
+        docs = docs + [Document(id="oov", text="zzz qqq calm sly")]
+        X = b.pipeline.transform_many(docs)
+        assert np.array_equal(model_module._scores(a, X).view(np.int64),
+                              model_module._scores(b, X).view(np.int64))
 
     def test_final_loss_is_the_objective_at_the_returned_weights(self):
         model, docs = trained_toy_model()
@@ -561,23 +586,6 @@ class TestPersistence:
             y = np.array([float(d.gold == label) for d in docs])
             loss, _z = objective(X, y, clf.weights, clf.bias, clf.reg_lambda)
             assert bits(clf.final_loss) == bits(loss)
-
-    def test_version_1_file_loads_and_predicts_as_the_version_2_file(self, tmp_path):
-        model, docs = trained_toy_model()
-        v1, v2 = tmp_path / "v1.txt", tmp_path / "v2.txt"
-        save_v1(model, v1)
-        save_model(model, v2)
-        old, new = load_model(v1), load_model(v2)
-        for a, b in zip(old.classifiers, new.classifiers):
-            assert np.array_equal(a.weights.view(np.int64), b.weights.view(np.int64))
-        docs = docs + [Document(id="oov", text="zzz qqq calm sly")]
-        X = new.pipeline.transform_many(docs)
-        assert predict_many(old, X) == predict_many(new, X)
-        assert np.array_equal(model_module._scores(old, X).view(np.int64),
-                              model_module._scores(new, X).view(np.int64))
-        for doc in docs:
-            x = new.pipeline.transform(doc)
-            assert predict_proba(old, x).tolist() == predict_proba(new, x).tolist()
 
     @pytest.mark.parametrize("pattern, replacement", [
         (r"^stop_reason = .*$", "stop_reason = converged"),
@@ -599,13 +607,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("pattern, replacement, message", [
         (r"^calm\t\d+$", "calm\tx", re.escape(r"bad value in [vocab:U]: 'calm\tx'")),
-        (r"^(\d+)\t\S+$", r"\1\tnope", r"bad value in \[weights:NAG\]: '\d+\\tnope'"),
-        (r"^\d+\t(\S+)$", r"x\t\1", r"bad value in \[weights:NAG\]: 'x\\t"),
         (r"^bias = .*$", "bias = nope", re.escape("bad value in [weights:NAG]: 'bias = nope'")),
         # non-finite numbers and a negative reg_lambda
-        (r"^(\d+)\t\S+$", r"\1\tnan", r"bad value in \[weights:NAG\]: '\d+\\tnan'"),
-        (r"^(\d+)\t\S+$", r"\1\t-inf", r"bad value in \[weights:NAG\]: '\d+\\t-inf'"),
-        (r"^(\d+)\t\S+$", r"\1\t1e400", r"bad value in \[weights:NAG\]: '\d+\\t1e400'"),
         (r"^bias = .*$", "bias = inf", re.escape("bad value in [weights:NAG]: 'bias = inf'")),
         (r"^reg_lambda = .*$", "reg_lambda = nan",
          re.escape("bad value in [weights:NAG]: 'reg_lambda = nan'")),
@@ -619,7 +622,7 @@ class TestPersistence:
     ):
         model, _docs = trained_toy_model()
         path = tmp_path / "model.txt"
-        (save_v1 if pattern in WEIGHT_ROW_PATTERNS else save_model)(model, path)
+        save_model(model, path)
         text, n = re.subn(pattern, replacement, path.read_text(encoding="utf-8"),
                           count=1, flags=re.M)
         assert n == 1
@@ -627,24 +630,19 @@ class TestPersistence:
         with pytest.raises(ResourceError, match=message):
             load_model(path)
 
-    @pytest.mark.parametrize("section", ["vocab:U", "weights:NAG"])
-    def test_repeated_term_or_weight_index_names_section_and_line(self, tmp_path, section):
-        """save_model writes each term and each weight index once, in
-        increasing order; a repeated one would leave a term unreachable or
-        zero a weight, so loading refuses it. Weights are rows only in a
-        version 1 file."""
+    def test_repeated_term_names_section_and_line(self, tmp_path):
+        """save_model writes each term once, in increasing order; a
+        repeated one would leave a term unreachable, so loading refuses it."""
         model, _docs = trained_toy_model()
         path = tmp_path / "model.txt"
-        (save_v1 if section.startswith("weights:") else save_model)(model, path)
+        save_model(model, path)
         lines = path.read_text(encoding="utf-8").split("\n")
-        first = lines.index(f"[{section}]") + 1
-        while " = " in lines[first]:
-            first += 1
-        # the second row takes the first row's term or index
-        key, value = lines[first].split("\t")[0], lines[first + 1].split("\t")[1]
-        lines[first + 1] = f"{key}\t{value}"
+        first = lines.index("[vocab:U]") + 1
+        # the second row takes the first row's term
+        term, df = lines[first].split("\t")[0], lines[first + 1].split("\t")[1]
+        lines[first + 1] = f"{term}\t{df}"
         path.write_text("\n".join(lines), encoding="utf-8")
-        message = f"not strictly increasing in [{section}]: {lines[first + 1]!r}"
+        message = f"not strictly increasing in [vocab:U]: {lines[first + 1]!r}"
         with pytest.raises(ResourceError, match=re.escape(message)):
             load_model(path)
 
@@ -697,34 +695,6 @@ class TestPersistence:
         row = re.search(f"^{term}\t\\d+$", vocab, flags=re.M)[0]
         message = f"term of {len(term)} characters, not 3, in [vocab:C3]: {row!r}"
         with pytest.raises(ResourceError, match=re.escape(message)):
-            load_model(path)
-
-    def test_first_offending_weight_row_is_named(self, tmp_path):
-        """A row that does not parse is named only when no earlier row
-        has a fault of its own."""
-        model, _docs = trained_toy_model()
-        path = tmp_path / "model.txt"
-        save_v1(model, path)
-        lines = path.read_text(encoding="utf-8").split("\n")
-        first = lines.index("[weights:CAG]") + 6
-        rows = lines[first:first + 6]
-        assert all(row.count("\t") == 1 for row in rows)
-        index = [row.split("\t")[0] for row in rows]
-        lines[first + 4] = f"{index[4]}\t1_0"  # float() takes it; numpy does not
-        lines[first + 5] = f"{index[5]}\t0.5\textra"
-        path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(ResourceError, match=re.escape(repr(lines[first + 4]))):
-            load_model(path)
-        lines[first + 2] = f"{index[1]}\t0.25"
-        path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(ResourceError, match="not strictly increasing in \\[weights:CAG\\]: "
-                           + re.escape(repr(lines[first + 2]))):
-            load_model(path)
-        lines[first + 2] = rows[2]
-        lines[first + 4] = rows[4]
-        path.write_text("\n".join(lines), encoding="utf-8")
-        with pytest.raises(ResourceError, match="malformed row in \\[weights:CAG\\]: "
-                           + re.escape(repr(lines[first + 5]))):
             load_model(path)
 
     def test_truncated_file_names_missing_section(self, tmp_path):
@@ -898,22 +868,6 @@ def test_save_model_writes_the_reference_bytes_and_loads_back_bit_for_bit(tmp_pa
         assert terms_and_dfs(got) == terms_and_dfs(want)
         assert got.n_documents == want.n_documents
         assert got.idf.tobytes() == want.idf.tobytes()
-
-
-@given(random_models())
-@settings(max_examples=50, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_version_1_reference_file_loads_back_bit_for_bit(tmp_path, model):
-    """Version 1 rows round-trip through repr: every nonzero weight loads
-    as written, a zero of either sign as +0.0."""
-    path = tmp_path / "model.txt"
-    path.write_text(reference_model_text(model), encoding="utf-8")
-    loaded = load_model(path)
-    for got, want in zip(loaded.classifiers, model.classifiers):
-        assert got.weights.tobytes() == (want.weights + 0.0).tobytes()
-        for key in ("bias", "reg_lambda", "final_grad_norm"):
-            assert bits(getattr(got, key)) == bits(getattr(want, key))
-        assert (got.stop_reason, got.final_loss) == (None, None)
 
 
 @pytest.mark.parametrize("terms", [["a\\b", "plain"], ["\\", "\\t", "x\ty", "z"], ["ab", "cd"]])
