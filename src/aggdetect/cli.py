@@ -264,6 +264,7 @@ def _validate_run_config(config: RunConfig) -> None:
         raise UsageError("spell_correct = true requires a 'spell_dict' path")
     if config.min_df < 1:
         raise UsageError("min_df must be >= 1")
+    config.clean_config()  # refuses bad or non-idempotent expansions
 
 
 def load_resources(config: RunConfig) -> Resources:

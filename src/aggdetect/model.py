@@ -672,10 +672,13 @@ def load_model(path: str | Path) -> OvRModel:
 
     prep_kv = _kv(by_name["preprocess"], "preprocess", path)
     flags = ("lowercase", "strip_urls", "strip_emails", "strip_numbers", "minor_stemming")
-    clean = CleanConfig(
-        **{flag: _need(prep_kv, flag, "preprocess", path, _parse_bool) for flag in flags},
-        expansions=_need(prep_kv, "expansions", "preprocess", path, json.loads),
-    )
+    try:
+        clean = CleanConfig(
+            **{flag: _need(prep_kv, flag, "preprocess", path, _parse_bool) for flag in flags},
+            expansions=_need(prep_kv, "expansions", "preprocess", path, json.loads),
+        )
+    except UsageError as exc:
+        raise ResourceError(f"{path}: bad entry in [preprocess]: {exc}") from None
     resources = lexfeatures.Resources()
     spell_dictionary = None
     if _need(prep_kv, "spell_correct", "preprocess", path, _parse_bool):

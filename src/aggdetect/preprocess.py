@@ -1,10 +1,16 @@
 """Comment normalization: cleaning, minor stemming, script handling,
 and dictionary-based spell correction.
 
-``clean_text`` applies, in order: lowercasing, URL/email/number removal,
-whole-token expansion rewrites, minor per-token stemming, and whitespace
-collapsing.  The whole function is idempotent, which downstream code
-relies on (a cleaned corpus can safely be cleaned again).
+``clean_text`` applies, in order: lowercasing, URL/email removal,
+standalone-number removal, whole-token expansion rewrites with minor
+per-token stemming, and joins what is left with single spaces.  No URL,
+email or number can span whitespace, so cleaning is one pass over the
+comment's whitespace tokens: a number is a token that ``str.isdecimal``
+accepts, and the URL and email regexes run only on a comment that holds
+their marker (``://`` or ``www.`` in any case; ``@``).  The whole function
+is idempotent, which downstream code relies on (a cleaned corpus can
+safely be cleaned again); ``CleanConfig`` refuses the expansions that
+would break this.
 """
 
 from __future__ import annotations
@@ -15,15 +21,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
 
-from .errors import ResourceError
+from .errors import ResourceError, UsageError
 from .translit import DEVANAGARI_RUN_RE, TABLE_VERSION, transliterate_with_count
 
+# Neither can match across whitespace. Under IGNORECASE only "w" and "W"
+# match "w", so a URL needs "://" or a lowercased "www."; an email needs "@".
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _EMAIL_RE = re.compile(r"[\w.+-]+@[\w-]+\.[\w.-]+")
-# Standalone digit runs only; digits embedded in alphanumeric tokens
-# (slang like "b4") survive.
-_NUMBER_RE = re.compile(r"(?<!\S)\d+(?!\S)")
-_WS_RE = re.compile(r"\s+")
 
 # Tokens the plural-s rule must never touch.
 NO_STRIP = frozenset(
@@ -52,12 +56,52 @@ DEFAULT_EXPANSIONS: dict[str, str] = {
 
 @dataclass(frozen=True)
 class CleanConfig:
+    """The stages of :func:`clean_text`.
+
+    Construction raises UsageError for ``expansions`` that are not strings
+    to strings, and for those that would make cleaning not idempotent: a
+    replacement that an enabled earlier stage would change (upper-case
+    letters, a URL, an email address, a standalone number), or a key whose
+    rewriting does not finish within ``_MAX_REWRITE_DEPTH - 1`` nested
+    rewrites, as in a cycle ``a -> b -> a``.
+    """
+
     lowercase: bool = True
     strip_urls: bool = True
     strip_emails: bool = True
     strip_numbers: bool = True
     minor_stemming: bool = True
     expansions: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_EXPANSIONS))
+
+    def __post_init__(self) -> None:
+        expansions = self.expansions
+        if not isinstance(expansions, dict):
+            raise UsageError(
+                f"expansions must be an object of strings to strings, got {expansions!r}"
+            )
+        for key, replacement in expansions.items():
+            if not isinstance(key, str) or not isinstance(replacement, str):
+                raise UsageError(f"expansions: {key!r}: {replacement!r} is not a string")
+            stage = self._stage_changing(replacement)
+            if stage:
+                raise UsageError(
+                    f"expansions: the replacement of {key!r}, {replacement!r}, "
+                    f"would be changed by {stage} when cleaned again"
+                )
+        depths: dict[str, int] = {}
+        for key in expansions:
+            _rewrite_depth(key, self, [key], depths)
+
+    def _stage_changing(self, replacement: str) -> str | None:
+        if self.lowercase and replacement != replacement.lower():
+            return "lowercasing"
+        if self.strip_urls and _URL_RE.search(replacement):
+            return "URL removal"
+        if self.strip_emails and _EMAIL_RE.search(replacement):
+            return "email removal"
+        if self.strip_numbers and any(part.isdecimal() for part in replacement.split()):
+            return "number removal"
+        return None
 
     @staticmethod
     def for_language(language: str) -> "CleanConfig":
@@ -97,46 +141,100 @@ def _stem_token(token: str) -> str:
 _MAX_REWRITE_DEPTH = 8
 
 
+def _rewrite_step(token: str, config: CleanConfig) -> list[str] | None:
+    """The tokens one rewrite turns ``token`` into: the words of its
+    expansion, or its stem when that is an expansion key ("u's" -> "u");
+    None when no rewrite applies."""
+    replacement = config.expansions.get(token)
+    if replacement is not None and replacement.split() != [token]:
+        return replacement.split()
+    if config.minor_stemming:
+        stemmed = _stem_token(token)
+        if stemmed != token and stemmed in config.expansions:
+            return [stemmed]
+    return None
+
+
 def _rewrite_token(token: str, config: CleanConfig, depth: int = 0) -> list[str]:
-    # Expansion, then stemming; a stem result that is itself an expansion
-    # key re-enters ("u's" -> "u" -> "you"), so one pass reaches the same
-    # fixed point a second pass would. The depth cap guards against
-    # pathological user-defined rewrite cycles.
-    if depth < _MAX_REWRITE_DEPTH:
-        replacement = config.expansions.get(token)
-        if replacement is not None and replacement.split() != [token]:
-            parts: list[str] = []
-            for part in replacement.split():
-                parts.extend(_rewrite_token(part, config, depth + 1))
-            return parts
-    if not config.minor_stemming:
-        return [token]
-    stemmed = _stem_token(token)
-    if stemmed != token and depth < _MAX_REWRITE_DEPTH and stemmed in config.expansions:
-        return _rewrite_token(stemmed, config, depth + 1)
-    return [stemmed]
+    # Expansion, then stemming, to the fixed point a second pass would
+    # reach. The depth cap guards against rewrite cycles, which CleanConfig
+    # refuses.
+    parts = _rewrite_step(token, config) if depth < _MAX_REWRITE_DEPTH else None
+    if parts is None:
+        return [_stem_token(token)] if config.minor_stemming else [token]
+    return [out for part in parts for out in _rewrite_token(part, config, depth + 1)]
+
+
+def _rewrite_depth(
+    token: str, config: CleanConfig, chain: list[str], depths: dict[str, int]
+) -> int:
+    """The number of nested rewrites ``_rewrite_token`` makes on ``token``,
+    the last of ``chain``, which starts at an expansion key. Raise
+    UsageError once the chain needs ``_MAX_REWRITE_DEPTH`` of them, one
+    being left for a stem that leads to the key."""
+    if token not in depths and len(chain) <= _MAX_REWRITE_DEPTH:
+        parts = _rewrite_step(token, config)
+        depths[token] = 0 if parts is None else 1 + max(
+            (_rewrite_depth(part, config, chain + [part], depths) for part in parts), default=0
+        )
+    # a longer chain, as a cycle makes, is refused whatever its last token
+    depth = depths.get(token, 0)
+    if len(chain) - 1 + depth >= _MAX_REWRITE_DEPTH:
+        raise UsageError(
+            f"expansions: rewriting {chain[0]!r} does not finish within "
+            f"{_MAX_REWRITE_DEPTH - 1} nested rewrites: {' -> '.join(chain)}"
+        )
+    return depth
+
+
+def _clean_token(token: str, config: CleanConfig) -> str:
+    """What cleaning leaves of one whitespace token of the lowercased text
+    without URLs and emails: nothing of a standalone number (digits within
+    a token, slang like "b4", survive), else its rewrite."""
+    if config.strip_numbers and token.isdecimal():
+        return ""
+    # a bare "'s" stems to "", and an expansion may be empty
+    return " ".join(filter(None, _rewrite_token(token, config)))
+
+
+def _clean(text: str, config: CleanConfig, rewrites: dict[str, str]) -> str:
+    """:func:`clean_text`, remembering in ``rewrites`` what is left of each
+    distinct token when the config rewrites tokens."""
+    if config.lowercase:
+        text = text.lower()
+    if config.strip_urls and (
+        "://" in text or "www." in (text if config.lowercase else text.lower())
+    ):
+        text = _URL_RE.sub(" ", text)
+    if config.strip_emails and "@" in text:
+        text = _EMAIL_RE.sub(" ", text)
+    tokens = text.split()
+    if not (config.expansions or config.minor_stemming):
+        if config.strip_numbers:
+            tokens = [token for token in tokens if not token.isdecimal()]
+        return " ".join(tokens)
+    words = []
+    for token in tokens:
+        cleaned = rewrites.get(token)
+        if cleaned is None:
+            cleaned = rewrites[token] = _clean_token(token, config)
+        if cleaned:
+            words.append(cleaned)
+    return " ".join(words)
+
+
+# Built once: construction checks the expansions, which costs more than
+# cleaning one comment.
+_DEFAULT_CLEAN = CleanConfig()
 
 
 def clean_text(text: str, config: CleanConfig | None = None) -> str:
-    """Normalize one comment. Total and idempotent."""
-    config = config or CleanConfig()
-    if config.lowercase:
-        text = text.lower()
-    if config.strip_urls:
-        text = _URL_RE.sub(" ", text)
-    if config.strip_emails:
-        text = _EMAIL_RE.sub(" ", text)
-    if config.strip_numbers:
-        text = _NUMBER_RE.sub(" ", text)
-
-    tokens: list[str] = []
-    if config.expansions or config.minor_stemming:
-        for token in text.split():
-            tokens.extend(_rewrite_token(token, config))
-    else:
-        tokens = text.split()
-
-    return _WS_RE.sub(" ", " ".join(tokens)).strip()
+    """Normalize one comment in one pass over its whitespace tokens; the
+    URL and email regexes run only where their marker occurs. Total and
+    idempotent. Each call rewrites its tokens afresh, where
+    :meth:`PreprocessSettings.apply` remembers each distinct token's
+    rewrite in a memo that grows without bound."""
+    return _clean(text, config or _DEFAULT_CLEAN, {})
 
 
 @dataclass
@@ -290,10 +388,13 @@ class PreprocessSettings:
     Transliteration is local to a maximal run of Devanagari characters
     (every other character ends the pending consonant), so each distinct
     run is transliterated once per settings object and remembered with its
-    unknown count. The memo is not a field: ``==`` and ``repr`` ignore it,
-    and it starts empty in every ``train`` and every loaded model. It only
-    pays on input whose runs repeat, and like the spell dictionary's
-    corrections it grows without bound in a long-lived process.
+    unknown count. Likewise each distinct token's expansion and stemming
+    rewrite is computed once and remembered. The memos are not fields:
+    ``==`` and ``repr`` ignore them, and they start empty in every
+    ``train`` and every loaded model. They pay on input whose runs and
+    tokens repeat, and like the spell dictionary's corrections they grow
+    without bound in a long-lived process. ``clean`` must not be replaced
+    after the first document, or the remembered rewrites go stale.
     """
 
     clean: CleanConfig
@@ -304,6 +405,8 @@ class PreprocessSettings:
     def __post_init__(self) -> None:
         # Devanagari run -> (romanized run, unknown count)
         self._romanized: dict[str, tuple[str, int]] = {}
+        # token of the lowercased text -> what cleaning leaves of it
+        self._rewrites: dict[str, str] = {}
 
     def apply(self, text: str) -> str:
         return self._apply(text)[0]
@@ -325,7 +428,7 @@ class PreprocessSettings:
                 return hit[0]
 
             text = DEVANAGARI_RUN_RE.sub(romanize, text)
-        text = clean_text(text, self.clean)
+        text = _clean(text, self.clean, self._rewrites)
         if self.spell_dictionary is not None and text:
             text = " ".join(spell_correct(text.split(" "), self.spell_dictionary))
         return text, sum(unknowns)

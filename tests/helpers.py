@@ -5,6 +5,7 @@ from __future__ import annotations
 import base64
 import itertools
 import json
+import re
 import struct
 from collections import defaultdict
 from pathlib import Path
@@ -16,7 +17,7 @@ from aggdetect.corpus_io import LABELS, Corpus, Document, Label, escape_field
 from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary, _fit_counts
 from aggdetect.kernels import SparseMatrix, SparseVector
 from aggdetect.model import OvRModel
-from aggdetect.preprocess import SpellDictionary
+from aggdetect.preprocess import CleanConfig, SpellDictionary, _stem_token
 
 # Three disjoint signal-word families, one per class, plus shared noise.
 SIGNAL_WORDS = {
@@ -135,6 +136,59 @@ def reference_spell_correct(tokens: list[str], dictionary: SpellDictionary) -> l
         corrected.append(min(candidates, key=lambda c: (-entries[c], c)) if candidates
                          else token)
     return corrected
+
+
+# The regex definition of cleaning: five whole-text passes, kept as the
+# reference for the one pass over the tokens in ``aggdetect.preprocess``.
+_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+_EMAIL_RE = re.compile(r"[\w.+-]+@[\w-]+\.[\w.-]+")
+# Standalone digit runs only; digits embedded in alphanumeric tokens
+# (slang like "b4") survive.
+_NUMBER_RE = re.compile(r"(?<!\S)\d+(?!\S)")
+_WS_RE = re.compile(r"\s+")
+_MAX_REWRITE_DEPTH = 8
+
+
+def _reference_rewrite_token(token: str, config: CleanConfig, depth: int = 0) -> list[str]:
+    # Expansion, then stemming; a stem result that is itself an expansion
+    # key re-enters ("u's" -> "u" -> "you"), so one pass reaches the same
+    # fixed point a second pass would. The depth cap guards against
+    # pathological user-defined rewrite cycles.
+    if depth < _MAX_REWRITE_DEPTH:
+        replacement = config.expansions.get(token)
+        if replacement is not None and replacement.split() != [token]:
+            parts: list[str] = []
+            for part in replacement.split():
+                parts.extend(_reference_rewrite_token(part, config, depth + 1))
+            return parts
+    if not config.minor_stemming:
+        return [token]
+    stemmed = _stem_token(token)
+    if stemmed != token and depth < _MAX_REWRITE_DEPTH and stemmed in config.expansions:
+        return _reference_rewrite_token(stemmed, config, depth + 1)
+    return [stemmed]
+
+
+def reference_clean_text(text: str, config: CleanConfig | None = None) -> str:
+    """Normalize one comment. Total and idempotent."""
+    config = config or CleanConfig()
+    if config.lowercase:
+        text = text.lower()
+    if config.strip_urls:
+        text = _URL_RE.sub(" ", text)
+    if config.strip_emails:
+        text = _EMAIL_RE.sub(" ", text)
+    if config.strip_numbers:
+        text = _NUMBER_RE.sub(" ", text)
+
+    tokens: list[str] = []
+    if config.expansions or config.minor_stemming:
+        for token in text.split():
+            tokens.extend(_reference_rewrite_token(token, config))
+    else:
+        tokens = text.split()
+
+    return _WS_RE.sub(" ", " ".join(tokens)).strip()
 
 
 def write_corpus(corpus: Corpus, path: Path) -> None:

@@ -477,6 +477,44 @@ class TestPredict:
         message = message.format(short=size - 8, long=size + 8, size=size)
         assert f"resource error: {model_path}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expansions", [
+        "[1, 2]", '"str"', '{"u": 5}', '{"u": null}',
+        '{"x": "123"}', '{"k": "Dogs"}', '{"w": "www.x.org"}', '{"m": "a@b.de"}',
+        '{"a": "b", "b": "a"}',
+    ])
+    def test_bad_expansions_refused_in_config_and_model(
+        self, tmp_path, toy_corpus, basic_config, capsys, expansions
+    ):
+        """Expansions that are not strings to strings, or under which
+        cleaning would not be idempotent: a usage error in a run config
+        (no model written), a resource error in a model file."""
+        corpus_path, _rows = toy_corpus
+        config = write_lines(tmp_path / "bad.cfg", [
+            *basic_config.read_text(encoding="utf-8").splitlines(),
+            f"expansions = {expansions}",
+        ])
+        bad_model = tmp_path / "bad.txt"
+        assert run(["train", str(corpus_path), str(bad_model), "--config", str(config)]) == 1
+        assert "usage error: expansions" in capsys.readouterr().err
+        assert not bad_model.exists()
+
+        model_path = self.train_model(tmp_path, corpus_path, basic_config)
+        text, n = re.subn(r"^expansions = .*$", lambda _m: f"expansions = {expansions}",
+                          model_path.read_text(encoding="utf-8"), count=1, flags=re.M)
+        assert n == 1
+        model_path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
+        assert (f"resource error: {model_path}: bad entry in [preprocess]: expansions"
+                in capsys.readouterr().err)
+
+    def test_loaded_model_starts_with_empty_memos(self, tmp_path, toy_corpus, basic_config):
+        corpus_path, _rows = toy_corpus
+        model = load_model(self.train_model(tmp_path, corpus_path, basic_config))
+        assert model.preprocess._rewrites == {} and model.preprocess._romanized == {}
+        model.preprocess.apply("u dogs")
+        assert model.preprocess._rewrites == {"u": "you", "dogs": "dog"}
+
     def test_version_1_file_exits_3(self, tmp_path, toy_corpus, capsys):
         """Format 1, whose weight sections list each nonzero weight as an
         index<TAB>value row after an nnz line, is no longer read."""

@@ -3,11 +3,12 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from aggdetect import preprocess, translit
-from aggdetect.errors import ResourceError
+from aggdetect.errors import ResourceError, UsageError
 from aggdetect.preprocess import (
+    DEFAULT_EXPANSIONS,
     CleanConfig,
     PreprocessSettings,
     SpellDictionary,
@@ -17,7 +18,47 @@ from aggdetect.preprocess import (
     spell_correct,
 )
 
-from helpers import edits1, reference_candidates, reference_spell_correct
+from helpers import (
+    edits1,
+    reference_candidates,
+    reference_clean_text,
+    reference_spell_correct,
+)
+
+FLAGS = ("lowercase", "strip_urls", "strip_emails", "strip_numbers", "minor_stemming")
+# Pieces of tokens that reach every stage: case, URL and email markers,
+# decimal and non-decimal digits, suffixes the stemmer strips, and default
+# expansion keys.
+PIECES = ["a", "b", "s", "'s", "ing", "u", "dog", "X", "Dogs", "www.", "http://", "@b.de",
+          "4", "\u0663", "\u00b2", "."]
+piece_words = st.lists(st.sampled_from(PIECES), max_size=3).map("".join)
+
+
+@st.composite
+def clean_configs(draw):
+    """Every flag combination, with the default expansions, none, or
+    random ones that CleanConfig accepts."""
+    flags = {flag: draw(st.booleans()) for flag in FLAGS}
+    expansions = draw(st.one_of(
+        st.just(DEFAULT_EXPANSIONS),
+        st.dictionaries(piece_words, st.lists(piece_words, max_size=3).map(" ".join),
+                        max_size=5),
+    ))
+    try:
+        return CleanConfig(**flags, expansions=dict(expansions))
+    except UsageError:
+        reject()
+
+
+@st.composite
+def comments(draw, config=None):
+    """Text of pieces, expansion keys and random characters, split by
+    assorted whitespace."""
+    keys = sorted(config.expansions) if config is not None and config.expansions else ["u"]
+    word = st.one_of(piece_words, st.sampled_from(keys), st.text(max_size=4))
+    gaps = st.sampled_from([" ", "  ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2009", "\u3000"])
+    parts = draw(st.lists(st.tuples(word, gaps), max_size=8))
+    return "".join(w + gap for w, gap in parts)
 
 
 class TestCleanText:
@@ -65,6 +106,78 @@ class TestCleanText:
     def test_idempotent_on_suffix_heavy_text(self, text):
         once = clean_text(text)
         assert clean_text(once) == once
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_idempotent_under_every_accepted_config(self, data):
+        config = data.draw(clean_configs())
+        once = clean_text(data.draw(comments(config)), config)
+        assert clean_text(once, config) == once
+
+    @pytest.mark.parametrize("expansions, message", [
+        ([1, 2], "expansions must be an object of strings to strings, got [1, 2]"),
+        ("str", "expansions must be an object of strings to strings, got 'str'"),
+        ({"u": 5}, "expansions: 'u': 5 is not a string"),
+        ({"u": None}, "expansions: 'u': None is not a string"),
+        ({"x": "123"}, "the replacement of 'x', '123', would be changed by number removal"),
+        ({"k": "Dogs"}, "the replacement of 'k', 'Dogs', would be changed by lowercasing"),
+        ({"w": "see www.x.org"}, "'see www.x.org', would be changed by URL removal"),
+        ({"m": "a@b.de"}, "the replacement of 'm', 'a@b.de', would be changed by email removal"),
+        ({"a": "b", "b": "a"}, "rewriting 'a' does not finish within 7 nested rewrites: "
+                               "a -> b -> a -> b -> a -> b -> a -> b -> a"),
+        ({"a": "a a"}, "rewriting 'a' does not finish within 7 nested rewrites"),
+        ({f"k{i}": f"k{i + 1}" for i in range(8)},
+         "rewriting 'k0' does not finish within 7 nested rewrites: "
+         "k0 -> k1 -> k2 -> k3 -> k4 -> k5 -> k6 -> k7 -> k8"),
+    ])
+    def test_refused_expansions(self, expansions, message):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            CleanConfig(expansions=expansions)
+
+    def test_expansions_allowed_where_their_stage_is_off(self):
+        config = CleanConfig(lowercase=False, strip_numbers=False, strip_urls=False,
+                             strip_emails=False,
+                             expansions={"k": "Dogs 123 www.x.org a@b.de"})
+        assert clean_text("k", config) == "Dog 123 www.x.org a@b.de"
+        # seven nested rewrites, and one more for the stem that leads to k0
+        chain = CleanConfig(expansions={f"k{i}": f"k{i + 1}" for i in range(7)})
+        assert clean_text("k0's", chain) == reference_clean_text("k0's", chain) == "k7"
+
+
+class TestCleanTextReference:
+    """The one pass over the tokens against the regex definition in
+    helpers: lowercase, URL, email and number passes over the whole text,
+    rewrites, then whitespace collapsing."""
+
+    @given(text=st.one_of(st.text(max_size=60), comments()), config=clean_configs())
+    @example(text="a\x1cb\x85c\xa0d\u2009e\u3000f", config=CleanConfig())
+    @example(text="\u0663 \uff13 \u0968 \u00b2 x\u0663 12", config=CleanConfig())
+    @example(text="WWW.x wWw.y x", config=CleanConfig(lowercase=False))
+    @example(text="WWW.x httpſ://x HTTPS://y", config=CleanConfig())
+    @example(text="httpſ://x y", config=CleanConfig(lowercase=False))
+    @example(text="a,b@c.de x@y", config=CleanConfig())
+    @example(text="'s u's 's's", config=CleanConfig())
+    @example(text="", config=CleanConfig())
+    @settings(max_examples=500)
+    def test_equals_the_regex_definition(self, text, config):
+        assert clean_text(text, config) == reference_clean_text(text, config)
+
+    @given(st.lists(comments(CleanConfig()), max_size=6))
+    @settings(max_examples=100)
+    def test_presets_equal_the_reference(self, texts):
+        """apply_with_stats of the English (spell-corrected) and Hindi
+        presets, each one long-lived settings object."""
+        dictionary = SpellDictionary({"dog": 3, "you": 2, "do": 1, "bs": 1})
+        english = PreprocessSettings(clean=CleanConfig.for_language("english"),
+                                     spell_dictionary=dictionary)
+        hindi = PreprocessSettings(clean=CleanConfig.for_language("hindi"), transliterate=True)
+        for text in texts + [text + " क्या ॾ" for text in texts]:
+            cleaned = reference_clean_text(text, english.clean)
+            expected = " ".join(reference_spell_correct(cleaned.split(" "), dictionary))
+            assert english.apply_with_stats(text) == (expected if cleaned else "", 0)
+            romanized, unknown = translit.transliterate_with_count(text)
+            assert hindi.apply_with_stats(text) == (
+                reference_clean_text(romanized, hindi.clean), unknown)
 
 
 class TestTransliteration:
@@ -251,6 +364,37 @@ class TestPreprocessSettings:
             spell_dictionary=SpellDictionary({"dog": 3, "you": 1}),
         )
         assert settings.apply("DGO u") == "dog you"
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_rewrite_memo_never_changes_an_answer(self, data):
+        """One long-lived settings object answers as a fresh one per
+        document does, and ``==`` and ``repr`` ignore its memo."""
+        config = data.draw(clean_configs())
+        texts = data.draw(st.lists(comments(config), max_size=8))
+        long_lived = PreprocessSettings(clean=config)
+        answers = [long_lived.apply_with_stats(text) for text in texts + texts]
+        assert answers == [PreprocessSettings(clean=config).apply_with_stats(text)
+                           for text in texts + texts]
+        fresh = PreprocessSettings(clean=config)
+        assert fresh._rewrites == {}
+        assert fresh == long_lived and repr(fresh) == repr(long_lived)
+
+    def test_each_distinct_token_rewritten_once(self):
+        calls = Counter()
+        rewrite = preprocess._rewrite_token
+
+        def counted(token, config, depth=0):
+            if depth == 0:
+                calls[token] += 1
+            return rewrite(token, config, depth)
+
+        prep = PreprocessSettings(clean=CleanConfig())
+        with mock.patch.object(preprocess, "_rewrite_token", counted):
+            assert prep.apply("U dogs 12 u's dogs") == "you dog you dog"
+            assert prep.apply("dogs U 's") == "dog you"
+        assert calls == {"u": 1, "dogs": 1, "u's": 1, "'s": 1}
+        assert prep._rewrites == {"u": "you", "dogs": "dog", "12": "", "u's": "you", "'s": ""}
 
     @given(st.lists(st.sampled_from(["OK", "क्या", "chalak", "ॾ", "u", "DGO", "बात", "x1",
                                      "visit http://x.co", "क", "", "dogs"]), max_size=8))
