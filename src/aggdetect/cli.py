@@ -35,6 +35,7 @@ from .model import (
     MODEL_FORMAT,
     OvRModel,
     TrainConfig,
+    _SidecarRequired,
     load_model,
     predict_many,
     save_model,
@@ -372,6 +373,8 @@ def cmd_train(args) -> int:
         config.merge_validation = True
     if config.merge_validation and not args.validation:
         raise UsageError("--merge-validation requires a validation corpus")
+    if args.report_dir and (config.merge_validation or not args.validation):
+        raise UsageError("--report-dir requires a validation corpus that is not merged")
 
     # Fail fast: resources first, before corpora are even featurized.
     resources = load_resources(config)
@@ -430,6 +433,8 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ovr = load_model(args.model)
     if args.sentiment_sidecar:
+        if not isinstance(ovr.pipeline.resources.sentiment_provider, _SidecarRequired):
+            raise UsageError("--sentiment-sidecar needs a model trained with sidecar sentiment")
         ovr.pipeline.resources.sentiment_provider = SidecarSentimentProvider(
             load_sentiment_sidecar(args.sentiment_sidecar)
         )
@@ -466,6 +471,8 @@ def _parse_baseline_args(items: list[str], default_seed: int) -> tuple[int, int,
 
 
 def cmd_evaluate(args) -> int:
+    if args.seed is not None and args.baseline is None:
+        raise UsageError("--seed is the baseline's default seed; it requires --baseline")
     corpus = load_corpus(args.gold_corpus, has_labels=True, format=args.format)
     predictions = load_predictions(args.predictions)
     pred_labels = []
@@ -572,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir")
     p.add_argument("--baseline", nargs="*", metavar="KEY=VAL",
                    help="add a random baseline (trials=N seed=S)")
-    p.add_argument("--seed", type=int, help="default baseline seed")
+    p.add_argument("--seed", type=int, help="default baseline seed (needs --baseline)")
     add_format(p)
     p.set_defaults(func=cmd_evaluate)
 

@@ -8,6 +8,7 @@ in precision, recall or F1 is defined as 0.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -49,34 +50,52 @@ def confusion(gold: Sequence[Label], pred: Sequence[Label]) -> ConfusionMatrix:
     return ConfusionMatrix(np.bincount(g * 3 + p, minlength=9).reshape(3, 3))
 
 
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den > 0 else 0.0
+# Per-class (..., 3) arrays in NAG, CAG, OAG order, then (...) averages.
+_Scores = namedtuple("_Scores", "precision recall f1 weighted_f1 macro_f1 accuracy")
+
+
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` elementwise, 0 where ``den`` is 0."""
+    return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0)
+
+
+def _scores(counts: np.ndarray) -> _Scores:
+    """Every score of each matrix in ``counts``, shape ``(..., 3, 3)``, for
+    :func:`build_report`, :func:`random_baseline` and the views below. Sums
+    run in class order, so a matrix scores the same alone or in a stack."""
+    tp = np.diagonal(counts, axis1=-2, axis2=-1).astype(np.float64)
+    support = counts.sum(axis=-1)
+    total = support.sum(axis=-1).astype(np.float64)
+    precision = _divide(tp, counts.sum(axis=-2).astype(np.float64))
+    recall = _divide(tp, support.astype(np.float64))
+    f1 = _divide(2.0 * precision * recall, precision + recall)
+    weighted = support * f1
+    return _Scores(
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        weighted_f1=_divide(weighted[..., 0] + weighted[..., 1] + weighted[..., 2], total),
+        macro_f1=(f1[..., 0] + f1[..., 1] + f1[..., 2]) / 3.0,
+        accuracy=_divide(np.trace(counts, axis1=-2, axis2=-1).astype(np.float64), total),
+    )
 
 
 def class_prf(matrix: ConfusionMatrix, label: Label) -> tuple[float, float, float]:
     """(precision, recall, f1) for one class; 0/0 counts as 0."""
-    i = int(label)
-    tp = float(matrix.counts[i, i])
-    precision = _safe_div(tp, float(matrix.counts[:, i].sum()))
-    recall = _safe_div(tp, float(matrix.counts[i, :].sum()))
-    f1 = _safe_div(2.0 * precision * recall, precision + recall)
-    return precision, recall, f1
+    return tuple(float(per_class[int(label)]) for per_class in _scores(matrix.counts)[:3])
 
 
 def weighted_f1(matrix: ConfusionMatrix) -> float:
     """Per-class F1 averaged with gold-support weights."""
-    total = matrix.total
-    if total == 0:
-        return 0.0
-    return sum(matrix.support(lab) * class_prf(matrix, lab)[2] for lab in LABELS) / total
+    return float(_scores(matrix.counts).weighted_f1)
 
 
 def macro_f1(matrix: ConfusionMatrix) -> float:
-    return sum(class_prf(matrix, lab)[2] for lab in LABELS) / 3.0
+    return float(_scores(matrix.counts).macro_f1)
 
 
 def accuracy(matrix: ConfusionMatrix) -> float:
-    return _safe_div(float(np.trace(matrix.counts)), float(matrix.total))
+    return float(_scores(matrix.counts).accuracy)
 
 
 def random_baseline(
@@ -111,26 +130,9 @@ def random_baseline(
             p = rng.choice(3, size=g.shape[0], p=probabilities)
         counts[trial] = np.bincount(cells + p, minlength=9)
     total = 0.0  # added in trial order, one Python float at a time
-    for score in _weighted_f1s(counts.reshape(trials, 3, 3)).tolist():
+    for score in _scores(counts.reshape(trials, 3, 3)).weighted_f1.tolist():
         total += score
     return total / trials
-
-
-def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """``num / den`` elementwise, 0 where ``den`` is 0, as :func:`_safe_div`."""
-    return np.divide(num, den, out=np.zeros(np.broadcast(num, den).shape), where=den > 0)
-
-
-def _weighted_f1s(counts: np.ndarray) -> np.ndarray:
-    """:func:`weighted_f1` of each ``(3, 3)`` matrix in ``counts``, with the
-    same float operations in the same order, so each result is bit-equal."""
-    tp = np.diagonal(counts, axis1=1, axis2=2).astype(np.float64)
-    support = counts.sum(axis=2)
-    precision = _divide(tp, counts.sum(axis=1).astype(np.float64))
-    recall = _divide(tp, support.astype(np.float64))
-    f1 = _divide(2.0 * precision * recall, precision + recall)
-    weighted = support * f1
-    return (weighted[:, 0] + weighted[:, 1] + weighted[:, 2]) / support.sum(axis=1)
 
 
 @dataclass
@@ -154,15 +156,15 @@ def build_report(
     baseline_weighted_f1: float | None = None,
 ) -> EvalReport:
     matrix = confusion(gold, pred)
-    prf = {lab: class_prf(matrix, lab) for lab in LABELS}
+    s = _scores(matrix.counts)
     return EvalReport(
         matrix=matrix,
-        precision={lab: prf[lab][0] for lab in LABELS},
-        recall={lab: prf[lab][1] for lab in LABELS},
-        f1={lab: prf[lab][2] for lab in LABELS},
-        weighted_f1=weighted_f1(matrix),
-        macro_f1=macro_f1(matrix),
-        accuracy=accuracy(matrix),
+        precision=dict(zip(LABELS, s.precision.tolist())),
+        recall=dict(zip(LABELS, s.recall.tolist())),
+        f1=dict(zip(LABELS, s.f1.tolist())),
+        weighted_f1=float(s.weighted_f1),
+        macro_f1=float(s.macro_f1),
+        accuracy=float(s.accuracy),
         support={lab: matrix.support(lab) for lab in LABELS},
         baseline_weighted_f1=baseline_weighted_f1,
     )
@@ -220,12 +222,9 @@ def render_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
 
     metrics_rows = [("accuracy", report.accuracy), ("weighted_f1", report.weighted_f1),
                     ("macro_f1", report.macro_f1)]
-    for lab in LABELS:
-        metrics_rows.append((f"precision_{lab.name}", report.precision[lab]))
-        metrics_rows.append((f"recall_{lab.name}", report.recall[lab]))
-        metrics_rows.append((f"f1_{lab.name}", report.f1[lab]))
-    for lab in LABELS:
-        metrics_rows.append((f"support_{lab.name}", float(report.support[lab])))
+    metrics_rows += [(f"{kind}_{lab.name}", getattr(report, kind)[lab])
+                     for lab in LABELS for kind in ("precision", "recall", "f1")]
+    metrics_rows += [(f"support_{lab.name}", float(report.support[lab])) for lab in LABELS]
     if report.baseline_weighted_f1 is not None:
         metrics_rows.append(("random_baseline_weighted_f1", report.baseline_weighted_f1))
 

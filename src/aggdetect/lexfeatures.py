@@ -53,7 +53,7 @@ def _parse_vectors(rows: list[str], dim: int) -> np.ndarray:
         return np.empty((0, dim))
     values = [row.partition(" ")[2] for row in rows]
     # np.loadtxt would skip an empty line instead of refusing it
-    if "" in values or "\n" in values:
+    if "" in values:
         raise ValueError("a row without values")
     matrix = np.loadtxt(values, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
     if matrix.shape != (len(rows), dim):
@@ -61,50 +61,50 @@ def _parse_vectors(rows: list[str], dim: int) -> np.ndarray:
     return matrix
 
 
-def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Load a text-format embedding table (``V d`` header).
+def load_embeddings(text: str, path: Path) -> EmbeddingTable:
+    """Parse an embedding table's text (``V d`` header, lines ending in
+    ``\\n``, ``\\r\\n`` or ``\\r``); ``path`` names the file in messages.
 
     The rows fill one ``(V, d)`` matrix, parsed a chunk of lines at a time,
     and ``vectors`` maps each word to its row."""
-    path = Path(path)
-    if not path.is_file():
-        raise ResourceError(f"embedding file not found: {path}")
-    with path.open(encoding="utf-8") as handle:
-        header = handle.readline().split()
-        if len(header) != 2:
-            raise ResourceError(f"{path}: malformed embedding header (expected 'V d')")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    end = text.find("\n") % (len(text) + 1)  # the header line's end; -1 gives len(text)
+    try:
+        count, dim = map(int, text[:end].split())
+    except ValueError:  # not two fields, or not two integers
+        raise ResourceError(f"{path}: malformed embedding header (expected 'V d')") from None
+    if count < 0 or dim < 1:
+        raise ResourceError(f"{path}: bad embedding header values {count} {dim}")
+    # a row takes at least 2 * dim characters, so a header that overstates
+    # the count cannot make this allocation outgrow the text
+    matrix = np.empty((min(count, len(text) // (2 * dim)), dim))
+    vectors: dict[str, np.ndarray] = {}
+    n_rows, lineno = 0, 2
+    while (start := end + 1) < len(text):
+        # the lines that hold the next _EMBEDDING_CHUNK characters
+        end = text.find("\n", start + _EMBEDDING_CHUNK - 1) % (len(text) + 1)
+        lines = text[start:end].split("\n")
+        rows = [line for line in lines if line and not line.isspace()]
         try:
-            count, dim = int(header[0]), int(header[1])
+            block = _parse_vectors(rows, dim)
+            ok = bool(np.isfinite(block).all())
         except ValueError:
-            raise ResourceError(f"{path}: malformed embedding header (expected 'V d')") from None
-        if count < 0 or dim < 1:
-            raise ResourceError(f"{path}: bad embedding header values {count} {dim}")
-        # a row takes at least 2 * dim characters, so a header that
-        # overstates the count cannot make this allocation outgrow the file
-        matrix = np.empty((min(count, path.stat().st_size // (2 * dim)), dim))
-        vectors: dict[str, np.ndarray] = {}
-        n_rows, lineno = 0, 2
-        while lines := handle.readlines(_EMBEDDING_CHUNK):
-            rows = [line for line in lines if not line.isspace()]
-            try:
-                block = _parse_vectors(rows, dim)
-                ok = bool(np.isfinite(block).all())
-            except ValueError:
-                ok = False
-            if ok:
-                end = n_rows + len(rows)
-                # rows past the header's count are checked but not kept in
-                # the matrix; the count check after the loop refuses them
-                if end <= len(matrix):
-                    matrix[n_rows:end] = block
-                    block = matrix[n_rows:end]
-                chunk = dict(zip([row.partition(" ")[0] for row in rows], block))
-                ok = len(chunk) == len(rows) and vectors.keys().isdisjoint(chunk)
-            if not ok:
-                _refuse_embedding_rows(lines, lineno, dim, vectors, path)
-            vectors.update(chunk)
-            n_rows = end
-            lineno += len(lines)
+            ok = False
+        if ok:
+            stop = n_rows + len(rows)
+            # rows past the header's count are checked but not kept in
+            # the matrix; the count check after the loop refuses them
+            if stop <= len(matrix):
+                matrix[n_rows:stop] = block
+                block = matrix[n_rows:stop]
+            chunk = dict(zip([row.partition(" ")[0] for row in rows], block))
+            ok = len(chunk) == len(rows) and vectors.keys().isdisjoint(chunk)
+        if not ok:
+            _refuse_embedding_rows(lines, lineno, dim, vectors, path)
+        vectors.update(chunk)
+        n_rows = stop
+        lineno += len(lines)
     if n_rows != count:
         raise ResourceError(f"{path}: header declares {count} vectors but file has {n_rows}")
     return EmbeddingTable(vectors=vectors, dimension=dim)
@@ -118,9 +118,9 @@ def _refuse_embedding_rows(
     of the lines before them."""
     seen = set()
     for lineno, line in enumerate(lines, start=lineno):
-        if line.isspace():
+        if not line or line.isspace():
             continue
-        parts = line.rstrip("\n").split(" ")
+        parts = line.split(" ")
         if len(parts) != dim + 1:
             raise ResourceError(
                 f"{path}: row arity mismatch at line {lineno}: expected "
@@ -198,12 +198,10 @@ def split_sentences(text: str) -> list[str]:
     return [seg.strip() for seg in _SENTENCE_SPLIT_RE.split(text) if seg.strip()]
 
 
-def load_word_set(path: str | Path) -> set[str]:
-    path = Path(path)
-    if not path.is_file():
-        raise ResourceError(f"word list not found: {path}")
+def load_word_set(text: str, path: Path) -> set[str]:
+    """A word list's words, lowercased; blank and ``#`` lines are skipped."""
     words = set()
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         word = line.strip()
         if word and not word.startswith("#"):
             words.add(word.lower())
@@ -306,13 +304,11 @@ class CategoryLexicon:
         return token in literals or (bool(prefixes) and token.startswith(prefixes))
 
 
-def load_category_lexicon(path: str | Path) -> CategoryLexicon:
-    path = Path(path)
-    if not path.is_file():
-        raise ResourceError(f"category lexicon not found: {path}")
+def load_category_lexicon(text: str, path: Path) -> CategoryLexicon:
+    """Parse a category lexicon's text; ``path`` names the file in messages."""
     categories: list[tuple[str, list[str]]] = []
     seen = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -348,13 +344,11 @@ class WeightedLexicon:
     intercept: float = 0.0
 
 
-def load_weighted_lexicon(path: str | Path) -> WeightedLexicon:
-    path = Path(path)
-    if not path.is_file():
-        raise ResourceError(f"weighted lexicon not found: {path}")
+def load_weighted_lexicon(text: str, path: Path) -> WeightedLexicon:
+    """Parse a weighted lexicon's text; ``path`` names the file in messages."""
     weights: dict[str, float] = {}
     intercept = 0.0
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -393,9 +387,9 @@ def gender_features(tokens: Sequence[str], lexicon: WeightedLexicon) -> np.ndarr
 
 
 # Every file a model can reference, by its provenance key: what the file
-# is, for messages, and the name of its loader in this module. The loader
-# is looked up when called, so a wrapper put on the module attribute (a
-# profiler's, a test's) sees every load.
+# is, for messages, and the name of its loader in this module, which parses
+# the file's text. The loader is looked up when called, so a wrapper put on
+# the module attribute (a profiler's, a test's) sees every load.
 RESOURCE_FILES = {
     "embedding": ("embedding table", "load_embeddings"),
     "sentiment_pos": ("positive sentiment lexicon", "load_word_set"),
@@ -404,10 +398,6 @@ RESOURCE_FILES = {
     "gender": ("gender lexicon", "load_weighted_lexicon"),
     "spell_dict": ("spell dictionary", "load_spell_dictionary"),
 }
-
-
-def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @dataclass
@@ -437,22 +427,25 @@ class Resources:
         """Load the file at ``path`` as resource ``key`` of
         :data:`RESOURCE_FILES`, record its ``(path, sha256)`` in
         ``provenance`` and return it; for a dense block kind (``embedding``,
-        ``liwc``, ``gender``) it also fills that block's field. A missing
-        file, or a SHA-256 other than ``sha256`` when that is given, raises
-        ResourceError before anything is parsed, and so does a file that is
-        not UTF-8."""
+        ``liwc``, ``gender``) it also fills that block's field. The file is
+        read once, and the bytes hashed are the bytes parsed: a missing file,
+        a SHA-256 other than ``sha256`` when that is given, or bytes that
+        are not UTF-8 raise ResourceError before the loader parses the text."""
         what, loader = RESOURCE_FILES[key]
         if not Path(path).is_file():
             raise ResourceError(f"{what} not found: {path}")
-        actual = file_sha256(path)
+        data = Path(path).read_bytes()
+        actual = hashlib.sha256(data).hexdigest()
         if sha256 is not None and actual != sha256:
             raise ResourceError(
                 f"checksum mismatch for {what} {path}: expected {sha256}, got {actual}"
             )
         try:
-            loaded = globals()[loader](path)
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ResourceError(f"{what} {path} is not UTF-8 text ({exc.reason})") from None
+        del data
+        loaded = globals()[loader](text, Path(path))
         self.provenance[key] = (path, actual)
         if key in self._BLOCK_FIELD:
             setattr(self, self._BLOCK_FIELD[key], loaded)

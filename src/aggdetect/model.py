@@ -40,8 +40,10 @@ as :class:`FeaturePipeline` takes them; ``0 <= n_documents < 2**63`` and
 terms strictly increasing with ``1 <= df <= n_documents``; a weights
 block of exactly ``total_dimension`` float64 values; weights, ``bias``,
 ``final_grad_norm`` and ``final_loss`` finite; ``reg_lambda`` and
-``final_loss`` >= 0; ``stop_reason`` one of ``STOP_REASONS``.  A fault raises ResourceError naming the section and,
-for a line-based fault, its first offending line.
+``final_loss`` >= 0; ``stop_reason`` one of ``STOP_REASONS``; with
+``transliterate = true``, ``translit_table_version`` equal to
+:data:`translit.TABLE_VERSION`.  A fault raises ResourceError naming the
+section and, for a line-based fault, its first offending line.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels, lexfeatures
+from . import kernels, lexfeatures, translit
 from .kernels import SparseMatrix, SparseVector
 from .corpus_io import LABELS, Label, escape_field, unescape_field
 from .errors import DataError, ResourceError, UsageError, read_utf8
@@ -439,7 +441,7 @@ def save_model(model: OvRModel, path: str | Path) -> None:
         f"minor_stemming = {_bool(clean.minor_stemming)}",
         "expansions = " + json.dumps(clean.expansions, sort_keys=True, ensure_ascii=False),
         f"transliterate = {_bool(prep.transliterate)}",
-        f"translit_table_version = {prep.translit_table_version}",
+        f"translit_table_version = {translit.TABLE_VERSION}",
         f"spell_correct = {_bool(prep.spell_dictionary is not None)}",
     ]
     if prep.spell_dictionary is not None:
@@ -685,12 +687,12 @@ def load_model(path: str | Path) -> OvRModel:
         spell_dictionary = _load_resource(
             resources, "spell_dict", prep_kv, "spell_dict_", "preprocess", path
         )
-    preprocess = PreprocessSettings(
-        clean=clean,
-        transliterate=_need(prep_kv, "transliterate", "preprocess", path, _parse_bool),
-        spell_dictionary=spell_dictionary,
-        translit_table_version=_need(prep_kv, "translit_table_version", "preprocess", path, int),
-    )
+    transliterate = _need(prep_kv, "transliterate", "preprocess", path, _parse_bool)
+    table_version = _need(prep_kv, "translit_table_version", "preprocess", path, int)
+    if transliterate and table_version != translit.TABLE_VERSION:
+        raise ResourceError(f"{path}: bad value in [preprocess]: 'translit_table_version = "
+                            f"{table_version}' (this build has {translit.TABLE_VERSION})")
+    preprocess = PreprocessSettings(clean, transliterate, spell_dictionary)
 
     pipe_kv = _kv(by_name["pipeline"], "pipeline", path)
     block_names = [n for n in _need(pipe_kv, "blocks", "pipeline", path).split(",") if n]

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .errors import ResourceError, UsageError
-from .translit import DEVANAGARI_RUN_RE, TABLE_VERSION, transliterate_with_count
+from .translit import DEVANAGARI_RUN_RE, transliterate_with_count
 
 # Neither can match across whitespace. Under IGNORECASE only "w" and "W"
 # match "w", so a URL needs "://" or a lowercased "www."; an email needs "@".
@@ -263,16 +263,13 @@ class SpellDictionary:
         return token in self.entries
 
 
-def load_spell_dictionary(path: str | Path) -> SpellDictionary:
-    """Read a ``token<TAB>count`` dictionary file. Blank lines are skipped,
-    tokens are lowercased, and the counts of tokens that lowercase alike are
-    summed. Each row is split once and its count parsed in one pass; only
-    the lines of a file with a fault are scanned again, one by one, to name
-    the first offending line."""
-    path = Path(path)
-    if not path.is_file():
-        raise ResourceError(f"spell dictionary not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+def load_spell_dictionary(text: str, path: Path) -> SpellDictionary:
+    """Parse a ``token<TAB>count`` dictionary's text; ``path`` names the file
+    in messages. Blank lines are skipped, tokens are lowercased, and the
+    counts of tokens that lowercase alike are summed. Each row is split once
+    and its count parsed in one pass; only a text with a fault is scanned
+    again, line by line, to name the first offending line."""
+    lines = text.splitlines()
     rows = [line.split("\t") for line in lines if line.strip()]
     try:
         counts = [int(count) for _token, count in rows]
@@ -400,7 +397,6 @@ class PreprocessSettings:
     clean: CleanConfig
     transliterate: bool = False
     spell_dictionary: SpellDictionary | None = None
-    translit_table_version: int = TABLE_VERSION
 
     def __post_init__(self) -> None:
         # Devanagari run -> (romanized run, unknown count)

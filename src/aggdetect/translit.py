@@ -8,8 +8,8 @@ suppresses the inherent vowel.  Everything outside the Devanagari block
 passes through untouched.  Devanagari codepoints absent from the table
 also pass through and are reported via :func:`transliterate_with_count`.
 
-The table is versioned; bump :data:`TABLE_VERSION` on any change so that
-saved models can detect a transliteration drift.
+The table is versioned; bump :data:`TABLE_VERSION` on any change: a saved
+model that transliterates with another version refuses to load.
 """
 
 from __future__ import annotations

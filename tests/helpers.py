@@ -18,6 +18,7 @@ from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary, _
 from aggdetect.kernels import SparseMatrix, SparseVector
 from aggdetect.model import OvRModel
 from aggdetect.preprocess import CleanConfig, SpellDictionary, _stem_token
+from aggdetect.translit import TABLE_VERSION
 
 # Three disjoint signal-word families, one per class, plus shared noise.
 SIGNAL_WORDS = {
@@ -264,7 +265,7 @@ def reference_model_text_v2(model: OvRModel) -> str:
     out.append(f"minor_stemming = {flag[clean.minor_stemming]}")
     out.append("expansions = " + json.dumps(clean.expansions, sort_keys=True, ensure_ascii=False))
     out.append(f"transliterate = {flag[prep.transliterate]}")
-    out.append(f"translit_table_version = {prep.translit_table_version}")
+    out.append(f"translit_table_version = {TABLE_VERSION}")
     out.append(f"spell_correct = {flag[prep.spell_dictionary is not None]}")
     if prep.spell_dictionary is not None:
         out.extend(provenance("spell_dict", "spell_dict_"))

@@ -186,6 +186,21 @@ class TestTrain:
                     "--config", str(basic_config), "--seed", "3"]) == 1
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("validation", [[], ["--validation", "val.tsv", "--merge-validation"]],
+                             ids=["none", "merged"])
+    def test_report_dir_without_a_scored_validation_is_usage_error(
+        self, tmp_path, toy_corpus, basic_config, capsys, validation
+    ):
+        """No validation is scored, so no report would be written."""
+        corpus_path, _rows = toy_corpus
+        write_corpus_tsv(tmp_path / "val.tsv", synthetic_documents(2, seed=5))
+        validation = [str(tmp_path / arg) if arg == "val.tsv" else arg for arg in validation]
+        model_path = tmp_path / "model.txt"
+        assert run(["train", str(corpus_path), str(model_path), "--config", str(basic_config),
+                    "--report-dir", str(tmp_path / "report"), *validation]) == 1
+        assert "--report-dir requires a validation corpus" in capsys.readouterr().err
+        assert not model_path.exists() and not (tmp_path / "report").exists()
+
     def test_learning_rate_is_usage_error(self, tmp_path, toy_corpus, capsys):
         corpus_path, _rows = toy_corpus
         config = write_lines(tmp_path / "bad.cfg", ["blocks = U", "learning_rate = 0.5"])
@@ -508,6 +523,29 @@ class TestPredict:
         assert (f"resource error: {model_path}: bad entry in [preprocess]: expansions"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("transliterate, code", [("true", 3), ("false", 0)])
+    def test_other_translit_table_version_exits_3_when_transliterating(
+        self, tmp_path, toy_corpus, capsys, transliterate, code
+    ):
+        """A model that transliterates with a table this build does not
+        have cannot replay its preprocessing; one that does not
+        transliterate never reads the table."""
+        corpus_path, _rows = toy_corpus
+        config = write_lines(tmp_path / "run.cfg", [
+            "language = english", "blocks = U", "min_df = 1", "max_iters = 5",
+            f"transliterate = {transliterate}",
+        ])
+        model_path = self.train_model(tmp_path, corpus_path, config)
+        text = model_path.read_text(encoding="utf-8")
+        assert "\ntranslit_table_version = 1\n" in text
+        model_path.write_text(text.replace("\ntranslit_table_version = 1\n",
+                                           "\ntranslit_table_version = 2\n"), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == code
+        if code:
+            assert (f"resource error: {model_path}: bad value in [preprocess]: "
+                    "'translit_table_version = 2'" in capsys.readouterr().err)
+
     def test_loaded_model_starts_with_empty_memos(self, tmp_path, toy_corpus, basic_config):
         corpus_path, _rows = toy_corpus
         model = load_model(self.train_model(tmp_path, corpus_path, basic_config))
@@ -595,6 +633,15 @@ class TestEvaluate:
                     "--baseline", "trials=50", "seed=3"]) == 0
         metrics = (out_dir / "metrics.tsv").read_text(encoding="utf-8")
         assert "random_baseline_weighted_f1" in metrics
+
+
+    def test_seed_without_baseline_is_usage_error(self, tmp_path, capsys):
+        gold_path, pred_path = self.write_gold_and_preds(tmp_path)
+        out_dir = tmp_path / "report"
+        assert run(["evaluate", str(gold_path), str(pred_path), str(out_dir),
+                    "--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestInspect:
@@ -724,6 +771,25 @@ class TestDenseBlocksEndToEnd:
                     "--sentiment-sidecar", str(sidecar_path)]) == 0
 
 
+    @pytest.mark.parametrize("blocks", ["U", "U+S"])
+    def test_sidecar_flag_refused_unless_the_model_takes_one(self, tmp_path, capsys, blocks):
+        """A model without S, or with the builtin provider, has no use for a
+        sidecar: the flag would parse a file nothing reads, or replace the
+        trained lexicon features."""
+        corpus_path, config, _files = write_resource_run(tmp_path, blocks, spell_correct=False)
+        sidecar = write_lines(tmp_path / "side.tsv", [
+            f"{doc.id}\t0\t0 0 1 0 0" for doc in load_corpus(corpus_path, has_labels=True).documents
+        ])
+        model_path = tmp_path / "model.txt"
+        assert run(["--quiet", "train", str(corpus_path), str(model_path),
+                    "--config", str(config)]) == 0
+        out = tmp_path / "pred.tsv"
+        assert run(["predict", str(model_path), str(corpus_path), str(out),
+                    "--sentiment-sidecar", str(sidecar)]) == 1
+        assert "--sentiment-sidecar needs a model trained with sidecar" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReferencedFiles:
     """Every file a model references, one test per provenance key."""
 
@@ -759,6 +825,27 @@ class TestReferencedFiles:
         assert run(["train", str(corpus_path), str(model_path), "--config", str(config)]) == 3
         assert f"not found: {files[key]}" in capsys.readouterr().err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("key", RESOURCE_CONFIG_KEYS)
+    def test_directory_exits_3(self, tmp_path, capsys, key):
+        model_path, corpus_path, files = self.train(tmp_path)
+        files[key].unlink()
+        files[key].mkdir()
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
+        assert f"not found: {files[key]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("embedding", "1 2\na 1\n", "row arity mismatch at line 2: expected 3 fields, got 2"),
+        ("liwc", "anger\n", "malformed category row at line 1"),
+        ("gender", "she\t1.0\nhe\n", "malformed lexicon row at line 2"),
+        ("spell_dict", "dog\t0\n", "count must be >= 1 at line 1"),
+    ])
+    def test_malformed_row_exits_3_at_train(self, tmp_path, capsys, key, text, message):
+        corpus_path, config, files = write_resource_run(tmp_path)
+        files[key].write_text(text, encoding="utf-8")
+        assert run(["train", str(corpus_path), str(tmp_path / "model.txt"),
+                    "--config", str(config)]) == 3
+        assert f"resource error: {files[key]}: {message}\n" in capsys.readouterr().err
 
     def test_round_trip_rewrites_the_model_and_its_provenance(self, tmp_path):
         model_path, _corpus_path, files = self.train(tmp_path)
@@ -810,15 +897,23 @@ class TestFileNotUtf8:
     def test_exits_with_the_files_fault_code(self, tmp_path, capsys, command, name, code):
         corpus_path, config, files = write_resource_run(tmp_path)
         model_path, out = tmp_path / "model.txt", tmp_path / "out"
+        sidecar = write_lines(tmp_path / "side.tsv", [
+            f"{doc.id}\t0\t0 0 1 0 0" for doc in load_corpus(corpus_path, has_labels=True).documents
+        ])
         paths = {"corpus": corpus_path, "config": config, "model": model_path,
-                 "predictions": tmp_path / "pred.tsv",
-                 "sidecar": write_lines(tmp_path / "side.tsv", ["doc0\t0\t0 0 1 0 0"]),
-                 **files}
+                 "predictions": tmp_path / "pred.tsv", "sidecar": sidecar, **files}
+        flags = []
+        if name == "sidecar":  # only a model trained with sidecar sentiment takes one
+            config = write_lines(tmp_path / "side.cfg", [
+                "language = english", "blocks = U+S", "min_df = 1", "max_iters = 5",
+                "sentiment_provider = sidecar", "sentiment_sidecar = side.tsv",
+            ])
+            flags = ["--sentiment-sidecar", str(sidecar)]
         if command != "train":
             assert run(["--quiet", "train", str(corpus_path), str(model_path),
                         "--config", str(config)]) == 0
             assert run(["--quiet", "predict", str(model_path), str(corpus_path),
-                        str(paths["predictions"])]) == 0
+                        str(paths["predictions"]), *flags]) == 0
         bad = paths[name]
         bad.write_bytes(bad.read_bytes() + b"\xff\n")
         argv = {
@@ -827,8 +922,7 @@ class TestFileNotUtf8:
             "inspect": ["inspect", str(model_path)],
             "evaluate": ["evaluate", str(corpus_path), str(paths["predictions"]), str(out)],
         }[command]
-        if name == "sidecar":
-            argv += ["--sentiment-sidecar", str(bad)]
+        argv += flags
         capsys.readouterr()
         assert run(argv) == code
         err = capsys.readouterr().err

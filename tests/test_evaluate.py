@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aggdetect import evaluate
 from aggdetect.corpus_io import LABELS, Label
 from aggdetect.errors import DataError
 from aggdetect.evaluate import (
@@ -143,6 +144,48 @@ class TestWeightedF1:
             for v in (p, r, f):
                 assert 0.0 <= v <= 1.0
         assert 0.0 <= weighted_f1(m) <= 1.0
+
+
+def scalar_scores(counts):
+    """The report's scores computed one Python float at a time, as before
+    one array routine served the report and the baseline."""
+    def div(num, den):
+        return num / den if den > 0 else 0.0
+
+    prf = []
+    for i in range(3):
+        tp = float(counts[i, i])
+        precision = div(tp, float(counts[:, i].sum()))
+        recall = div(tp, float(counts[i, :].sum()))
+        prf.append((precision, recall, div(2.0 * precision * recall, precision + recall)))
+    total = int(counts.sum())
+    weighted = (sum(int(counts[i].sum()) * prf[i][2] for i in range(3)) / total
+                if total else 0.0)
+    return (prf, weighted, sum(f for _p, _r, f in prf) / 3.0,
+            div(float(np.trace(counts)), float(total)))
+
+
+@given(st.lists(st.lists(st.integers(0, 50), min_size=9, max_size=9), min_size=1, max_size=6))
+def test_report_scores_bit_equal_to_the_scalar_formulas(cells):
+    """Every score of a report, alone or in a stack, is the float the
+    scalar formulas give, 0/0 cases and an all-zero matrix included."""
+    stack = np.array(cells, dtype=np.int64).reshape(-1, 3, 3)
+    stacked = evaluate._scores(stack)
+    for k, counts in enumerate(stack):
+        prf, weighted, macro, acc = scalar_scores(counts)
+        matrix = ConfusionMatrix(counts)
+        assert [class_prf(matrix, lab) for lab in LABELS] == prf
+        assert (weighted_f1(matrix), macro_f1(matrix), accuracy(matrix)) == (weighted, macro, acc)
+        assert stacked.weighted_f1[k] == weighted
+        assert stacked.f1[k].tolist() == [f for _p, _r, f in prf]
+        if counts.any():
+            gold = [lab for i, lab in enumerate(LABELS) for j in range(3)
+                    for _ in range(counts[i, j])]
+            pred = [LABELS[j] for i in range(3) for j in range(3) for _ in range(counts[i, j])]
+            report = build_report(gold, pred)
+            assert [(report.precision[lab], report.recall[lab], report.f1[lab])
+                    for lab in LABELS] == prf
+            assert (report.weighted_f1, report.macro_f1, report.accuracy) == (weighted, macro, acc)
 
 
 class TestRandomBaseline:

@@ -1,5 +1,8 @@
+import hashlib
 import math
 import re
+from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -14,12 +17,12 @@ from aggdetect.lexfeatures import (
     BuiltinSentimentProvider,
     CategoryLexicon,
     EmbeddingTable,
+    RESOURCE_FILES,
     Resources,
     SidecarSentimentProvider,
     WeightedLexicon,
     builtin_sentence_sentiment,
     embed_average,
-    file_sha256,
     gender_features,
     liwc_features,
     load_category_lexicon,
@@ -34,10 +37,19 @@ from aggdetect.lexfeatures import (
 from helpers import write_embeddings, write_lines
 
 
+def load_file(key, path):
+    """Resource ``key`` read from ``path`` as a model reads it."""
+    return Resources().load(key, str(path))
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 class TestEmbeddings:
     def test_load(self, tmp_path):
         path = write_embeddings(tmp_path / "e.vec", {"a": [1, 2, 3], "b": [0, 0, 1]})
-        table = load_embeddings(path)
+        table = load_file("embedding", path)
         assert len(table) == 2
         assert table.dimension == 3
 
@@ -45,25 +57,25 @@ class TestEmbeddings:
         path = tmp_path / "e.vec"
         path.write_text("2 3\na 1 2 3\nb 1 2\n", encoding="utf-8")
         with pytest.raises(ResourceError, match="line 3"):
-            load_embeddings(path)
+            load_file("embedding", path)
 
     def test_duplicate_word(self, tmp_path):
         path = tmp_path / "e.vec"
         path.write_text("2 2\na 1 2\na 3 4\n", encoding="utf-8")
         with pytest.raises(ResourceError, match="duplicate"):
-            load_embeddings(path)
+            load_file("embedding", path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "e.vec"
         path.write_text("not a header\n", encoding="utf-8")
         with pytest.raises(ResourceError, match="header"):
-            load_embeddings(path)
+            load_file("embedding", path)
 
     def test_count_mismatch(self, tmp_path):
         path = tmp_path / "e.vec"
         path.write_text("3 2\na 1 2\n", encoding="utf-8")
         with pytest.raises(ResourceError, match="declares 3"):
-            load_embeddings(path)
+            load_file("embedding", path)
 
 
     @pytest.mark.parametrize("value", ["nan", "-inf", "inf", "1e400", "NaN"])
@@ -71,12 +83,12 @@ class TestEmbeddings:
         path = tmp_path / "e.vec"
         path.write_text(f"3 2\nb 0 1\n\na {value} 1\nc 1 2\n", encoding="utf-8")
         with pytest.raises(ResourceError, match="non-finite value at line 4"):
-            load_embeddings(path)
+            load_file("embedding", path)
 
     def test_rows_fill_one_matrix(self, tmp_path):
         path = write_embeddings(tmp_path / "e.vec", {"a": [1, 2, 3], "b": [0, 0, 1]})
         with patch.object(lexfeatures, "_EMBEDDING_CHUNK", 1):  # one line per parse
-            table = load_embeddings(path)
+            table = load_file("embedding", path)
         matrix = table.vectors["a"].base
         assert matrix.shape == (2, 3) and table.vectors["b"].base is matrix
         assert matrix.tolist() == [[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]]
@@ -181,7 +193,8 @@ def test_load_embeddings_matches_the_per_value_loader(tmp_path, text, chunk):
     path = tmp_path / "e.vec"
     path.write_bytes(text.encode("utf-8"))
     with patch.object(lexfeatures, "_EMBEDDING_CHUNK", chunk):
-        assert _outcome(load_embeddings, path) == _outcome(reference_load_embeddings, path)
+        parse = lambda path: load_embeddings(path.read_bytes().decode("utf-8"), path)
+        assert _outcome(parse, path) == _outcome(reference_load_embeddings, path)
 
 
 class TestEmbedAverage:
@@ -344,9 +357,8 @@ class TestLiwc:
         lex = CategoryLexicon([("ador", ["ador*"])])
         assert liwc_features(["adorable", "adored", "bored"], lex)[0] == pytest.approx(2 / 3)
 
-    def test_file_order_preserved(self, tmp_path):
-        path = write_lines(tmp_path / "liwc.tsv", ["zeta\tz*", "alpha\ta*"])
-        lex = load_category_lexicon(path)
+    def test_file_order_preserved(self):
+        lex = load_category_lexicon("zeta\tz*\nalpha\ta*\n", Path("liwc.tsv"))
         assert [name for name, _p in lex.categories] == ["zeta", "alpha"]
 
     @given(st.lists(st.sampled_from(["i", "hate", "x", "hatred"]), max_size=12))
@@ -387,17 +399,17 @@ class TestGender:
         bumped = WeightedLexicon(weights={"w": 1.0 + delta}, intercept=-0.3)
         assert gender_features(["w"], bumped)[0] > gender_features(["w"], base)[0]
 
-    def test_load_weighted_lexicon(self, tmp_path):
-        path = write_lines(tmp_path / "g.tsv", ["_intercept\t-0.06", "she\t2.5", "he\t-1.0"])
-        lex = load_weighted_lexicon(path)
+    def test_load_weighted_lexicon(self):
+        text = "_intercept\t-0.06\nshe\t2.5\nhe\t-1.0\n"
+        lex = load_weighted_lexicon(text, Path("g.tsv"))
         assert lex.intercept == -0.06
         assert lex.weights == {"she": 2.5, "he": -1.0}
 
 
 class TestWordSets:
-    def test_load_skips_comments(self, tmp_path):
-        path = write_lines(tmp_path / "pos.txt", ["# header", "good", "", "Great"])
-        assert load_word_set(path) == {"good", "great"}
+    def test_load_skips_comments(self):
+        text = "# header\ngood\n\nGreat\n"
+        assert load_word_set(text, Path("pos.txt")) == {"good", "great"}
 
 
 class TestBuiltinProvider:
@@ -413,10 +425,10 @@ class TestResourcesLoad:
     def test_records_provenance_and_fills_the_block_field(self, tmp_path):
         path = str(write_embeddings(tmp_path / "e.vec", {"a": [1.0, 2.0]}))
         resources = Resources()
-        table = resources.load("embedding", path, file_sha256(path))
+        table = resources.load("embedding", path, sha256_of(path))
         assert resources.embeddings is table
         assert table.dimension == 2
-        assert resources.provenance == {"embedding": (path, file_sha256(path))}
+        assert resources.provenance == {"embedding": (path, sha256_of(path))}
 
     def test_checksum_is_checked_before_parsing(self, tmp_path):
         path = tmp_path / "e.vec"
@@ -428,3 +440,42 @@ class TestResourcesLoad:
         assert resources.provenance == {}
         with pytest.raises(ResourceError, match="malformed embedding header"):
             resources.load("embedding", str(path))
+
+    # Per resource key, two texts its loader accepts.
+    TEXTS = {
+        "embedding": ("1 2\na 1 2\n", "1 2\nb 3 4\n"),
+        "sentiment_pos": ("good\n", "bad\n"),
+        "sentiment_neg": ("bad\n", "good\n"),
+        "liwc": ("anger\trage*\n", "calm\tcalm*\n"),
+        "gender": ("she\t1.0\n", "he\t-1.0\n"),
+        "spell_dict": ("dog\t3\n", "cat\t2\n"),
+    }
+
+    @pytest.mark.parametrize("key", RESOURCE_FILES)
+    def test_parses_the_bytes_it_hashed(self, tmp_path, monkeypatch, key):
+        """A file rewritten between its hash and its parse: the load
+        returns what the recorded hash covers, never the new text."""
+        old, new = self.TEXTS[key]
+        (tmp_path / "old").write_text(old, encoding="utf-8")
+        expected = load_file(key, tmp_path / "old")
+        path = tmp_path / "resource"
+        path.write_text(old, encoding="utf-8")
+
+        def hash_then_rewrite(data):
+            digest = hashlib.sha256(data)
+            path.write_text(new, encoding="utf-8")
+            return digest
+
+        monkeypatch.setattr(lexfeatures, "hashlib", SimpleNamespace(sha256=hash_then_rewrite))
+        resources = Resources()
+        loaded = resources.load(key, str(path))
+        assert _content(loaded) == _content(expected)
+        assert resources.provenance[key] == (str(path), hashlib.sha256(old.encode()).hexdigest())
+        assert path.read_text(encoding="utf-8") == new
+
+
+def _content(loaded):
+    """What a loaded resource holds, in a form ``==`` compares."""
+    if isinstance(loaded, EmbeddingTable):
+        return {word: vector.tolist() for word, vector in loaded.vectors.items()}
+    return getattr(loaded, "entries", loaded)

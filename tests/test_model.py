@@ -714,13 +714,11 @@ class TestPersistence:
             load_model(path)
 
     def test_checksum_mismatch_on_referenced_file(self, tmp_path):
-        from aggdetect.lexfeatures import Resources, file_sha256, load_weighted_lexicon
+        from aggdetect.lexfeatures import Resources
 
         lexicon_path = write_lines(tmp_path / "gender.tsv", ["_intercept\t0.0", "she\t1.0"])
-        resources = Resources(
-            gender_lexicon=load_weighted_lexicon(lexicon_path),
-            provenance={"gender": (str(lexicon_path), file_sha256(lexicon_path))},
-        )
+        resources = Resources()
+        resources.load("gender", str(lexicon_path))
         docs = [Document(id="a", text="she is calm", gold=Label.NAG),
                 Document(id="b", text="he is angry", gold=Label.OAG)]
         pipeline = FeaturePipeline(

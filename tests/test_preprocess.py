@@ -1,5 +1,6 @@
 import re
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 from aggdetect import preprocess, translit
 from aggdetect.errors import ResourceError, UsageError
+from aggdetect.lexfeatures import Resources
 from aggdetect.preprocess import (
     DEFAULT_EXPANSIONS,
     CleanConfig,
@@ -321,19 +323,18 @@ class TestSpellDictionaryIO:
         d = SpellDictionary({"dog": 5, "cat": 2})
         path = tmp_path / "dict.tsv"
         save_spell_dictionary(d, path)
-        loaded = load_spell_dictionary(path)
+        loaded = Resources().load("spell_dict", str(path))
         assert loaded.entries == d.entries
 
-    def test_rows_that_lowercase_alike_are_summed(self, tmp_path):
-        path = tmp_path / "dict.tsv"
-        path.write_text("Dog\t2\n\ncat\t1\n \t \nDOG\t3\ndog\t+4\nCat\t 1\n", encoding="utf-8")
-        loaded = load_spell_dictionary(path)
+    def test_rows_that_lowercase_alike_are_summed(self):
+        text = "Dog\t2\n\ncat\t1\n \t \nDOG\t3\ndog\t+4\nCat\t 1\n"
+        loaded = load_spell_dictionary(text, Path("dict.tsv"))
         assert list(loaded.entries.items()) == [("dog", 9), ("cat", 2)]
 
-    def test_rejects_bad_rows(self, tmp_path):
+    def test_rejects_bad_rows(self):
         """The first faulty row is named, also after rows that differ only
         in case, which the loader merges."""
-        path = tmp_path / "dict.tsv"
+        path = Path("dict.tsv")
         for text, message in [
             ("dog\tfive\n", "bad count at line 1: 'five'"),
             ("dog\n", "malformed dictionary row at line 1"),
@@ -344,9 +345,8 @@ class TestSpellDictionaryIO:
             ("Dog\t2\ndog\t3\n  \ndog\n", "malformed dictionary row at line 4"),
             ("cat\t1\nCat\t\n", "bad count at line 2: ''"),
         ]:
-            path.write_text(text, encoding="utf-8")
             with pytest.raises(ResourceError, match=re.escape(f"{path}: {message}")):
-                load_spell_dictionary(path)
+                load_spell_dictionary(text, path)
 
 
 class TestPreprocessSettings:
