@@ -446,8 +446,10 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _parse_baseline_args(items: list[str], default_seed: int) -> tuple[int, int, str]:
-    trials, seed, mode = 1000, default_seed, "uniform"
+def _parse_baseline_args(items: list[str], seed_flag: int | None) -> tuple[int, int, str]:
+    """``(trials, seed, mode)`` from ``--baseline`` items; the seed is
+    ``seed=S`` or ``--seed``, and giving both is a usage error."""
+    trials, seed, mode = 1000, seed_flag or 0, "uniform"
     for item in items:
         key, sep, value = item.partition("=")
         if not sep or key not in ("trials", "seed", "mode"):
@@ -463,6 +465,9 @@ def _parse_baseline_args(items: list[str], default_seed: int) -> tuple[int, int,
             raise UsageError(f"--baseline {key} must be an integer, got {value!r}") from None
         if key == "trials":
             trials = parsed
+        elif seed_flag is not None:
+            raise UsageError(f"--seed {seed_flag} and --baseline {item} both set the baseline's "
+                             "seed; give one")
         else:
             seed = parsed
     if trials < 1:
@@ -487,7 +492,7 @@ def cmd_evaluate(args) -> int:
     gold = corpus.gold_labels()
     baseline = None
     if args.baseline is not None:
-        trials, seed, mode = _parse_baseline_args(args.baseline, args.seed or 0)
+        trials, seed, mode = _parse_baseline_args(args.baseline, args.seed)
         baseline = random_baseline(gold, seed=seed, trials=trials, mode=mode)
         log.info("random baseline (%s, %d trials, seed %d): %.4f", mode, trials, seed, baseline)
 

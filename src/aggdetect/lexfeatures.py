@@ -17,9 +17,10 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn, Sequence
+from typing import Container, NoReturn, Sequence
 
 import numpy as np
 
@@ -66,7 +67,8 @@ def load_embeddings(text: str, path: Path) -> EmbeddingTable:
     ``\\n``, ``\\r\\n`` or ``\\r``); ``path`` names the file in messages.
 
     The rows fill one ``(V, d)`` matrix, parsed a chunk of lines at a time,
-    and ``vectors`` maps each word to its row."""
+    and ``vectors`` maps each word to its row. The matrix is read-only,
+    and so is every row view, because a table may be shared."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     end = text.find("\n") % (len(text) + 1)  # the header line's end; -1 gives len(text)
@@ -79,7 +81,7 @@ def load_embeddings(text: str, path: Path) -> EmbeddingTable:
     # a row takes at least 2 * dim characters, so a header that overstates
     # the count cannot make this allocation outgrow the text
     matrix = np.empty((min(count, len(text) // (2 * dim)), dim))
-    vectors: dict[str, np.ndarray] = {}
+    words: dict[str, None] = {}  # in row order
     n_rows, lineno = 0, 2
     while (start := end + 1) < len(text):
         # the lines that hold the next _EMBEDDING_CHUNK characters
@@ -97,24 +99,25 @@ def load_embeddings(text: str, path: Path) -> EmbeddingTable:
             # the matrix; the count check after the loop refuses them
             if stop <= len(matrix):
                 matrix[n_rows:stop] = block
-                block = matrix[n_rows:stop]
-            chunk = dict(zip([row.partition(" ")[0] for row in rows], block))
-            ok = len(chunk) == len(rows) and vectors.keys().isdisjoint(chunk)
+            chunk = dict.fromkeys(row.partition(" ")[0] for row in rows)
+            ok = len(chunk) == len(rows) and words.keys().isdisjoint(chunk)
         if not ok:
-            _refuse_embedding_rows(lines, lineno, dim, vectors, path)
-        vectors.update(chunk)
+            _refuse_embedding_rows(lines, lineno, dim, words, path)
+        words.update(chunk)
         n_rows = stop
         lineno += len(lines)
     if n_rows != count:
         raise ResourceError(f"{path}: header declares {count} vectors but file has {n_rows}")
-    return EmbeddingTable(vectors=vectors, dimension=dim)
+    # views taken after this inherit the flag; views taken before keep theirs
+    matrix.flags.writeable = False
+    return EmbeddingTable(vectors=dict(zip(words, matrix)), dimension=dim)
 
 
 def _refuse_embedding_rows(
-    lines: list[str], lineno: int, dim: int, vectors: dict[str, np.ndarray], path: Path
+    lines: list[str], lineno: int, dim: int, words: Container[str], path: Path
 ) -> NoReturn:
     """Raise for the first of ``lines`` (the first at file line ``lineno``)
-    that the bulk parse or its checks refuse; ``vectors`` holds the words
+    that the bulk parse or its checks refuse; ``words`` holds the words
     of the lines before them."""
     seen = set()
     for lineno, line in enumerate(lines, start=lineno):
@@ -127,7 +130,7 @@ def _refuse_embedding_rows(
                 f"{dim + 1} fields, got {len(parts)}"
             )
         word = parts[0]
-        if word in vectors or word in seen:
+        if word in words or word in seen:
             raise ResourceError(f"{path}: duplicate word {word!r} at line {lineno}")
         seen.add(word)
         try:
@@ -389,7 +392,7 @@ def gender_features(tokens: Sequence[str], lexicon: WeightedLexicon) -> np.ndarr
 # Every file a model can reference, by its provenance key: what the file
 # is, for messages, and the name of its loader in this module, which parses
 # the file's text. The loader is looked up when called, so a wrapper put on
-# the module attribute (a profiler's, a test's) sees every load.
+# the module attribute (a profiler's, a test's) sees every parse.
 RESOURCE_FILES = {
     "embedding": ("embedding table", "load_embeddings"),
     "sentiment_pos": ("positive sentiment lexicon", "load_word_set"),
@@ -398,6 +401,11 @@ RESOURCE_FILES = {
     "gender": ("gender lexicon", "load_weighted_lexicon"),
     "spell_dict": ("spell dictionary", "load_spell_dictionary"),
 }
+
+# (loader name, SHA-256 of a file's bytes) -> what that loader parsed from
+# those bytes, for as long as anything else holds it: no strong reference,
+# no size bound. Resources.load looks here before it decodes and parses.
+_PARSED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass
@@ -427,10 +435,17 @@ class Resources:
         """Load the file at ``path`` as resource ``key`` of
         :data:`RESOURCE_FILES`, record its ``(path, sha256)`` in
         ``provenance`` and return it; for a dense block kind (``embedding``,
-        ``liwc``, ``gender``) it also fills that block's field. The file is
-        read once, and the bytes hashed are the bytes parsed: a missing file,
-        a SHA-256 other than ``sha256`` when that is given, or bytes that
-        are not UTF-8 raise ResourceError before the loader parses the text."""
+        ``liwc``, ``gender``) it also fills that block's field.
+
+        Every load reads the file once and hashes its bytes: a missing file,
+        a SHA-256 other than ``sha256`` when that is given, or bytes that are
+        not UTF-8 raise ResourceError. The object returned was parsed from
+        bytes with the recorded SHA-256. While a parse of the same loader
+        from bytes with that hash is still alive (held by a model, a
+        pipeline or a ``Resources``), the load returns that object without
+        decoding or parsing again, so the object is shared and must not be
+        changed. Only what a loader returned is remembered, never an
+        error."""
         what, loader = RESOURCE_FILES[key]
         if not Path(path).is_file():
             raise ResourceError(f"{what} not found: {path}")
@@ -440,12 +455,14 @@ class Resources:
             raise ResourceError(
                 f"checksum mismatch for {what} {path}: expected {sha256}, got {actual}"
             )
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ResourceError(f"{what} {path} is not UTF-8 text ({exc.reason})") from None
-        del data
-        loaded = globals()[loader](text, Path(path))
+        loaded = _PARSED.get((loader, actual))
+        if loaded is None:
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ResourceError(f"{what} {path} is not UTF-8 text ({exc.reason})") from None
+            del data
+            loaded = _PARSED[loader, actual] = globals()[loader](text, Path(path))
         self.provenance[key] = (path, actual)
         if key in self._BLOCK_FIELD:
             setattr(self, self._BLOCK_FIELD[key], loaded)

@@ -245,6 +245,9 @@ class SpellDictionary:
     the alphabet of the entries, the entries in sorted order, and the
     reversed entries in sorted order. ``entries`` must not change after
     construction, or the index and the remembered corrections go stale.
+    A dictionary that ``Resources.load`` returns may be shared: every live
+    model whose file has the same SHA-256 holds this object and its memo of
+    corrections, which is a pure function of ``entries``.
     """
 
     entries: dict[str, int]
@@ -392,6 +395,9 @@ class PreprocessSettings:
     tokens repeat, and like the spell dictionary's corrections they grow
     without bound in a long-lived process. ``clean`` must not be replaced
     after the first document, or the remembered rewrites go stale.
+    ``spell_dictionary`` is not copied: models that load a dictionary file
+    with the same SHA-256 while one of them is alive share one dictionary,
+    and so one memo of corrections, which does not start empty.
     """
 
     clean: CleanConfig

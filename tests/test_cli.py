@@ -634,6 +634,21 @@ class TestEvaluate:
         metrics = (out_dir / "metrics.tsv").read_text(encoding="utf-8")
         assert "random_baseline_weighted_f1" in metrics
 
+    def test_seed_flag_sets_the_baseline_seed(self, tmp_path, caplog):
+        gold_path, pred_path = self.write_gold_and_preds(tmp_path)
+        with caplog.at_level("INFO", logger="aggdetect"):
+            assert run(["evaluate", str(gold_path), str(pred_path), str(tmp_path / "r"),
+                        "--baseline", "trials=5", "--seed", "2"]) == 0
+        assert "5 trials, seed 2)" in caplog.text
+
+    def test_seed_flag_and_baseline_seed_is_usage_error(self, tmp_path, capsys):
+        gold_path, pred_path = self.write_gold_and_preds(tmp_path)
+        out_dir = tmp_path / "report"
+        assert run(["evaluate", str(gold_path), str(pred_path), str(out_dir),
+                    "--baseline", "trials=5", "seed=1", "--seed", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "--seed 2" in err and "--baseline seed=1" in err
+        assert not out_dir.exists()
 
     def test_seed_without_baseline_is_usage_error(self, tmp_path, capsys):
         gold_path, pred_path = self.write_gold_and_preds(tmp_path)

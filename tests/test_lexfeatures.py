@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import re
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -457,7 +459,7 @@ class TestResourcesLoad:
         returns what the recorded hash covers, never the new text."""
         old, new = self.TEXTS[key]
         (tmp_path / "old").write_text(old, encoding="utf-8")
-        expected = load_file(key, tmp_path / "old")
+        expected = _content(load_file(key, tmp_path / "old"))  # released: parsed below
         path = tmp_path / "resource"
         path.write_text(old, encoding="utf-8")
 
@@ -469,13 +471,131 @@ class TestResourcesLoad:
         monkeypatch.setattr(lexfeatures, "hashlib", SimpleNamespace(sha256=hash_then_rewrite))
         resources = Resources()
         loaded = resources.load(key, str(path))
-        assert _content(loaded) == _content(expected)
+        assert _content(loaded) == expected
         assert resources.provenance[key] == (str(path), hashlib.sha256(old.encode()).hexdigest())
         assert path.read_text(encoding="utf-8") == new
 
 
+class TestParsedOnce:
+    """Resources.load parses a file's bytes once while the parse is alive."""
+
+    # Per resource key, two texts its loader accepts, none of them used by
+    # another test.
+    TEXTS = {
+        "embedding": ("1 2\nonce 1 2\n", "1 2\nonce 3 4\n"),
+        "sentiment_pos": ("once\n", "twice\n"),
+        "sentiment_neg": ("twice\n", "once\n"),
+        "liwc": ("once\tonce*\n", "twice\ttwice*\n"),
+        "gender": ("once\t1.0\n", "once\t-1.0\n"),
+        "spell_dict": ("once\t3\n", "once\t2\n"),
+    }
+    # Per resource key whose loader can refuse a text, one it refuses.
+    MALFORMED = {
+        "embedding": "1 2\nonce 1\n",
+        "liwc": "once\n",
+        "gender": "once\tx\n",
+        "spell_dict": "once\t0\n",
+    }
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each loader call's resource text, in order."""
+        calls = []
+        for name in {loader for _what, loader in RESOURCE_FILES.values()}:
+
+            def counted(text, path, loader=getattr(lexfeatures, name)):
+                calls.append(text)
+                return loader(text, path)
+
+            monkeypatch.setattr(lexfeatures, name, counted)
+        gc.collect()
+        return calls
+
+    def write(self, path, text):
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("key", RESOURCE_FILES)
+    def test_same_bytes_give_the_live_object(self, tmp_path, calls, key):
+        old, _new = self.TEXTS[key]
+        loaded = load_file(key, self.write(tmp_path / "first", old))
+        second = self.write(tmp_path / "second", old)
+        resources = Resources()
+        assert resources.load(key, str(second), sha256_of(second)) is loaded
+        assert calls == [old]
+        assert resources.provenance == {key: (str(second), sha256_of(second))}
+
+    @pytest.mark.parametrize("key", RESOURCE_FILES)
+    def test_parsed_again_once_released(self, tmp_path, calls, key):
+        old, _new = self.TEXTS[key]
+        path = self.write(tmp_path / "resource", old)
+        released = weakref.ref(load_file(key, path))
+        gc.collect()
+        assert released() is None
+        load_file(key, path)
+        assert calls == [old, old]
+
+    @pytest.mark.parametrize("key", RESOURCE_FILES)
+    def test_changed_bytes_give_a_new_object(self, tmp_path, calls, key):
+        old, new = self.TEXTS[key]
+        path = self.write(tmp_path / "resource", old)
+        before = load_file(key, path)
+        after = load_file(key, self.write(path, new))
+        assert after is not before and _content(after) != _content(before)
+        assert calls == [old, new]
+
+    @pytest.mark.parametrize("key", RESOURCE_FILES)
+    def test_checksum_is_checked_before_the_lookup(self, tmp_path, monkeypatch, calls, key):
+        old, _new = self.TEXTS[key]
+        path = self.write(tmp_path / "resource", old)
+        loaded = load_file(key, path)  # alive, so a lookup would find it
+
+        def lookup(_key):
+            raise AssertionError("looked up a file with the wrong checksum")
+
+        monkeypatch.setattr(lexfeatures, "_PARSED", SimpleNamespace(get=lookup))
+        resources = Resources()
+        with pytest.raises(ResourceError, match="checksum mismatch"):
+            resources.load(key, str(path), "0" * 64)
+        assert resources.provenance == {} and calls == [old]
+        del loaded
+
+    @pytest.mark.parametrize("key", MALFORMED)
+    def test_malformed_file_raises_on_every_load(self, tmp_path, calls, key):
+        path = self.write(tmp_path / "resource", self.MALFORMED[key])
+        for _ in range(2):
+            with pytest.raises(ResourceError, match=re.escape(str(path))):
+                load_file(key, path)
+        assert calls == [self.MALFORMED[key]] * 2
+
+    def test_one_word_list_as_both_sentiment_sides(self, tmp_path, calls):
+        path = write_lines(tmp_path / "words.txt", ["# words", "Good", "fine"])
+        resources = Resources()
+        pos = resources.load("sentiment_pos", str(path))
+        neg = resources.load("sentiment_neg", str(path))
+        assert pos is neg and pos == {"good", "fine"}
+        assert len(calls) == 1
+        assert resources.provenance == {"sentiment_pos": (str(path), sha256_of(path)),
+                                        "sentiment_neg": (str(path), sha256_of(path))}
+
+    def test_embedding_rows_are_read_only(self, tmp_path):
+        path = write_embeddings(tmp_path / "e.vec", {"ro": [1.0, 2.0], "rw": [3.0, 4.0]})
+        table = load_file("embedding", path)
+        for word in ("ro", "rw"):
+            with pytest.raises(ValueError, match="read-only"):
+                table.vectors[word][0] = 1.0
+        assert table.vectors["ro"].tolist() == [1.0, 2.0]
+
+
 def _content(loaded):
-    """What a loaded resource holds, in a form ``==`` compares."""
+    """What a loaded resource holds, in a form ``==`` compares that does
+    not keep the resource alive."""
     if isinstance(loaded, EmbeddingTable):
         return {word: vector.tolist() for word, vector in loaded.vectors.items()}
-    return getattr(loaded, "entries", loaded)
+    if isinstance(loaded, CategoryLexicon):
+        return loaded.categories
+    if isinstance(loaded, WeightedLexicon):
+        return loaded.weights, loaded.intercept
+    if isinstance(loaded, set):
+        return set(loaded)
+    return loaded.entries

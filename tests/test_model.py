@@ -1,6 +1,8 @@
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from aggdetect import model as model_module
 from aggdetect.corpus_io import Document, Label
 from aggdetect.errors import DataError, ResourceError
 from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary
+from aggdetect.lexfeatures import Resources
 from aggdetect.model import (
     BinaryLogReg,
     OvRModel,
@@ -35,6 +38,7 @@ from helpers import (
     stack,
     synthetic_documents,
     terms_and_dfs,
+    write_embeddings,
     write_lines,
 )
 
@@ -735,6 +739,56 @@ class TestPersistence:
         lexicon_path.write_text("_intercept\t9.9\n", encoding="utf-8")  # tamper
         with pytest.raises(ResourceError, match="checksum mismatch"):
             load_model(path)
+
+    def test_two_loads_of_one_english_model_share_its_resources(self, tmp_path):
+        """Two live loads of a model with W2V features and spell correction
+        share one embedding table and one spell dictionary, and score bit
+        for bit like the model loaded alone, one document or a batch."""
+        table_path = write_embeddings(tmp_path / "e.vec", {
+            "calm": [1.0, 0.0], "rage": [0.0, 1.0], "sly": [0.5, 0.5], "words": [0.1, 0.2]})
+        spell_path = write_lines(tmp_path / "spell.tsv",
+                                 ["calm\t5", "rage\t5", "sly\t5", "words\t9", "soft\t2"])
+        resources = Resources()
+        resources.load("embedding", str(table_path))
+        preprocess = PreprocessSettings(
+            CleanConfig(), spell_dictionary=resources.load("spell_dict", str(spell_path)))
+        texts = ["calm soft wrods", "clam words", "sly wrods", "sly sfot words",
+                 "rage wrods", "rgae words"]
+        docs = [Document(id=f"d{i}", text=preprocess.apply(text), gold=Label(i // 2))
+                for i, text in enumerate(texts)]
+        pipeline = FeaturePipeline(
+            [FeatureBlockSpec.from_name("U", min_df=1), FeatureBlockSpec.from_name("W2V")],
+            resources,
+        ).fit(docs)
+        model = train_ovr(pipeline.transform_many(docs), [d.gold for d in docs],
+                          TrainConfig(max_iters=60), pipeline=pipeline, preprocess=preprocess)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        del model, pipeline, resources, preprocess
+        queries = ["clam wrods", "rgae", "sly sly", "zzz", "", "calm rage sly"]
+
+        def scored(m):
+            prepped = [Document(id=str(i), text=m.preprocess.apply(text))
+                       for i, text in enumerate(queries)]
+            X = m.pipeline.transform_many(prepped)
+            labels = predict_many(m, X)
+            assert [predict(m, m.pipeline.transform(doc)) for doc in prepped] == labels
+            return labels, model_module._scores(m, X).view(np.int64)
+
+        gc.collect()
+        alone = load_model(path)
+        want_labels, want_bits = scored(alone)
+        table = weakref.ref(alone.pipeline.resources.embeddings)
+        del alone
+        gc.collect()
+        assert table() is None  # the two loads below parse afresh
+        a, b = load_model(path), load_model(path)
+        assert a.pipeline.resources.embeddings is b.pipeline.resources.embeddings
+        assert a.preprocess.spell_dictionary is b.preprocess.spell_dictionary
+        for m in (a, b):
+            labels, bits = scored(m)
+            assert labels == want_labels
+            assert np.array_equal(bits, want_bits)
 
 
 def test_save_model_peak_memory_stays_below_three_times_the_file_size(tmp_path):
