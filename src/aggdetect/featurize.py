@@ -12,7 +12,9 @@ A batch of documents becomes one CSR matrix, a :class:`SparseMatrix`,
 with no per-row objects on the way.  Every block, lexical or dense, first
 gives one run per document: the document's entries in that block as local
 ids and values, in first-occurrence order of its distinct terms on a
-lexical block, where the values are term counts.  All runs sit in flat
+lexical block, where the values are term counts, and in index order on a
+dense block, whose runs are the nonzeros of one ``(rows, d)`` float64
+array per chunk, a row per document.  All runs sit in flat
 arrays with the offsets where each run ends, ``_CHUNK_ROWS`` documents at
 a time, block by block within those.  ``_to_csr`` then weights, normalizes
 and sorts one chunk's runs with one set of array operations for all
@@ -542,28 +544,17 @@ class FeaturePipeline:
         self.fitted = True
 
     def _append_runs(
-        self, spec: FeatureBlockSpec, key: Callable[[str], int | None] | None,
-        documents: Sequence[Document], token_lists: Sequence[list[str] | None],
-        ids: list, values: list, ends: list,
+        self, spec: FeatureBlockSpec, key: Callable[[str], int | None],
+        token_lists: Sequence[list[str]], ids: list, values: list, ends: list,
     ) -> None:
-        """Append one block's run of each document to ``ids``, ``values`` and
-        ``ends`` (where each run ends). On a word or skip-gram block, a run
-        is the ids and counts of the distinct terms of the document's tokens
-        in first-occurrence order, counted with a ``Counter``, where ``key``
+        """Append one word or skip-gram block's run of each document to
+        ``ids``, ``values`` and ``ends`` (where each run ends): the ids and
+        counts of the distinct terms of the document's tokens in
+        first-occurrence order, counted with a ``Counter``, where ``key``
         maps a term to its id or to None to drop it, and every count is 1 on
         a binary block. Char blocks do not come here (see
-        :meth:`_CharWindows.runs`). On a dense
-        block (``key`` None), it is the nonzero local indices and values,
-        and empty for a whitespace-only document, whose function is not
-        called."""
-        if key is None:
-            for doc, tokens in zip(documents, token_lists):
-                if doc.text.strip():
-                    nonzero, vec = self._dense_arrays(spec, doc, tokens)
-                    ids += nonzero.tolist()
-                    values += vec.tolist()
-                ends.append(len(ids))
-            return
+        :meth:`_CharWindows.runs`), nor do dense ones (see
+        :meth:`_dense_runs`)."""
         binary = spec.kind == "binary_word_ngram"
         for tokens in token_lists:
             doc_counts = Counter(map(key, _lexical_terms(spec, tokens)))
@@ -571,6 +562,24 @@ class FeaturePipeline:
             ids += doc_counts
             values += [1] * len(doc_counts) if binary else doc_counts.values()
             ends.append(len(ids))
+
+    def _dense_runs(
+        self, spec: FeatureBlockSpec, documents: Sequence[Document],
+        token_lists: Sequence[list[str] | None],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One dense block's runs over a chunk's documents: the int32 local
+        indices and the values of each document's nonzero entries, in index
+        order, and the offset where each document's run ends. Each
+        document's vector is written into its row of one ``(rows, d)``
+        array, which one ``nonzero`` then reads; a whitespace-only
+        document's row stays zero, and its function is not called."""
+        vectors = np.zeros((len(documents), self._dense_dimension(spec)))
+        for row, (doc, tokens) in enumerate(zip(documents, token_lists)):
+            if doc.text.strip():
+                vectors[row] = self._dense_vector(spec, doc, tokens)
+        rows, cols = vectors.nonzero()
+        ends = np.bincount(rows, minlength=len(documents)).cumsum()
+        return cols.astype(np.int32), vectors[rows, cols], ends
 
     def _runs(
         self, plan: list, documents: Sequence[Document], texts: Sequence[str],
@@ -583,9 +592,11 @@ class FeaturePipeline:
         ``key`` its lookup of the windows' codes: packed int64s, or
         UTF-32-BE byte strings where n times the alphabet's bits per
         character exceeds 63. A word or skip-gram block's runs are counted
-        with a ``Counter`` by :meth:`_append_runs`, which also gives the
-        dense blocks' runs. ``token_lists`` holds each document's tokens,
-        or None for each where no block reads tokens (``TOKEN_KINDS``).
+        with a ``Counter`` by :meth:`_append_runs`. A dense block's runs
+        are the nonzeros of one ``(rows, d)`` array per chunk, a row per
+        document (:meth:`_dense_runs`). ``token_lists`` holds each
+        document's tokens, or None for each where no block reads tokens
+        (``TOKEN_KINDS``).
 
         The runs come ``_CHUNK_ROWS`` documents at a time, block by block
         within those, document by document within a block, so that
@@ -593,12 +604,12 @@ class FeaturePipeline:
         in one vocabulary's table for a whole chunk (document by document,
         alternating between the blocks' tables, they ran about 1.6 times
         slower), and the chunk's char blocks share one encoding of its
-        texts. Each block's runs go to growing typed arrays, a char block's
-        as the bytes of its arrays and any other's from Python lists with
-        ``fromlist`` (``extend`` took twice as long), and ``np.asarray``
-        views them without a copy: the batch is never held as Python
-        objects, nor twice, as it would be if per-chunk numpy arrays were
-        concatenated at the end."""
+        texts. Each block's runs go to growing typed arrays, a char or
+        dense block's as the bytes of its arrays and a word or skip-gram
+        block's from Python lists with ``fromlist`` (``extend`` took twice
+        as long), and ``np.asarray`` views them without a copy: the batch
+        is never held as Python objects, nor twice, as it would be if
+        per-chunk numpy arrays were concatenated at the end."""
         ids, values, ends = array("i"), array("d"), array("q", [0])
         for r0 in range(0, len(documents), _CHUNK_ROWS):
             rows = slice(r0, r0 + _CHUNK_ROWS)
@@ -608,17 +619,21 @@ class FeaturePipeline:
                 if spec.kind == "char_ngram":
                     if windows is None:
                         windows = _CharWindows(alphabet, texts[rows])
-                    block_ids, counts, block_ends = windows.runs(spec.params["n"], key)
-                    ids.frombytes(block_ids.tobytes())
-                    values.frombytes(counts.tobytes())
-                    ends.frombytes((block_ends + base).tobytes())
+                    block_ids, block_values, block_ends = windows.runs(spec.params["n"], key)
+                elif spec.kind in DENSE_KINDS:
+                    block_ids, block_values, block_ends = self._dense_runs(
+                        spec, documents[rows], token_lists[rows])
+                else:
+                    block_ids, block_values, block_ends = [], [], []
+                    self._append_runs(spec, key, token_lists[rows],
+                                      block_ids, block_values, block_ends)
+                    ids.fromlist(block_ids)
+                    values.fromlist(block_values)
+                    ends.fromlist([base + end for end in block_ends])
                     continue
-                block_ids, block_values, block_ends = [], [], []
-                self._append_runs(spec, key, documents[rows], token_lists[rows],
-                                  block_ids, block_values, block_ends)
-                ids.fromlist(block_ids)
-                values.fromlist(block_values)
-                ends.fromlist([base + end for end in block_ends])
+                ids.frombytes(block_ids.tobytes())
+                values.frombytes(block_values.tobytes())
+                ends.frombytes((block_ends + base).tobytes())
         return ids, values, ends
 
     def _fit(
@@ -711,18 +726,16 @@ class FeaturePipeline:
         self._assign_ranges()
         return self
 
-    def _dense_arrays(self, spec: FeatureBlockSpec, doc: Document, tokens: list[str] | None):
+    def _dense_vector(self, spec: FeatureBlockSpec, doc: Document,
+                      tokens: list[str] | None) -> np.ndarray:
         res = self.resources
         if spec.kind == "embedding":
-            vec, _coverage = lexfeatures.embed_average(tokens, res.embeddings)
-        elif spec.kind == "sentiment":
-            vec = res.sentiment_provider.document_features(doc)
-        elif spec.kind == "liwc":
-            vec = lexfeatures.liwc_features(tokens, res.category_lexicon)
-        else:
-            vec = lexfeatures.gender_features(tokens, res.gender_lexicon)
-        nonzero = np.flatnonzero(vec)
-        return nonzero, vec[nonzero]
+            return lexfeatures.embed_average(tokens, res.embeddings)[0]
+        if spec.kind == "sentiment":
+            return res.sentiment_provider.document_features(doc)
+        if spec.kind == "liwc":
+            return lexfeatures.liwc_features(tokens, res.category_lexicon)
+        return lexfeatures.gender_features(tokens, res.gender_lexicon)
 
     def _to_csr(self, n: int, ids: np.ndarray, values: np.ndarray, ends: np.ndarray) -> SparseMatrix:
         """The CSR matrix of ``n`` rows from the :meth:`_runs` of every block.

@@ -14,29 +14,60 @@ File formats:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Container, NoReturn, Sequence
+from typing import Container, Mapping, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import DataError, ResourceError, read_utf8
 from .preprocess import load_spell_dictionary
 
-@dataclass
 class EmbeddingTable:
-    vectors: dict[str, np.ndarray]
-    dimension: int
+    """Word vectors of ``dimension`` floats: each word ``w``'s vector is row
+    ``index[w]`` of one read-only float64 ``matrix`` of shape
+    ``(len(index), dimension)``. A loaded table may be shared by every model
+    over the same file (see :meth:`Resources.load`), so neither the matrix
+    nor the index may be changed.
+
+    ``EmbeddingTable(vectors, dimension)`` copies a dict of word vectors
+    into a new matrix, rows in the dict's order; :func:`load_embeddings`
+    hands over the matrix it filled and its index (:meth:`of_rows`)."""
+
+    def __init__(self, vectors: Mapping[str, Sequence[float]], dimension: int) -> None:
+        matrix = np.array(list(vectors.values()), dtype=np.float64)
+        self._set(dict(zip(vectors, range(len(vectors)))),
+                  matrix.reshape(len(vectors), dimension))
+
+    @classmethod
+    def of_rows(cls, index: dict[str, int], matrix: np.ndarray) -> "EmbeddingTable":
+        """The table whose word ``w`` has row ``index[w]`` of ``matrix``,
+        which it makes read-only and keeps, without a copy."""
+        table = cls.__new__(cls)
+        table._set(index, matrix)
+        return table
+
+    def _set(self, index: dict[str, int], matrix: np.ndarray) -> None:
+        # views taken after this inherit the flag
+        matrix.flags.writeable = False
+        self.index, self.matrix, self.dimension = index, matrix, matrix.shape[1]
+
+    @functools.cached_property
+    def vectors(self) -> dict[str, np.ndarray]:
+        """Each word's vector, a read-only view of its row, made on first
+        use; :func:`embed_average` reads ``index`` and ``matrix``."""
+        return dict(zip(self.index, self.matrix))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.index)
 
     def __contains__(self, word: str) -> bool:
-        return word in self.vectors
+        return word in self.index
 
 
 # About this many characters of lines go to one np.loadtxt call, which
@@ -67,8 +98,8 @@ def load_embeddings(text: str, path: Path) -> EmbeddingTable:
     ``\\n``, ``\\r\\n`` or ``\\r``); ``path`` names the file in messages.
 
     The rows fill one ``(V, d)`` matrix, parsed a chunk of lines at a time,
-    and ``vectors`` maps each word to its row. The matrix is read-only,
-    and so is every row view, because a table may be shared."""
+    which the table keeps, read-only because a table may be shared, with
+    the index of each word's row."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     end = text.find("\n") % (len(text) + 1)  # the header line's end; -1 gives len(text)
@@ -108,9 +139,7 @@ def load_embeddings(text: str, path: Path) -> EmbeddingTable:
         lineno += len(lines)
     if n_rows != count:
         raise ResourceError(f"{path}: header declares {count} vectors but file has {n_rows}")
-    # views taken after this inherit the flag; views taken before keep theirs
-    matrix.flags.writeable = False
-    return EmbeddingTable(vectors=dict(zip(words, matrix)), dimension=dim)
+    return EmbeddingTable.of_rows(dict(zip(words, range(count))), matrix)
 
 
 def _refuse_embedding_rows(
@@ -147,11 +176,18 @@ def embed_average(tokens: Sequence[str], table: EmbeddingTable) -> tuple[np.ndar
 
     Out-of-table tokens are skipped; with no hits the vector is zero and
     coverage is the fraction of covered tokens (0 for an empty list).
+    The hit rows are gathered from the table's matrix by its shared index
+    and summed in token order, one addition at a time
+    (``np.add.reduce(axis=0)``), then divided by the hit count: the bits
+    of ``np.mean(np.stack(hits), axis=0)``.
     """
-    hits = [table.vectors[t] for t in tokens if t in table.vectors]
-    if not hits:
+    index = table.index
+    rows = [index[t] for t in tokens if t in index]
+    if not rows:
         return np.zeros(table.dimension), 0.0
-    return np.mean(hits, axis=0), len(hits) / len(tokens)
+    mean = np.add.reduce(table.matrix.take(rows, axis=0), axis=0)
+    mean /= len(rows)
+    return mean, len(rows) / len(tokens)
 
 
 def sentiment_features(sentences: Sequence[np.ndarray]) -> np.ndarray:

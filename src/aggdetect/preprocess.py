@@ -141,27 +141,30 @@ def _stem_token(token: str) -> str:
 _MAX_REWRITE_DEPTH = 8
 
 
-def _rewrite_step(token: str, config: CleanConfig) -> list[str] | None:
-    """The tokens one rewrite turns ``token`` into: the words of its
-    expansion, or its stem when that is an expansion key ("u's" -> "u");
-    None when no rewrite applies."""
+def _stem(token: str, config: CleanConfig) -> str:
+    return _stem_token(token) if config.minor_stemming else token
+
+
+def _rewrite_step(token: str, stem: str, config: CleanConfig) -> list[str] | None:
+    """The tokens one rewrite turns ``token``, whose :func:`_stem` is
+    ``stem``, into: the words of its expansion, or its stem when that is an
+    expansion key ("u's" -> "u"); None when no rewrite applies."""
     replacement = config.expansions.get(token)
     if replacement is not None and replacement.split() != [token]:
         return replacement.split()
-    if config.minor_stemming:
-        stemmed = _stem_token(token)
-        if stemmed != token and stemmed in config.expansions:
-            return [stemmed]
+    if stem != token and stem in config.expansions:
+        return [stem]
     return None
 
 
 def _rewrite_token(token: str, config: CleanConfig, depth: int = 0) -> list[str]:
     # Expansion, then stemming, to the fixed point a second pass would
-    # reach. The depth cap guards against rewrite cycles, which CleanConfig
-    # refuses.
-    parts = _rewrite_step(token, config) if depth < _MAX_REWRITE_DEPTH else None
+    # reach; the token is stemmed once. The depth cap guards against
+    # rewrite cycles, which CleanConfig refuses.
+    stem = _stem(token, config)
+    parts = _rewrite_step(token, stem, config) if depth < _MAX_REWRITE_DEPTH else None
     if parts is None:
-        return [_stem_token(token)] if config.minor_stemming else [token]
+        return [stem]
     return [out for part in parts for out in _rewrite_token(part, config, depth + 1)]
 
 
@@ -173,7 +176,7 @@ def _rewrite_depth(
     UsageError once the chain needs ``_MAX_REWRITE_DEPTH`` of them, one
     being left for a stem that leads to the key."""
     if token not in depths and len(chain) <= _MAX_REWRITE_DEPTH:
-        parts = _rewrite_step(token, config)
+        parts = _rewrite_step(token, _stem(token, config), config)
         depths[token] = 0 if parts is None else 1 + max(
             (_rewrite_depth(part, config, chain + [part], depths) for part in parts), default=0
         )

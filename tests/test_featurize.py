@@ -27,7 +27,6 @@ from aggdetect.lexfeatures import (
     EmbeddingTable,
     Resources,
     WeightedLexicon,
-    embed_average,
     gender_features,
 )
 
@@ -745,11 +744,9 @@ def test_char_only_pipeline_never_tokenizes():
 # has zeros to drop; "zz" and "qq" are in no vocabulary fitted from _TEXTS
 # and not in the table; the gender block is nonzero on every document, so
 # only the blank-document rule keeps it off whitespace-only ones.
-_TABLE = EmbeddingTable(
-    vectors={"a": np.array([0.5, 0.0, -1.25]), "b": np.array([0.0, 0.0, 3.0]),
-             "ab": np.array([-0.5, 2.0, 0.0])},
-    dimension=3,
-)
+_VECTORS = {"a": np.array([0.5, 0.0, -1.25]), "b": np.array([0.0, 0.0, 3.0]),
+            "ab": np.array([-0.5, 2.0, 0.0])}
+_TABLE = EmbeddingTable(vectors=_VECTORS, dimension=3)
 _LEXICON = WeightedLexicon(weights={"a": 1.5, "zz": -2.0}, intercept=-0.25)
 _RESOURCES = Resources(embeddings=_TABLE, gender_lexicon=_LEXICON)
 _BATCH_TEXTS = st.one_of(
@@ -770,8 +767,9 @@ def test_batch_rows_equal_single_rows_and_references(fit_texts, batch, names, mi
     """Over mixed batches (empty, whitespace-only, out-of-vocabulary-only
     and repeated documents), every transform_many row equals transform of
     its document alone bit for bit; lexical entries equal the dict
-    reference and dense entries the nonzeros of embed_average and
-    gender_features, on documents that are not blank. fit_transform's
+    reference and dense entries the nonzeros of np.mean over the stacked
+    hit vectors (summed in token order) and of gender_features, on
+    documents that are not blank. fit_transform's
     matrix equals transform_many of the same documents, and weighting two
     rows at a time changes no bit of either."""
     blocks = [FeatureBlockSpec.from_name(n, min_df=min_df) for n in names]
@@ -806,7 +804,8 @@ def test_batch_rows_equal_single_rows_and_references(fit_texts, batch, names, mi
         for name in ("W2V", "GP") if doc.text.strip() else ():
             if name in names:
                 if name == "W2V":
-                    vector = embed_average(tokens, _TABLE)[0]
+                    hits = [_VECTORS[t] for t in tokens if t in _VECTORS]
+                    vector = np.mean(np.stack(hits), axis=0) if hits else np.zeros(3)
                 else:
                     vector = gender_features(tokens, _LEXICON)
                 offset = pipeline.offsets[name]

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -94,6 +95,74 @@ class TestEmbeddings:
         matrix = table.vectors["a"].base
         assert matrix.shape == (2, 3) and table.vectors["b"].base is matrix
         assert matrix.tolist() == [[1.0, 2.0, 3.0], [0.0, 0.0, 1.0]]
+
+
+# Rows with a signed zero, subnormals and values near +-1e300.
+_ROWS = {"neg0": [-0.0, 5e-324, 1e300], "tiny": [-5e-324, 2.5e-310, -1e300],
+         "big": [9.99e299, -0.0, 1.5], "zero": [0.0, 0.0, 0.0]}
+
+
+class TestEmbeddingTable:
+    def test_loaded_rows_are_read_only_views_of_one_matrix(self, tmp_path):
+        path = write_embeddings(tmp_path / "e.vec", _ROWS)
+        with patch.object(lexfeatures, "_EMBEDDING_CHUNK", 1):  # one line per parse
+            table = load_file("embedding", path)
+        assert table.matrix.shape == (4, 3) and not table.matrix.flags.writeable
+        assert table.index == {word: row for row, word in enumerate(_ROWS)}
+        assert list(table.vectors) == list(_ROWS)
+        for word, row in table.index.items():
+            vector = table.vectors[word]
+            assert vector.base is table.matrix and not vector.flags.writeable
+            assert vector.tobytes() == table.matrix[row].tobytes() == np.array(_ROWS[word]).tobytes()
+
+    def test_hand_built_table(self):
+        rows = {word: np.array(values) for word, values in _ROWS.items()}
+        table = EmbeddingTable(rows, 3)
+        assert table.dimension == 3 and len(table) == 4 and "big" in table and "x" not in table
+        assert table.index == {word: row for row, word in enumerate(_ROWS)}
+        assert table.matrix.tobytes() == np.array(list(_ROWS.values())).tobytes()
+        assert not table.matrix.flags.writeable
+        assert EmbeddingTable({}, 5).matrix.shape == (0, 5)
+
+    def test_hand_built_and_loaded_tables_average_alike(self, tmp_path):
+        loaded = load_file("embedding", write_embeddings(tmp_path / "e.vec", _ROWS))
+        built = EmbeddingTable({word: np.array(values) for word, values in _ROWS.items()}, 3)
+        for tokens in (["neg0"], ["big", "x", "tiny", "big"], ["zero", "neg0", "tiny"], ["x"]):
+            (left, left_cov), (right, right_cov) = (embed_average(tokens, loaded),
+                                                    embed_average(tokens, built))
+            assert left.tobytes() == right.tobytes() and left_cov == right_cov
+
+    def test_cold_load_peak_is_below_a_table_of_row_views(self, tmp_path):
+        """The tracemalloc peak of a cold load is at most what a loader
+        that kept a dict of row views held once it was done: the decoded
+        text, the matrix, the words and a view per row. The parse runs in
+        small chunks, so that its temporaries do not set the peak."""
+        rng = np.random.default_rng(3)
+        rows = {f"w{i}": rng.standard_normal(100).round(4).tolist() for i in range(2000)}
+        path = write_embeddings(tmp_path / "cold.vec", rows)
+        del rows
+        gc.collect()
+        with patch.object(lexfeatures, "_EMBEDDING_CHUNK", 1 << 12):
+            tracemalloc.start()
+            try:
+                table = load_file("embedding", path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(table) == 2000
+        del table
+        gc.collect()
+        tracemalloc.start()
+        try:
+            text = path.read_text(encoding="utf-8")
+            matrix = np.empty((2000, 100))
+            words = dict.fromkeys(line.partition(" ")[0] for line in text.splitlines()[1:])
+            views = dict(zip(words, matrix))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(views) == 2000
+        assert peak <= held
 
 
 def reference_load_embeddings(path):
@@ -236,6 +305,28 @@ class TestEmbedAverage:
         baseline, _cov = embed_average(["a", "b", "c"], table)
         vec, _cov = embed_average(list(tokens), table)
         assert np.allclose(vec, baseline)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_equals_the_mean_of_the_stacked_hits_bit_for_bit(self, data):
+        """The sum runs in token order, as np.mean's does, over repeated
+        and out-of-table tokens, signed zeros, subnormals and values near
+        +-1e300."""
+        dim = data.draw(st.integers(1, 6))
+        values = st.one_of(
+            st.floats(min_value=-1e301, max_value=1e301),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 9.99e299]),
+        )
+        rows = data.draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=8))
+        vectors = {f"w{i}": np.array(row) for i, row in enumerate(rows)}
+        hits = data.draw(st.lists(st.sampled_from(list(vectors)), min_size=1, max_size=60))
+        misses = data.draw(st.lists(st.sampled_from(["zz", "", "W0"]), max_size=20))
+        tokens = data.draw(st.permutations(hits + misses))
+        vec, coverage = embed_average(tokens, EmbeddingTable(vectors, dim))
+        reference = np.mean(np.stack([vectors[t] for t in tokens if t in vectors]), axis=0)
+        assert vec.dtype == np.float64 and vec.tobytes() == reference.tobytes()
+        assert coverage == len(hits) / len(tokens)
 
     @given(st.floats(min_value=-10, max_value=10, allow_nan=False))
     def test_scale_equivariant(self, c):

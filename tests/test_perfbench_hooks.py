@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 
 import aggdetect.cli  # imports every module the tracer wraps
-from aggdetect import kernels
+from aggdetect import featurize, kernels
 from aggdetect.corpus_io import Document
 from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline
+from aggdetect.lexfeatures import EmbeddingTable, Resources
 
 from helpers import synthetic_documents, write_corpus_tsv, write_embeddings, write_lines
 
@@ -86,6 +87,33 @@ def test_traced_transform_and_stack_record_their_notes():
     assert notes["featurize.transform"] == (pipeline.total_dimension, len(row))
     assert "featurize.transform_many" in notes
     assert notes["kernels.stack_csr"] == sum(array.nbytes for array in csr[:3])
+
+
+def test_traced_transform_many_records_one_embed_average_per_nonblank_document():
+    """lexfeatures.embed_s is the time of these spans: a W2V batch over
+    two chunks must record one per document that is not blank, each inside
+    the transform_many span."""
+    table = EmbeddingTable({"ab": [1.0, 0.0], "cd": [0.0, 2.0]}, 2)
+    texts = ["ab cd ab", "   ", "zz", "", "cd ab", "\t"] * 30
+    docs = [Document(id=f"d{i}", text=t) for i, t in enumerate(texts)]
+    pipeline = FeaturePipeline(
+        [FeatureBlockSpec.from_name("U", min_df=1), FeatureBlockSpec.from_name("W2V")],
+        Resources(embeddings=table),
+    ).fit(docs)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        with spans.span("op"):
+            pipeline.transform_many(docs)
+    finally:
+        spans.uninstall()
+    names = [span[0] for span in spans.spans]
+    batch = names.index("featurize.transform_many")
+    averages = [span for span in spans.spans if span[0] == "lexfeatures.embed_average"]
+    assert len(texts) > featurize._CHUNK_ROWS
+    assert len(averages) == sum(1 for t in texts if t.strip()) == 90
+    assert all(span[3] == batch for span in averages)
+    assert tracer.layer_metrics(spans.spans, "op")["lexfeatures.embed_s"] > 0
 
 
 def test_transform_many_rows_read_as_the_objective_reads_them():

@@ -97,6 +97,20 @@ class TestCleanText:
         # one pass must land on a stemming fixed point
         assert clean_text("passings") == clean_text(clean_text("passings"))
 
+    @pytest.mark.parametrize("token, cleaned", [
+        ("passings", "pas"), ("dogs", "dog"), ("this", "this"), ("hello", "hello"),
+    ])
+    def test_a_token_no_expansion_rewrites_is_stemmed_once(self, monkeypatch, token, cleaned):
+        stemmed = []
+
+        def counted(word, stem=preprocess._stem_token):
+            stemmed.append(word)
+            return stem(word)
+
+        monkeypatch.setattr(preprocess, "_stem_token", counted)
+        assert clean_text(token) == cleaned
+        assert stemmed == [token]
+
     @given(st.text(max_size=120))
     @settings(max_examples=300)
     def test_idempotent(self, text):
