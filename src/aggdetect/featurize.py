@@ -35,13 +35,16 @@ instead.  Either way code order is term order.
 ``FeaturePipeline.fit_transform`` featurizes a training corpus with one
 term extraction per document and block: each distinct term (or char code)
 gets a provisional id; document frequency is one ``np.bincount`` over
-those ids, and ``min_df`` pruning plus the sort give the vocabulary and
+those ids, and ``min_df`` pruning plus term order give the vocabulary and
 one remap array from provisional ids to vocabulary indices, which turn the
-counted runs into the block's runs.  ``transform_many`` gets them with one
-term-to-index dict lookup per term on a word or skip-gram block, or one
-``searchsorted`` of a chunk's distinct char codes in the block's
-vocabulary codes, and ``transform(doc)`` is
-``transform_many([doc])[0]``.  So ``fit_transform(docs)``,
+counted runs into the block's runs.  A word block sorts its kept terms.
+A char block keeps the codes it has seen in one sorted array beside their
+ids, matching each chunk's distinct codes by array operations
+(:class:`_CodeIds`), so its kept codes are already in term order.
+``transform_many`` gets the runs with one term-to-index dict lookup per
+term on a word or skip-gram block, or one ``searchsorted`` of a chunk's
+distinct char codes in the block's vocabulary codes, and
+``transform(doc)`` is ``transform_many([doc])[0]``.  So ``fit_transform(docs)``,
 ``fit(docs).transform_many(docs)`` and ``transform`` of each document agree
 bit for bit.
 """
@@ -165,25 +168,38 @@ class Vocabulary:
         return len(self.terms)
 
 
+class _TermIds(defaultdict):
+    """A word or skip-gram block's provisional ids: ``ids[term]`` numbers
+    each distinct term in first-seen order, looked up once per occurrence."""
+
+    def __init__(self) -> None:
+        super().__init__(itertools.count().__next__)
+
+    def kept(self, keep: np.ndarray) -> tuple[list[int], list[str]]:
+        """The ids where ``keep`` is true, in term order, and their terms;
+        only those terms are sorted."""
+        terms = list(self)
+        kept = sorted(np.flatnonzero(keep).tolist(), key=terms.__getitem__)
+        return kept, [terms[p] for p in kept]
+
+
 def _fit_counts(
-    terms: list, ids: np.ndarray, n_documents: int, min_df: int,
-    decode: Callable[[list], list[str]] | None = None,
+    ids: np.ndarray, provisional: "_TermIds | _CodeIds", n_documents: int, min_df: int,
 ) -> tuple[Vocabulary, np.ndarray]:
     """The vocabulary of the terms with document frequency >= min_df, given
-    every document's distinct provisional ids, and the array that maps each
-    provisional id to its vocabulary index (-1 when pruned). With
-    ``decode``, ``terms`` are codes that sort as their terms do, and only
-    the kept ones are decoded to terms."""
+    every document's distinct provisional ids ``ids`` and the block's
+    ``provisional`` numbering, and the array that maps each provisional id
+    to its vocabulary index (-1 when pruned). The numbering gives the kept
+    ids in term order with their terms: sorted on a word block, and on a
+    char block read off its sorted codes, with no sort and no lookup per
+    code."""
     if min_df < 1:
         raise ValueError("min_df must be >= 1")
-    df = np.bincount(ids, minlength=len(terms))
-    kept = sorted(np.flatnonzero(df >= min_df).tolist(), key=terms.__getitem__)
-    remap = np.full(len(terms), -1, dtype=np.int32)
+    df = np.bincount(ids, minlength=len(provisional))
+    kept, terms = provisional.kept(df >= min_df)
+    remap = np.full(len(provisional), -1, dtype=np.int32)
     remap[kept] = np.arange(len(kept))
-    vocab_terms = [terms[p] for p in kept]
-    if decode is not None:
-        vocab_terms = decode(vocab_terms)
-    return Vocabulary(vocab_terms, df[kept], n_documents), remap
+    return Vocabulary(terms, df[kept], n_documents), remap
 
 
 def _segment_norms(weights: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
@@ -195,15 +211,17 @@ def _segment_norms(weights: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarr
     return np.sqrt(np.bincount(seg, weights=weights * weights, minlength=n_seg))
 
 
-def _run_layout(n: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
-    """The row and the block of each run that ``FeaturePipeline._runs``
-    gives for ``n`` documents and ``nb`` blocks."""
-    rows, blocks = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+def _run_layout(n: int, nb: int) -> tuple[np.ndarray, list[list[slice]]]:
+    """The row of each run that ``FeaturePipeline._runs`` gives for ``n``
+    documents and ``nb`` blocks, and each block's runs as one slice of run
+    positions per chunk."""
+    rows, chunks = [np.zeros(0, dtype=np.intp)], [[] for _ in range(nb)]
     for r0 in range(0, n, _CHUNK_ROWS):
         m = min(_CHUNK_ROWS, n - r0)
         rows.append(np.tile(np.arange(r0, r0 + m), nb))
-        blocks.append(np.repeat(np.arange(nb), m))
-    return np.concatenate(rows), np.concatenate(blocks)
+        for k in range(nb):
+            chunks[k].append(slice(r0 * nb + k * m, r0 * nb + (k + 1) * m))
+    return np.concatenate(rows), chunks
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -236,11 +254,15 @@ class _Alphabet:
         """Each code point's number, 0 outside the alphabet."""
         return self.table.take(points, mode="clip")
 
+    def packs(self, n: int) -> bool:
+        """Whether an n-character window's code is a packed int64."""
+        return n * self.bits <= 63
+
     def codes(self, points: np.ndarray, ranks: np.ndarray, starts: np.ndarray,
               n: int) -> np.ndarray:
         """The codes of the n-character windows of ``points`` (numbered
         ``ranks``) that begin at ``starts``."""
-        if n * self.bits <= 63:
+        if self.packs(n):
             code = ranks[starts].astype(np.int64)
             for j in range(1, n):
                 code <<= self.bits
@@ -248,25 +270,35 @@ class _Alphabet:
             return code
         return points[starts[:, None] + np.arange(n)].astype(">u4").view(f"S{4 * n}").ravel()
 
-    def terms(self, codes: list, n: int) -> list[str]:
-        """The n-character windows that ``codes`` (as ``tolist()`` gives
-        them) stand for."""
-        if n * self.bits <= 63:
+    def empty(self, n: int) -> np.ndarray:
+        """No codes, in the dtype of n-character windows' codes."""
+        return np.zeros(0, dtype=np.int64 if self.packs(n) else f"S{4 * n}")
+
+    def terms(self, codes: np.ndarray, n: int) -> list[str]:
+        """The n-character windows that the array ``codes`` stands for."""
+        if self.packs(n):
             shifts = self.bits * np.arange(n - 1, -1, -1)
-            ranks = np.array(codes, dtype=np.int64)[:, None] >> shifts & (1 << self.bits) - 1
+            ranks = codes[:, None] >> shifts & (1 << self.bits) - 1
             text = self.points[ranks - 1].tobytes().decode("utf-32-le", "surrogatepass")
         else:
-            text = np.array(codes, dtype=f"S{4 * n}").tobytes().decode("utf-32-be",
-                                                                       "surrogatepass")
+            text = codes.tobytes().decode("utf-32-be", "surrogatepass")
         return [text[i : i + n] for i in range(0, len(text), n)]
 
 
+# Characters whose code points _alphabet_of gathers with one np.unique.
+_ALPHABET_CHARS = 1 << 16
+
+
 def _alphabet_of(texts: Sequence[str]) -> _Alphabet:
-    """The alphabet of the characters in ``texts``, gathered ``_CHUNK_ROWS``
-    texts at a time, so that no temporary is as large as the texts."""
-    points = [np.unique(_code_points("".join(texts[i : i + _CHUNK_ROWS])))
-              for i in range(0, len(texts), _CHUNK_ROWS)]
-    return _Alphabet(np.concatenate(points) if points else np.zeros(0, dtype="<u4"))
+    """The alphabet of the characters in ``texts``, gathered a group of
+    texts at a time: those that start within the same ``_ALPHABET_CHARS``
+    characters of the texts joined, so that no temporary is as large as
+    the texts, however short each text is."""
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    group = (np.cumsum(lengths) - lengths) // _ALPHABET_CHARS
+    bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(texts)]
+    return _Alphabet(np.concatenate([np.unique(_code_points("".join(texts[a:b])))
+                                     for a, b in zip(bounds, bounds[1:])]))
 
 
 def _vocabulary_codes(alphabet: _Alphabet, terms: list[str], n: int) -> np.ndarray:
@@ -309,6 +341,45 @@ def _search(vocabulary: np.ndarray, codes: np.ndarray) -> np.ndarray:
         return np.full(len(codes), -1)
     at = vocabulary.searchsorted(codes)
     return np.where(vocabulary.take(at, mode="clip") == codes, at, -1)
+
+
+class _CodeIds:
+    """A char block's provisional ids while it is fitted: each distinct
+    window code gets the next id when a chunk first shows it. The codes
+    seen so far stay in one sorted array, each code's id beside it, so a
+    chunk's distinct codes are matched with one ``searchsorted`` and the
+    new ones merged in with ``np.insert``, and the kept codes come out in
+    code order, which is term order."""
+
+    def __init__(self, alphabet: _Alphabet, n: int) -> None:
+        self.alphabet, self.n = alphabet, n
+        self.codes = alphabet.empty(n)
+        self.ids = np.zeros(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __call__(self, codes: np.ndarray) -> np.ndarray:
+        """The ids of a chunk's distinct codes, given increasing; the new
+        ones are numbered on from the codes already seen, in code order."""
+        at = self.codes.searchsorted(codes)
+        if len(self.codes):
+            ids = self.ids.take(at, mode="clip")
+            new = self.codes.take(at, mode="clip") != codes
+        else:  # nothing to take from before the first window
+            ids, new = np.empty(len(codes), dtype=np.int64), np.ones(len(codes), dtype=bool)
+        fresh = np.arange(len(self.codes), len(self.codes) + np.count_nonzero(new))
+        ids[new] = fresh
+        at = at[new]
+        self.codes = np.insert(self.codes, at, codes[new])
+        self.ids = np.insert(self.ids, at, fresh)
+        return ids
+
+    def kept(self, keep: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        """The ids where ``keep`` is true, in term order, and their terms;
+        only those codes are decoded."""
+        in_order = keep[self.ids]
+        return self.ids[in_order], self.alphabet.terms(self.codes[in_order], self.n)
 
 
 class _CharWindows:
@@ -647,55 +718,49 @@ class FeaturePipeline:
 
         Each distinct term gets a provisional id; document frequency is one
         ``np.bincount`` over the block's ids, and ``min_df`` pruning plus
-        the sort give the vocabulary and one remap array from provisional
-        ids to vocabulary indices (-1 when pruned). On a word block the
-        provisional keys are the terms, looked up once per occurrence. On a
-        char block they are the windows' codes over the alphabet of the
-        whole corpus (packed int64s, or byte strings past the width rule
-        of :class:`_Alphabet`), looked up once per distinct code of a
-        chunk, and only the kept codes are decoded to terms.
+        term order give the vocabulary and one remap array from provisional
+        ids to vocabulary indices, -1 when pruned (:func:`_fit_counts`). On
+        a word block the provisional keys are the terms, looked up once per
+        occurrence in a :class:`_TermIds`. On a char block they are the
+        windows' codes over the alphabet of the whole corpus (packed int64s,
+        or byte strings past the width rule of :class:`_Alphabet`), matched
+        a chunk at a time by array operations in a :class:`_CodeIds`, and
+        only the kept codes are decoded to terms. The counts and the remaps
+        read each block's entries chunk by chunk, as the slices where
+        :meth:`_runs` put them.
 
         The kept entries are then moved forward within the runs' own
         buffers, which are cut to them, so no compacted copy is ever held
         beside the full-length runs."""
-        provisional = {spec.name: defaultdict(itertools.count().__next__)
-                       for spec in blocks if spec.kind in LEXICAL_KINDS}
         texts = [doc.text for doc in documents]
         chars = any(spec.kind == "char_ngram" for spec in blocks)
         alphabet = _alphabet_of(texts) if chars else None
+        provisional = {spec.name: (_CodeIds(alphabet, spec.params["n"])
+                                   if spec.kind == "char_ngram" else _TermIds())
+                       for spec in blocks if spec.kind in LEXICAL_KINDS}
 
         def key(spec: FeatureBlockSpec):
-            if spec.name not in provisional:
-                return None
-            pid = provisional[spec.name].__getitem__
-            if spec.kind != "char_ngram":
-                return pid
-            return lambda codes: np.fromiter(map(pid, codes.tolist()), np.int64, len(codes))
+            ids = provisional.get(spec.name)
+            return ids.__getitem__ if isinstance(ids, _TermIds) else ids
 
         id_buffer, value_buffer, ends = self._runs(
             [(spec, key(spec)) for spec in blocks], documents, texts,
             _token_lists(blocks, texts), alphabet)
         ids, values, ends = np.asarray(id_buffer), np.asarray(value_buffer), np.asarray(ends)
-        run_rows, run_blocks = _run_layout(len(documents), len(blocks))
-        lengths = np.diff(ends)
-        block_of = np.repeat(run_blocks.astype(np.min_scalar_type(len(blocks))), lengths)
+        run_rows, chunks = _run_layout(len(documents), len(blocks))
         for k, spec in enumerate(blocks):
             if spec.name in provisional:
-                in_block = block_of == k
-                pids = ids[in_block]
-                decode = (functools.partial(alphabet.terms, n=spec.params["n"])
-                          if spec.kind == "char_ngram" else None)
+                entries = [(ends[runs.start], ends[runs.stop]) for runs in chunks[k]]
                 self.vocabularies[spec.name], remap = _fit_counts(
-                    list(provisional.pop(spec.name)), pids, len(documents),
-                    spec.params.get("min_df", 1), decode,
+                    np.concatenate([ids[:0], *(ids[a:b] for a, b in entries)]),
+                    provisional.pop(spec.name), len(documents), spec.params.get("min_df", 1),
                 )
-                ids[in_block] = remap[pids]
-                del in_block, pids
-        del block_of
+                for a, b in entries:
+                    ids[a:b] = remap[ids[a:b]]
         self._assign_ranges()
         keep = ids >= 0
         nonblank = np.array([bool(text.strip()) for text in texts], dtype=bool)
-        keep &= np.repeat(nonblank[run_rows], lengths)
+        keep &= np.repeat(nonblank[run_rows], np.diff(ends))
         # each run end moves back by the dropped entries before it
         ends = ends - np.searchsorted(np.flatnonzero(~keep), ends)
         size = 0

@@ -10,13 +10,16 @@ arrays, since a bad index makes the products below read or write out of
 bounds; the featurizer and the row views build through ``_trusted``,
 which neither checks nor copies.
 
-The two CSR products run in scipy's compiled sparse code: each call wraps
-the caller's ``(indptr, indices, data)`` as a ``scipy.sparse.csr_array``
-without copying them (int64 indices stay int64) and multiplies. scipy adds
-each row's products in storage order from 0.0, so ``csr_matvec`` gives a
-row the same result whatever rows are stacked with it: one document scores
-bit for bit the same alone as inside a batch, and each column of a 2-d
-product equals the 1-d product with that column.
+The two CSR products take a SparseMatrix and run in scipy's compiled
+sparse code. The matrix wraps its ``(indptr, indices, data)`` as a
+``scipy.sparse.csr_array`` on its first product, and as that array's
+transpose on its first ``csr_rmatvec``; both are views, not copies (int64
+indices stay int64), kept for every later product, so a solve wraps its
+training matrix once and a one-row prediction never builds the transpose.
+scipy adds each row's products in storage order from 0.0, so
+``csr_matvec`` gives a row the same result whatever rows are stacked with
+it: one document scores bit for bit the same alone as inside a batch, and
+each column of a 2-d product equals the 1-d product with that column.
 """
 
 from __future__ import annotations
@@ -105,7 +108,13 @@ class SparseMatrix(SequenceABC):
     of :class:`SparseVector` rows, each a view into the arrays.
 
     The constructor checks that form and raises ValueError on a fault.
-    Arrays that are already int64 and float64 are kept, not copied."""
+    Arrays that are already int64 and float64 are kept, not copied. The
+    scipy views the products use are built from them on first use and
+    kept, so the arrays must not change after the first product."""
+
+    # the scipy views of the arrays, each made on first use
+    _csr: csr_array | None = None
+    _csr_t = None
 
     def __init__(self, dimension: int, indptr, indices, data) -> None:
         indptr, indices = _int64("indptr", indptr), _int64("indices", indices)
@@ -140,24 +149,35 @@ class SparseMatrix(SequenceABC):
             yield SparseVector._trusted(self.dimension, self.indices[start:end],
                                         self.data[start:end])
 
+    def _scipy(self) -> csr_array:
+        """The arrays as a scipy ``csr_array``, a view made on the first
+        product."""
+        if self._csr is None:
+            self._csr = csr_array((self.data, self.indices, self.indptr),
+                                  shape=(len(self), self.dimension), copy=False)
+        return self._csr
+
+    def _scipy_t(self):
+        """Its transpose, a view made on the first ``csr_rmatvec``."""
+        if self._csr_t is None:
+            self._csr_t = self._scipy().T
+        return self._csr_t
+
 
 def active_backend() -> str:
     """Name of the implementation behind the CSR products."""
     return "scipy"
 
 
-def _csr(indptr, indices, data, n_features) -> csr_array:
-    return csr_array((data, indices, indptr), shape=(indptr.shape[0] - 1, n_features), copy=False)
+def csr_matvec(X: SparseMatrix, w):
+    """X @ w for ``w`` of shape (X.dimension,) or (X.dimension, k); empty
+    rows give 0."""
+    return X._scipy() @ w
 
 
-def csr_matvec(indptr, indices, data, w):
-    """X @ w for CSR X and ``w`` of shape (n,) or (n, k); empty rows give 0."""
-    return _csr(indptr, indices, data, w.shape[0]) @ w
-
-
-def csr_rmatvec(indptr, indices, data, r, n_features):
-    """X^T @ r for CSR X with ``n_features`` columns."""
-    return _csr(indptr, indices, data, n_features).T @ r
+def csr_rmatvec(X: SparseMatrix, r):
+    """X^T @ r for ``r`` of shape (len(X),)."""
+    return X._scipy_t() @ r
 
 
 def sigmoid(z):

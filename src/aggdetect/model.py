@@ -2,8 +2,9 @@
 
 Each class gets its own binary classifier, trained by full-batch L-BFGS
 with Armijo backtracking from zero initialization on the training
-SparseMatrix, shared as it is by all classes; nothing is random, so
-training is fully deterministic.  The objective per binary problem is
+SparseMatrix, shared as it is by all classes (and wrapped for scipy's
+products once); nothing is random, so training is fully deterministic.
+The objective per binary problem is
 
     J(w, b) = (1/m) * sum_i xent(sigmoid(w.x_i + b), y_i)
               + (lambda / 2m) * ||w||^2
@@ -116,7 +117,7 @@ def objective(
 ) -> tuple[float, np.ndarray]:
     """J(w, b) on the examples ``X``, and the scores z = Xw + b it was
     computed from."""
-    z = kernels.csr_matvec(X.indptr, X.indices, X.data, w) + b
+    z = kernels.csr_matvec(X, w) + b
     m = y.shape[0]
     return kernels.logistic_loss_sum(z, y) / m + 0.5 * reg_lambda * float(w @ w) / m, z
 
@@ -128,7 +129,7 @@ def gradient(
     returned there."""
     m = y.shape[0]
     r = kernels.sigmoid(z) - y
-    rmatvec = kernels.csr_rmatvec(X.indptr, X.indices, X.data, r, X.dimension)
+    rmatvec = kernels.csr_rmatvec(X, r)
     gw = rmatvec / m + (reg_lambda / m) * w
     return gw, float(r.mean())
 
@@ -182,8 +183,9 @@ def train_binary(X: SparseMatrix, y: Sequence[int],
     lam = config.reg_lambda
 
     def flat_gradient(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
-        gw, gb = gradient(X, y_arr, theta[:dim], z, lam)
-        return np.append(gw, gb)
+        g = np.empty(dim + 1)
+        g[:dim], g[dim] = gradient(X, y_arr, theta[:dim], z, lam)
+        return g
 
     S = np.empty((_HISTORY, dim + 1))
     Y = np.empty((_HISTORY, dim + 1))
@@ -309,7 +311,7 @@ def _scores(model: OvRModel, X: SparseMatrix) -> np.ndarray:
         raise DataError(
             f"feature dimension {X.dimension} does not match model dimension {model.dimension}"
         )
-    return kernels.csr_matvec(X.indptr, X.indices, X.data, model._weights) + model._biases
+    return kernels.csr_matvec(X, model._weights) + model._biases
 
 
 def predict_proba(model: OvRModel, x: SparseVector) -> np.ndarray:

@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 import re
 import struct
-from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from aggdetect.corpus_io import LABELS, Corpus, Document, Label, escape_field
-from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline, Vocabulary, _fit_counts
+from aggdetect.featurize import (
+    FeatureBlockSpec, FeaturePipeline, Vocabulary, _fit_counts, _TermIds,
+)
 from aggdetect.kernels import SparseMatrix, SparseVector
 from aggdetect.model import OvRModel
 from aggdetect.preprocess import CleanConfig, SpellDictionary, _stem_token
@@ -79,13 +79,13 @@ def char_ngrams(text: str, n: int) -> list[str]:
 def fit_vocabulary(corpus_terms: Iterable[Sequence[str]], min_df: int = 1) -> Vocabulary:
     """The vocabulary of the terms with document frequency >= min_df, each
     document given as its list of terms."""
-    pid: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    pid = _TermIds()
     ids: list[int] = []
     n_documents = 0
     for terms in corpus_terms:
         ids += map(pid.__getitem__, set(terms))
         n_documents += 1
-    return _fit_counts(list(pid), np.array(ids, dtype=np.intp), n_documents, min_df)[0]
+    return _fit_counts(np.array(ids, dtype=np.intp), pid, n_documents, min_df)[0]
 
 
 def terms_and_dfs(vocab: Vocabulary) -> list[tuple[str, int]]:

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from aggdetect import featurize
 from aggdetect.corpus_io import Document
@@ -554,22 +554,45 @@ def reference_vocabulary(spec, documents):
     return {t: c for t, c in sorted(df.items()) if c >= min_df}, len(documents)
 
 
+# 4,100 distinct characters: beside them a C5 code needs 5 x 13 bits, so
+# C5 codes are UTF-32-BE byte strings while C3's and C4's pack into int64
+_MANY_CHARS = "".join(chr(0x4E00 + i) for i in range(4100)) + " ab"
+
+
 @given(
     texts=st.lists(_FIT_TEXTS, min_size=1, max_size=8),
     names=st.lists(st.sampled_from(["U", "B", "T", "BU", "C3", "C4", "C5", "SK2"]),
                    min_size=1, max_size=8, unique=True),
     min_df=st.integers(1, 3),
+    chunk_rows=st.sampled_from([2, 3, featurize._CHUNK_ROWS]),
+    many_chars_at=st.none() | st.integers(0, 8),
 )
+# a leading chunk that is all blank, then one without a window, before
+# chunks whose codes are new: as int64s, then as byte strings
+@example(texts=["", "   ", "!!", "  ", "ab ab c.", "c. ab"], names=["C3", "C5", "U"], min_df=1,
+         chunk_rows=2, many_chars_at=None)
+@example(texts=["", "  ", "ab c.", "c. c. ab"], names=["C3", "C4", "C5", "BU"], min_df=1,
+         chunk_rows=2, many_chars_at=3)
+@example(texts=["!!", "ab ab", "ab c."], names=["C5", "C3"], min_df=2, chunk_rows=3,
+         many_chars_at=1)
 @settings(max_examples=200, deadline=None)
-def test_fit_transform_matches_fit_then_transform_many(texts, names, min_df):
+def test_fit_transform_matches_fit_then_transform_many(texts, names, min_df, chunk_rows,
+                                                       many_chars_at):
     """Same vocabularies, offsets and rows, bit for bit, as fit followed by
-    transform_many, and both equal to the dict references."""
+    transform_many, and both equal to the dict references, with the
+    documents in one chunk or in chunks of two or three, where codes are
+    first seen in later chunks, and with C5 codes as byte strings when a
+    document of 4,100 distinct characters is among them."""
     blocks = [FeatureBlockSpec.from_name(n, min_df=min_df) for n in names]
+    if many_chars_at is not None:
+        texts = texts[:many_chars_at] + [_MANY_CHARS] + texts[many_chars_at:]
+    assert featurize._alphabet_of(texts).packs(5) == (many_chars_at is None)
     docs = _docs(*texts)
-    fitted = FeaturePipeline(blocks).fit(docs)
-    expected = fitted.transform_many(docs)
-    pipeline = FeaturePipeline(blocks)
-    rows = pipeline.fit_transform(docs)
+    with mock.patch.object(featurize, "_CHUNK_ROWS", chunk_rows):
+        fitted = FeaturePipeline(blocks).fit(docs)
+        expected = fitted.transform_many(docs)
+        pipeline = FeaturePipeline(blocks)
+        rows = pipeline.fit_transform(docs)
 
     assert pipeline.offsets == fitted.offsets
     assert pipeline.total_dimension == fitted.total_dimension

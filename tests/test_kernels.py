@@ -1,9 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aggdetect import kernels
+from aggdetect.model import (
+    BinaryLogReg, OvRModel, TrainConfig, predict, predict_many, train_binary,
+)
 
 from helpers import sparse, stack
 
@@ -39,6 +44,12 @@ def csr_matrices(draw):
     indices = np.array([i for r in rows for i in sorted(r)], dtype=np.int64)
     data = np.array([r[i] for r in rows for i in sorted(r)], dtype=np.float64)
     return indptr, indices, data, n
+
+
+def matrix(indptr, indices, data, n):
+    """The checked SparseMatrix of CSR arrays over ``n`` columns, which
+    the products take."""
+    return kernels.SparseMatrix(n, indptr, indices, data)
 
 
 def dense_vectors(n, k=None):
@@ -80,15 +91,14 @@ class TestNumpyKernels:
         for indptr, indices, data, n in csr_cases(rng):
             w = rng.normal(size=n)
             X = dense_from_csr(indptr, indices, data, n)
-            out = kernels.csr_matvec(indptr, indices, data, w)
+            out = kernels.csr_matvec(matrix(indptr, indices, data, n), w)
             assert out.dtype == np.float64 and out.shape == (X.shape[0],)
             assert np.allclose(out, X @ w)
 
     def test_matvec_handles_empty_rows(self):
         empty = sparse(3, {})
         full = sparse(3, {1: 2.0})
-        indptr, indices, data, n = kernels.stack_csr(stack([empty, full, empty]))
-        out = kernels.csr_matvec(indptr, indices, data, np.array([1.0, 3.0, 1.0]))
+        out = kernels.csr_matvec(stack([empty, full, empty]), np.array([1.0, 3.0, 1.0]))
         assert out.tolist() == [0.0, 6.0, 0.0]
 
     def test_one_row_csr_is_the_stack_of_that_row(self):
@@ -106,15 +116,16 @@ class TestNumpyKernels:
         for indptr, indices, data, n in csr_cases(rng):
             r = rng.normal(size=indptr.shape[0] - 1)
             X = dense_from_csr(indptr, indices, data, n)
-            out = kernels.csr_rmatvec(indptr, indices, data, r, n)
+            out = kernels.csr_rmatvec(matrix(indptr, indices, data, n), r)
             assert out.dtype == np.float64 and out.shape == (n,)
             assert np.allclose(out, X.T @ r)
 
     def test_products_with_no_columns(self):
         indptr = np.array([0, 0, 0], dtype=np.int64)
         indices, data = np.zeros(0, dtype=np.int64), np.zeros(0)
-        assert kernels.csr_matvec(indptr, indices, data, np.zeros(0)).tolist() == [0.0, 0.0]
-        out = kernels.csr_rmatvec(indptr, indices, data, np.ones(2), 0)
+        X = matrix(indptr, indices, data, 0)
+        assert kernels.csr_matvec(X, np.zeros(0)).tolist() == [0.0, 0.0]
+        out = kernels.csr_rmatvec(X, np.ones(2))
         assert out.dtype == np.float64 and out.shape == (0,)
 
     def test_sigmoid_stable_at_extremes(self):
@@ -142,7 +153,7 @@ class TestCsrProductsMatchReference:
     def test_matvec(self, data):
         indptr, indices, values, n = data.draw(csr_matrices())
         w = data.draw(dense_vectors(n))
-        out = kernels.csr_matvec(indptr, indices, values, w)
+        out = kernels.csr_matvec(matrix(indptr, indices, values, n), w)
         assert out.dtype == np.float64 and out.shape == (indptr.shape[0] - 1,)
         assert np.array_equal(out, reference_matvec(indptr, indices, values, w))
 
@@ -151,7 +162,7 @@ class TestCsrProductsMatchReference:
     def test_rmatvec(self, data):
         indptr, indices, values, n = data.draw(csr_matrices())
         r = data.draw(dense_vectors(indptr.shape[0] - 1))
-        out = kernels.csr_rmatvec(indptr, indices, values, r, n)
+        out = kernels.csr_rmatvec(matrix(indptr, indices, values, n), r)
         assert out.dtype == np.float64 and out.shape == (n,)
         assert np.array_equal(out, reference_rmatvec(indptr, indices, values, r, n))
 
@@ -160,11 +171,12 @@ class TestCsrProductsMatchReference:
     def test_matrix_rhs_columns_equal_vector_products(self, data):
         indptr, indices, values, n = data.draw(csr_matrices())
         W = data.draw(dense_vectors(n, data.draw(st.integers(1, 4))))
-        out = kernels.csr_matvec(indptr, indices, values, W)
+        X = matrix(indptr, indices, values, n)
+        out = kernels.csr_matvec(X, W)
         assert out.dtype == np.float64 and out.shape == (indptr.shape[0] - 1, W.shape[1])
         for k in range(W.shape[1]):
             column = np.ascontiguousarray(W[:, k])
-            assert np.array_equal(out[:, k], kernels.csr_matvec(indptr, indices, values, column))
+            assert np.array_equal(out[:, k], kernels.csr_matvec(X, column))
             assert np.array_equal(out[:, k], reference_matvec(indptr, indices, values, column))
 
     @settings(deadline=None)
@@ -172,12 +184,12 @@ class TestCsrProductsMatchReference:
     def test_row_alone_equals_row_in_batch(self, data):
         indptr, indices, values, n = data.draw(csr_matrices())
         W = data.draw(dense_vectors(n, 3))
-        batch = kernels.csr_matvec(indptr, indices, values, W)
+        batch = kernels.csr_matvec(matrix(indptr, indices, values, n), W)
         for i in range(indptr.shape[0] - 1):
             lo, hi = indptr[i], indptr[i + 1]
-            row = (np.array([0, hi - lo], dtype=np.int64), indices[lo:hi], values[lo:hi])
-            assert np.array_equal(kernels.csr_matvec(*row, W)[0], batch[i])
-            assert np.array_equal(kernels.csr_matvec(*row, W[:, 0].copy())[0], batch[i, 0])
+            row = matrix(np.array([0, hi - lo], dtype=np.int64), indices[lo:hi], values[lo:hi], n)
+            assert np.array_equal(kernels.csr_matvec(row, W)[0], batch[i])
+            assert np.array_equal(kernels.csr_matvec(row, W[:, 0].copy())[0], batch[i, 0])
 
 
 def matrix_arrays(indptr, indices, data):
@@ -227,3 +239,54 @@ class TestConstructorChecks:
         matrix = kernels.SparseMatrix(n, indptr, indices, values)
         assert matrix.indptr is indptr and matrix.indices is indices and matrix.data is values
         assert matrix.dimension == n
+
+
+class TestScipyViewsAreBuiltOnce:
+    """A matrix wraps its arrays as a scipy ``csr_array`` on its first
+    product and as that array's transpose on its first rmatvec, and keeps
+    both: a solve wraps its matrix once whatever its iteration count, and
+    a prediction never builds the transpose it does not use."""
+
+    @pytest.fixture
+    def wraps(self, monkeypatch):
+        counts = Counter()
+
+        class Counting(kernels.csr_array):
+            def __init__(self, *args, **kwargs):
+                counts["csr_array"] += 1
+                super().__init__(*args, **kwargs)
+
+            def transpose(self, *args, **kwargs):
+                counts["transpose"] += 1
+                return super().transpose(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "csr_array", Counting)
+        return counts
+
+    @pytest.mark.parametrize("max_iters", [1, 4, 40])
+    def test_train_binary_wraps_its_matrix_once(self, wraps, max_iters):
+        rng = np.random.default_rng(3)
+        X = stack(random_vectors(rng))
+        y = rng.integers(0, 2, size=len(X))
+        clf = train_binary(X, y, TrainConfig(max_iters=max_iters))
+        assert clf.iterations == max_iters or clf.iterations > 4
+        assert wraps == {"csr_array": 1, "transpose": 1}
+
+    def test_predictions_build_no_transpose(self, wraps):
+        rng = np.random.default_rng(4)
+        rows = random_vectors(rng, m=5)
+        model = OvRModel([BinaryLogReg(rng.normal(size=25), 0.5, 1.0) for _ in range(3)])
+        predict(model, rows[0])
+        assert wraps == {"csr_array": 1}
+        batch = stack(rows)
+        predict_many(model, batch)
+        predict_many(model, batch)
+        assert wraps == {"csr_array": 2}
+
+    def test_views_share_the_arrays(self):
+        X = stack(random_vectors(np.random.default_rng(5)))
+        kernels.csr_rmatvec(X, np.ones(len(X)))
+        for view in (X._scipy(), X._scipy_t()):
+            for array in (X.indptr, X.indices, X.data):
+                assert any(np.shares_memory(array, part)
+                           for part in (view.indptr, view.indices, view.data))

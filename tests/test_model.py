@@ -50,7 +50,7 @@ def sv(dimension, **entries):
 def decision_values(clf, X):
     """w.x + b of one binary classifier for each vector, scored as a batch."""
     matrix = stack(X)
-    return kernels.csr_matvec(matrix.indptr, matrix.indices, matrix.data, clf.weights) + clf.bias
+    return kernels.csr_matvec(matrix, clf.weights) + clf.bias
 
 
 def gradient_at(vectors, y, w, b, lam):

@@ -8,12 +8,13 @@ other test, so these tests run its tracer against the package.
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 import aggdetect.cli  # imports every module the tracer wraps
-from aggdetect import featurize, kernels
+from aggdetect import featurize, kernels, model
 from aggdetect.corpus_io import Document
 from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline
 from aggdetect.lexfeatures import EmbeddingTable, Resources
@@ -166,3 +167,46 @@ def test_traced_train_and_predict_time_saving_and_loading(tmp_path):
     metrics = tracer.layer_metrics(spans.spans, "op")
     for key in ("model.save_s", "model.load_s", "lexfeatures.load_embeddings_s"):
         assert metrics[key] > 0, key
+
+
+def test_traced_train_ovr_records_one_product_per_loss_and_gradient(monkeypatch):
+    """model.ls_accept_ratio, kernels.matvec_calls and kernels.rmatvec_calls
+    read these spans: inside each traced train_binary, one csr_matvec per
+    line-search trial plus the initial loss, and one csr_rmatvec per
+    gradient, the initial one and one per accepted step."""
+    spans = tracer.Tracer()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            binary = max(i for i, s in enumerate(spans.spans) if s[0] == "model.train_binary")
+            calls[name, binary] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(model, "objective", counted("objective", model.objective))
+    monkeypatch.setattr(model, "gradient", counted("gradient", model.gradient))
+    rows = synthetic_documents(n_per_class=6)
+    docs = [Document(id=doc_id, text=text) for doc_id, text, _label in rows]
+    X = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).fit_transform(docs)
+    spans.install()
+    try:
+        with spans.span("op"):
+            model.train_ovr(X, [label for _, _, label in rows], model.TrainConfig(max_iters=8))
+    finally:
+        spans.uninstall()
+    binaries = [i for i, s in enumerate(spans.spans) if s[0] == "model.train_binary"]
+    assert len(binaries) == 3
+    iterations = [spans.spans[b][4][0] for b in binaries]
+    for b, steps in zip(binaries, iterations):
+        children = Counter(s[0] for s in spans.spans if s[3] == b)
+        assert children["kernels.csr_matvec"] == calls["objective", b] > steps
+        assert children["kernels.csr_rmatvec"] == calls["gradient", b] == steps + 1
+    products = Counter(s[0] for s in spans.spans if s[0].startswith("kernels.csr_"))
+    assert products["kernels.csr_matvec"] == sum(calls[k] for k in calls if k[0] == "objective")
+    metrics = tracer.layer_metrics(spans.spans, "op")
+    trials = products["kernels.csr_matvec"] - len(binaries)
+    assert metrics["model.ls_accept_ratio"] == sum(iterations) / trials
+    assert metrics["kernels.matvec_calls"] == products["kernels.csr_matvec"]
+    assert metrics["kernels.rmatvec_calls"] == products["kernels.csr_rmatvec"]
+    assert products["kernels.csr_rmatvec"] == sum(iterations) + len(binaries)
