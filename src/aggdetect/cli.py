@@ -406,6 +406,9 @@ def cmd_train(args) -> int:
     gold = [doc.gold for doc in prepped]
     ovr = train_ovr(X, gold, config.train, pipeline=pipeline,
                     preprocess=settings, language=config.language)
+    # the training matrix is a train's largest array: release it before the
+    # model is saved and validation is featurized
+    del X
     ovr.merged_validation = config.merge_validation
     if ovr.single_class_warning:
         log.warning("training corpus contains a single class")

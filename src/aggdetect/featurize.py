@@ -8,15 +8,16 @@ lexicographic order, whose positions are their indices, and one int64
 array of their document frequencies, so fitting a corpus twice gives
 identical pipelines.
 
-A batch of documents becomes one CSR matrix, a :class:`SparseMatrix`,
-with no per-row objects on the way.  Every block, lexical or dense, first
-gives one run per document: the document's entries in that block as local
-ids and values, in first-occurrence order of its distinct terms on a
-lexical block, where the values are term counts, and in index order on a
-dense block, whose runs are the nonzeros of one ``(rows, d)`` float64
-array per chunk, a row per document.  All runs sit in flat
-arrays with the offsets where each run ends, ``_CHUNK_ROWS`` documents at
-a time, block by block within those.  ``_to_csr`` then weights, normalizes
+A batch of documents becomes one CSR matrix, a :class:`SparseMatrix`
+with int32 ``indptr`` and ``indices``, with no per-row objects on the
+way.  Every block, lexical or dense, first gives one run per document:
+the document's entries in that block as local ids and values, in
+first-occurrence order of its distinct terms on a lexical block, where
+the values are term counts, and in index order on a dense block, whose
+runs are the nonzeros of one ``(rows, d)`` float64 array per chunk, a row
+per document.  All runs sit in flat arrays with the offsets where each
+run ends, ``_CHUNK_ROWS`` documents at a time, block by block within
+those.  ``_to_csr`` then weights, normalizes
 and sorts one chunk's runs with one set of array operations for all
 blocks and writes them in place.  Whitespace-only documents are all-zero
 rows.
@@ -65,7 +66,7 @@ import numpy as np
 from .corpus_io import Document
 from .errors import DataError, UsageError
 from . import lexfeatures
-from .kernels import SparseMatrix, SparseVector
+from .kernels import SparseMatrix, SparseVector, check_int32
 
 
 @functools.cache  # one entry per distinct character seen
@@ -242,7 +243,8 @@ class _Alphabet:
     back at the fixed width, so the bytes stand for the window too."""
 
     def __init__(self, points: np.ndarray) -> None:
-        self.points = np.unique(points)
+        """An alphabet of the distinct code points ``points``, increasing."""
+        self.points = points.astype("<u4")
         self.bits = len(self.points).bit_length()
         # one entry past the largest character, 0, which clipped lookups of
         # larger code points land on
@@ -285,20 +287,26 @@ class _Alphabet:
         return [text[i : i + n] for i in range(0, len(text), n)]
 
 
-# Characters whose code points _alphabet_of gathers with one np.unique.
+# Characters whose code points _alphabet_of marks at a time.
 _ALPHABET_CHARS = 1 << 16
 
 
 def _alphabet_of(texts: Sequence[str]) -> _Alphabet:
-    """The alphabet of the characters in ``texts``, gathered a group of
-    texts at a time: those that start within the same ``_ALPHABET_CHARS``
-    characters of the texts joined, so that no temporary is as large as
-    the texts, however short each text is."""
-    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-    group = (np.cumsum(lengths) - lengths) // _ALPHABET_CHARS
-    bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(texts)]
-    return _Alphabet(np.concatenate([np.unique(_code_points("".join(texts[a:b])))
-                                     for a, b in zip(bounds, bounds[1:])]))
+    """The alphabet of the characters in ``texts``: each code point is
+    marked in a presence table one entry longer than the largest seen, and
+    the marked entries, in order, are the alphabet, so nothing is sorted.
+    The texts are joined once, a str no larger than they are, and encoded
+    and marked ``_ALPHABET_CHARS`` characters at a time, so that no array
+    of code points grows with the texts."""
+    joined = "".join(texts)
+    seen = np.zeros(0, dtype=bool)
+    for start in range(0, len(joined), _ALPHABET_CHARS):
+        points = _code_points(joined[start : start + _ALPHABET_CHARS]).astype(np.intp)
+        size = int(points.max()) + 1
+        if size > len(seen):
+            seen = np.concatenate([seen, np.zeros(size - len(seen), dtype=bool)])
+        seen[points] = True  # an intp index marks about twice as fast as a uint32 one
+    return _Alphabet(np.flatnonzero(seen))
 
 
 def _vocabulary_codes(alphabet: _Alphabet, terms: list[str], n: int) -> np.ndarray:
@@ -589,8 +597,12 @@ class FeaturePipeline:
         self.total_dimension = offset
         # What _weigh_rows needs on every call: each block's offset, whether
         # its runs are L2-normalized, and the idf of every TF-IDF index, 1
-        # on binary and dense indices.
-        self._block_offsets = np.array([self.offsets[spec.name] for spec in self.blocks])
+        # on binary and dense indices.  The offsets are intp, so the indices
+        # that _weigh_rows gathers and sorts with are too: with int32 ones
+        # numpy's gather and the mixed-type sort key cost a one-document
+        # chunk about 4 µs more than the cast into the int32 store does.
+        self._block_offsets = np.array([self.offsets[spec.name] for spec in self.blocks],
+                                       dtype=np.intp)
         normalized = [spec.kind in LEXICAL_KINDS and spec.kind != "binary_word_ngram"
                       for spec in self.blocks]
         self._unnormalized = ~np.array(normalized, dtype=bool)
@@ -803,7 +815,10 @@ class FeaturePipeline:
         return lexfeatures.gender_features(tokens, res.gender_lexicon)
 
     def _to_csr(self, n: int, ids: np.ndarray, values: np.ndarray, ends: np.ndarray) -> SparseMatrix:
-        """The CSR matrix of ``n`` rows from the :meth:`_runs` of every block.
+        """The CSR matrix of ``n`` rows from the :meth:`_runs` of every block,
+        with int32 ``indptr`` and ``indices``; a dimension or a count of
+        stored entries of 2**31 or more raises DataError
+        (:func:`kernels.check_int32`).
 
         A chunk's rows hold exactly the chunk's entries, so the output
         arrays are allocated once and :meth:`_weigh_rows` fills them one
@@ -812,9 +827,15 @@ class FeaturePipeline:
         chunk's values are read before its data is written, so the input
         and output are never held at once. ``values`` is consumed, and
         nothing else may hold it."""
+        try:
+            check_int32(self.total_dimension, int(ends[-1]))
+        except ValueError as exc:
+            raise DataError(f"feature matrix too large: {exc}") from None
         nb = len(self.blocks)
+        # summed in int64, as ends is, and cast once at the end: on a
+        # one-document batch the per-chunk sums into int32 cost more
         indptr = np.zeros(n + 1, dtype=np.int64)
-        indices = np.empty(ends[-1], dtype=np.int64)
+        indices = np.empty(ends[-1], dtype=np.int32)
         data = values
         for r0 in range(0, n, _CHUNK_ROWS):
             r1 = min(r0 + _CHUNK_ROWS, n)
@@ -825,7 +846,7 @@ class FeaturePipeline:
             entries = slice(runs[0], runs[-1])
             indices[entries], data[entries] = self._weigh_rows(ids[entries], values[entries],
                                                                lengths)
-        return SparseMatrix._trusted(self.total_dimension, indptr, indices, data)
+        return SparseMatrix._trusted(self.total_dimension, indptr.astype(np.int32), indices, data)
 
     def _weigh_rows(
         self, ids: np.ndarray, values: np.ndarray, lengths: np.ndarray

@@ -10,12 +10,20 @@ arrays, since a bad index makes the products below read or write out of
 bounds; the featurizer and the row views build through ``_trusted``,
 which neither checks nor copies.
 
+``indptr`` and ``indices`` are int32, as LIBLINEAR's feature indices are
+(Fan et al., JMLR 2008): the index array takes half the bytes of int64,
+and the products read half as many index bytes.  So a matrix's dimension
+and its count of stored entries must both be below 2**31
+(:func:`check_int32`).
+
 The two CSR products take a SparseMatrix and run in scipy's compiled
 sparse code. The matrix wraps its ``(indptr, indices, data)`` as a
 ``scipy.sparse.csr_array`` on its first product, and as that array's
-transpose on its first ``csr_rmatvec``; both are views, not copies (int64
-indices stay int64), kept for every later product, so a solve wraps its
-training matrix once and a one-row prediction never builds the transpose.
+transpose on its first ``csr_rmatvec``; both are views, not copies (scipy
+keeps an int32 ``indptr`` and ``indices`` pair as it is, but would copy a
+mixed int32/int64 pair to int64), kept for every later product, so a
+solve wraps its training matrix once and a one-row prediction never
+builds the transpose.
 scipy adds each row's products in storage order from 0.0, so
 ``csr_matvec`` gives a row the same result whatever rows are stacked with
 it: one document scores bit for bit the same alone as inside a batch, and
@@ -31,33 +39,54 @@ import numpy as np
 from scipy.sparse import csr_array
 
 
-def _int64(name: str, values) -> np.ndarray:
-    """``values`` as a 1-d int64 array, refusing non-integer entries; an
-    empty sequence is accepted whatever its dtype."""
+INT32_LIMIT = 1 << 31
+
+
+def check_int32(dimension: int, nnz: int) -> None:
+    """Raise ValueError unless a CSR matrix of ``dimension`` columns and
+    ``nnz`` stored entries fits int32 ``indptr`` and ``indices``: both
+    below 2**31."""
+    if not 0 <= dimension < INT32_LIMIT:
+        raise ValueError(f"dimension {dimension} is outside [0, 2**31)")
+    if nnz >= INT32_LIMIT:
+        raise ValueError(f"{nnz} stored entries: int32 CSR holds fewer than 2**31")
+
+
+def _int32(name: str, values) -> np.ndarray:
+    """``values`` as a 1-d int32 array, refusing non-integer entries and
+    values outside int32, which no index or row offset of a matrix that
+    :func:`check_int32` accepts can be; an empty sequence is accepted
+    whatever its dtype."""
     array = np.asarray(values)
     if array.ndim != 1:
         raise ValueError(f"{name} must be a 1-d array")
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"{name} must be integers, got dtype {array.dtype}")
-    return array.astype(np.int64, copy=False)
+    if array.size and not np.can_cast(array.dtype, np.int32):
+        if int(array.min()) < -INT32_LIMIT or int(array.max()) >= INT32_LIMIT:
+            raise ValueError(f"{name} holds a value out of range for int32")
+    return array.astype(np.int32, copy=False)
 
 
 def _check_csr(dimension: int, indptr: np.ndarray, indices: np.ndarray,
                data: np.ndarray) -> None:
-    """Raise ValueError unless the int64 ``indptr`` and ``indices`` and the
-    1-d ``data`` are CSR rows over ``dimension`` columns: ``indptr`` starts
-    at 0, does not decrease and ends at ``len(indices) == len(data)``, and
-    each row's indices are strictly increasing and in ``[0, dimension)``."""
+    """Raise ValueError unless the int32 ``indptr`` and ``indices`` and the
+    1-d ``data`` are CSR rows over ``dimension`` columns that
+    :func:`check_int32` accepts: ``indptr`` starts at 0, does not decrease
+    and ends at ``len(indices) == len(data)``, and each row's indices are
+    strictly increasing and in ``[0, dimension)``."""
     if data.ndim != 1 or data.shape != indices.shape:
         raise ValueError("indices and data must be 1-d arrays of one length")
     nnz = indices.shape[0]
+    check_int32(dimension, nnz)
     if indptr.shape[0] == 0 or indptr[0] != 0 or indptr[-1] != nnz:
         raise ValueError(f"indptr must run from 0 to the {nnz} stored entries")
-    if (np.diff(indptr) < 0).any():
+    # comparisons, not np.diff, which can wrap around in int32
+    if (indptr[1:] < indptr[:-1]).any():
         raise ValueError("indptr must not decrease")
     row_start = np.zeros(nnz, dtype=bool)
     row_start[indptr[:-1][indptr[:-1] < nnz]] = True
-    if ((np.diff(indices) <= 0) & ~row_start[1:]).any():
+    if ((indices[1:] <= indices[:-1]) & ~row_start[1:]).any():
         raise ValueError("indices must be strictly increasing within each row")
     out_of_range = (indices < 0) | (indices >= dimension)
     if out_of_range.any():
@@ -66,16 +95,16 @@ def _check_csr(dimension: int, indptr: np.ndarray, indices: np.ndarray,
 
 @dataclass
 class SparseVector:
-    """One CSR row over a fixed dimension: strictly increasing int64
-    ``indices`` in ``[0, dimension)`` and float64 ``values``; zeros are
-    never stored."""
+    """One CSR row over a fixed dimension below 2**31: strictly increasing
+    int32 ``indices`` in ``[0, dimension)`` and float64 ``values``; zeros
+    are never stored."""
 
     dimension: int
     indices: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.indices = _int64("indices", self.indices)
+        self.indices = _int32("indices", self.indices)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape == self.indices.shape and not self.values.all():
             keep = self.values != 0.0
@@ -94,7 +123,7 @@ class SparseVector:
 
     def csr(self) -> "SparseMatrix":
         """This row as a one-row SparseMatrix; the arrays are not copied."""
-        return SparseMatrix._trusted(self.dimension, np.array([0, len(self)], dtype=np.int64),
+        return SparseMatrix._trusted(self.dimension, np.array([0, len(self)], dtype=np.int32),
                                      self.indices, self.values)
 
     def __len__(self) -> int:
@@ -102,13 +131,14 @@ class SparseVector:
 
 
 class SparseMatrix(SequenceABC):
-    """A batch of CSR rows over one dimension: int64 ``indptr`` (one entry
-    more than rows), int64 ``indices`` strictly increasing within each row
-    and in ``[0, dimension)``, and float64 ``data``.  It is also a sequence
-    of :class:`SparseVector` rows, each a view into the arrays.
+    """A batch of CSR rows over one dimension: int32 ``indptr`` (one entry
+    more than rows), int32 ``indices`` strictly increasing within each row
+    and in ``[0, dimension)``, and float64 ``data``; the dimension and the
+    count of stored entries are below 2**31.  It is also a sequence of
+    :class:`SparseVector` rows, each a view into the arrays.
 
     The constructor checks that form and raises ValueError on a fault.
-    Arrays that are already int64 and float64 are kept, not copied. The
+    Arrays that are already int32 and float64 are kept, not copied. The
     scipy views the products use are built from them on first use and
     kept, so the arrays must not change after the first product."""
 
@@ -117,7 +147,7 @@ class SparseMatrix(SequenceABC):
     _csr_t = None
 
     def __init__(self, dimension: int, indptr, indices, data) -> None:
-        indptr, indices = _int64("indptr", indptr), _int64("indices", indices)
+        indptr, indices = _int32("indptr", indptr), _int32("indices", indices)
         data = np.asarray(data, dtype=np.float64)
         _check_csr(dimension, indptr, indices, data)
         self.dimension, self.indptr, self.indices, self.data = dimension, indptr, indices, data

@@ -18,11 +18,17 @@ batch, so both get bit-identical scores.
 
 Model files are sectioned UTF-8 text of one format, named by the first
 line; a file with any other first line is refused.  Vocabularies and all
-weights are embedded; embeddings and lexicons are referenced by absolute
-path plus SHA-256 and re-verified on load, so a loaded model reproduces
-bit-identical predictions or fails loudly.  Training is deterministic, and
-so are the file's bytes at a fixed OpenBLAS thread count: the BLAS sums
-in the solver round differently with the number of threads.
+weights are embedded; embeddings and lexicons are referenced by path plus
+SHA-256 and re-verified on load, so a loaded model reproduces
+bit-identical predictions or fails loudly.  :func:`save_model` writes each
+path relative to the model file's directory, so the file's bytes do not
+depend on where the tree that holds it sits, and a model moved together
+with its resources still loads; :func:`load_model` resolves a relative
+path against that directory and takes an absolute one as it is (files
+written before paths were relative hold absolute ones).  Training is
+deterministic, and so are the file's bytes at a fixed OpenBLAS thread
+count: the BLAS sums in the solver round differently with the number of
+threads.
 
 :func:`save_model` writes ``aggdetect-model 2``.  Each ``[weights:*]``
 section holds ``key = value`` lines (``bias``, ``reg_lambda``,
@@ -37,9 +43,10 @@ holds the whole file.
 file, splits each ``[vocab:*]`` body once and parses its document
 frequencies with one ``int`` map.  A weights block is decoded by one
 strict base64 call.  The checks run on the whole section: block entries
-as :class:`FeaturePipeline` takes them; ``0 <= n_documents < 2**63`` and
-terms strictly increasing with ``1 <= df <= n_documents``; a weights
-block of exactly ``total_dimension`` float64 values; weights, ``bias``,
+as :class:`FeaturePipeline` takes them; ``0 <= total_dimension < 2**31``;
+``0 <= n_documents < 2**63`` and terms strictly increasing with
+``1 <= df <= n_documents``; a weights block of exactly
+``total_dimension`` float64 values; weights, ``bias``,
 ``final_grad_norm`` and ``final_loss`` finite; ``reg_lambda`` and
 ``final_loss`` >= 0; ``stop_reason`` one of ``STOP_REASONS``; with
 ``transliterate = true``, ``translit_table_version`` equal to
@@ -53,6 +60,7 @@ import base64
 import json
 import math
 import operator
+import os
 import re
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -360,18 +368,26 @@ def _parse_bool(value: str) -> bool:
     return value == "true"
 
 
-def _resource_lines(resources: lexfeatures.Resources, key: str, prefix: str = "") -> list[str]:
+def _model_directory(path: str | Path) -> str:
+    """The directory that holds the model file at ``path``, symlinks
+    resolved: the base of the file's relative resource paths."""
+    return os.path.dirname(os.path.realpath(path))
+
+
+def _resource_lines(resources: lexfeatures.Resources, key: str, base: str,
+                    prefix: str = "") -> list[str]:
     """The ``path`` and ``sha256`` lines, keys prefixed by ``prefix``, of
-    the file that resource ``key`` was loaded from."""
+    the file that resource ``key`` was loaded from; the path is relative to
+    the directory ``base``."""
     ref = resources.provenance.get(key)
     if ref is None:
         raise ResourceError(
             f"cannot serialize pipeline: resource {key!r} has no file provenance"
         )
-    return [f"{prefix}path = {ref[0]}", f"{prefix}sha256 = {ref[1]}"]
+    return [f"{prefix}path = {os.path.relpath(ref[0], base)}", f"{prefix}sha256 = {ref[1]}"]
 
 
-def _block_lines(pipe: FeaturePipeline, spec: FeatureBlockSpec) -> list[str]:
+def _block_lines(pipe: FeaturePipeline, spec: FeatureBlockSpec, base: str) -> list[str]:
     """The ``[block:*]`` section of one block, and the ``[vocab:*]`` header
     line that follows it on a lexical block."""
     out = [f"[block:{spec.name}]", f"kind = {spec.kind}"]
@@ -382,14 +398,15 @@ def _block_lines(pipe: FeaturePipeline, spec: FeatureBlockSpec) -> list[str]:
         out.append(f"n_documents = {pipe.vocabularies[spec.name].n_documents}")
         out.append(f"[vocab:{spec.name}]")
     elif spec.kind in ("embedding", "liwc", "gender"):
-        out.extend(_resource_lines(pipe.resources, spec.kind))
+        out.extend(_resource_lines(pipe.resources, spec.kind, base))
     elif spec.kind == "sentiment":
         provider = pipe.resources.sentiment_provider
         out.append(f"provider = {provider.kind}")
         if provider.kind == "builtin":
             out.append(f"intensity_split = {_fmt(provider.intensity_split)}")
             for side in ("pos", "neg"):
-                out.extend(_resource_lines(pipe.resources, f"sentiment_{side}", f"{side}_"))
+                out.extend(_resource_lines(pipe.resources, f"sentiment_{side}", base,
+                                           f"{side}_"))
     return out
 
 
@@ -426,6 +443,7 @@ def save_model(model: OvRModel, path: str | Path) -> None:
     pipe = model.pipeline
     prep = model.preprocess
     clean = prep.clean
+    base = _model_directory(path)
     head = [
         MODEL_FORMAT,
         "[meta]",
@@ -447,10 +465,10 @@ def save_model(model: OvRModel, path: str | Path) -> None:
         f"spell_correct = {_bool(prep.spell_dictionary is not None)}",
     ]
     if prep.spell_dictionary is not None:
-        head.extend(_resource_lines(pipe.resources, "spell_dict", "spell_dict_"))
+        head.extend(_resource_lines(pipe.resources, "spell_dict", base, "spell_dict_"))
     head.append("[pipeline]")
     head.append("blocks = " + ",".join(spec.name for spec in pipe.blocks))
-    blocks = [_block_lines(pipe, spec) for spec in pipe.blocks]
+    blocks = [_block_lines(pipe, spec, base) for spec in pipe.blocks]
 
     with open(path, "w", encoding="utf-8") as f:
         f.write(_text(head))
@@ -555,6 +573,14 @@ def _document_count(text: str) -> int:
     return value
 
 
+def _dimension(text: str) -> int:
+    """``total_dimension``, below 2**31 as the int32 indices of the
+    model's rows require (:func:`kernels.check_int32`)."""
+    value = int(text)
+    kernels.check_int32(value, 0)
+    return value
+
+
 def _unit_interval(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -651,9 +677,13 @@ def _load_resource(
     section: str, path: Path,
 ):
     """Resource ``key``, loaded from the file that the section's
-    ``{prefix}path`` names and checked against its ``{prefix}sha256``."""
-    ref = [_need(kv, prefix + name, section, path) for name in ("path", "sha256")]
-    return resources.load(key, *ref)
+    ``{prefix}path`` names, relative to the model file's directory unless
+    it is absolute, and checked against its ``{prefix}sha256``."""
+    file = _need(kv, prefix + "path", section, path)
+    if not os.path.isabs(file):
+        # lexically, as save_model's relpath made it
+        file = os.path.normpath(os.path.join(_model_directory(path), file))
+    return resources.load(key, file, _need(kv, prefix + "sha256", section, path))
 
 
 def load_model(path: str | Path) -> OvRModel:
@@ -672,7 +702,7 @@ def load_model(path: str | Path) -> OvRModel:
     labels_str = _need(meta, "labels", "meta", path)
     if labels_str != ",".join(label.name for label in LABELS):
         raise ResourceError(f"{path}: unsupported label order {labels_str!r}")
-    total_dimension = _need(meta, "total_dimension", "meta", path, int)
+    total_dimension = _need(meta, "total_dimension", "meta", path, _dimension)
 
     prep_kv = _kv(by_name["preprocess"], "preprocess", path)
     flags = ("lowercase", "strip_urls", "strip_emails", "strip_numbers", "minor_stemming")

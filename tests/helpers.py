@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import re
 import struct
 from pathlib import Path
@@ -234,8 +235,9 @@ def reference_escape_field(value: str) -> str:
     return "".join(_REFERENCE_ESCAPES.get(ch, ch) for ch in value)
 
 
-def reference_model_text_v2(model: OvRModel) -> str:
-    """The text of a model file, every line in one list, joined once: each
+def reference_model_text_v2(model: OvRModel, directory: Path) -> str:
+    """The text of a model file written in ``directory``, every line in one
+    list, joined once: each resource path relative to ``directory``, each
     class's convergence keys that are not None, then its whole weight
     vector packed by ``struct`` as little-endian float64, in base64 cut
     into lines of 76 characters."""
@@ -245,7 +247,8 @@ def reference_model_text_v2(model: OvRModel) -> str:
 
     def provenance(key: str, prefix: str = "") -> list[str]:
         path, sha256 = pipe.resources.provenance[key]
-        return [f"{prefix}path = {path}", f"{prefix}sha256 = {sha256}"]
+        return [f"{prefix}path = {os.path.relpath(path, directory)}",
+                f"{prefix}sha256 = {sha256}"]
 
     out: list[str] = ["aggdetect-model 2"]
     out.append("[meta]")

@@ -1,8 +1,10 @@
 import base64
 import os
 import re
+import shutil
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import aggdetect
-from aggdetect import cli, featurize, preprocess
+from aggdetect import cli, featurize, kernels, preprocess
 from aggdetect.cli import main
 from aggdetect.corpus_io import Label, load_corpus, load_predictions
 from aggdetect.errors import ResourceError
@@ -138,6 +140,37 @@ class TestTrain:
         assert "validation_weighted_f1\t" in out
         value = float(out.split("validation_weighted_f1\t")[1].split()[0])
         assert 0.0 <= value <= 1.0
+
+    def test_training_matrix_is_freed_before_validation(
+        self, tmp_path, toy_corpus, basic_config, monkeypatch
+    ):
+        """train releases the training matrix when train_ovr returns, so the
+        validation corpus is not preprocessed and featurized beside it."""
+        corpus_path, _rows = toy_corpus
+        val_path = write_corpus_tsv(tmp_path / "val.tsv", synthetic_documents(4, seed=99))
+        matrices, alive = [], {}
+        real_train_ovr, real_preprocess = cli.train_ovr, cli.preprocess_corpus
+        real_transform_many = FeaturePipeline.transform_many
+
+        def recording_train_ovr(X, *args, **kwargs):
+            matrices.append(weakref.ref(X))
+            return real_train_ovr(X, *args, **kwargs)
+
+        def recording_preprocess(corpus, settings):
+            alive.setdefault("preprocess", []).append([m() is not None for m in matrices])
+            return real_preprocess(corpus, settings)
+
+        def recording_transform_many(self, documents):
+            alive.setdefault("transform_many", []).append([m() is not None for m in matrices])
+            return real_transform_many(self, documents)
+
+        monkeypatch.setattr(cli, "train_ovr", recording_train_ovr)
+        monkeypatch.setattr(cli, "preprocess_corpus", recording_preprocess)
+        monkeypatch.setattr(FeaturePipeline, "transform_many", recording_transform_many)
+        assert run(["train", str(corpus_path), str(tmp_path / "model.txt"),
+                    "--config", str(basic_config), "--validation", str(val_path)]) == 0
+        # training corpus before the matrix exists, then validation after it is gone
+        assert alive == {"preprocess": [[], [False]], "transform_many": [[False]]}
 
     def test_merge_validation_logs_counts(self, tmp_path, toy_corpus, basic_config, caplog):
         corpus_path, _rows = toy_corpus
@@ -404,6 +437,8 @@ class TestPredict:
         (r"^n_documents = \d+$", "n_documents = 99999999999999999999",
          "bad value in [block:U]: 'n_documents = 99999999999999999999'"),
         (r"^bias = .*$", "bias = inf", "bad value in [weights:NAG]: 'bias = inf'"),
+        (r"^total_dimension = \d+$", "total_dimension = 2147483648",
+         "bad value in [meta]: 'total_dimension = 2147483648'"),
     ])
     def test_bad_number_in_model_exits_3(
         self, tmp_path, toy_corpus, basic_config, capsys, pattern, replacement, message
@@ -419,6 +454,19 @@ class TestPredict:
         model_path.write_text(text, encoding="utf-8")
         assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
         assert f"resource error: {model_path}: {message}" in capsys.readouterr().err
+
+    def test_total_dimension_is_checked_against_the_blocks_below_2_31(
+        self, tmp_path, toy_corpus, basic_config, capsys
+    ):
+        """A model's rows have int32 indices, so 2**31 is refused as it is
+        read; 2**31 - 1 passes that check and fails the next one."""
+        corpus_path, _rows = toy_corpus
+        model_path = self.train_model(tmp_path, corpus_path, basic_config)
+        text = model_path.read_text(encoding="utf-8")
+        model_path.write_text(re.sub(r"^total_dimension = \d+$", "total_dimension = 2147483647",
+                                     text, flags=re.M), encoding="utf-8")
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
+        assert "does not match recorded total_dimension 2147483647" in capsys.readouterr().err
 
     @pytest.mark.parametrize("pattern, replacement, section", [
         (r"^kind = word_ngram$", "kind = bogus", "block:U"),
@@ -875,6 +923,59 @@ class TestReferencedFiles:
         assert rewritten.read_bytes() == model_path.read_bytes()
 
 
+    def test_bytes_do_not_depend_on_the_directory(self, tmp_path):
+        """Resource paths are written relative to the model file, so two
+        trees whose directory names differ in length give the same bytes."""
+        models = []
+        for name in ("a", "a-longer-directory-name"):
+            root = tmp_path / name
+            root.mkdir()
+            corpus_path, config, _files = write_resource_run(root)
+            (root / "models").mkdir()
+            model_path = root / "models" / "model.txt"
+            assert run(["--quiet", "train", str(corpus_path), str(model_path),
+                        "--config", str(config)]) == 0
+            models.append(model_path.read_bytes())
+        assert models[0] == models[1]
+        assert b"\nspell_dict_path = ../dict.tsv\n" in models[0]
+        assert b"\npath = ../emb.vec\n" in models[0]
+
+    def test_model_moved_with_its_resources_predicts_the_same(self, tmp_path, capsys):
+        before = tmp_path / "before"
+        before.mkdir()
+        model_path, corpus_path, _files = self.train(before)
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p1.tsv")]) == 0
+        after = tmp_path / "after" / "deeper"
+        after.parent.mkdir()
+        shutil.move(before, after)
+        assert run(["predict", str(after / model_path.name), str(after / corpus_path.name),
+                    str(tmp_path / "p2.tsv")]) == 0
+        assert (tmp_path / "p1.tsv").read_bytes() == (tmp_path / "p2.tsv").read_bytes()
+
+        # the model alone, moved away from its resources, names where it looked
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        shutil.move(after / model_path.name, alone / "model.txt")
+        assert run(["predict", str(alone / "model.txt"), str(after / corpus_path.name),
+                    str(tmp_path / "p3.tsv")]) == 3
+        assert f"not found: {alone / 'dict.tsv'}" in capsys.readouterr().err
+
+    def test_older_file_with_absolute_paths_still_loads(self, tmp_path):
+        model_path, corpus_path, files = self.train(tmp_path)
+        text = model_path.read_text(encoding="utf-8")
+        for path in files.values():
+            text, n = re.subn(f"path = {re.escape(path.name)}$", f"path = {path}", text,
+                              flags=re.M)
+            assert n == 1
+        older = tmp_path / "elsewhere" / "model.txt"
+        older.parent.mkdir()
+        older.write_text(text, encoding="utf-8")
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p1.tsv")]) == 0
+        assert run(["predict", str(older), str(corpus_path), str(tmp_path / "p2.tsv")]) == 0
+        assert (tmp_path / "p1.tsv").read_bytes() == (tmp_path / "p2.tsv").read_bytes()
+        assert load_model(older).pipeline.resources.provenance == \
+            load_model(model_path).pipeline.resources.provenance
+
     def test_unused_resource_is_not_loaded(self, tmp_path, caplog):
         """A config whose blocks read no resource trains when the files it
         names are gone, warns once for each named key, and the model
@@ -892,6 +993,35 @@ class TestReferencedFiles:
         text = model_path.read_text(encoding="utf-8")
         assert "path = " not in text and "sha256 = " not in text
         assert load_model(model_path).pipeline.resources.provenance == {}
+
+
+class TestInt32Rows:
+    def test_every_batch_and_row_has_int32_indices(self, tmp_path):
+        """fit_transform, transform_many, a row's csr() and a loaded model's
+        rows all hold int32 indptr and indices, which scipy's views share;
+        the loaded model's rows equal the fitted ones bit for bit."""
+        corpus_path, config_path, _files = write_resource_run(tmp_path, "U+C3+W2V+S+LIWC+GP")
+        model_path = tmp_path / "model.txt"
+        assert run(["--quiet", "train", str(corpus_path), str(model_path),
+                    "--config", str(config_path)]) == 0
+        config = cli.load_run_config(config_path)
+        resources = cli.load_resources(config)
+        settings = cli.build_preprocess_settings(config, resources)
+        prepped = cli.preprocess_corpus(load_corpus(corpus_path, has_labels=True), settings)
+        blocks = [FeatureBlockSpec.from_name(name, config.min_df) for name in config.blocks]
+        pipeline = FeaturePipeline(blocks, resources)
+        fitted = pipeline.fit_transform(prepped)
+        loaded = load_model(model_path).pipeline
+        batches = [fitted, pipeline.transform_many(prepped), pipeline.transform(prepped[0]).csr(),
+                   loaded.transform_many(prepped), loaded.transform(prepped[0]).csr()]
+        for X in batches:
+            assert X.indptr.dtype == X.indices.dtype == np.int32
+            kernels.csr_rmatvec(X, np.ones(len(X)))
+            for view in (X._scipy(), X._scipy_t()):
+                assert np.shares_memory(view.indptr, X.indptr)
+                assert np.shares_memory(view.indices, X.indices)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(batches[3], name).tobytes() == getattr(fitted, name).tobytes()
 
 
 class TestFileNotUtf8:
@@ -956,7 +1086,7 @@ class TestSaveModel:
         model = train_library(corpus_path, config)
         path = tmp_path / "model.txt"
         save_model(model, path)
-        assert path.read_bytes() == reference_model_text_v2(model).encode("utf-8")
+        assert path.read_bytes() == reference_model_text_v2(model, path.parent).encode("utf-8")
 
     @pytest.mark.parametrize("key", ["spell_dict", "gender"])
     @pytest.mark.parametrize("existing", [b"an older model\n", None])

@@ -247,7 +247,7 @@ class TestSparseVector:
     def test_indices_sorted_and_typed(self):
         v = sparse(5, {3: 1.0, 1: 2.0})
         assert v.indices.tolist() == [1, 3] and v.values.tolist() == [2.0, 1.0]
-        assert v.indices.dtype == np.int64 and v.values.dtype == np.float64
+        assert v.indices.dtype == np.int32 and v.values.dtype == np.float64
         for unsorted in ([3, 1], [1, 1]):
             with pytest.raises(ValueError, match="strictly increasing"):
                 SparseVector(5, unsorted, [1.0, 2.0])
@@ -645,6 +645,33 @@ def test_char_codes_past_4095_characters_match_references():
             assert vec.values.tobytes() == np.array([w for _, w in reference]).tobytes()
 
 
+# characters of every width: ASCII, lone surrogates (which a str may
+# hold), and astral characters past U+FFFF
+_ALPHABET_TEXT = st.text(st.one_of(
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()),
+    st.characters(min_codepoint=0x10000),
+))
+
+
+@given(texts=st.lists(_ALPHABET_TEXT, max_size=6), group_chars=st.sampled_from([1, 3, 1 << 16]))
+@example(texts=[], group_chars=1 << 16)
+@example(texts=["", ""], group_chars=1)
+@example(texts=["\ud800", "\U0010ffff a", "\udfff\x00"], group_chars=1)
+@settings(deadline=None)
+def test_alphabet_matches_the_sorted_unique_code_points(texts, group_chars):
+    """The presence table gives the distinct code points of the texts in
+    increasing order, as ``np.unique`` of them all does, however the texts
+    are grouped, and numbers them 1, 2, ..."""
+    reference = np.unique(featurize._code_points("".join(texts)))
+    with mock.patch.object(featurize, "_ALPHABET_CHARS", group_chars):
+        alphabet = featurize._alphabet_of(texts)
+    assert alphabet.points.dtype == reference.dtype
+    assert alphabet.points.tolist() == reference.tolist()
+    assert alphabet.bits == len(reference).bit_length()
+    assert alphabet.ranks(reference).tolist() == list(range(1, len(reference) + 1))
+
+
 def assert_sorts_as_stable_argsort(keys, ranked):
     """``_sort_with_positions`` gives the keys in stable argsort order and
     that order, through the ranked branch (``np.unique``) exactly when
@@ -810,13 +837,13 @@ def test_batch_rows_equal_single_rows_and_references(fit_texts, batch, names, mi
 
     assert isinstance(matrix, SparseMatrix) and len(matrix) == len(docs)
     assert matrix.dimension == pipeline.total_dimension
-    assert matrix.indptr.dtype == matrix.indices.dtype == np.int64
+    assert matrix.indptr.dtype == matrix.indices.dtype == np.int32
     assert matrix.data.dtype == np.float64
     assert matrix.indptr[0] == 0 and matrix.indptr[-1] == matrix.indices.size == matrix.data.size
     for doc, row in zip(docs, matrix):
         single = pipeline.transform(doc)
         assert single.dimension == row.dimension == pipeline.total_dimension
-        assert single.indices.dtype == np.int64 and single.values.dtype == np.float64
+        assert single.indices.dtype == np.int32 and single.values.dtype == np.float64
         assert row.indices.tobytes() == single.indices.tobytes()
         assert row.values.tobytes() == single.values.tobytes()
         assert (np.diff(row.indices) > 0).all() and (row.values != 0.0).all()
@@ -858,6 +885,12 @@ class TestSparseMatrix:
         for bad in (3, -4):
             with pytest.raises(IndexError):
                 matrix[bad]
+
+    def test_a_batch_of_2_31_entries_is_refused_before_it_is_built(self):
+        pipeline = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).fit(_docs("a"))
+        ends = np.array([0, 2**31])  # no arrays of that length are made
+        with pytest.raises(DataError, match=r"2147483648 stored entries: .* 2\*\*31"):
+            pipeline._to_csr(1, np.zeros(0, dtype=np.int32), np.zeros(0), ends)
 
     def test_empty_batch(self):
         pipeline = FeaturePipeline([FeatureBlockSpec.from_name("U", min_df=1)]).fit(_docs("a"))

@@ -39,9 +39,9 @@ def csr_matrices(draw):
     row = st.dictionaries(st.integers(0, n - 1), VALUES) if n else st.just({})
     lead, trail = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     rows = [{}] * lead + draw(st.lists(row, max_size=10)) + [{}] * trail
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
     np.cumsum([len(r) for r in rows], out=indptr[1:])
-    indices = np.array([i for r in rows for i in sorted(r)], dtype=np.int64)
+    indices = np.array([i for r in rows for i in sorted(r)], dtype=np.int32)
     data = np.array([r[i] for r in rows for i in sorted(r)], dtype=np.float64)
     return indptr, indices, data, n
 
@@ -107,7 +107,7 @@ class TestNumpyKernels:
         stacked = stack([x])
         assert isinstance(row, kernels.SparseMatrix) and len(row) == 1
         assert row.indptr.tolist() == stacked.indptr.tolist() == [0, 2]
-        assert row.indptr.dtype == np.int64 and row.dimension == stacked.dimension == 5
+        assert row.indptr.dtype == np.int32 and row.dimension == stacked.dimension == 5
         assert row.indices is x.indices and row.data is x.values
         assert kernels.stack_csr(row) == (row.indptr, row.indices, row.data, 5)
 
@@ -290,3 +290,72 @@ class TestScipyViewsAreBuiltOnce:
             for array in (X.indptr, X.indices, X.data):
                 assert any(np.shares_memory(array, part)
                            for part in (view.indptr, view.indices, view.data))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.uint64])
+    def test_views_keep_the_int32_arrays(self, dtype):
+        """Both constructors store int32 ``indptr`` and ``indices`` whatever
+        integer dtype they are given, and scipy's views of the matrix and
+        of its transpose are those arrays themselves, not int64 copies."""
+        rows = [kernels.SparseVector(25, np.array(sorted(entries), dtype=dtype),
+                                     [entries[i] for i in sorted(entries)])
+                for entries in ({1: 2.0, 24: -1.0}, {}, {0: 0.5, 3: 1.5, 7: 4.0})]
+        X = kernels.SparseMatrix(25, np.array([0, 2, 2, 5], dtype=dtype),
+                                 np.concatenate([row.indices for row in rows]).astype(dtype),
+                                 np.concatenate([row.values for row in rows]))
+        for row in rows:
+            assert row.indices.dtype == row.csr().indptr.dtype == np.int32
+        assert X.indptr.dtype == X.indices.dtype == np.int32
+        kernels.csr_rmatvec(X, np.ones(len(X)))
+        for view in (X._scipy(), X._scipy_t()):
+            assert view.indptr.dtype == view.indices.dtype == np.int32
+            assert np.shares_memory(view.indptr, X.indptr)
+            assert np.shares_memory(view.indices, X.indices)
+            assert np.shares_memory(view.data, X.data)
+
+
+class TestInt32Limit:
+    """int32 indices hold a dimension and a count of stored entries below
+    2**31, and the constructors refuse more; tested at the limit without
+    allocating anything of that size."""
+
+    def test_dimension_below_2_31_is_kept_as_int32_by_scipy(self):
+        row = kernels.SparseVector(2**31 - 1, [0, 2**31 - 2], [1.0, 2.0])
+        X = kernels.SparseMatrix(2**31 - 1, [0, 2], row.indices, row.values)
+        for matrix in (row.csr(), X):
+            view = matrix._scipy()
+            assert view.shape == (1, 2**31 - 1)
+            assert np.shares_memory(view.indices, matrix.indices)
+            assert view.indices.dtype == np.int32
+
+    def test_dimension_of_2_31_is_refused(self):
+        with pytest.raises(ValueError, match=r"dimension 2147483648 is outside \[0, 2\*\*31\)"):
+            kernels.SparseVector(2**31, [0], [1.0])
+        with pytest.raises(ValueError, match=r"dimension 2147483648"):
+            kernels.SparseMatrix(2**31, [0, 1], [0], [1.0])
+        with pytest.raises(ValueError, match=r"dimension -1"):
+            kernels.SparseVector(-1, [], [])
+
+    def test_entry_count_guard(self):
+        kernels.check_int32(2**31 - 1, 2**31 - 1)
+        with pytest.raises(ValueError, match=r"2147483648 stored entries"):
+            kernels.check_int32(5, 2**31)
+
+    @pytest.mark.parametrize("indices", [
+        [2**32 + 1],  # would wrap to index 1
+        [-2**32 + 1],
+        np.array([2**63 + 1], dtype=np.uint64),
+    ])
+    def test_indices_outside_int32_are_refused_not_wrapped(self, indices):
+        with pytest.raises(ValueError, match="out of range"):
+            kernels.SparseVector(5, indices, [1.0])
+        with pytest.raises(ValueError, match="out of range"):
+            kernels.SparseMatrix(5, [0, 1], indices, [1.0])
+
+    def test_offsets_outside_int32_are_refused_not_wrapped(self):
+        with pytest.raises(ValueError, match="out of range"):
+            kernels.SparseMatrix(5, [0, 2**32 + 1], [1], [1.0])  # would wrap to 1 == nnz
+
+    def test_a_decrease_that_wraps_in_int32_is_refused(self):
+        """A difference of two int32 offsets can wrap; the check compares."""
+        with pytest.raises(ValueError, match="indptr must not decrease"):
+            kernels.SparseMatrix(5, [0, 2**31 - 1, -2**31, -1, 1], [0], [1.0])

@@ -899,7 +899,7 @@ def bits(value):
 def test_save_model_writes_the_reference_bytes_and_loads_back_bit_for_bit(tmp_path, model):
     path = tmp_path / "model.txt"
     save_model(model, path)
-    assert path.read_bytes() == reference_model_text_v2(model).encode("utf-8")
+    assert path.read_bytes() == reference_model_text_v2(model, path.parent).encode("utf-8")
 
     loaded = load_model(path)
     for got, want in zip(loaded.classifiers, model.classifiers):
@@ -935,7 +935,7 @@ def test_vocab_rows_write_the_reference_bytes_and_load_back(tmp_path, terms):
                      pipeline=pipeline, preprocess=PreprocessSettings(clean=CleanConfig()))
     path = tmp_path / "model.txt"
     save_model(model, path)
-    assert path.read_bytes() == reference_model_text_v2(model).encode("utf-8")
+    assert path.read_bytes() == reference_model_text_v2(model, path.parent).encode("utf-8")
     loaded = load_model(path).pipeline.vocabularies["U"]
     assert loaded.terms == terms
     assert terms_and_dfs(loaded) == terms_and_dfs(vocab)
