@@ -24,7 +24,7 @@ from . import translit
 from .corpus_io import Corpus, Document, load_corpus, load_predictions, write_predictions
 from .errors import DataError, ResourceError, UsageError, read_utf8
 from .evaluate import build_report, random_baseline, render_report
-from .featurize import BLOCK_DEFS, FeatureBlockSpec, FeaturePipeline
+from .featurize import BLOCK_DEFS, DENSE_KINDS, FeatureBlockSpec, FeaturePipeline
 from .lexfeatures import (
     BuiltinSentimentProvider,
     Resources,
@@ -43,6 +43,7 @@ from .model import (
     train_ovr,
 )
 from .preprocess import (
+    CLEAN_SWITCHES,
     CleanConfig,
     PreprocessSettings,
     save_spell_dictionary,
@@ -53,8 +54,12 @@ log = logging.getLogger("aggdetect")
 
 LANGUAGES = ("english", "hindi")
 
-# Feature blocks that need English-only resources.
-ENGLISH_ONLY_BLOCKS = ("W2V", "S", "LIWC", "GP")
+# Feature blocks that need English-only resources: the dense ones.
+ENGLISH_ONLY_BLOCKS = tuple(name for name, (kind, _) in BLOCK_DEFS.items() if kind in DENSE_KINDS)
+
+# The config key naming the file of each dense block that reads one file;
+# the file loads as the resource named by the block's kind.
+DENSE_BLOCK_FILES = {"W2V": "embeddings", "LIWC": "liwc_lexicon", "GP": "gender_lexicon"}
 
 # Ready-made configs for the usual system variants. File keys override
 # preset values; the system-1/system-2 split differs between languages
@@ -84,7 +89,11 @@ PRESETS: dict[str, dict[str, str]] = {
 
 @dataclass
 class RunConfig:
-    """Everything a training run needs, resolved from a config file."""
+    """Everything a training run needs, resolved from a config file.
+
+    ``clean_overrides`` holds the :class:`CleanConfig` fields that the file
+    sets, a switch of ``CLEAN_SWITCHES`` or ``expansions``; every other
+    field keeps the language's default (:meth:`clean_config`)."""
 
     language: str = "english"
     blocks: list[str] = field(default_factory=lambda: ["U"])
@@ -92,13 +101,7 @@ class RunConfig:
     spell_correct: bool = False
     transliterate: bool | None = None  # None: on for hindi, off for english
     merge_validation: bool = False
-    # Clean-config overrides; None means the per-language default.
-    lowercase: bool | None = None
-    strip_urls: bool | None = None
-    strip_emails: bool | None = None
-    strip_numbers: bool | None = None
-    minor_stemming: bool | None = None
-    expansions: dict[str, str] | None = None
+    clean_overrides: dict[str, object] = field(default_factory=dict)
     # Resource paths (resolved relative to the config file).
     embeddings: str | None = None
     sentiment_provider: str = "builtin"
@@ -112,20 +115,7 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def clean_config(self) -> CleanConfig:
-        base = CleanConfig.for_language(self.language)
-        overrides = {
-            name: value
-            for name, value in (
-                ("lowercase", self.lowercase),
-                ("strip_urls", self.strip_urls),
-                ("strip_emails", self.strip_emails),
-                ("strip_numbers", self.strip_numbers),
-                ("minor_stemming", self.minor_stemming),
-                ("expansions", self.expansions),
-            )
-            if value is not None
-        }
-        return replace(base, **overrides)
+        return replace(CleanConfig.for_language(self.language), **self.clean_overrides)
 
     def wants_transliteration(self) -> bool:
         return self.language == "hindi" if self.transliterate is None else self.transliterate
@@ -179,6 +169,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not path.is_file():
         raise ResourceError(f"config file not found: {path}")
     raw: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     for lineno, line in enumerate(read_utf8(path, UsageError).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -186,7 +177,12 @@ def load_run_config(path: str | Path) -> RunConfig:
         key, sep, value = stripped.partition("=")
         if not sep:
             raise UsageError(f"{path}: line {lineno} is not 'key = value': {line!r}")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in key_lines:
+            raise UsageError(f"{path}: config key {key!r} is given twice, "
+                             f"on lines {key_lines[key]} and {lineno}")
+        key_lines[key] = lineno
+        raw[key] = value.strip()
 
     if "preset" in raw:
         preset_name = raw.pop("preset")
@@ -208,12 +204,13 @@ def load_run_config(path: str | Path) -> RunConfig:
             config.blocks = parse_blocks(value)
         elif key == "min_df":
             config.min_df = _config_number(key, value, int)
-        elif key in ("spell_correct", "merge_validation", "transliterate", "lowercase",
-                     "strip_urls", "strip_emails", "strip_numbers", "minor_stemming"):
+        elif key in ("spell_correct", "merge_validation", "transliterate"):
             setattr(config, key, _parse_config_bool(key, value))
+        elif key in CLEAN_SWITCHES:
+            config.clean_overrides[key] = _parse_config_bool(key, value)
         elif key == "expansions":
             try:
-                config.expansions = json.loads(value)
+                config.clean_overrides[key] = json.loads(value)
             except json.JSONDecodeError as exc:
                 raise UsageError(f"config key 'expansions': bad JSON ({exc})") from None
         elif key in _PATH_KEYS:
@@ -246,8 +243,9 @@ def _validate_run_config(config: RunConfig) -> None:
             raise UsageError(
                 f"blocks {', '.join(bad)} are not available for hindi configs"
             )
-    if "W2V" in config.blocks and not config.embeddings:
-        raise UsageError("block W2V requires an 'embeddings' path")
+    for block, key in DENSE_BLOCK_FILES.items():
+        if block in config.blocks and not getattr(config, key):
+            raise UsageError(f"block {block} requires a path in {key!r}")
     if "S" in config.blocks:
         if config.sentiment_provider == "builtin":
             if not (config.positive_words and config.negative_words):
@@ -257,10 +255,6 @@ def _validate_run_config(config: RunConfig) -> None:
                 )
         elif not config.sentiment_sidecar:
             raise UsageError("block S with the sidecar provider requires 'sentiment_sidecar'")
-    if "LIWC" in config.blocks and not config.liwc_lexicon:
-        raise UsageError("block LIWC requires a 'liwc_lexicon' path")
-    if "GP" in config.blocks and not config.gender_lexicon:
-        raise UsageError("block GP requires a 'gender_lexicon' path")
     if config.spell_correct and not config.spell_dict:
         raise UsageError("spell_correct = true requires a 'spell_dict' path")
     if config.min_df < 1:
@@ -278,21 +272,18 @@ def load_resources(config: RunConfig) -> Resources:
     compute starts."""
     sentiment = "S" in config.blocks
     builtin = config.sentiment_provider == "builtin"
-    used = {
-        "embeddings": "W2V" in config.blocks,
-        "positive_words": sentiment and builtin,
-        "negative_words": sentiment and builtin,
-        "sentiment_sidecar": sentiment and not builtin,
-        "liwc_lexicon": "LIWC" in config.blocks,
-        "gender_lexicon": "GP" in config.blocks,
-        "spell_dict": config.spell_correct,
-    }
+    dense = [block for block in DENSE_BLOCK_FILES if block in config.blocks]
+    used = {DENSE_BLOCK_FILES[block] for block in dense}
+    if sentiment:
+        used.update(("positive_words", "negative_words") if builtin else ("sentiment_sidecar",))
+    if config.spell_correct:
+        used.add("spell_dict")
     for key in _PATH_KEYS:
-        if getattr(config, key) and not used[key]:
+        if getattr(config, key) and key not in used:
             log.warning("config key %r names a file that no setting uses; not loaded", key)
     resources = Resources()
-    if used["embeddings"]:
-        resources.load("embedding", config.embeddings)
+    for block in dense:
+        resources.load(BLOCK_DEFS[block][0], getattr(config, DENSE_BLOCK_FILES[block]))
     if sentiment:
         if builtin:
             resources.sentiment_provider = BuiltinSentimentProvider(
@@ -304,10 +295,6 @@ def load_resources(config: RunConfig) -> Resources:
             resources.sentiment_provider = SidecarSentimentProvider(
                 load_sentiment_sidecar(config.sentiment_sidecar)
             )
-    if used["liwc_lexicon"]:
-        resources.load("liwc", config.liwc_lexicon)
-    if used["gender_lexicon"]:
-        resources.load("gender", config.gender_lexicon)
     return resources
 
 
@@ -355,10 +342,7 @@ def _embedding_coverage(documents: list[Document], resources: Resources) -> floa
 
 def cmd_build_dict(args) -> int:
     corpus = load_corpus(args.corpus, has_labels=not args.unlabeled, format=args.format)
-    settings = PreprocessSettings(
-        clean=CleanConfig.for_language(args.language),
-        transliterate=args.language == "hindi",
-    )
+    settings = build_preprocess_settings(RunConfig(language=args.language), Resources())
     counts: Counter[str] = Counter()
     for doc in preprocess_corpus(corpus, settings):
         counts.update(doc.text.split())
@@ -387,6 +371,10 @@ def cmd_train(args) -> int:
 
     train_docs = list(corpus.documents)
     if config.merge_validation and validation is not None:
+        shared = {doc.id for doc in corpus.documents} & {doc.id for doc in validation.documents}
+        if shared:
+            raise DataError(f"document id {min(shared)!r} is in both the training and the "
+                            "validation corpus; merged ids must be unique")
         train_docs += validation.documents
         log.info(
             "merged validation into training: %d train + %d validation = %d documents",

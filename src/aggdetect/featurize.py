@@ -482,9 +482,9 @@ NAME_PREFIXES = {
 
 LEXICAL_KINDS = ("word_ngram", "binary_word_ngram", "char_ngram", "skip_gram")
 DENSE_KINDS = ("embedding", "sentiment", "liwc", "gender")
-# The kinds that read a document's tokens; a sentiment provider splits and
-# tokenizes the document's sentences itself.
-TOKEN_KINDS = ("word_ngram", "binary_word_ngram", "skip_gram", "embedding", "liwc", "gender")
+# The kinds that read a document's tokens: not char n-grams, nor sentiment,
+# whose provider splits and tokenizes the document's sentences itself.
+TOKEN_KINDS = tuple(k for k in LEXICAL_KINDS + DENSE_KINDS if k not in ("char_ngram", "sentiment"))
 
 # Documents whose runs FeaturePipeline._runs gathers, and _weigh_rows
 # weights and sorts, together: enough to spread the per-call cost of the

@@ -73,14 +73,8 @@ from . import kernels, lexfeatures, translit
 from .kernels import SparseMatrix, SparseVector
 from .corpus_io import LABELS, Label, escape_field, unescape_field
 from .errors import DataError, ResourceError, UsageError, read_utf8
-from .featurize import (
-    DENSE_KINDS,
-    FeatureBlockSpec,
-    FeaturePipeline,
-    LEXICAL_KINDS,
-    Vocabulary,
-)
-from .preprocess import CleanConfig, PreprocessSettings
+from .featurize import FeatureBlockSpec, FeaturePipeline, LEXICAL_KINDS, Vocabulary
+from .preprocess import CLEAN_SWITCHES, CleanConfig, PreprocessSettings
 
 MODEL_FORMAT = "aggdetect-model 2"
 # why train_binary stopped: the gradient's sup-norm reached grad_tol,
@@ -397,7 +391,7 @@ def _block_lines(pipe: FeaturePipeline, spec: FeatureBlockSpec, base: str) -> li
     if spec.kind in LEXICAL_KINDS:
         out.append(f"n_documents = {pipe.vocabularies[spec.name].n_documents}")
         out.append(f"[vocab:{spec.name}]")
-    elif spec.kind in ("embedding", "liwc", "gender"):
+    elif spec.kind in lexfeatures.RESOURCE_FILES:  # a dense block that reads one file
         out.extend(_resource_lines(pipe.resources, spec.kind, base))
     elif spec.kind == "sentiment":
         provider = pipe.resources.sentiment_provider
@@ -454,11 +448,7 @@ def save_model(model: OvRModel, path: str | Path) -> None:
         f"single_class_warning = {_bool(model.single_class_warning)}",
         f"total_dimension = {pipe.total_dimension}",
         "[preprocess]",
-        f"lowercase = {_bool(clean.lowercase)}",
-        f"strip_urls = {_bool(clean.strip_urls)}",
-        f"strip_emails = {_bool(clean.strip_emails)}",
-        f"strip_numbers = {_bool(clean.strip_numbers)}",
-        f"minor_stemming = {_bool(clean.minor_stemming)}",
+        *(f"{name} = {_bool(getattr(clean, name))}" for name in CLEAN_SWITCHES),
         "expansions = " + json.dumps(clean.expansions, sort_keys=True, ensure_ascii=False),
         f"transliterate = {_bool(prep.transliterate)}",
         f"translit_table_version = {translit.TABLE_VERSION}",
@@ -705,10 +695,10 @@ def load_model(path: str | Path) -> OvRModel:
     total_dimension = _need(meta, "total_dimension", "meta", path, _dimension)
 
     prep_kv = _kv(by_name["preprocess"], "preprocess", path)
-    flags = ("lowercase", "strip_urls", "strip_emails", "strip_numbers", "minor_stemming")
     try:
         clean = CleanConfig(
-            **{flag: _need(prep_kv, flag, "preprocess", path, _parse_bool) for flag in flags},
+            **{name: _need(prep_kv, name, "preprocess", path, _parse_bool)
+               for name in CLEAN_SWITCHES},
             expansions=_need(prep_kv, "expansions", "preprocess", path, json.loads),
         )
     except UsageError as exc:
@@ -758,7 +748,7 @@ def load_model(path: str | Path) -> OvRModel:
                 path,
                 params.get("n") if kind == "char_ngram" else None,
             )
-        elif kind in ("embedding", "liwc", "gender"):
+        elif kind in lexfeatures.RESOURCE_FILES:
             _load_resource(resources, kind, kv, "", section, path)
         elif kind == "sentiment":
             provider_kind = _need(kv, "provider", section, path)

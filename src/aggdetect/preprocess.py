@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import NoReturn
 
@@ -110,6 +110,11 @@ class CleanConfig:
         if language == "hindi":
             return CleanConfig(minor_stemming=False, expansions={})
         return CleanConfig()
+
+
+# The on/off stages of a CleanConfig, in field order: the boolean keys of a
+# run config and the lines of a model file's [preprocess] section.
+CLEAN_SWITCHES = tuple(f.name for f in fields(CleanConfig) if f.type == "bool")
 
 
 def _stem_once(token: str) -> str:

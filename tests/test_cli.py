@@ -122,6 +122,19 @@ class TestBuildDict:
         run(["build-dict", str(corpus), str(out)])
         assert out.read_text(encoding="utf-8") == "dog\t2\n"
 
+    @pytest.mark.parametrize("language, expected", [
+        ("hindi", "gussaa\t1\nshaanta\t2\nyaars\t1\n"),
+        # English keeps Devanagari as it is and strips the plural s
+        ("english", "yaar\t1\nगुस्सा\t1\nशांत\t2\n"),
+    ])
+    def test_language_sets_the_preprocessing(self, tmp_path, language, expected):
+        corpus = write_corpus_tsv(
+            tmp_path / "c.tsv", [("a", "शांत yaars", Label.NAG), ("b", "गुस्सा शांत", Label.OAG)]
+        )
+        out = tmp_path / "dict.tsv"
+        assert run(["build-dict", str(corpus), str(out), "--language", language]) == 0
+        assert out.read_text(encoding="utf-8") == expected
+
 
 class TestTrain:
     def test_writes_model_and_reports_validation(
@@ -174,7 +187,10 @@ class TestTrain:
 
     def test_merge_validation_logs_counts(self, tmp_path, toy_corpus, basic_config, caplog):
         corpus_path, _rows = toy_corpus
-        val_path = write_corpus_tsv(tmp_path / "val.tsv", synthetic_documents(2, seed=5))
+        # merged ids must be unique: the validation ids differ from the "doc*" ones
+        val_rows = [(f"val{i}", text, label)
+                    for i, (_id, text, label) in enumerate(synthetic_documents(2, seed=5))]
+        val_path = write_corpus_tsv(tmp_path / "val.tsv", val_rows)
         model_path = tmp_path / "model.txt"
         with caplog.at_level("INFO", logger="aggdetect"):
             code = run([
@@ -185,6 +201,19 @@ class TestTrain:
         assert code == 0
         assert "36 train + 6 validation = 42 documents" in caplog.text
         assert load_model(model_path).n_train_documents == 42
+
+    def test_merge_validation_refuses_an_id_in_both_corpora(
+        self, tmp_path, toy_corpus, basic_config, capsys
+    ):
+        corpus_path, _rows = toy_corpus
+        val_path = write_corpus_tsv(tmp_path / "val.tsv", [
+            ("val0", "calm0 noise0", Label.NAG), ("doc3", "rage0 noise1", Label.OAG),
+        ])
+        model_path = tmp_path / "model.txt"
+        assert run(["train", str(corpus_path), str(model_path), "--config", str(basic_config),
+                    "--validation", str(val_path), "--merge-validation"]) == 2
+        assert "document id 'doc3' is in both" in capsys.readouterr().err
+        assert not model_path.exists()
 
     def test_missing_resource_fails_fast(self, tmp_path, toy_corpus):
         corpus_path, _rows = toy_corpus
@@ -368,6 +397,58 @@ class TestTrain:
         assert calls == [3]
         # 5 of the 8 training tokens have a vector
         assert "embedding coverage: 62.5% of training tokens" in caplog.text
+
+    @pytest.mark.parametrize("block, key", [
+        ("W2V", "embeddings"), ("LIWC", "liwc_lexicon"), ("GP", "gender_lexicon"),
+    ])
+    def test_dense_block_without_its_file_is_usage_error(
+        self, tmp_path, toy_corpus, capsys, block, key
+    ):
+        corpus_path, _rows = toy_corpus
+        config = write_lines(tmp_path / "bad.cfg", ["language = english", f"blocks = U+{block}"])
+        assert run(["train", str(corpus_path), str(tmp_path / "m.txt"),
+                    "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"block {block} requires" in err and repr(key) in err
+
+    @pytest.mark.parametrize("switch", preprocess.CLEAN_SWITCHES)
+    def test_clean_switch_reaches_the_model(self, tmp_path, toy_corpus, switch):
+        corpus_path, _rows = toy_corpus
+        config = write_lines(tmp_path / "run.cfg", [
+            "language = english", "blocks = U", "min_df = 1", "max_iters = 30",
+            f"{switch} = false", 'expansions = {"zz": "sleep"}',
+        ])
+        model_path = tmp_path / "model.txt"
+        assert run(["train", str(corpus_path), str(model_path), "--config", str(config)]) == 0
+        clean = load_model(model_path).preprocess.clean
+        assert clean == cli.load_run_config(config).clean_config()
+        assert clean == preprocess.CleanConfig(**{switch: False}, expansions={"zz": "sleep"})
+
+    @pytest.mark.parametrize("lines, key, first, second", [
+        (["blocks = U", "blocks = C3"], "blocks", 1, 2),
+        (["preset = hindi-best", "# a comment", "", "min_df = 1", "preset = english-best"],
+         "preset", 1, 5),
+    ])
+    def test_repeated_config_key_is_usage_error(
+        self, tmp_path, toy_corpus, capsys, lines, key, first, second
+    ):
+        corpus_path, _rows = toy_corpus
+        config = write_lines(tmp_path / "bad.cfg", lines)
+        model_path = tmp_path / "m.txt"
+        assert run(["train", str(corpus_path), str(model_path), "--config", str(config)]) == 1
+        assert f"config key {key!r} is given twice, on lines {first} and {second}" in (
+            capsys.readouterr().err
+        )
+        assert not model_path.exists()
+
+    def test_file_keys_override_preset_keys(self, tmp_path):
+        config = write_lines(tmp_path / "run.cfg",
+                             ["blocks = U", "preset = hindi-system-2", "lowercase = false"])
+        loaded = cli.load_run_config(config)
+        assert (loaded.language, loaded.blocks, loaded.merge_validation) == ("hindi", ["U"], True)
+        assert loaded.clean_config() == preprocess.CleanConfig(
+            lowercase=False, minor_stemming=False, expansions={}
+        )
 
     def test_preset_config(self, tmp_path, toy_corpus):
         corpus_path, _rows = toy_corpus

@@ -160,6 +160,11 @@ class TestCleanText:
         assert clean_text("k0's", chain) == reference_clean_text("k0's", chain) == "k7"
 
 
+def test_clean_switches_are_the_boolean_fields_in_order():
+    # the order of a model file's [preprocess] lines
+    assert preprocess.CLEAN_SWITCHES == FLAGS
+
+
 class TestCleanTextReference:
     """The one pass over the tokens against the regex definition in
     helpers: lowercase, URL, email and number passes over the whole text,
