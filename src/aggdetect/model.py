@@ -1,9 +1,12 @@
 """One-vs-rest L2-regularized logistic regression.
 
 Each class gets its own binary classifier, trained by full-batch L-BFGS
-with Armijo backtracking from zero initialization on the training
-SparseMatrix, shared as it is by all classes (and wrapped for scipy's
-products once); nothing is random, so training is fully deterministic.
+with Armijo backtracking on the training SparseMatrix, shared as it is by
+all classes (and wrapped for scipy's products once).  Each solve starts at
+the intercept-only optimum, zero weights and the bias that fits the class
+prior, like glmnet's null model (Friedman, Hastie & Tibshirani 2010), so
+no iterations go to finding the prior; nothing is random, so training is
+fully deterministic.
 The objective per binary problem is
 
     J(w, b) = (1/m) * sum_i xent(sigmoid(w.x_i + b), y_i)
@@ -154,12 +157,15 @@ def _lbfgs_direction(
     return q
 
 
-def train_binary(X: SparseMatrix, y: Sequence[int],
+def train_binary(X: SparseMatrix, y: Sequence[float],
                  config: TrainConfig | None = None) -> BinaryLogReg:
     """Train one binary classifier on its examples ``X`` by
     L-BFGS (Liu & Nocedal 1989) over the vector (w, b).
 
-    Deterministic: zero initialization, full-batch gradients, the last
+    Deterministic: starts at w = 0 and b = log(S / (m - S)), S the sum of
+    the targets over m examples, which minimizes J over b at w = 0 (the
+    intercept-only, or null, model; b = 0 when every target is 0 or every
+    target is 1), then takes full-batch gradients, the last
     ``_HISTORY`` curvature pairs with s.y > 0 (others are skipped, so
     ``reg_lambda = 0`` works), and Armijo backtracking by halving from a
     unit step; the first direction, and any taken while no pair is stored,
@@ -171,6 +177,9 @@ def train_binary(X: SparseMatrix, y: Sequence[int],
     must be strict in float64, so once J's values stop resolving descent
     (near a gradient of 1e-8 on unit-scale features) the solver stops by
     "line_search" instead of taking steps that do not move.
+
+    Targets must be finite numbers in [0, 1], where J is defined and
+    non-negative; soft targets inside it train too.
     """
     config = config or TrainConfig()
     dim = X.dimension
@@ -182,6 +191,10 @@ def train_binary(X: SparseMatrix, y: Sequence[int],
         raise DataError("cannot train on an empty example set")
     if X.data.size and not np.isfinite(X.data).all():
         raise DataError("non-finite feature values in training data")
+    bad = np.flatnonzero(~((y_arr >= 0) & (y_arr <= 1)))  # NaN fails both
+    if bad.size:
+        raise DataError(f"target {bad[0]} is {float(y_arr[bad[0]])!r}, "
+                        f"not a finite number in [0, 1]")
     lam = config.reg_lambda
 
     def flat_gradient(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -194,7 +207,12 @@ def train_binary(X: SparseMatrix, y: Sequence[int],
     rho = np.empty(_HISTORY)
     newest, n_pairs, gamma = -1, 0, 1.0
     theta = np.zeros(dim + 1)  # (w, b)
-    loss, z = objective(X, y_arr, theta[:dim], 0.0, lam)
+    # the intercept-only optimum: b with sigmoid(b) the mean target
+    positives = float(y_arr.sum())
+    odds = positives / (m - positives) if positives < m else 0.0
+    if odds > 0:  # else every target is 0 or 1 (or the odds underflow): b = 0
+        theta[dim] = math.log(odds)
+    loss, z = objective(X, y_arr, theta[:dim], float(theta[dim]), lam)
     g = flat_gradient(theta, z)
     iterations = 0
     while True:

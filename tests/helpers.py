@@ -1,4 +1,5 @@
-"""Shared test utilities: tiny resource files and synthetic corpora."""
+"""Shared test utilities: tiny resource files, synthetic corpora and the
+library path of ``train``."""
 
 from __future__ import annotations
 
@@ -12,12 +13,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from aggdetect.corpus_io import LABELS, Corpus, Document, Label, escape_field
+from aggdetect import cli
+from aggdetect.corpus_io import LABELS, Corpus, Document, Label, escape_field, load_corpus
 from aggdetect.featurize import (
     FeatureBlockSpec, FeaturePipeline, Vocabulary, _fit_counts, _TermIds,
 )
 from aggdetect.kernels import SparseMatrix, SparseVector
-from aggdetect.model import OvRModel
+from aggdetect.model import OvRModel, train_ovr
 from aggdetect.preprocess import CleanConfig, SpellDictionary, _stem_token
 from aggdetect.translit import TABLE_VERSION
 
@@ -225,6 +227,60 @@ def write_embeddings(path: Path, vectors: dict[str, list[float]]) -> Path:
 def write_lines(path: Path, lines: list[str]) -> Path:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
+
+
+# Config key naming each file a model can reference, by provenance key.
+RESOURCE_CONFIG_KEYS = {
+    "embedding": "embeddings",
+    "sentiment_pos": "positive_words",
+    "sentiment_neg": "negative_words",
+    "liwc": "liwc_lexicon",
+    "gender": "gender_lexicon",
+    "spell_dict": "spell_dict",
+}
+
+
+def write_resource_run(tmp_path, blocks="U+W2V+S+LIWC+GP", spell_correct=True, min_df=1,
+                       extra=()):
+    """A corpus, one file of every kind a model references, and a config
+    with ``blocks`` (U+W2V+S+LIWC+GP by default), spell correction and
+    ``min_df`` that names them all, then the ``extra`` lines:
+    ``(corpus_path, config_path, {provenance key: file path})``."""
+    rows = synthetic_documents(8, seed=17)
+    corpus_path = write_corpus_tsv(tmp_path / "train.tsv", rows)
+    words = sorted({w for _i, text, _l in rows for w in text.split()})
+    files = {
+        "embedding": write_embeddings(
+            tmp_path / "emb.vec", {w: [float(len(w)), float(i % 3)] for i, w in enumerate(words)}
+        ),
+        "sentiment_pos": write_lines(tmp_path / "pos.txt", ["calm0", "calm1"]),
+        "sentiment_neg": write_lines(tmp_path / "neg.txt", ["rage0", "rage1"]),
+        "liwc": write_lines(tmp_path / "liwc.tsv", ["calmness\tcalm*", "anger\trage*"]),
+        "gender": write_lines(tmp_path / "gender.tsv", ["_intercept\t-0.1", "sly0\t0.5"]),
+        "spell_dict": write_lines(tmp_path / "dict.tsv", [f"{w}\t5" for w in words]),
+    }
+    config = write_lines(tmp_path / "full.cfg", [
+        "language = english", f"blocks = {blocks}", f"min_df = {min_df}", "max_iters = 30",
+        f"spell_correct = {str(spell_correct).lower()}",
+        *(f"{RESOURCE_CONFIG_KEYS[key]} = {path.name}" for key, path in files.items()),
+        *extra,
+    ])
+    return corpus_path, config, files
+
+
+def train_library(corpus_path, config_path):
+    """The model ``train`` writes, built through the library: fit,
+    transform_many, train_ovr."""
+    config = cli.load_run_config(config_path)
+    resources = cli.load_resources(config)
+    settings = cli.build_preprocess_settings(config, resources)
+    corpus = load_corpus(corpus_path, has_labels=True)
+    prepped = cli.preprocess_corpus(corpus, settings)
+    blocks = [FeatureBlockSpec.from_name(name, config.min_df) for name in config.blocks]
+    pipeline = FeaturePipeline(blocks, resources).fit(prepped)
+    return train_ovr(pipeline.transform_many(prepped), [doc.gold for doc in prepped],
+                     config.train, pipeline=pipeline, preprocess=settings,
+                     language=config.language)
 
 
 _REFERENCE_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}

@@ -20,12 +20,15 @@ from aggdetect.featurize import FeatureBlockSpec, FeaturePipeline
 from aggdetect.model import load_model, save_model, train_ovr
 
 from helpers import (
+    RESOURCE_CONFIG_KEYS,
     reference_candidates,
     reference_model_text_v2,
     synthetic_documents,
+    train_library,
     write_corpus_tsv,
     write_embeddings,
     write_lines,
+    write_resource_run,
 )
 
 
@@ -45,58 +48,6 @@ def basic_config(tmp_path):
 
 def run(argv):
     return main(argv)
-
-
-# Config key naming each file a model can reference, by provenance key.
-RESOURCE_CONFIG_KEYS = {
-    "embedding": "embeddings",
-    "sentiment_pos": "positive_words",
-    "sentiment_neg": "negative_words",
-    "liwc": "liwc_lexicon",
-    "gender": "gender_lexicon",
-    "spell_dict": "spell_dict",
-}
-
-
-def write_resource_run(tmp_path, blocks="U+W2V+S+LIWC+GP", spell_correct=True):
-    """A corpus, one file of every kind a model references, and a config
-    with ``blocks`` (U+W2V+S+LIWC+GP by default) and spell correction that
-    names them all: ``(corpus_path, config_path, {provenance key: file
-    path})``."""
-    rows = synthetic_documents(8, seed=17)
-    corpus_path = write_corpus_tsv(tmp_path / "train.tsv", rows)
-    words = sorted({w for _i, text, _l in rows for w in text.split()})
-    files = {
-        "embedding": write_embeddings(
-            tmp_path / "emb.vec", {w: [float(len(w)), float(i % 3)] for i, w in enumerate(words)}
-        ),
-        "sentiment_pos": write_lines(tmp_path / "pos.txt", ["calm0", "calm1"]),
-        "sentiment_neg": write_lines(tmp_path / "neg.txt", ["rage0", "rage1"]),
-        "liwc": write_lines(tmp_path / "liwc.tsv", ["calmness\tcalm*", "anger\trage*"]),
-        "gender": write_lines(tmp_path / "gender.tsv", ["_intercept\t-0.1", "sly0\t0.5"]),
-        "spell_dict": write_lines(tmp_path / "dict.tsv", [f"{w}\t5" for w in words]),
-    }
-    config = write_lines(tmp_path / "full.cfg", [
-        "language = english", f"blocks = {blocks}", "min_df = 1", "max_iters = 30",
-        f"spell_correct = {str(spell_correct).lower()}",
-        *(f"{RESOURCE_CONFIG_KEYS[key]} = {path.name}" for key, path in files.items()),
-    ])
-    return corpus_path, config, files
-
-
-def train_library(corpus_path, config_path):
-    """The model ``train`` writes, built through the library: fit,
-    transform_many, train_ovr."""
-    config = cli.load_run_config(config_path)
-    resources = cli.load_resources(config)
-    settings = cli.build_preprocess_settings(config, resources)
-    corpus = load_corpus(corpus_path, has_labels=True)
-    prepped = cli.preprocess_corpus(corpus, settings)
-    blocks = [FeatureBlockSpec.from_name(name, config.min_df) for name in config.blocks]
-    pipeline = FeaturePipeline(blocks, resources).fit(prepped)
-    return train_ovr(pipeline.transform_many(prepped), [doc.gold for doc in prepped],
-                     config.train, pipeline=pipeline, preprocess=settings,
-                     language=config.language)
 
 
 class TestBuildDict:

@@ -253,6 +253,63 @@ class TestTrainBinary:
         with pytest.raises(DataError, match="non-finite"):
             fit([sv(1, i0=float("nan"))], [1])
 
+    @pytest.mark.parametrize("bad, shown", [
+        (float("nan"), "nan"), (-1.0, "-1.0"), (2.0, "2.0"), (float("inf"), "inf"),
+    ])
+    def test_rejects_targets_outside_the_unit_interval(self, bad, shown):
+        """J is undefined at a NaN target and can go negative outside
+        [0, 1]; the first such target is named."""
+        X = [sv(1, i0=1.0), sv(1, i0=-1.0), sv(1, i0=0.5), sv(1, i0=2.0)]
+        with pytest.raises(DataError, match=rf"^target 1 is {shown}, not a finite number"):
+            fit(X, [0.0, bad, 1.0, bad])
+
+
+class TestStart:
+    """Each solve starts at the intercept-only optimum: w = 0 and
+    b = log(S / (m - S)), S the sum of the m targets."""
+
+    X = [sv(2, i0=1.0), sv(2, i1=0.5), sv(2, i0=-1.0, i1=1.0), sv(2, i1=2.0)]
+
+    def start(self, y):
+        """The classifier a solve returns when its start already meets
+        ``grad_tol``."""
+        clf = fit(self.X, y, TrainConfig(grad_tol=1e9))
+        assert (clf.iterations, clf.stop_reason) == (0, "grad_tol")
+        assert clf.weights.tolist() == [0.0, 0.0]
+        return clf
+
+    def test_bias_is_the_log_odds_of_the_positives(self):
+        assert self.start([1, 0, 0, 0]).bias == math.log(1 / 3)
+        assert self.start([1, 1, 1, 0]).bias == math.log(3 / 1)
+        assert self.start([1, 0, 1, 0]).bias == 0.0
+
+    @pytest.mark.parametrize("y", [[0, 0, 0, 0], [1, 1, 1, 1]])
+    def test_one_class_starts_at_zero(self, y):
+        assert self.start(y).bias == 0.0
+
+    def test_soft_targets_start_at_their_logit(self):
+        y = [0.25, 0.5, 0.5, 0.25]  # mean 0.375
+        clf = self.start(y)
+        assert clf.bias == math.log(1.5 / 2.5)
+        assert clf.bias == pytest.approx(math.log(0.375 / 0.625))
+        _gw, gb = gradient_at(self.X, np.array(y), clf.weights, clf.bias, 1.0)
+        assert abs(gb) <= 1e-15  # J is flat in b there
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    def test_solve_ends_no_higher_than_it_starts(self, seed, lam):
+        """J(w, b) <= J(0, b0) <= J(0, 0) for the returned (w, b) and the
+        start b0."""
+        vectors, X_dense, y = random_problem(np.random.default_rng(seed))
+        X = stack(vectors)
+        zeros = np.zeros(X_dense.shape[1])
+        b0 = train_binary(X, y, TrainConfig(reg_lambda=lam, grad_tol=1e9)).bias
+        clf = train_binary(X, y, TrainConfig(reg_lambda=lam, max_iters=100))
+        end, _z = objective(X, y, clf.weights, clf.bias, lam)
+        start, _z = objective(X, y, zeros, b0, lam)
+        origin, _z = objective(X, y, zeros, 0.0, lam)
+        assert end <= start <= origin
+
 
 class TestTrainOvr:
     def test_one_classifier_per_class(self):
