@@ -82,8 +82,6 @@ PRESETS: dict[str, dict[str, str]] = {
         "blocks": "U+C3+C4+C5",
         "merge_validation": "true",
     },
-    "english-best": {"language": "english", "blocks": "BU+U+C4+C5+W2V"},
-    "hindi-best": {"language": "hindi", "blocks": "U+C3+C4+C5"},
 }
 
 
@@ -93,7 +91,9 @@ class RunConfig:
 
     ``clean_overrides`` holds the :class:`CleanConfig` fields that the file
     sets, a switch of ``CLEAN_SWITCHES`` or ``expansions``; every other
-    field keeps the language's default (:meth:`clean_config`)."""
+    field keeps the language's default (:meth:`clean_config`). ``paths``
+    holds the resource paths that the file sets, keyed by ``_PATH_KEYS``
+    and resolved against the config file's directory."""
 
     language: str = "english"
     blocks: list[str] = field(default_factory=lambda: ["U"])
@@ -102,15 +102,8 @@ class RunConfig:
     transliterate: bool | None = None  # None: on for hindi, off for english
     merge_validation: bool = False
     clean_overrides: dict[str, object] = field(default_factory=dict)
-    # Resource paths (resolved relative to the config file).
-    embeddings: str | None = None
+    paths: dict[str, str] = field(default_factory=dict)
     sentiment_provider: str = "builtin"
-    positive_words: str | None = None
-    negative_words: str | None = None
-    sentiment_sidecar: str | None = None
-    liwc_lexicon: str | None = None
-    gender_lexicon: str | None = None
-    spell_dict: str | None = None
     intensity_split: float = 0.7
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -152,15 +145,9 @@ def parse_blocks(value: str) -> list[str]:
     return names
 
 
-_PATH_KEYS = (
-    "embeddings",
-    "positive_words",
-    "negative_words",
-    "sentiment_sidecar",
-    "liwc_lexicon",
-    "gender_lexicon",
-    "spell_dict",
-)
+# The config keys that name a resource file.
+_PATH_KEYS = ("embeddings", "positive_words", "negative_words", "sentiment_sidecar",
+              "liwc_lexicon", "gender_lexicon", "spell_dict")
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -214,7 +201,7 @@ def load_run_config(path: str | Path) -> RunConfig:
             except json.JSONDecodeError as exc:
                 raise UsageError(f"config key 'expansions': bad JSON ({exc})") from None
         elif key in _PATH_KEYS:
-            setattr(config, key, str((path.parent / value).resolve()))
+            config.paths[key] = str((path.parent / value).resolve())
         elif key == "sentiment_provider":
             if value not in ("builtin", "sidecar"):
                 raise UsageError(f"sentiment_provider must be builtin or sidecar, got {value!r}")
@@ -232,69 +219,75 @@ def load_run_config(path: str | Path) -> RunConfig:
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
-    _validate_run_config(config)
+    _validate_run_config(config, raw)
     return config
 
 
-def _validate_run_config(config: RunConfig) -> None:
-    if config.language == "hindi":
-        bad = [b for b in config.blocks if b in ENGLISH_ONLY_BLOCKS]
-        if bad:
-            raise UsageError(
-                f"blocks {', '.join(bad)} are not available for hindi configs"
-            )
-    for block, key in DENSE_BLOCK_FILES.items():
-        if block in config.blocks and not getattr(config, key):
-            raise UsageError(f"block {block} requires a path in {key!r}")
+def config_reads(config: RunConfig) -> dict[str, str]:
+    """Each config key that only some settings read, if the config's
+    settings read it, with what reads it: a dense block's file, S's
+    provider and that provider's files and split, ``spell_dict`` under
+    ``spell_correct`` and ``min_df`` for the lexical blocks."""
+    reads = {key: f"block {block}" for block, key in DENSE_BLOCK_FILES.items()
+             if block in config.blocks}
     if "S" in config.blocks:
-        if config.sentiment_provider == "builtin":
-            if not (config.positive_words and config.negative_words):
-                raise UsageError(
-                    "block S with the builtin provider requires 'positive_words' "
-                    "and 'negative_words' paths"
-                )
-        elif not config.sentiment_sidecar:
-            raise UsageError("block S with the sidecar provider requires 'sentiment_sidecar'")
-    if config.spell_correct and not config.spell_dict:
-        raise UsageError("spell_correct = true requires a 'spell_dict' path")
+        reads["sentiment_provider"] = "block S"
+        reader = f"block S with the {config.sentiment_provider} provider"
+        keys = (("positive_words", "negative_words", "intensity_split")
+                if config.sentiment_provider == "builtin" else ("sentiment_sidecar",))
+        reads.update(dict.fromkeys(keys, reader))
+    if config.spell_correct:
+        reads["spell_dict"] = "spell_correct = true"
+    if any(BLOCK_DEFS[block][0] not in DENSE_KINDS for block in config.blocks):
+        reads["min_df"] = "the lexical blocks"
+    return reads
+
+
+# The keys that config_reads can name: one that a config file sets where
+# nothing reads it is ignored, with a warning.
+_READ_WHEN_USED = (*_PATH_KEYS, "sentiment_provider", "intensity_split", "min_df")
+
+
+def _validate_run_config(config: RunConfig, raw: dict[str, str]) -> None:
+    """Refuse a config that cannot run; warn once for each key of the
+    file's ``raw`` values that nothing reads."""
+    bad = [b for b in config.blocks if b in ENGLISH_ONLY_BLOCKS]
+    if config.language == "hindi" and bad:
+        raise UsageError(f"blocks {', '.join(bad)} are not available for hindi configs")
+    reads = config_reads(config)
+    for key, reader in reads.items():
+        if key in _PATH_KEYS and key not in config.paths:
+            raise UsageError(f"{reader} requires a path in {key!r}")
     if config.min_df < 1:
         raise UsageError("min_df must be >= 1")
     config.clean_config()  # refuses bad or non-idempotent expansions
+    for key in raw:
+        if key in _READ_WHEN_USED and key not in reads:
+            what = "file" if key in _PATH_KEYS else "setting"
+            log.warning("config key %r names a %s that no setting uses; ignored", key, what)
 
 
 def load_resources(config: RunConfig) -> Resources:
-    """Load and checksum each resource that the config's blocks read: the
-    embedding table for W2V, the sentiment word lists for S with the
-    builtin provider or the sidecar with the sidecar provider, the category
-    lexicon for LIWC and the gender lexicon for GP. A resource path that
-    nothing uses, the spell dictionary without ``spell_correct`` included,
-    is not read, and logs one warning. Fails fast, before any training
-    compute starts."""
-    sentiment = "S" in config.blocks
-    builtin = config.sentiment_provider == "builtin"
-    dense = [block for block in DENSE_BLOCK_FILES if block in config.blocks]
-    used = {DENSE_BLOCK_FILES[block] for block in dense}
-    if sentiment:
-        used.update(("positive_words", "negative_words") if builtin else ("sentiment_sidecar",))
-    if config.spell_correct:
-        used.add("spell_dict")
-    for key in _PATH_KEYS:
-        if getattr(config, key) and key not in used:
-            log.warning("config key %r names a file that no setting uses; not loaded", key)
+    """Load and checksum each resource file that the config reads
+    (:func:`config_reads`): the embedding table for W2V, the sentiment word
+    lists for S with the builtin provider or the sidecar with the sidecar
+    provider, the category lexicon for LIWC and the gender lexicon for GP.
+    Fails fast, before any training compute starts."""
+    reads = config_reads(config)
     resources = Resources()
-    for block in dense:
-        resources.load(BLOCK_DEFS[block][0], getattr(config, DENSE_BLOCK_FILES[block]))
-    if sentiment:
-        if builtin:
-            resources.sentiment_provider = BuiltinSentimentProvider(
-                resources.load("sentiment_pos", config.positive_words),
-                resources.load("sentiment_neg", config.negative_words),
-                config.intensity_split,
-            )
-        else:
-            resources.sentiment_provider = SidecarSentimentProvider(
-                load_sentiment_sidecar(config.sentiment_sidecar)
-            )
+    for block, key in DENSE_BLOCK_FILES.items():
+        if key in reads:
+            resources.load(BLOCK_DEFS[block][0], config.paths[key])
+    if "positive_words" in reads:
+        resources.sentiment_provider = BuiltinSentimentProvider(
+            resources.load("sentiment_pos", config.paths["positive_words"]),
+            resources.load("sentiment_neg", config.paths["negative_words"]),
+            config.intensity_split,
+        )
+    elif "sentiment_sidecar" in reads:
+        resources.sentiment_provider = SidecarSentimentProvider(
+            load_sentiment_sidecar(config.paths["sentiment_sidecar"])
+        )
     return resources
 
 
@@ -303,7 +296,8 @@ def build_preprocess_settings(config: RunConfig, resources: Resources) -> Prepro
         clean=config.clean_config(),
         transliterate=config.wants_transliteration(),
         spell_dictionary=(
-            resources.load("spell_dict", config.spell_dict) if config.spell_correct else None
+            resources.load("spell_dict", config.paths["spell_dict"])
+            if config.spell_correct else None
         ),
     )
 
@@ -341,7 +335,7 @@ def _embedding_coverage(documents: list[Document], resources: Resources) -> floa
 
 
 def cmd_build_dict(args) -> int:
-    corpus = load_corpus(args.corpus, has_labels=not args.unlabeled, format=args.format)
+    corpus = load_corpus(args.corpus, has_labels=False, format=args.format)
     settings = build_preprocess_settings(RunConfig(language=args.language), Resources())
     counts: Counter[str] = Counter()
     for doc in preprocess_corpus(corpus, settings):
@@ -353,10 +347,8 @@ def cmd_build_dict(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
-    if args.merge_validation:
-        config.merge_validation = True
     if config.merge_validation and not args.validation:
-        raise UsageError("--merge-validation requires a validation corpus")
+        raise UsageError("merge_validation = true requires a validation corpus")
     if args.report_dir and (config.merge_validation or not args.validation):
         raise UsageError("--report-dir requires a validation corpus that is not merged")
 
@@ -429,7 +421,7 @@ def cmd_predict(args) -> int:
         ovr.pipeline.resources.sentiment_provider = SidecarSentimentProvider(
             load_sentiment_sidecar(args.sentiment_sidecar)
         )
-    corpus = load_corpus(args.corpus, has_labels=not args.unlabeled, format=args.format)
+    corpus = load_corpus(args.corpus, has_labels=False, format=args.format)
     prepped = preprocess_corpus(corpus, ovr.preprocess)
     predictions = predict_many(ovr, ovr.pipeline.transform_many(prepped))
     write_predictions(corpus, predictions, args.out)
@@ -437,10 +429,9 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _parse_baseline_args(items: list[str], seed_flag: int | None) -> tuple[int, int, str]:
-    """``(trials, seed, mode)`` from ``--baseline`` items; the seed is
-    ``seed=S`` or ``--seed``, and giving both is a usage error."""
-    trials, seed, mode = 1000, seed_flag or 0, "uniform"
+def _parse_baseline_args(items: list[str]) -> tuple[int, int, str]:
+    """``(trials, seed, mode)`` from ``--baseline`` items."""
+    trials, seed, mode = 1000, 0, "uniform"
     for item in items:
         key, sep, value = item.partition("=")
         if not sep or key not in ("trials", "seed", "mode"):
@@ -456,19 +447,16 @@ def _parse_baseline_args(items: list[str], seed_flag: int | None) -> tuple[int, 
             raise UsageError(f"--baseline {key} must be an integer, got {value!r}") from None
         if key == "trials":
             trials = parsed
-        elif seed_flag is not None:
-            raise UsageError(f"--seed {seed_flag} and --baseline {item} both set the baseline's "
-                             "seed; give one")
         else:
             seed = parsed
     if trials < 1:
         raise UsageError("--baseline trials must be >= 1")
+    if seed < 0:
+        raise UsageError("--baseline seed must be >= 0")
     return trials, seed, mode
 
 
 def cmd_evaluate(args) -> int:
-    if args.seed is not None and args.baseline is None:
-        raise UsageError("--seed is the baseline's default seed; it requires --baseline")
     corpus = load_corpus(args.gold_corpus, has_labels=True, format=args.format)
     predictions = load_predictions(args.predictions)
     pred_labels = []
@@ -483,7 +471,7 @@ def cmd_evaluate(args) -> int:
     gold = corpus.gold_labels()
     baseline = None
     if args.baseline is not None:
-        trials, seed, mode = _parse_baseline_args(args.baseline, args.seed)
+        trials, seed, mode = _parse_baseline_args(args.baseline)
         baseline = random_baseline(gold, seed=seed, trials=trials, mode=mode)
         log.info("random baseline (%s, %d trials, seed %d): %.4f", mode, trials, seed, baseline)
 
@@ -545,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("out")
     p.add_argument("--language", choices=LANGUAGES, default="english")
-    p.add_argument("--unlabeled", action="store_true", help="corpus has no label column")
     add_format(p)
     p.set_defaults(func=cmd_build_dict)
 
@@ -554,8 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_out")
     p.add_argument("--config", required=True, help="run config file")
     p.add_argument("--validation", help="validation corpus (scored unless merged)")
-    p.add_argument("--merge-validation", action="store_true",
-                   help="train on train + validation")
     p.add_argument("--report-dir", help="where to write the validation report")
     add_format(p)
     p.set_defaults(func=cmd_train)
@@ -564,7 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("corpus")
     p.add_argument("out")
-    p.add_argument("--unlabeled", action="store_true", help="corpus has no label column")
     p.add_argument("--sentiment-sidecar", help="per-sentence sentiment for this corpus")
     add_format(p)
     p.set_defaults(func=cmd_predict)
@@ -574,8 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("predictions")
     p.add_argument("out_dir")
     p.add_argument("--baseline", nargs="*", metavar="KEY=VAL",
-                   help="add a random baseline (trials=N seed=S)")
-    p.add_argument("--seed", type=int, help="default baseline seed (needs --baseline)")
+                   help="add a random baseline (trials=N seed=S mode=M)")
     add_format(p)
     p.set_defaults(func=cmd_evaluate)
 

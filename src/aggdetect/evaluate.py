@@ -110,6 +110,8 @@ def random_baseline(
     """
     if trials < 1:
         raise DataError("trials must be >= 1")
+    if seed < 0:
+        raise DataError("seed must be >= 0")
     if len(gold) == 0:
         raise DataError("cannot baseline an empty gold list")
     if mode not in ("uniform", "empirical"):

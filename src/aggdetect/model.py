@@ -573,11 +573,13 @@ def _non_negative(text: str) -> float:
     return value
 
 
-def _document_count(text: str) -> int:
-    """``n_documents``, which bounds a vocabulary's int64 document frequencies."""
+def _count(text: str) -> int:
+    """A count in int64's ``0..2**63 - 1``: ``iterations``,
+    ``n_train_documents``, or ``n_documents``, which bounds a vocabulary's
+    int64 document frequencies."""
     value = int(text)
     if not 0 <= value < 1 << 63:
-        raise ValueError(f"document count outside int64: {text!r}")
+        raise ValueError(f"count outside 0..2**63 - 1: {text!r}")
     return value
 
 
@@ -761,7 +763,7 @@ def load_model(path: str | Path) -> OvRModel:
                 raise ResourceError(f"{path}: missing section [{vocab_section}]")
             vocabularies[name] = _vocabulary(
                 _lines(by_name[vocab_section]),
-                _need(kv, "n_documents", section, path, _document_count),
+                _need(kv, "n_documents", section, path, _count),
                 vocab_section,
                 path,
                 params.get("n") if kind == "char_ngram" else None,
@@ -806,7 +808,7 @@ def load_model(path: str | Path) -> OvRModel:
                 weights=_weights_v2(body[kv_end:], total_dimension, section, path),
                 bias=_need(kv, "bias", section, path, _finite),
                 reg_lambda=_need(kv, "reg_lambda", section, path, _non_negative),
-                iterations=_need(kv, "iterations", section, path, int),
+                iterations=_need(kv, "iterations", section, path, _count),
                 final_grad_norm=_need(kv, "final_grad_norm", section, path, _finite),
                 stop_reason=_optional(kv, "stop_reason", section, path, _stop_reason),
                 final_loss=_optional(kv, "final_loss", section, path, _non_negative),
@@ -818,7 +820,7 @@ def load_model(path: str | Path) -> OvRModel:
         pipeline=pipeline,
         preprocess=preprocess,
         language=_need(meta, "language", "meta", path),
-        n_train_documents=_need(meta, "n_train_documents", "meta", path, int),
+        n_train_documents=_need(meta, "n_train_documents", "meta", path, _count),
         merged_validation=_need(meta, "merged_validation", "meta", path, _parse_bool),
         single_class_warning=_need(meta, "single_class_warning", "meta", path, _parse_bool),
     )

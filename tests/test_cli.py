@@ -46,6 +46,12 @@ def basic_config(tmp_path):
     )
 
 
+@pytest.fixture
+def merged_config(tmp_path, basic_config):
+    lines = basic_config.read_text(encoding="utf-8").splitlines()
+    return write_lines(tmp_path / "merged.cfg", [*lines, "merge_validation = true"])
+
+
 def run(argv):
     return main(argv)
 
@@ -136,7 +142,7 @@ class TestTrain:
         # training corpus before the matrix exists, then validation after it is gone
         assert alive == {"preprocess": [[], [False]], "transform_many": [[False]]}
 
-    def test_merge_validation_logs_counts(self, tmp_path, toy_corpus, basic_config, caplog):
+    def test_merge_validation_logs_counts(self, tmp_path, toy_corpus, merged_config, caplog):
         corpus_path, _rows = toy_corpus
         # merged ids must be unique: the validation ids differ from the "doc*" ones
         val_rows = [(f"val{i}", text, label)
@@ -146,23 +152,22 @@ class TestTrain:
         with caplog.at_level("INFO", logger="aggdetect"):
             code = run([
                 "train", str(corpus_path), str(model_path),
-                "--config", str(basic_config),
-                "--validation", str(val_path), "--merge-validation",
+                "--config", str(merged_config), "--validation", str(val_path),
             ])
         assert code == 0
         assert "36 train + 6 validation = 42 documents" in caplog.text
         assert load_model(model_path).n_train_documents == 42
 
     def test_merge_validation_refuses_an_id_in_both_corpora(
-        self, tmp_path, toy_corpus, basic_config, capsys
+        self, tmp_path, toy_corpus, merged_config, capsys
     ):
         corpus_path, _rows = toy_corpus
         val_path = write_corpus_tsv(tmp_path / "val.tsv", [
             ("val0", "calm0 noise0", Label.NAG), ("doc3", "rage0 noise1", Label.OAG),
         ])
         model_path = tmp_path / "model.txt"
-        assert run(["train", str(corpus_path), str(model_path), "--config", str(basic_config),
-                    "--validation", str(val_path), "--merge-validation"]) == 2
+        assert run(["train", str(corpus_path), str(model_path), "--config", str(merged_config),
+                    "--validation", str(val_path)]) == 2
         assert "document id 'doc3' is in both" in capsys.readouterr().err
         assert not model_path.exists()
 
@@ -199,20 +204,31 @@ class TestTrain:
                     "--config", str(basic_config), "--seed", "3"]) == 1
         assert "--seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("validation", [[], ["--validation", "val.tsv", "--merge-validation"]],
-                             ids=["none", "merged"])
+    @pytest.mark.parametrize("merged", [False, True], ids=["none", "merged"])
     def test_report_dir_without_a_scored_validation_is_usage_error(
-        self, tmp_path, toy_corpus, basic_config, capsys, validation
+        self, tmp_path, toy_corpus, basic_config, merged_config, capsys, merged
     ):
         """No validation is scored, so no report would be written."""
         corpus_path, _rows = toy_corpus
-        write_corpus_tsv(tmp_path / "val.tsv", synthetic_documents(2, seed=5))
-        validation = [str(tmp_path / arg) if arg == "val.tsv" else arg for arg in validation]
+        val_path = write_corpus_tsv(tmp_path / "val.tsv", synthetic_documents(2, seed=5))
+        argv = (["--config", str(merged_config), "--validation", str(val_path)] if merged
+                else ["--config", str(basic_config)])
         model_path = tmp_path / "model.txt"
-        assert run(["train", str(corpus_path), str(model_path), "--config", str(basic_config),
-                    "--report-dir", str(tmp_path / "report"), *validation]) == 1
+        assert run(["train", str(corpus_path), str(model_path), *argv,
+                    "--report-dir", str(tmp_path / "report")]) == 1
         assert "--report-dir requires a validation corpus" in capsys.readouterr().err
         assert not model_path.exists() and not (tmp_path / "report").exists()
+
+    def test_merge_validation_without_a_validation_corpus_is_usage_error(
+        self, tmp_path, toy_corpus, merged_config, capsys
+    ):
+        corpus_path, _rows = toy_corpus
+        model_path = tmp_path / "model.txt"
+        assert run(["train", str(corpus_path), str(model_path),
+                    "--config", str(merged_config)]) == 1
+        assert ("usage error: merge_validation = true requires a validation corpus"
+                in capsys.readouterr().err)
+        assert not model_path.exists()
 
     def test_learning_rate_is_usage_error(self, tmp_path, toy_corpus, capsys):
         corpus_path, _rows = toy_corpus
@@ -349,18 +365,33 @@ class TestTrain:
         # 5 of the 8 training tokens have a vector
         assert "embedding coverage: 62.5% of training tokens" in caplog.text
 
-    @pytest.mark.parametrize("block, key", [
-        ("W2V", "embeddings"), ("LIWC", "liwc_lexicon"), ("GP", "gender_lexicon"),
+    @pytest.mark.parametrize("lines, reader, key", [
+        *(pytest.param([f"blocks = U+{block}"], f"block {block}", key, id=f"{block}-{key}")
+          for block, key in (("W2V", "embeddings"), ("LIWC", "liwc_lexicon"),
+                             ("GP", "gender_lexicon"))),
+        pytest.param(["blocks = U+S"], "block S with the builtin provider", "positive_words",
+                     id="S-positive_words"),
+        pytest.param(["blocks = U+S", "positive_words = pos.txt"],
+                     "block S with the builtin provider", "negative_words",
+                     id="S-negative_words"),
+        pytest.param(["blocks = U+S", "sentiment_provider = sidecar",
+                      "positive_words = pos.txt", "negative_words = neg.txt"],
+                     "block S with the sidecar provider", "sentiment_sidecar",
+                     id="S-sentiment_sidecar"),
+        pytest.param(["blocks = U", "spell_correct = true"], "spell_correct = true",
+                     "spell_dict", id="spell_dict"),
     ])
     def test_dense_block_without_its_file_is_usage_error(
-        self, tmp_path, toy_corpus, capsys, block, key
+        self, tmp_path, toy_corpus, capsys, lines, reader, key
     ):
+        """A setting without the path it reads: a dense block, S with each
+        provider, and spell correction."""
         corpus_path, _rows = toy_corpus
-        config = write_lines(tmp_path / "bad.cfg", ["language = english", f"blocks = U+{block}"])
-        assert run(["train", str(corpus_path), str(tmp_path / "m.txt"),
-                    "--config", str(config)]) == 1
-        err = capsys.readouterr().err
-        assert f"block {block} requires" in err and repr(key) in err
+        config = write_lines(tmp_path / "bad.cfg", ["language = english", *lines])
+        model_path = tmp_path / "m.txt"
+        assert run(["train", str(corpus_path), str(model_path), "--config", str(config)]) == 1
+        assert f"usage error: {reader} requires a path in {key!r}\n" in capsys.readouterr().err
+        assert not model_path.exists()
 
     @pytest.mark.parametrize("switch", preprocess.CLEAN_SWITCHES)
     def test_clean_switch_reaches_the_model(self, tmp_path, toy_corpus, switch):
@@ -377,7 +408,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("lines, key, first, second", [
         (["blocks = U", "blocks = C3"], "blocks", 1, 2),
-        (["preset = hindi-best", "# a comment", "", "min_df = 1", "preset = english-best"],
+        (["preset = hindi-system-1", "# a comment", "", "min_df = 1",
+          "preset = english-system-2"],
          "preset", 1, 5),
     ])
     def test_repeated_config_key_is_usage_error(
@@ -471,13 +503,17 @@ class TestPredict:
         (r"^bias = .*$", "bias = inf", "bad value in [weights:NAG]: 'bias = inf'"),
         (r"^total_dimension = \d+$", "total_dimension = 2147483648",
          "bad value in [meta]: 'total_dimension = 2147483648'"),
+        (r"^iterations = \d+$", "iterations = -7", "bad value in [weights:NAG]: 'iterations = -7'"),
+        (r"^n_train_documents = \d+$", "n_train_documents = -3",
+         "bad value in [meta]: 'n_train_documents = -3'"),
     ])
     def test_bad_number_in_model_exits_3(
         self, tmp_path, toy_corpus, basic_config, capsys, pattern, replacement, message
     ):
         """Numbers save_model cannot have written: a document frequency
-        outside 1..n_documents (a crash or a negative idf before) and a
-        non-finite bias (a confident NAG before)."""
+        outside 1..n_documents (a crash or a negative idf before), a
+        non-finite bias (a confident NAG before) and a negative count
+        (printed by inspect before)."""
         corpus_path, _rows = toy_corpus
         model_path = self.train_model(tmp_path, corpus_path, basic_config)
         text, n = re.subn(pattern, replacement, model_path.read_text(encoding="utf-8"),
@@ -669,9 +705,14 @@ class TestPredict:
         unlabeled = tmp_path / "unlabeled.tsv"
         unlabeled.write_text("x1\tcalm0 word2\nx2\trage4 word3\n", encoding="utf-8")
         out = tmp_path / "pred.tsv"
-        assert run(["predict", str(model_path), str(unlabeled), str(out),
-                    "--unlabeled"]) == 0
+        assert run(["predict", str(model_path), str(unlabeled), str(out)]) == 0
         assert set(load_predictions(out)) == {"x1", "x2"}
+        # a label column, even one that is not a label, is not read
+        labeled = tmp_path / "labeled.tsv"
+        labeled.write_text("x1\tcalm0 word2\tNAG\nx2\trage4 word3\tnot-a-label\n",
+                           encoding="utf-8")
+        assert run(["predict", str(model_path), str(labeled), str(tmp_path / "p2.tsv")]) == 0
+        assert (tmp_path / "p2.tsv").read_bytes() == out.read_bytes()
 
 
 class TestEvaluate:
@@ -714,20 +755,21 @@ class TestEvaluate:
         metrics = (out_dir / "metrics.tsv").read_text(encoding="utf-8")
         assert "random_baseline_weighted_f1" in metrics
 
-    def test_seed_flag_sets_the_baseline_seed(self, tmp_path, caplog):
+    def test_baseline_seed_sets_the_seed(self, tmp_path, caplog):
         gold_path, pred_path = self.write_gold_and_preds(tmp_path)
         with caplog.at_level("INFO", logger="aggdetect"):
             assert run(["evaluate", str(gold_path), str(pred_path), str(tmp_path / "r"),
-                        "--baseline", "trials=5", "--seed", "2"]) == 0
+                        "--baseline", "trials=5", "seed=2"]) == 0
         assert "5 trials, seed 2)" in caplog.text
 
     def test_seed_flag_and_baseline_seed_is_usage_error(self, tmp_path, capsys):
+        """``--baseline seed=S`` is the one way to set the seed; there is no
+        ``--seed`` flag."""
         gold_path, pred_path = self.write_gold_and_preds(tmp_path)
         out_dir = tmp_path / "report"
         assert run(["evaluate", str(gold_path), str(pred_path), str(out_dir),
                     "--baseline", "trials=5", "seed=1", "--seed", "2"]) == 1
-        err = capsys.readouterr().err
-        assert "--seed 2" in err and "--baseline seed=1" in err
+        assert "unrecognized arguments: --seed 2" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_seed_without_baseline_is_usage_error(self, tmp_path, capsys):
@@ -735,7 +777,20 @@ class TestEvaluate:
         out_dir = tmp_path / "report"
         assert run(["evaluate", str(gold_path), str(pred_path), str(out_dir),
                     "--seed", "3"]) == 1
-        assert "--seed" in capsys.readouterr().err
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("item, message", [
+        ("seed=-5", "--baseline seed must be >= 0"),
+        ("trials=0", "--baseline trials must be >= 1"),
+    ])
+    def test_baseline_value_out_of_range_is_usage_error(self, tmp_path, capsys, item, message):
+        """A negative seed used to end in numpy's traceback."""
+        gold_path, pred_path = self.write_gold_and_preds(tmp_path)
+        out_dir = tmp_path / "report"
+        assert run(["evaluate", str(gold_path), str(pred_path), str(out_dir),
+                    "--baseline", item]) == 1
+        assert f"usage error: {message}\n" in capsys.readouterr().err
         assert not out_dir.exists()
 
 
@@ -1010,10 +1065,12 @@ class TestReferencedFiles:
 
     def test_unused_resource_is_not_loaded(self, tmp_path, caplog):
         """A config whose blocks read no resource trains when the files it
-        names are gone, warns once for each named key, and the model
-        references none of them."""
-        corpus_path, config, files = write_resource_run(tmp_path, blocks="U",
-                                                        spell_correct=False)
+        names are gone, warns once for each named key and each setting that
+        nothing reads, and the model references none of them."""
+        corpus_path, config, files = write_resource_run(
+            tmp_path, blocks="U", spell_correct=False,
+            extra=["sentiment_provider = sidecar", "intensity_split = 0.5"],
+        )
         for path in files.values():
             path.unlink()
         model_path = tmp_path / "model.txt"
@@ -1022,9 +1079,21 @@ class TestReferencedFiles:
                         "--config", str(config)]) == 0
         for key in RESOURCE_CONFIG_KEYS.values():
             assert caplog.text.count(f"config key {key!r} names a file that no setting uses") == 1
+        for key in ("sentiment_provider", "intensity_split"):
+            assert caplog.text.count(f"config key {key!r} names a setting that no setting") == 1
+        assert "'min_df'" not in caplog.text  # block U reads it
         text = model_path.read_text(encoding="utf-8")
         assert "path = " not in text and "sha256 = " not in text
         assert load_model(model_path).pipeline.resources.provenance == {}
+
+        # without a lexical block, nothing reads min_df
+        caplog.clear()
+        dense = write_lines(tmp_path / "dense.cfg", [
+            "blocks = GP", "gender_lexicon = gender.tsv", "min_df = 3"])
+        with caplog.at_level("WARNING", logger="aggdetect"):
+            cli.load_run_config(dense)
+        assert caplog.text.count("config key 'min_df' names a setting that no setting") == 1
+        assert len(caplog.records) == 1
 
 
 class TestInt32Rows:
@@ -1254,6 +1323,18 @@ class TestCsvFormat:
         predictions = load_predictions(out)
         gold = {i: l for i, _t, l in rows}
         assert all(predictions[i] == gold[i] for i in gold)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-dict", "corpus.tsv", "dict.tsv", "--unlabeled"],
+    ["train", "train.tsv", "model.txt", "--config", "run.cfg", "--merge-validation"],
+    ["predict", "model.txt", "corpus.tsv", "pred.tsv", "--unlabeled"],
+], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+def test_removed_flag_is_usage_error(argv, capsys):
+    """Each value has one way to be set: ``merge_validation = true`` in the
+    config, and no ``--unlabeled``, since a label column is never read."""
+    assert run(argv) == 1
+    assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
 
 class TestModuleEntry:

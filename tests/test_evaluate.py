@@ -222,6 +222,10 @@ class TestRandomBaseline:
         gold = [Label.OAG] * 50
         assert random_baseline(gold, seed=2, trials=5, mode="empirical") == 1.0
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed must be >= 0"):
+            random_baseline([Label.NAG], seed=-5, trials=1)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(DataError, match="mode"):
             random_baseline([Label.NAG], seed=0, trials=1, mode="gaussian")

@@ -1,6 +1,7 @@
-"""A property test over the pipeline's configuration space: block sets,
-``min_df``, a cleaning switch and spell correction, each run through
-train, save, load and predict on a tiny corpus."""
+"""A property test over the pipeline's configuration space: block sets
+(lexical blocks, optionally with the dense W2V, S, LIWC and GP), ``min_df``,
+a cleaning switch and spell correction, each run through train, save, load
+and predict on a tiny corpus."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from aggdetect.preprocess import CLEAN_SWITCHES
 from helpers import synthetic_documents, train_library, write_corpus_tsv, write_resource_run
 
 LEXICAL_BLOCKS = ["U", "B", "BU", "C3", "C4", "C5", "SK2"]
+DENSE_BLOCKS = ["W2V", "S", "LIWC", "GP"]
 
 # Text that each cleaning switch changes: capitals, a URL, an email
 # address, standalone numbers and inflected forms.
@@ -44,20 +46,20 @@ def corpora(tmp_path_factory):
 @settings(max_examples=60, deadline=None)
 @given(
     lexical=st.lists(st.sampled_from(LEXICAL_BLOCKS), min_size=1, unique=True),
-    w2v=st.booleans(),
+    dense=st.lists(st.sampled_from(DENSE_BLOCKS), unique=True),
     min_df=st.sampled_from([1, 2]),
     switch=st.sampled_from(CLEAN_SWITCHES),
     on=st.booleans(),
     spell_correct=st.booleans(),
 )
-def test_train_save_load_predict_agree(corpora, lexical, w2v, min_df, switch, on,
+def test_train_save_load_predict_agree(corpora, lexical, dense, min_df, switch, on,
                                        spell_correct):
     """``train`` and the library write the same bytes; the loaded model
     predicts what the in-memory one does, and one document at a time
     what the batch does."""
     root, train_path, test_path = corpora
     _corpus, config, _files = write_resource_run(
-        root, "+".join(lexical + ["W2V"] * w2v), spell_correct, min_df,
+        root, "+".join(lexical + dense), spell_correct, min_df,
         extra=[f"{switch} = {str(on).lower()}"],
     )
     cli_path, library_path = root / "cli.txt", root / "library.txt"
