@@ -25,17 +25,11 @@ from .corpus_io import Corpus, Document, load_corpus, load_predictions, write_pr
 from .errors import DataError, ResourceError, UsageError, read_utf8
 from .evaluate import build_report, random_baseline, render_report
 from .featurize import BLOCK_DEFS, DENSE_KINDS, FeatureBlockSpec, FeaturePipeline
-from .lexfeatures import (
-    BuiltinSentimentProvider,
-    Resources,
-    SidecarSentimentProvider,
-    load_sentiment_sidecar,
-)
+from .lexfeatures import BuiltinSentimentProvider, Resources
 from .model import (
     MODEL_FORMAT,
     OvRModel,
     TrainConfig,
-    _SidecarRequired,
     load_model,
     predict_many,
     save_model,
@@ -285,9 +279,8 @@ def load_resources(config: RunConfig) -> Resources:
             config.intensity_split,
         )
     elif "sentiment_sidecar" in reads:
-        resources.sentiment_provider = SidecarSentimentProvider(
-            load_sentiment_sidecar(config.paths["sentiment_sidecar"])
-        )
+        resources.sentiment_provider = resources.load(
+            "sentiment_sidecar", config.paths["sentiment_sidecar"])
     return resources
 
 
@@ -416,11 +409,10 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     ovr = load_model(args.model)
     if args.sentiment_sidecar:
-        if not isinstance(ovr.pipeline.resources.sentiment_provider, _SidecarRequired):
+        resources = ovr.pipeline.resources
+        if getattr(resources.sentiment_provider, "kind", None) != "sidecar":
             raise UsageError("--sentiment-sidecar needs a model trained with sidecar sentiment")
-        ovr.pipeline.resources.sentiment_provider = SidecarSentimentProvider(
-            load_sentiment_sidecar(args.sentiment_sidecar)
-        )
+        resources.sentiment_provider = resources.load("sentiment_sidecar", args.sentiment_sidecar)
     corpus = load_corpus(args.corpus, has_labels=False, format=args.format)
     prepped = preprocess_corpus(corpus, ovr.preprocess)
     predictions = predict_many(ovr, ovr.pipeline.transform_many(prepped))
@@ -432,10 +424,14 @@ def cmd_predict(args) -> int:
 def _parse_baseline_args(items: list[str]) -> tuple[int, int, str]:
     """``(trials, seed, mode)`` from ``--baseline`` items."""
     trials, seed, mode = 1000, 0, "uniform"
+    given: set[str] = set()
     for item in items:
         key, sep, value = item.partition("=")
         if not sep or key not in ("trials", "seed", "mode"):
             raise UsageError(f"--baseline takes trials=N seed=S mode=M, got {item!r}")
+        if key in given:
+            raise UsageError(f"--baseline key {key!r} is given twice")
+        given.add(key)
         if key == "mode":
             if value not in ("uniform", "empirical"):
                 raise UsageError(f"--baseline mode must be uniform or empirical, got {value!r}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -77,6 +78,7 @@ class Corpus:
 
 _ESCAPE_TABLE = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_RE = re.compile(r"\\([\\tnr])")  # an escape; any other backslash is kept
 
 
 def escape_field(value: str) -> str:
@@ -88,19 +90,7 @@ def unescape_field(value: str) -> str:
     """Inverse of :func:`escape_field`."""
     if "\\" not in value:
         return value
-    out = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt in _UNESCAPES:
-                out.append(_UNESCAPES[nxt])
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda match: _UNESCAPES[match[1]], value)
 
 
 def _iter_tsv_records(raw: str) -> Iterable[tuple[int, list[str]]]:

@@ -25,7 +25,7 @@ from typing import Container, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import DataError, ResourceError, read_utf8
+from .errors import DataError, ResourceError
 from .preprocess import load_spell_dictionary
 
 class EmbeddingTable:
@@ -247,16 +247,7 @@ def load_word_set(text: str, path: Path) -> set[str]:
     return words
 
 
-class SentimentProvider:
-    """Produces the 10-dim mean/std sentiment feature for a document."""
-
-    kind = "none"
-
-    def document_features(self, doc) -> np.ndarray:
-        raise NotImplementedError
-
-
-class BuiltinSentimentProvider(SentimentProvider):
+class BuiltinSentimentProvider:
     """Scores each sentence with the built-in lexicon scorer."""
 
     kind = "builtin"
@@ -267,6 +258,7 @@ class BuiltinSentimentProvider(SentimentProvider):
         self.intensity_split = intensity_split
 
     def document_features(self, doc) -> np.ndarray:
+        """The 10-dim mean/std sentiment feature of ``doc``."""
         from .featurize import tokenize  # local import to avoid a cycle
 
         distributions = [
@@ -278,16 +270,22 @@ class BuiltinSentimentProvider(SentimentProvider):
         return sentiment_features(distributions)
 
 
-class SidecarSentimentProvider(SentimentProvider):
+class SidecarSentimentProvider:
     """Reads precomputed per-sentence distributions keyed by document id
-    and sentence index (e.g. produced by an external sentiment tool)."""
+    and sentence index (e.g. produced by an external sentiment tool).
+    ``None`` stands for the sidecar a loaded model was trained with, which
+    it does not reference: prediction must supply one for its corpus."""
 
     kind = "sidecar"
 
-    def __init__(self, distributions: dict[tuple[str, int], np.ndarray]):
+    def __init__(self, distributions: dict[tuple[str, int], np.ndarray] | None):
         self.distributions = distributions
 
     def document_features(self, doc) -> np.ndarray:
+        if self.distributions is None:
+            raise ResourceError(
+                "this model uses sidecar sentiment; supply a sidecar file for the corpus"
+            )
         sentences = split_sentences(doc.text)
         rows = []
         for i in range(len(sentences)):
@@ -300,12 +298,12 @@ class SidecarSentimentProvider(SentimentProvider):
         return sentiment_features(rows)
 
 
-def load_sentiment_sidecar(path: str | Path) -> dict[tuple[str, int], np.ndarray]:
-    path = Path(path)
-    if not path.is_file():
-        raise ResourceError(f"sentiment sidecar not found: {path}")
+def load_sentiment_sidecar(text: str, path: Path) -> SidecarSentimentProvider:
+    """Parse a sentiment sidecar's text; ``path`` names the file in
+    messages. The provider is returned, not its table, because a parse is
+    remembered by weak reference (:meth:`Resources.load`)."""
     result: dict[tuple[str, int], np.ndarray] = {}
-    for lineno, line in enumerate(read_utf8(path, ResourceError).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -322,7 +320,7 @@ def load_sentiment_sidecar(path: str | Path) -> dict[tuple[str, int], np.ndarray
                 f"{path}: line {lineno} is not a 5-way distribution summing to 1"
             )
         result[(doc_id, index)] = dist
-    return result
+    return SidecarSentimentProvider(result)
 
 
 @dataclass
@@ -425,10 +423,12 @@ def gender_features(tokens: Sequence[str], lexicon: WeightedLexicon) -> np.ndarr
     return np.array([probability, 1.0 if probability > 0.5 else 0.0])
 
 
-# Every file a model can reference, by its provenance key: what the file
-# is, for messages, and the name of its loader in this module, which parses
-# the file's text. The loader is looked up when called, so a wrapper put on
-# the module attribute (a profiler's, a test's) sees every parse.
+# Every resource file, by its provenance key: what the file is, for
+# messages, and the name of its loader in this module, which parses the
+# file's text. A model references each but the sentiment sidecar, which
+# belongs to one corpus. The loader is looked up when called, so a
+# wrapper put on the module attribute (a profiler's, a test's) sees every
+# parse.
 RESOURCE_FILES = {
     "embedding": ("embedding table", "load_embeddings"),
     "sentiment_pos": ("positive sentiment lexicon", "load_word_set"),
@@ -436,6 +436,7 @@ RESOURCE_FILES = {
     "liwc": ("category lexicon", "load_category_lexicon"),
     "gender": ("gender lexicon", "load_weighted_lexicon"),
     "spell_dict": ("spell dictionary", "load_spell_dictionary"),
+    "sentiment_sidecar": ("sentiment sidecar", "load_sentiment_sidecar"),
 }
 
 # (loader name, SHA-256 of a file's bytes) -> what that loader parsed from
@@ -449,7 +450,7 @@ class Resources:
     """Loaded dense-feature resources handed to a pipeline."""
 
     embeddings: EmbeddingTable | None = None
-    sentiment_provider: SentimentProvider | None = None
+    sentiment_provider: BuiltinSentimentProvider | SidecarSentimentProvider | None = None
     category_lexicon: CategoryLexicon | None = None
     gender_lexicon: WeightedLexicon | None = None
     # Provenance for model files: key of RESOURCE_FILES -> (path, sha256).

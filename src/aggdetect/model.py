@@ -65,6 +65,7 @@ import math
 import operator
 import os
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
@@ -140,20 +141,20 @@ def gradient(
 
 
 def _lbfgs_direction(
-    g: np.ndarray, S: np.ndarray, Y: np.ndarray, rho: np.ndarray, slots: list[int], gamma: float
+    g: np.ndarray, pairs: deque[tuple[np.ndarray, np.ndarray, float]], gamma: float
 ) -> np.ndarray:
-    """-H g by the two-loop recursion over the curvature pairs (S[i], Y[i])
-    with rho[i] = 1 / S[i].Y[i], for i in ``slots`` newest first; the
-    initial Hessian is ``gamma`` = s.y / y.y of the newest pair."""
+    """-H g by the two-loop recursion over the curvature ``pairs``
+    (s, y, 1 / s.y), oldest first; the initial Hessian is ``gamma`` =
+    s.y / y.y of the newest pair."""
     q = -g
-    alpha = np.empty(len(slots))
-    for k, i in enumerate(slots):
-        alpha[k] = rho[i] * float(S[i] @ q)
-        q -= alpha[k] * Y[i]
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        alphas.append(alpha)
+        q -= alpha * y
     q *= gamma
-    for k in reversed(range(len(slots))):
-        i = slots[k]
-        q += (alpha[k] - rho[i] * float(Y[i] @ q)) * S[i]
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
     return q
 
 
@@ -202,10 +203,8 @@ def train_binary(X: SparseMatrix, y: Sequence[float],
         g[:dim], g[dim] = gradient(X, y_arr, theta[:dim], z, lam)
         return g
 
-    S = np.empty((_HISTORY, dim + 1))
-    Y = np.empty((_HISTORY, dim + 1))
-    rho = np.empty(_HISTORY)
-    newest, n_pairs, gamma = -1, 0, 1.0
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_HISTORY)
+    gamma = 1.0
     theta = np.zeros(dim + 1)  # (w, b)
     # the intercept-only optimum: b with sigmoid(b) the mean target
     positives = float(y_arr.sum())
@@ -223,13 +222,12 @@ def train_binary(X: SparseMatrix, y: Sequence[float],
         if iterations >= config.max_iters:
             stop_reason = MAX_ITERS
             break
-        if n_pairs:
-            slots = [(newest - k) % _HISTORY for k in range(n_pairs)]
-            direction = _lbfgs_direction(g, S, Y, rho, slots, gamma)
-        if not n_pairs or float(g @ direction) >= 0:
+        if pairs:
+            direction = _lbfgs_direction(g, pairs, gamma)
+        if not pairs or float(g @ direction) >= 0:
             # no pair stored yet, or rounding broke descent: restart from
             # the steepest descent direction, scaled to length 1
-            n_pairs = 0
+            pairs.clear()
             direction = -g / math.sqrt(float(g @ g))
         slope = float(g @ direction)
         step = 1.0
@@ -249,9 +247,8 @@ def train_binary(X: SparseMatrix, y: Sequence[float],
         # keep a pair only with positive curvature and with 1/s.y and
         # s.y/y.y representable, which fails only far out on separable data
         if sy > 0 and yy > 0 and math.isfinite(1.0 / sy) and math.isfinite(sy / yy):
-            newest = (newest + 1) % _HISTORY
-            S[newest], Y[newest], rho[newest], gamma = s, y_diff, 1.0 / sy, sy / yy
-            n_pairs = min(n_pairs + 1, _HISTORY)
+            pairs.append((s, y_diff, 1.0 / sy))
+            gamma = sy / yy
         theta, loss, z, g = trial, new_loss, new_z, new_g
         iterations += 1
 
@@ -499,18 +496,6 @@ def save_model(model: OvRModel, path: str | Path) -> None:
             f.write(_text(lines))
             weights = clf.weights.astype("<f8", copy=False).tobytes()
             f.write(base64.encodebytes(weights).decode("ascii"))
-
-
-class _SidecarRequired(lexfeatures.SentimentProvider):
-    """Placeholder installed when a model was trained with sidecar
-    sentiment; prediction must attach a sidecar for the new corpus."""
-
-    kind = "sidecar"
-
-    def document_features(self, doc) -> np.ndarray:
-        raise ResourceError(
-            "this model uses sidecar sentiment; supply a sidecar file for the corpus"
-        )
 
 
 # A section header is a whole line in brackets, matched with the line
@@ -781,7 +766,7 @@ def load_model(path: str | Path) -> OvRModel:
                     pos, neg, _need(kv, "intensity_split", section, path, _unit_interval)
                 )
             elif provider_kind == "sidecar":
-                resources.sentiment_provider = _SidecarRequired()
+                resources.sentiment_provider = lexfeatures.SidecarSentimentProvider(None)
             else:
                 raise ResourceError(f"{path}: unknown sentiment provider {provider_kind!r}")
 

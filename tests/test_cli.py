@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import os
 import re
 import shutil
@@ -780,6 +781,17 @@ class TestEvaluate:
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("items", [["trials=3", "seed=1", "seed=9"], ["mode=uniform"] * 2])
+    def test_repeated_baseline_key_is_usage_error(self, tmp_path, capsys, items):
+        """As a repeated config key is: the last value used to win silently."""
+        gold_path, pred_path = self.write_gold_and_preds(tmp_path)
+        out_dir = tmp_path / "report"
+        assert run(["evaluate", str(gold_path), str(pred_path), str(out_dir),
+                    "--baseline", *items]) == 1
+        key = items[-1].partition("=")[0]
+        assert f"usage error: --baseline key {key!r} is given twice\n" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("item, message", [
         ("seed=-5", "--baseline seed must be >= 0"),
         ("trials=0", "--baseline trials must be >= 1"),
@@ -887,7 +899,9 @@ class TestDenseBlocksEndToEnd:
         agreement = sum(predictions[i] == gold[i] for i in gold) / len(gold)
         assert agreement > 0.9
 
-    def test_sidecar_provider_requires_flag_at_predict(self, tmp_path, capsys):
+    def train_sidecar_model(self, tmp_path):
+        """A U+S model trained with sidecar sentiment:
+        ``(corpus_path, sidecar_path, config_path, model_path)``."""
         rows = [
             ("a", "good day. fine day.", Label.NAG),
             ("b", "bad day. awful day.", Label.OAG),
@@ -913,6 +927,10 @@ class TestDenseBlocksEndToEnd:
         model_path = tmp_path / "model.txt"
         assert run(["train", str(corpus_path), str(model_path),
                     "--config", str(config)]) == 0
+        return corpus_path, sidecar_path, config, model_path
+
+    def test_sidecar_provider_requires_flag_at_predict(self, tmp_path, capsys):
+        corpus_path, sidecar_path, _config, model_path = self.train_sidecar_model(tmp_path)
         out = tmp_path / "pred.tsv"
         # without the flag: resource error
         assert run(["predict", str(model_path), str(corpus_path), str(out)]) == 3
@@ -920,6 +938,27 @@ class TestDenseBlocksEndToEnd:
         assert run(["predict", str(model_path), str(corpus_path), str(out),
                     "--sentiment-sidecar", str(sidecar_path)]) == 0
 
+    def test_sidecar_is_recorded_in_provenance_but_not_in_the_model(self, tmp_path, monkeypatch):
+        """The sidecar loads through Resources.load at train and at predict,
+        which records its path and SHA-256; the model file does not name
+        it, as it belongs to one corpus."""
+        corpus_path, sidecar_path, config, model_path = self.train_sidecar_model(tmp_path)
+        sha256 = hashlib.sha256(sidecar_path.read_bytes()).hexdigest()
+        trained = cli.load_resources(cli.load_run_config(config))
+        assert trained.provenance == {"sentiment_sidecar": (str(sidecar_path.resolve()), sha256)}
+        text = model_path.read_text(encoding="utf-8")
+        assert "provider = sidecar\n" in text and sidecar_path.name not in text
+        seen = []
+
+        def recording_predict_many(ovr, X):
+            seen.append(dict(ovr.pipeline.resources.provenance))
+            return cli_predict_many(ovr, X)
+
+        cli_predict_many = cli.predict_many
+        monkeypatch.setattr(cli, "predict_many", recording_predict_many)
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "pred.tsv"),
+                    "--sentiment-sidecar", str(sidecar_path)]) == 0
+        assert seen == [{"sentiment_sidecar": (str(sidecar_path), sha256)}]
 
     @pytest.mark.parametrize("blocks", ["U", "U+S"])
     def test_sidecar_flag_refused_unless_the_model_takes_one(self, tmp_path, capsys, blocks):

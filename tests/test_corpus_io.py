@@ -105,6 +105,17 @@ def test_escape_unescape_is_identity(value):
     assert unescape_field(escaped) == value
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a\\tb\\nc\\rd", "a\tb\nc\rd"),
+    ("\\x", "\\x"),  # not an escape: kept
+    ("end\\", "end\\"),  # a trailing lone backslash: kept
+    ("\\\\t", "\\t"),  # an escaped backslash, then a literal t
+    ("\\\\\\t", "\\\t"),
+])
+def test_unescape_field(field, value):
+    assert unescape_field(field) == value
+
+
 def test_write_predictions_round_trip(tmp_path):
     corpus = Corpus([Document("a", "x"), Document("b", "y")])
     out = tmp_path / "pred.tsv"

@@ -30,7 +30,6 @@ from aggdetect.lexfeatures import (
     liwc_features,
     load_category_lexicon,
     load_embeddings,
-    load_sentiment_sidecar,
     load_weighted_lexicon,
     load_word_set,
     sentiment_features,
@@ -409,27 +408,30 @@ class TestSentenceSplitting:
 
 
 class TestSidecar:
+    def load(self, tmp_path, lines):
+        """The sidecar of ``lines``, loaded as every resource file is."""
+        return Resources().load("sentiment_sidecar", str(write_lines(tmp_path / "side.tsv", lines)))
+
     def test_round_trip(self, tmp_path):
-        path = write_lines(
-            tmp_path / "side.tsv",
-            ["d1\t0\t0 0 1 0 0", "d1\t1\t0.5 0.5 0 0 0"],
-        )
-        table = load_sentiment_sidecar(path)
-        provider = SidecarSentimentProvider(table)
-        doc = Document(id="d1", text="hello. bye.")
-        out = provider.document_features(doc)
+        provider = self.load(tmp_path, ["d1\t0\t0 0 1 0 0", "d1\t1\t0.5 0.5 0 0 0"])
+        assert isinstance(provider, SidecarSentimentProvider)
+        out = provider.document_features(Document(id="d1", text="hello. bye."))
         assert out[:5].tolist() == [0.25, 0.25, 0.5, 0, 0]
 
     def test_missing_row_is_an_error(self, tmp_path):
-        path = write_lines(tmp_path / "side.tsv", ["d1\t0\t0 0 1 0 0"])
-        provider = SidecarSentimentProvider(load_sentiment_sidecar(path))
+        provider = self.load(tmp_path, ["d1\t0\t0 0 1 0 0"])
         with pytest.raises(DataError, match="sentence 1"):
             provider.document_features(Document(id="d1", text="a. b."))
 
     def test_invalid_distribution_rejected(self, tmp_path):
-        path = write_lines(tmp_path / "side.tsv", ["d1\t0\t0.9 0.9 0 0 0"])
         with pytest.raises(ResourceError, match="summing to 1"):
-            load_sentiment_sidecar(path)
+            self.load(tmp_path, ["d1\t0\t0.9 0.9 0 0 0"])
+
+    def test_without_a_table_asks_for_a_sidecar(self):
+        """A loaded model's provider: the sidecar it was trained with
+        belongs to the training corpus."""
+        with pytest.raises(ResourceError, match="supply a sidecar file"):
+            SidecarSentimentProvider(None).document_features(Document(id="d1", text="a."))
 
 
 class TestLiwc:
@@ -542,6 +544,7 @@ class TestResourcesLoad:
         "liwc": ("anger\trage*\n", "calm\tcalm*\n"),
         "gender": ("she\t1.0\n", "he\t-1.0\n"),
         "spell_dict": ("dog\t3\n", "cat\t2\n"),
+        "sentiment_sidecar": ("d1\t0\t0 0 1 0 0\n", "d1\t0\t1 0 0 0 0\n"),
     }
 
     @pytest.mark.parametrize("key", RESOURCE_FILES)
@@ -579,6 +582,7 @@ class TestParsedOnce:
         "liwc": ("once\tonce*\n", "twice\ttwice*\n"),
         "gender": ("once\t1.0\n", "once\t-1.0\n"),
         "spell_dict": ("once\t3\n", "once\t2\n"),
+        "sentiment_sidecar": ("once\t0\t0 1 0 0 0\n", "once\t0\t0 0 0 1 0\n"),
     }
     # Per resource key whose loader can refuse a text, one it refuses.
     MALFORMED = {
@@ -586,6 +590,7 @@ class TestParsedOnce:
         "liwc": "once\n",
         "gender": "once\tx\n",
         "spell_dict": "once\t0\n",
+        "sentiment_sidecar": "once\t0\n",
     }
 
     @pytest.fixture
@@ -689,4 +694,6 @@ def _content(loaded):
         return loaded.weights, loaded.intercept
     if isinstance(loaded, set):
         return set(loaded)
+    if isinstance(loaded, SidecarSentimentProvider):
+        return {key: dist.tolist() for key, dist in loaded.distributions.items()}
     return loaded.entries
