@@ -453,6 +453,8 @@ def _parse_baseline_args(items: list[str]) -> tuple[int, int, str]:
 
 
 def cmd_evaluate(args) -> int:
+    if args.baseline is not None:  # a bad --baseline is a usage error before any file is read
+        trials, seed, mode = _parse_baseline_args(args.baseline)
     corpus = load_corpus(args.gold_corpus, has_labels=True, format=args.format)
     predictions = load_predictions(args.predictions)
     pred_labels = []
@@ -467,7 +469,6 @@ def cmd_evaluate(args) -> int:
     gold = corpus.gold_labels()
     baseline = None
     if args.baseline is not None:
-        trials, seed, mode = _parse_baseline_args(args.baseline)
         baseline = random_baseline(gold, seed=seed, trials=trials, mode=mode)
         log.info("random baseline (%s, %d trials, seed %d): %.4f", mode, trials, seed, baseline)
 

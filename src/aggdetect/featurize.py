@@ -19,8 +19,8 @@ per document.  All runs sit in flat arrays with the offsets where each
 run ends, ``_CHUNK_ROWS`` documents at a time, block by block within
 those.  ``_to_csr`` then weights, normalizes
 and sorts one chunk's runs with one set of array operations for all
-blocks and writes them in place.  Whitespace-only documents are all-zero
-rows.
+blocks and writes them in place.  A whitespace-only document is the empty
+one, in fitting as in transforming: an all-zero row that adds no term.
 
 Word and skip-gram blocks count each document's terms with a ``Counter``.
 Char n-gram blocks (C3/C4/C5) count with array operations over the chunk's
@@ -33,21 +33,22 @@ in code-point order within an alphabet, into one int64 with
 4,095 distinct characters for C5) it is the window's UTF-32-BE bytes
 instead.  Either way code order is term order.
 
-``FeaturePipeline.fit_transform`` featurizes a training corpus with one
-term extraction per document and block: each distinct term (or char code)
-gets a provisional id; document frequency is one ``np.bincount`` over
-those ids, and ``min_df`` pruning plus term order give the vocabulary and
-one remap array from provisional ids to vocabulary indices, which turn the
-counted runs into the block's runs.  A word block sorts its kept terms.
-A char block keeps the codes it has seen in one sorted array beside their
-ids, matching each chunk's distinct codes by array operations
-(:class:`_CodeIds`), so its kept codes are already in term order.
-``transform_many`` gets the runs with one term-to-index dict lookup per
-term on a word or skip-gram block, or one ``searchsorted`` of a chunk's
-distinct char codes in the block's vocabulary codes, and
-``transform(doc)`` is ``transform_many([doc])[0]``.  So ``fit_transform(docs)``,
-``fit(docs).transform_many(docs)`` and ``transform`` of each document agree
-bit for bit.
+``fit`` and ``fit_transform`` run one routine over every block, and
+``fit`` keeps only its vocabularies.  It featurizes a training corpus
+with one term extraction per document and block: each distinct term (or
+char code) gets a provisional id; document frequency is one
+``np.bincount`` over those ids, and ``min_df`` pruning plus term order
+give the vocabulary and one remap array from provisional ids to
+vocabulary indices, which turn the counted runs into the block's runs.  A
+word block sorts its kept terms.  A char block keeps the codes it has
+seen in one sorted array beside their ids, matching each chunk's distinct
+codes by array operations (:class:`_CodeIds`), so its kept codes are
+already in term order.  ``transform_many`` gets the runs with one term-
+to-index dict lookup per term on a word or skip-gram block, or one
+``searchsorted`` of a chunk's distinct char codes in the block's
+vocabulary codes, and ``transform(doc)`` is ``transform_many([doc])[0]``.
+So ``fit_transform(docs)``, ``fit(docs).transform_many(docs)`` and
+``transform`` of each document agree bit for bit.
 """
 
 from __future__ import annotations
@@ -210,19 +211,6 @@ def _segment_norms(weights: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarr
     depend on the other segments in the arrays or on how the Python version
     sums floats."""
     return np.sqrt(np.bincount(seg, weights=weights * weights, minlength=n_seg))
-
-
-def _run_layout(n: int, nb: int) -> tuple[np.ndarray, list[list[slice]]]:
-    """The row of each run that ``FeaturePipeline._runs`` gives for ``n``
-    documents and ``nb`` blocks, and each block's runs as one slice of run
-    positions per chunk."""
-    rows, chunks = [np.zeros(0, dtype=np.intp)], [[] for _ in range(nb)]
-    for r0 in range(0, n, _CHUNK_ROWS):
-        m = min(_CHUNK_ROWS, n - r0)
-        rows.append(np.tile(np.arange(r0, r0 + m), nb))
-        for k in range(nb):
-            chunks[k].append(slice(r0 * nb + k * m, r0 * nb + (k + 1) * m))
-    return np.concatenate(rows), chunks
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -502,41 +490,35 @@ SENTIMENT_FEATURE_NAMES = [
 
 @dataclass
 class FeatureBlockSpec:
-    """One named feature block with its kind-specific parameters."""
+    """One named feature block: its kind and parameters are those of
+    ``BLOCK_DEFS[name]``, and a lexical block may add ``min_df``."""
 
     name: str
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        n = self.params.get("n")
-        if self.kind in ("word_ngram", "binary_word_ngram") and n not in (1, 2, 3):
-            raise UsageError(f"block {self.name}: word n-gram n must be 1, 2 or 3")
-        if self.kind == "char_ngram" and n not in (3, 4, 5):
-            raise UsageError(f"block {self.name}: char n-gram n must be 3, 4 or 5")
-        if self.kind == "skip_gram" and (self.params.get("k") != 2 or n not in (2, 3)):
-            raise UsageError(f"block {self.name}: skip-gram requires k=2, n in {{2, 3}}")
-        if self.kind not in LEXICAL_KINDS + DENSE_KINDS:
-            raise UsageError(f"block {self.name}: unknown kind {self.kind!r}")
+        if self.name not in BLOCK_DEFS:
+            raise UsageError(f"unknown feature block {self.name!r}")
+        given = (self.kind, {key: v for key, v in self.params.items() if key != "min_df"})
+        if given != BLOCK_DEFS[self.name]:
+            kind, params = BLOCK_DEFS[self.name]
+            raise UsageError(f"block {self.name} is kind {kind} with {params}, "
+                             f"not kind {given[0]} with {given[1]}")
         if self.kind in LEXICAL_KINDS and self.params.get("min_df", 1) < 1:
             raise UsageError(f"block {self.name}: min_df must be >= 1")
 
     @staticmethod
     def from_name(name: str, min_df: int = 2) -> "FeatureBlockSpec":
-        if name not in BLOCK_DEFS:
-            raise UsageError(f"unknown feature block {name!r}")
-        kind, params = BLOCK_DEFS[name]
-        params = dict(params)
-        if kind in LEXICAL_KINDS:
-            params["min_df"] = min_df
-        return FeatureBlockSpec(name=name, kind=kind, params=params)
+        kind, params = BLOCK_DEFS.get(name, ("", {}))  # __post_init__ refuses an unknown name
+        extra = {"min_df": min_df} if kind in LEXICAL_KINDS else {}
+        return FeatureBlockSpec(name=name, kind=kind, params={**params, **extra})
 
 
-def _token_lists(blocks: Sequence[FeatureBlockSpec], texts: Sequence[str]) -> list:
-    """Each text's tokens where a block reads them, else None for each."""
-    if any(spec.kind in TOKEN_KINDS for spec in blocks):
-        return [tokenize(text) for text in texts]
-    return [None] * len(texts)
+def _texts(documents: Sequence[Document]) -> list[str]:
+    """Each document's text, and "" for a whitespace-only one: fitting and
+    transforming alike read a whitespace-only document as the empty one."""
+    return [doc.text if doc.text.strip() else "" for doc in documents]
 
 
 def _lexical_terms(spec: FeatureBlockSpec, tokens: Sequence[str]) -> list[str]:
@@ -647,39 +629,39 @@ class FeaturePipeline:
             ends.append(len(ids))
 
     def _dense_runs(
-        self, spec: FeatureBlockSpec, documents: Sequence[Document],
+        self, spec: FeatureBlockSpec, documents: Sequence[Document], texts: Sequence[str],
         token_lists: Sequence[list[str] | None],
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One dense block's runs over a chunk's documents: the int32 local
         indices and the values of each document's nonzero entries, in index
         order, and the offset where each document's run ends. Each
         document's vector is written into its row of one ``(rows, d)``
-        array, which one ``nonzero`` then reads; a whitespace-only
-        document's row stays zero, and its function is not called."""
+        array, which one ``nonzero`` then reads; a row whose text is empty
+        (:func:`_texts`) stays zero, and its function is not called."""
         vectors = np.zeros((len(documents), self._dense_dimension(spec)))
-        for row, (doc, tokens) in enumerate(zip(documents, token_lists)):
-            if doc.text.strip():
+        for row, (doc, text, tokens) in enumerate(zip(documents, texts, token_lists)):
+            if text:
                 vectors[row] = self._dense_vector(spec, doc, tokens)
         rows, cols = vectors.nonzero()
         ends = np.bincount(rows, minlength=len(documents)).cumsum()
         return cols.astype(np.int32), vectors[rows, cols], ends
 
     def _runs(
-        self, plan: list, documents: Sequence[Document], texts: Sequence[str],
-        token_lists: list[list[str] | None], alphabet: _Alphabet | None,
+        self, keys: list, documents: Sequence[Document], texts: list[str],
+        alphabet: _Alphabet | None,
     ) -> tuple[array, array, array]:
-        """The runs of every ``(spec, key)`` block of ``plan`` over the
-        documents, as typed arrays of int32 ids, float64 values and the
-        int64 offsets where each run ends. A char block's runs are those of
-        :meth:`_CharWindows.runs` over ``texts`` and ``alphabet``, with
-        ``key`` its lookup of the windows' codes: packed int64s, or
-        UTF-32-BE byte strings where n times the alphabet's bits per
-        character exceeds 63. A word or skip-gram block's runs are counted
-        with a ``Counter`` by :meth:`_append_runs`. A dense block's runs
-        are the nonzeros of one ``(rows, d)`` array per chunk, a row per
-        document (:meth:`_dense_runs`). ``token_lists`` holds each
-        document's tokens, or None for each where no block reads tokens
-        (``TOKEN_KINDS``).
+        """The runs of every block over the documents, whose texts are
+        ``texts`` (:func:`_texts`), with ``keys[k]`` block ``k``'s lookup,
+        as typed arrays of int32 ids, float64 values and the int64 offsets
+        where each run ends. A char block's runs are those of
+        :meth:`_CharWindows.runs` over ``texts`` and ``alphabet``, with its
+        key the lookup of the windows' codes: packed int64s, or UTF-32-BE
+        byte strings where n times the alphabet's bits per character
+        exceeds 63. A word or skip-gram block's runs are counted with a
+        ``Counter`` by :meth:`_append_runs`, from each text's tokens, which
+        are tokenized once where a block reads them (``TOKEN_KINDS``). A
+        dense block's runs are the nonzeros of one ``(rows, d)`` array per
+        chunk, a row per document (:meth:`_dense_runs`).
 
         The runs come ``_CHUNK_ROWS`` documents at a time, block by block
         within those, document by document within a block, so that
@@ -693,11 +675,14 @@ class FeaturePipeline:
         as long), and ``np.asarray`` views them without a copy: the batch
         is never held as Python objects, nor twice, as it would be if
         per-chunk numpy arrays were concatenated at the end."""
+        token_lists = ([tokenize(text) for text in texts]
+                       if any(spec.kind in TOKEN_KINDS for spec in self.blocks)
+                       else [None] * len(texts))
         ids, values, ends = array("i"), array("d"), array("q", [0])
         for r0 in range(0, len(documents), _CHUNK_ROWS):
             rows = slice(r0, r0 + _CHUNK_ROWS)
             windows = None
-            for spec, key in plan:
+            for spec, key in zip(self.blocks, keys):
                 base = len(ids)
                 if spec.kind == "char_ngram":
                     if windows is None:
@@ -705,7 +690,7 @@ class FeaturePipeline:
                     block_ids, block_values, block_ends = windows.runs(spec.params["n"], key)
                 elif spec.kind in DENSE_KINDS:
                     block_ids, block_values, block_ends = self._dense_runs(
-                        spec, documents[rows], token_lists[rows])
+                        spec, documents[rows], texts[rows], token_lists[rows])
                 else:
                     block_ids, block_values, block_ends = [], [], []
                     self._append_runs(spec, key, token_lists[rows],
@@ -719,14 +704,12 @@ class FeaturePipeline:
                 ends.frombytes((block_ends + base).tobytes())
         return ids, values, ends
 
-    def _fit(
-        self, documents: Sequence[Document], blocks: list[FeatureBlockSpec]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fit the vocabularies of the lexical ``blocks`` from one term
-        extraction per document and block, whitespace-only documents
-        included, and return the :meth:`_runs` of ``blocks`` with vocabulary
-        indices, pruned terms dropped, and whitespace-only documents' runs
-        empty, as their rows are.
+    def _fit(self, documents: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fit the vocabularies of the lexical blocks from one term
+        extraction per document and block, and return the :meth:`_runs` of
+        every block with vocabulary indices and pruned terms dropped. A
+        whitespace-only document is the empty one (:func:`_texts`): it
+        counts toward ``n_documents`` and adds no term.
 
         Each distinct term gets a provisional id; document frequency is one
         ``np.bincount`` over the block's ids, and ``min_df`` pruning plus
@@ -738,41 +721,41 @@ class FeaturePipeline:
         or byte strings past the width rule of :class:`_Alphabet`), matched
         a chunk at a time by array operations in a :class:`_CodeIds`, and
         only the kept codes are decoded to terms. The counts and the remaps
-        read each block's entries chunk by chunk, as the slices where
-        :meth:`_runs` put them.
+        read each block's entries chunk by chunk, where :meth:`_runs` put
+        them: a chunk of ``m`` documents from row ``r0`` holds block ``k``'s
+        runs from run ``r0 * nb + k * m`` on.
 
         The kept entries are then moved forward within the runs' own
         buffers, which are cut to them, so no compacted copy is ever held
         beside the full-length runs."""
-        texts = [doc.text for doc in documents]
-        chars = any(spec.kind == "char_ngram" for spec in blocks)
+        texts = _texts(documents)
+        chars = any(spec.kind == "char_ngram" for spec in self.blocks)
         alphabet = _alphabet_of(texts) if chars else None
         provisional = {spec.name: (_CodeIds(alphabet, spec.params["n"])
                                    if spec.kind == "char_ngram" else _TermIds())
-                       for spec in blocks if spec.kind in LEXICAL_KINDS}
+                       for spec in self.blocks if spec.kind in LEXICAL_KINDS}
 
         def key(spec: FeatureBlockSpec):
             ids = provisional.get(spec.name)
             return ids.__getitem__ if isinstance(ids, _TermIds) else ids
 
         id_buffer, value_buffer, ends = self._runs(
-            [(spec, key(spec)) for spec in blocks], documents, texts,
-            _token_lists(blocks, texts), alphabet)
+            [key(spec) for spec in self.blocks], documents, texts, alphabet)
         ids, values, ends = np.asarray(id_buffer), np.asarray(value_buffer), np.asarray(ends)
-        run_rows, chunks = _run_layout(len(documents), len(blocks))
-        for k, spec in enumerate(blocks):
+        n, nb = len(documents), len(self.blocks)
+        chunks = [(r0, min(_CHUNK_ROWS, n - r0)) for r0 in range(0, n, _CHUNK_ROWS)]
+        for k, spec in enumerate(self.blocks):
             if spec.name in provisional:
-                entries = [(ends[runs.start], ends[runs.stop]) for runs in chunks[k]]
+                entries = [(ends[r0 * nb + k * m], ends[r0 * nb + (k + 1) * m])
+                           for r0, m in chunks]
                 self.vocabularies[spec.name], remap = _fit_counts(
                     np.concatenate([ids[:0], *(ids[a:b] for a, b in entries)]),
-                    provisional.pop(spec.name), len(documents), spec.params.get("min_df", 1),
+                    provisional.pop(spec.name), n, spec.params.get("min_df", 1),
                 )
                 for a, b in entries:
                     ids[a:b] = remap[ids[a:b]]
         self._assign_ranges()
         keep = ids >= 0
-        nonblank = np.array([bool(text.strip()) for text in texts], dtype=bool)
-        keep &= np.repeat(nonblank[run_rows], np.diff(ends))
         # each run end moves back by the dropped entries before it
         ends = ends - np.searchsorted(np.flatnonzero(~keep), ends)
         size = 0
@@ -789,13 +772,15 @@ class FeaturePipeline:
         return np.asarray(id_buffer), np.asarray(value_buffer), ends
 
     def fit(self, documents: Sequence[Document]) -> "FeaturePipeline":
-        self._fit(documents, [spec for spec in self.blocks if spec.kind in LEXICAL_KINDS])
+        """Fit the vocabularies through :meth:`_fit`, whose runs are dropped."""
+        self._fit(documents)
         return self
 
     def fit_transform(self, documents: Sequence[Document]) -> SparseMatrix:
-        """``fit(documents)`` then ``transform_many(documents)``, bit for bit,
+        """``fit``'s routine, :meth:`_fit`, then the CSR matrix of its runs:
+        ``fit(documents)`` then ``transform_many(documents)``, bit for bit,
         with each document tokenized at most once and its terms extracted once."""
-        return self._to_csr(len(documents), *self._fit(documents, self.blocks))
+        return self._to_csr(len(documents), *self._fit(documents))
 
     def restore(self, vocabularies: dict[str, Vocabulary]) -> "FeaturePipeline":
         """Rebuild fitted state from deserialized vocabularies."""
@@ -879,10 +864,8 @@ class FeaturePipeline:
         """Every document's row, as one CSR matrix."""
         if not self.fitted:
             raise DataError("feature pipeline used before fitting")
-        plan = [(spec, self._keys.get(spec.name)) for spec in self.blocks]
-        texts = [doc.text if doc.text.strip() else "" for doc in documents]
-        token_lists = _token_lists(self.blocks, [doc.text for doc in documents])
-        runs = self._runs(plan, documents, texts, token_lists, self._alphabet)
+        keys = [self._keys.get(spec.name) for spec in self.blocks]
+        runs = self._runs(keys, documents, _texts(documents), self._alphabet)
         return self._to_csr(len(documents), *map(np.asarray, runs))
 
     def feature_name(self, index: int) -> str:
@@ -895,8 +878,7 @@ class FeaturePipeline:
             if offset <= index < offset + dim:
                 local = index - offset
                 if spec.kind in LEXICAL_KINDS:
-                    prefix = NAME_PREFIXES.get(spec.name, spec.name.lower())
-                    return f"{prefix}_{self.vocabularies[spec.name].terms[local]}"
+                    return f"{NAME_PREFIXES[spec.name]}_{self.vocabularies[spec.name].terms[local]}"
                 if spec.kind == "embedding":
                     return f"w2v_{local}"
                 if spec.kind == "sentiment":

@@ -508,7 +508,7 @@ _KV_LINES_RE = re.compile(r"(?:.* = .*(?:\n|\Z)|\n)*")
 def _split_sections(raw: str, path: Path) -> dict[str, str]:
     """Each section's body by name: the text between its header line and
     the next header, after a first line of :data:`MODEL_FORMAT`. A
-    repeated section name keeps the last body."""
+    section name given twice is refused."""
     first = raw.partition("\n")[0]
     if first != MODEL_FORMAT:
         raise ResourceError(
@@ -518,7 +518,12 @@ def _split_sections(raw: str, path: Path) -> dict[str, str]:
     if raw[len(first) : headers[0].start() if headers else len(raw)].strip("\n"):
         raise ResourceError(f"{path}: content before first section")
     ends = [m.start() for m in headers[1:]] + [len(raw)]
-    return {m[1]: raw[m.end() + 1 : end] for m, end in zip(headers, ends)}
+    sections = {}
+    for m, end in zip(headers, ends):
+        if m[1] in sections:
+            raise ResourceError(f"{path}: section [{m[1]}] is given twice")
+        sections[m[1]] = raw[m.end() + 1 : end]
+    return sections
 
 
 def _lines(body: str) -> list[str]:
@@ -532,6 +537,8 @@ def _kv(body: str, section: str, path: Path) -> dict[str, str]:
         if " = " not in line:
             raise ResourceError(f"{path}: malformed line in [{section}]: {line!r}")
         key, value = line.split(" = ", 1)
+        if key in result:
+            raise ResourceError(f"{path}: key {key!r} is given twice in [{section}]")
         result[key] = value
     return result
 

@@ -276,15 +276,19 @@ class SpellDictionary:
 
 def load_spell_dictionary(text: str, path: Path) -> SpellDictionary:
     """Parse a ``token<TAB>count`` dictionary's text; ``path`` names the file
-    in messages. Blank lines are skipped, tokens are lowercased, and the
-    counts of tokens that lowercase alike are summed. Each row is split once
-    and its count parsed in one pass; only a text with a fault is scanned
-    again, line by line, to name the first offending line."""
+    in messages. Blank lines are skipped, a token must be non-empty and
+    hold no whitespace, as the tokens that correction looks up do, tokens
+    are lowercased, and the counts of tokens that lowercase alike are
+    summed. Each row is split once and its count parsed in one pass; only
+    a text with a fault is scanned again, line by line, to name the first
+    offending line."""
     lines = text.splitlines()
     rows = [line.split("\t") for line in lines if line.strip()]
     try:
         counts = [int(count) for _token, count in rows]
-        valid = not counts or min(counts) >= 1
+        tokens = [token for token, _count in rows]
+        # an empty token drops out of the split, and one with whitespace splits
+        valid = (not counts or min(counts) >= 1) and " ".join(tokens).split() == tokens
     except ValueError:  # a row without exactly one tab, or a count int() refuses
         valid = False
     if not valid:
@@ -298,7 +302,8 @@ def load_spell_dictionary(text: str, path: Path) -> SpellDictionary:
 
 def _raise_first_fault(path: Path, lines: list[str]) -> NoReturn:
     """Raise ResourceError for the first row of a spell dictionary that is
-    malformed, has a bad count or a count below 1."""
+    malformed, has a bad count, a count below 1, or a token that is empty
+    or holds whitespace."""
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -311,6 +316,8 @@ def _raise_first_fault(path: Path, lines: list[str]) -> NoReturn:
             raise ResourceError(f"{path}: bad count at line {lineno}: {parts[1]!r}") from None
         if count < 1:
             raise ResourceError(f"{path}: count must be >= 1 at line {lineno}")
+        if parts[0].split() != [parts[0]]:
+            raise ResourceError(f"{path}: empty token or token with whitespace at line {lineno}")
     raise AssertionError(f"{path}: no faulty row found")
 
 

@@ -542,12 +542,15 @@ class TestPredict:
         (r"^n = 4$", "n = 7", "block:C4"),
         (r"^min_df = 1$", "min_df = 0", "block:U"),
         (r"^blocks = U,C4,C5$", "blocks = U,U,C4,C5", "pipeline"),
+        (r"^n = 1$", "n = 2", "block:U"),
+        (r"^kind = word_ngram$", "kind = binary_word_ngram", "block:U"),
     ])
     def test_bad_block_entry_in_model_exits_3(
         self, tmp_path, toy_corpus, capsys, pattern, replacement, section
     ):
         """Block entries that FeatureBlockSpec or FeaturePipeline refuse are
-        faults of the model file, not usage errors."""
+        faults of the model file, not usage errors. A block whose lines
+        contradict its name used to load and predict other labels."""
         corpus_path, _rows = toy_corpus
         config = write_lines(tmp_path / "run.cfg",
                              ["language = english", "blocks = U+C4+C5", "min_df = 1"])
@@ -559,6 +562,27 @@ class TestPredict:
         assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
         err = capsys.readouterr().err
         assert f"resource error: {model_path}: bad entry in [{section}]" in err
+
+    @pytest.mark.parametrize("repeat, message", [
+        ("key", "key 'bias' is given twice in [weights:NAG]"),
+        ("section", "section [meta] is given twice"),
+    ])
+    def test_repeated_section_or_key_in_model_exits_3(
+        self, tmp_path, toy_corpus, basic_config, capsys, repeat, message
+    ):
+        """The last copy used to win: a second bias set the class's bias,
+        and a second [meta] with another language changed the model's."""
+        corpus_path, _rows = toy_corpus
+        model_path = self.train_model(tmp_path, corpus_path, basic_config)
+        text = model_path.read_text(encoding="utf-8")
+        if repeat == "key":
+            text = text.replace("[weights:NAG]\n", "[weights:NAG]\nbias = 5.0\n", 1)
+        else:
+            meta = re.search(r"^\[meta\]\n(?:.* = .*\n)*", text, flags=re.M)[0]
+            text += meta.replace("language = english", "language = hindi")
+        model_path.write_text(text, encoding="utf-8")
+        assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
+        assert f"resource error: {model_path}: {message}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1.5"])
     def test_intensity_split_outside_unit_interval_in_model_exits_3(
@@ -791,6 +815,13 @@ class TestEvaluate:
         key = items[-1].partition("=")[0]
         assert f"usage error: --baseline key {key!r} is given twice\n" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_bad_baseline_is_found_before_the_files_are_read(self, tmp_path, capsys):
+        """It used to be parsed after both files were read, so a missing
+        corpus exited 2 first."""
+        assert run(["evaluate", str(tmp_path / "nope.tsv"), str(tmp_path / "nope2.tsv"),
+                    str(tmp_path / "report"), "--baseline", "trials=3", "seed=1", "seed=9"]) == 1
+        assert "usage error: --baseline key 'seed' is given twice\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("item, message", [
         ("seed=-5", "--baseline seed must be >= 0"),
@@ -1028,6 +1059,7 @@ class TestReferencedFiles:
         ("liwc", "anger\n", "malformed category row at line 1"),
         ("gender", "she\t1.0\nhe\n", "malformed lexicon row at line 2"),
         ("spell_dict", "dog\t0\n", "count must be >= 1 at line 1"),
+        ("spell_dict", "dog\t2\n\t5\n", "empty token or token with whitespace at line 2"),
     ])
     def test_malformed_row_exits_3_at_train(self, tmp_path, capsys, key, text, message):
         corpus_path, config, files = write_resource_run(tmp_path)

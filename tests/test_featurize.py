@@ -367,15 +367,28 @@ class TestBinaryTransform:
 class TestBlockSpecs:
     def test_invalid_word_ngram_n(self):
         with pytest.raises(UsageError):
-            FeatureBlockSpec(name="X", kind="word_ngram", params={"n": 4})
+            FeatureBlockSpec(name="T", kind="word_ngram", params={"n": 4})
 
     def test_invalid_char_ngram_n(self):
         with pytest.raises(UsageError):
-            FeatureBlockSpec(name="X", kind="char_ngram", params={"n": 2})
+            FeatureBlockSpec(name="C3", kind="char_ngram", params={"n": 2})
 
     def test_skip_gram_requires_k2(self):
         with pytest.raises(UsageError):
-            FeatureBlockSpec(name="X", kind="skip_gram", params={"k": 1, "n": 2})
+            FeatureBlockSpec(name="SK2", kind="skip_gram", params={"k": 1, "n": 2})
+
+    @pytest.mark.parametrize("name, kind, params", [
+        ("U", "binary_word_ngram", {"n": 1}),
+        ("U", "word_ngram", {"n": 2, "min_df": 1}),
+        ("C4", "char_ngram", {"n": 4, "k": 2}),
+        ("W2V", "embedding", {"n": 1}),
+        ("X", "word_ngram", {"n": 1}),
+    ])
+    def test_spec_must_be_its_named_block(self, name, kind, params):
+        """Custom specs used to be taken: a block named U that counted
+        bigrams, or a block of any name."""
+        with pytest.raises(UsageError):
+            FeatureBlockSpec(name=name, kind=kind, params=params)
 
     def test_from_name(self):
         spec = FeatureBlockSpec.from_name("C4", min_df=3)
@@ -539,9 +552,12 @@ _FIT_TEXTS = st.one_of(
 
 def reference_vocabulary(spec, documents):
     """Document frequencies and document count by a plain set-per-document
-    count over every document, whitespace-only ones included."""
+    count over every document; a whitespace-only one counts toward the
+    documents and adds no term."""
     df = Counter()
     for doc in documents:
+        if not doc.text.strip():
+            continue
         tokens = tokenize(doc.text)
         if spec.kind == "char_ngram":
             terms = char_ngrams(doc.text, spec.params["n"])
@@ -615,6 +631,20 @@ def test_fit_transform_matches_fit_then_transform_many(texts, names, min_df, chu
         reference = reference_transform(pipeline, doc)
         assert row.indices.tolist() == [i for i, _ in reference]
         assert row.values.tobytes() == np.array([w for _, w in reference]).tobytes()
+
+
+def test_whitespace_only_documents_add_no_terms():
+    """A whitespace-only document is the empty one when fitting too: its
+    whitespace windows used to count toward document frequency, though
+    its row holds none of them."""
+    docs = _docs("   ", "   ", "abc")
+    blocks = [FeatureBlockSpec.from_name("C3", min_df=1)]
+    fitted, transformed = FeaturePipeline(blocks).fit(docs), FeaturePipeline(blocks)
+    assert [len(row) for row in transformed.fit_transform(docs)] == [0, 0, 1]
+    for pipeline in (fitted, transformed):
+        vocab = pipeline.vocabularies["C3"]
+        assert terms_and_dfs(vocab) == [("abc", 1)]
+        assert vocab.n_documents == 3
 
 
 def test_char_codes_past_4095_characters_match_references():

@@ -1,7 +1,8 @@
-"""A property test over the pipeline's configuration space: block sets
-(lexical blocks, optionally with the dense W2V, S, LIWC and GP), ``min_df``,
-a cleaning switch and spell correction, each run through train, save, load
-and predict on a tiny corpus."""
+"""Property tests over the pipeline's configuration space, each
+configuration run through train, save, load and predict on a tiny corpus:
+on English, block sets (lexical blocks, optionally with the dense W2V, S,
+LIWC and GP), ``min_df``, a cleaning switch and spell correction; on
+code-mixed Hindi, lexical block sets and ``min_df`` with transliteration."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,8 @@ from aggdetect.corpus_io import Label, load_corpus
 from aggdetect.model import load_model, predict, predict_many, predict_proba, save_model
 from aggdetect.preprocess import CLEAN_SWITCHES
 
-from helpers import synthetic_documents, train_library, write_corpus_tsv, write_resource_run
+from helpers import (synthetic_documents, train_library, write_corpus_tsv, write_lines,
+                     write_resource_run)
 
 LEXICAL_BLOCKS = ["U", "B", "BU", "C3", "C4", "C5", "SK2"]
 DENSE_BLOCKS = ["W2V", "S", "LIWC", "GP"]
@@ -28,8 +30,19 @@ DECORATIONS = [
 ]
 
 
-def decorated(rows):
-    return [(doc_id, f"{text} {DECORATIONS[i % len(DECORATIONS)]}".strip(), label)
+# Devanagari phrases to mix into roman text. U+0973 is outside the
+# transliteration table, so it passes through and the run logs a warning.
+HINDI_DECORATIONS = [
+    "शांत रहो भाई",
+    "तुम पागल हो!!",
+    "गुस्सा \u0973 मत करो",
+    "bhai दोस्त है",
+    "",
+]
+
+
+def decorated(rows, decorations=DECORATIONS):
+    return [(doc_id, f"{text} {decorations[i % len(decorations)]}".strip(), label)
             for i, (doc_id, text, label) in enumerate(rows)]
 
 
@@ -43,25 +56,21 @@ def corpora(tmp_path_factory):
     return root, train, write_corpus_tsv(root / "test.tsv", rows)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    lexical=st.lists(st.sampled_from(LEXICAL_BLOCKS), min_size=1, unique=True),
-    dense=st.lists(st.sampled_from(DENSE_BLOCKS), unique=True),
-    min_df=st.sampled_from([1, 2]),
-    switch=st.sampled_from(CLEAN_SWITCHES),
-    on=st.booleans(),
-    spell_correct=st.booleans(),
-)
-def test_train_save_load_predict_agree(corpora, lexical, dense, min_df, switch, on,
-                                       spell_correct):
+@pytest.fixture(scope="module")
+def hindi_corpora(tmp_path_factory):
+    """As ``corpora``, with Devanagari phrases mixed into the documents."""
+    root = tmp_path_factory.mktemp("hindi")
+    train = write_corpus_tsv(root / "mixed.tsv",
+                             decorated(synthetic_documents(8, seed=17), HINDI_DECORATIONS))
+    rows = decorated(synthetic_documents(3, seed=29), HINDI_DECORATIONS)
+    rows.append(("unseen", "ऑ\u0973ठ zzz क्षमा", Label.NAG))
+    return root, train, write_corpus_tsv(root / "test.tsv", rows)
+
+
+def assert_train_save_load_predict_agree(root, train_path, test_path, config):
     """``train`` and the library write the same bytes; the loaded model
     predicts what the in-memory one does, and one document at a time
     what the batch does."""
-    root, train_path, test_path = corpora
-    _corpus, config, _files = write_resource_run(
-        root, "+".join(lexical + dense), spell_correct, min_df,
-        extra=[f"{switch} = {str(on).lower()}"],
-    )
     cli_path, library_path = root / "cli.txt", root / "library.txt"
     assert cli.main(["--quiet", "train", str(train_path), str(cli_path),
                      "--config", str(config)]) == 0
@@ -79,3 +88,37 @@ def test_train_save_load_predict_agree(corpora, lexical, dense, min_df, switch, 
         assert [predict(m, x) for x in vectors] == labels
         rows[name] = labels, [predict_proba(m, x).tolist() for x in vectors]
     assert rows["loaded"] == rows["memory"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lexical=st.lists(st.sampled_from(LEXICAL_BLOCKS), min_size=1, unique=True),
+    dense=st.lists(st.sampled_from(DENSE_BLOCKS), unique=True),
+    min_df=st.sampled_from([1, 2]),
+    switch=st.sampled_from(CLEAN_SWITCHES),
+    on=st.booleans(),
+    spell_correct=st.booleans(),
+)
+def test_train_save_load_predict_agree(corpora, lexical, dense, min_df, switch, on,
+                                       spell_correct):
+    root, train_path, test_path = corpora
+    _corpus, config, _files = write_resource_run(
+        root, "+".join(lexical + dense), spell_correct, min_df,
+        extra=[f"{switch} = {str(on).lower()}"],
+    )
+    assert_train_save_load_predict_agree(root, train_path, test_path, config)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lexical=st.lists(st.sampled_from(LEXICAL_BLOCKS), min_size=1, unique=True),
+    min_df=st.sampled_from([1, 2]),
+)
+def test_hindi_train_save_load_predict_agree(hindi_corpora, lexical, min_df):
+    """The same agreement on code-mixed Hindi, transliterated."""
+    root, train_path, test_path = hindi_corpora
+    config = write_lines(root / "hindi.cfg", [
+        "language = hindi", f"blocks = {'+'.join(lexical)}", f"min_df = {min_df}",
+        "max_iters = 30",
+    ])
+    assert_train_save_load_predict_agree(root, train_path, test_path, config)

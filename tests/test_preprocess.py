@@ -352,9 +352,16 @@ class TestSpellDictionaryIO:
 
     def test_rejects_bad_rows(self):
         """The first faulty row is named, also after rows that differ only
-        in case, which the loader merges."""
+        in case, which the loader merges. Correction looks up
+        whitespace-split tokens: an empty token used to turn "a c e g" into
+        a whitespace-only text, and "a b" to split "ab" into two words."""
         path = Path("dict.tsv")
+        blank = "empty token or token with whitespace at line"
         for text, message in [
+            ("dog\t2\n\t5\n", f"{blank} 2"),
+            ("ab\t1\na b\t3\n", f"{blank} 2"),
+            (" dog\t3\n", f"{blank} 1"),
+            ("a\u00a0b\t3\n", f"{blank} 1"),
             ("dog\tfive\n", "bad count at line 1: 'five'"),
             ("dog\n", "malformed dictionary row at line 1"),
             ("dog\t1\t2\n", "malformed dictionary row at line 1"),
