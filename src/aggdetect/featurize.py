@@ -505,7 +505,9 @@ class FeatureBlockSpec:
             kind, params = BLOCK_DEFS[self.name]
             raise UsageError(f"block {self.name} is kind {kind} with {params}, "
                              f"not kind {given[0]} with {given[1]}")
-        if self.kind in LEXICAL_KINDS and self.params.get("min_df", 1) < 1:
+        if self.kind not in LEXICAL_KINDS and "min_df" in self.params:
+            raise UsageError(f"block {self.name}: min_df applies only to a lexical block")
+        if self.params.get("min_df", 1) < 1:
             raise UsageError(f"block {self.name}: min_df must be >= 1")
 
     @staticmethod

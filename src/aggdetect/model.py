@@ -53,8 +53,11 @@ as :class:`FeaturePipeline` takes them; ``0 <= total_dimension < 2**31``;
 ``final_grad_norm`` and ``final_loss`` finite; ``reg_lambda`` and
 ``final_loss`` >= 0; ``stop_reason`` one of ``STOP_REASONS``; with
 ``transliterate = true``, ``translit_table_version`` equal to
-:data:`translit.TABLE_VERSION`.  A fault raises ResourceError naming the
-section and, for a line-based fault, its first offending line.
+:data:`translit.TABLE_VERSION`; a section holds only the keys that
+:func:`save_model` writes there (a ``[block:*]`` may also hold the unread
+``offset`` and ``dimension`` of older files).  A fault raises
+ResourceError naming the section and, for a line-based fault, its first
+offending line.
 """
 
 from __future__ import annotations
@@ -531,8 +534,30 @@ def _lines(body: str) -> list[str]:
     return list(filter(None, body.split("\n")))
 
 
-def _kv(body: str, section: str, path: Path) -> dict[str, str]:
-    result = {}
+class _Entries(dict):
+    """A section's ``key = value`` entries, noting in ``read`` each key
+    that is looked up, so that :func:`_all_read` can refuse the others."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.read: set[str] = set()
+
+    def __getitem__(self, key: str) -> str:
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _all_read(kv: _Entries, section: str, path: Path, unused: tuple[str, ...] = ()) -> None:
+    """Refuse a key of ``section`` that nothing read, unless it is one of
+    the ``unused`` keys that older files hold: a section holds only the
+    keys that :func:`save_model` writes."""
+    for key in kv:
+        if key not in kv.read and key not in unused:
+            raise ResourceError(f"{path}: unknown key {key!r} in section [{section}]")
+
+
+def _kv(body: str, section: str, path: Path) -> _Entries:
+    result = _Entries()
     for line in _lines(body):
         if " = " not in line:
             raise ResourceError(f"{path}: malformed line in [{section}]: {line!r}")
@@ -705,6 +730,11 @@ def load_model(path: str | Path) -> OvRModel:
     if labels_str != ",".join(label.name for label in LABELS):
         raise ResourceError(f"{path}: unsupported label order {labels_str!r}")
     total_dimension = _need(meta, "total_dimension", "meta", path, _dimension)
+    language = _need(meta, "language", "meta", path)
+    n_train_documents = _need(meta, "n_train_documents", "meta", path, _count)
+    merged_validation = _need(meta, "merged_validation", "meta", path, _parse_bool)
+    single_class_warning = _need(meta, "single_class_warning", "meta", path, _parse_bool)
+    _all_read(meta, "meta", path)
 
     prep_kv = _kv(by_name["preprocess"], "preprocess", path)
     try:
@@ -726,10 +756,12 @@ def load_model(path: str | Path) -> OvRModel:
     if transliterate and table_version != translit.TABLE_VERSION:
         raise ResourceError(f"{path}: bad value in [preprocess]: 'translit_table_version = "
                             f"{table_version}' (this build has {translit.TABLE_VERSION})")
+    _all_read(prep_kv, "preprocess", path)
     preprocess = PreprocessSettings(clean, transliterate, spell_dictionary)
 
     pipe_kv = _kv(by_name["pipeline"], "pipeline", path)
     block_names = [n for n in _need(pipe_kv, "blocks", "pipeline", path).split(",") if n]
+    _all_read(pipe_kv, "pipeline", path)
 
     blocks: list[FeatureBlockSpec] = []
     vocabularies: dict[str, Vocabulary] = {}
@@ -776,6 +808,8 @@ def load_model(path: str | Path) -> OvRModel:
                 resources.sentiment_provider = lexfeatures.SidecarSentimentProvider(None)
             else:
                 raise ResourceError(f"{path}: unknown sentiment provider {provider_kind!r}")
+        # format 2 files written before these lines were dropped hold them
+        _all_read(kv, section, path, unused=("offset", "dimension"))
 
     try:
         pipeline = FeaturePipeline(blocks, resources).restore(vocabularies)
@@ -806,13 +840,14 @@ def load_model(path: str | Path) -> OvRModel:
                 final_loss=_optional(kv, "final_loss", section, path, _non_negative),
             )
         )
+        _all_read(kv, section, path)
 
     return OvRModel(
         classifiers=classifiers,
         pipeline=pipeline,
         preprocess=preprocess,
-        language=_need(meta, "language", "meta", path),
-        n_train_documents=_need(meta, "n_train_documents", "meta", path, _count),
-        merged_validation=_need(meta, "merged_validation", "meta", path, _parse_bool),
-        single_class_warning=_need(meta, "single_class_warning", "meta", path, _parse_bool),
+        language=language,
+        n_train_documents=n_train_documents,
+        merged_validation=merged_validation,
+        single_class_warning=single_class_warning,
     )

@@ -584,6 +584,28 @@ class TestPredict:
         assert run(["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")]) == 3
         assert f"resource error: {model_path}: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, line, message", [
+        ("meta", "foo = 1", "unknown key 'foo' in section [meta]"),
+        ("weights:NAG", "colour = blue", "unknown key 'colour' in section [weights:NAG]"),
+        ("block:S", "path = emb.vec", "unknown key 'path' in section [block:S]"),
+        ("block:W2V", "min_df = 0",
+         "bad entry in [block:W2V]: block W2V: min_df applies only to a lexical block"),
+    ])
+    def test_key_that_save_model_does_not_write_exits_3(
+        self, tmp_path, capsys, section, line, message
+    ):
+        """Such keys used to load and be ignored, and save_model wrote a
+        dense block's min_df back."""
+        corpus_path, config, _files = write_resource_run(tmp_path)
+        model_path = self.train_model(tmp_path, corpus_path, config)
+        text = model_path.read_text(encoding="utf-8")
+        model_path.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{line}\n", 1),
+                              encoding="utf-8")
+        for argv in (["predict", str(model_path), str(corpus_path), str(tmp_path / "p.tsv")],
+                     ["inspect", str(model_path)]):
+            assert run(argv) == 3
+            assert f"resource error: {model_path}: {message}\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "1.5"])
     def test_intensity_split_outside_unit_interval_in_model_exits_3(
         self, tmp_path, capsys, value

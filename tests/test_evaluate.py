@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -241,21 +244,67 @@ class TestRandomBaseline:
         assert random_baseline(gold, seed, trials, mode) == per_trial_baseline(
             gold, seed, trials, mode)
 
+    @pytest.mark.parametrize("mode", ["uniform", "empirical"])
+    def test_distribution_of_the_per_document_sampler(self, mode):
+        """Drawing each trial's confusion rows gives the mean weighted F1
+        that labelling every document at random gives."""
+        gold = [Label.NAG] * 380 + [Label.CAG] * 330 + [Label.OAG] * 290
+        trials = 20_000
+        per_document = per_document_scores(gold, seed=99, trials=trials, mode=mode)
+        mean = random_baseline(gold, seed=98, trials=trials, mode=mode)
+        # both sides' trial scores share one standard deviation
+        standard_error = math.sqrt(2 / trials) * per_document.std()
+        assert abs(mean - per_document.mean()) <= 4 * standard_error
+
+    def test_value_does_not_depend_on_the_block_size(self, monkeypatch):
+        gold = [Label.NAG, Label.CAG, Label.OAG, Label.OAG] * 25
+        want = random_baseline(gold, seed=4, trials=5000, mode="empirical")
+        for block in (777, 1):
+            monkeypatch.setattr(evaluate, "_BASELINE_BLOCK", block)
+            assert random_baseline(gold, seed=4, trials=5000, mode="empirical") == want
+
+    def test_memory_is_bounded_in_the_trial_count(self):
+        """Before the trials were drawn in blocks, 200,000 trials held all
+        their counts and scores at once: a 49 MiB peak."""
+        gold = [Label.NAG] * 120 + [Label.CAG] * 100 + [Label.OAG] * 80
+        tracemalloc.start()
+        try:
+            random_baseline(gold, seed=1, trials=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
 
 def per_trial_baseline(gold, seed, trials, mode):
-    """The loop random_baseline replaced: one confusion matrix and one
-    weighted_f1 per trial, added up in trial order."""
-    g = np.array([int(x) for x in gold], dtype=np.int64)
-    probabilities = np.bincount(g, minlength=3) / g.shape[0] if mode == "empirical" else None
+    """One generator seeded with ``seed``; for each trial and each gold
+    class in NAG, CAG, OAG order, one scalar multinomial draw of that
+    class's predicted labels; one weighted_f1 per trial, added up in trial
+    order."""
+    support = [sum(1 for x in gold if x == label) for label in LABELS]
+    p = [n / len(gold) for n in support] if mode == "empirical" else [1 / 3] * 3
+    rng = np.random.default_rng(seed)
     total = 0.0
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
-        if probabilities is None:
-            p = rng.integers(0, 3, size=g.shape[0])
-        else:
-            p = rng.choice(3, size=g.shape[0], p=probabilities)
-        total += weighted_f1(ConfusionMatrix(np.bincount(g * 3 + p, minlength=9).reshape(3, 3)))
+    for _trial in range(trials):
+        rows = [rng.multinomial(n, p) for n in support]
+        total += weighted_f1(ConfusionMatrix(np.array(rows)))
     return total / trials
+
+
+def per_document_scores(gold, seed, trials, mode):
+    """Each trial's weighted F1 when every document gets a label drawn at
+    random, 1/3 each or with the gold shares."""
+    g = np.array([int(x) for x in gold], dtype=np.int64)
+    p = np.bincount(g, minlength=3) / g.shape[0] if mode == "empirical" else None
+    rng = np.random.default_rng(seed)
+    scores = []
+    for start in range(0, trials, 1000):
+        block = min(1000, trials - start)
+        pred = rng.choice(3, size=(block, g.shape[0]), p=p)
+        cells = 9 * np.arange(block)[:, None] + 3 * g + pred
+        counts = np.bincount(cells.ravel(), minlength=9 * block).reshape(block, 3, 3)
+        scores.append(evaluate._scores(counts).weighted_f1)
+    return np.concatenate(scores)
 
 
 class TestRenderReport:

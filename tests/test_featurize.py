@@ -383,6 +383,7 @@ class TestBlockSpecs:
         ("C4", "char_ngram", {"n": 4, "k": 2}),
         ("W2V", "embedding", {"n": 1}),
         ("X", "word_ngram", {"n": 1}),
+        ("W2V", "embedding", {"min_df": 2}),
     ])
     def test_spec_must_be_its_named_block(self, name, kind, params):
         """Custom specs used to be taken: a block named U that counted

@@ -797,6 +797,58 @@ class TestPersistence:
         with pytest.raises(ResourceError, match="checksum mismatch"):
             load_model(path)
 
+    @staticmethod
+    def saved_model_with_a_dense_block(tmp_path):
+        """The path of a saved U+GP model: one lexical and one dense block."""
+        resources = Resources()
+        resources.load("gender", str(write_lines(tmp_path / "gender.tsv",
+                                                 ["_intercept\t0.0", "she\t1.0"])))
+        docs = [Document(id="a", text="she is calm", gold=Label.NAG),
+                Document(id="b", text="he is angry", gold=Label.OAG)]
+        pipeline = FeaturePipeline(
+            [FeatureBlockSpec.from_name("U", min_df=1), FeatureBlockSpec.from_name("GP")],
+            resources,
+        ).fit(docs)
+        model = train_ovr(
+            pipeline.transform_many(docs), [d.gold for d in docs], TrainConfig(max_iters=5),
+            pipeline=pipeline, preprocess=PreprocessSettings(clean=CleanConfig()),
+        )
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        return path
+
+    @pytest.mark.parametrize("section, line", [
+        ("meta", "foo = 1"),
+        ("preprocess", "spell_dict_path = spell.tsv"),  # spell_correct = false
+        ("pipeline", "min_df = 2"),
+        ("block:U", "sha256 = 0"),
+        ("block:GP", "n_documents = 2"),
+        ("weights:NAG", "colour = blue"),
+    ])
+    def test_key_that_save_model_does_not_write_names_section_and_key(
+        self, tmp_path, section, line
+    ):
+        """Such a key was loaded and ignored, so a misspelt or misplaced
+        key passed for a setting."""
+        path = self.saved_model_with_a_dense_block(tmp_path)
+        text = path.read_text(encoding="utf-8").replace(f"[{section}]\n",
+                                                        f"[{section}]\n{line}\n", 1)
+        path.write_text(text, encoding="utf-8")
+        key = line.split(" = ")[0]
+        with pytest.raises(ResourceError,
+                           match=re.escape(f"unknown key {key!r} in section [{section}]")):
+            load_model(path)
+
+    def test_min_df_on_a_dense_block_is_refused(self, tmp_path):
+        """It was kept on the block's spec, and save_model wrote it back."""
+        path = self.saved_model_with_a_dense_block(tmp_path)
+        text = path.read_text(encoding="utf-8").replace("kind = gender\n",
+                                                        "kind = gender\nmin_df = 0\n", 1)
+        path.write_text(text, encoding="utf-8")
+        message = "bad entry in [block:GP]: block GP: min_df applies only to a lexical block"
+        with pytest.raises(ResourceError, match=re.escape(message)):
+            load_model(path)
+
     def test_two_loads_of_one_english_model_share_its_resources(self, tmp_path):
         """Two live loads of a model with W2V features and spell correction
         share one embedding table and one spell dictionary, and score bit

@@ -2,13 +2,20 @@
 configuration run through train, save, load and predict on a tiny corpus:
 on English, block sets (lexical blocks, optionally with the dense W2V, S,
 LIWC and GP), ``min_df``, a cleaning switch and spell correction; on
-code-mixed Hindi, lexical block sets and ``min_df`` with transliteration."""
+code-mixed Hindi, lexical block sets and ``min_df`` with transliteration;
+and two models that share their resource files in one process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import aggdetect
 from aggdetect import cli
-from aggdetect.corpus_io import Label, load_corpus
+from aggdetect.corpus_io import Document, Label, load_corpus, write_predictions
 from aggdetect.model import load_model, predict, predict_many, predict_proba, save_model
 from aggdetect.preprocess import CLEAN_SWITCHES
 
@@ -122,3 +129,40 @@ def test_hindi_train_save_load_predict_agree(hindi_corpora, lexical, min_df):
         "max_iters = 30",
     ])
     assert_train_save_load_predict_agree(root, train_path, test_path, config)
+
+
+def test_two_models_sharing_resources_predict_as_each_does_alone(corpora):
+    """Two English models trained in one process from one embedding table
+    and one spell dictionary share one parse of each, so one memo of spell
+    corrections too. Predicting with them in turn, one document at a
+    time, writes what each model's ``predict`` writes alone in a fresh
+    process."""
+    root, train_path, test_path = corpora
+    root = root / "shared"
+    root.mkdir()
+    _corpus, config, _files = write_resource_run(root, "U+W2V")
+    lines = config.read_text(encoding="utf-8").splitlines()
+    other = write_lines(root / "other.cfg", [
+        "blocks = BU+C4+W2V" if line.startswith("blocks = ") else line for line in lines])
+    models = [train_library(train_path, path) for path in (config, other)]
+    a, b = models
+    assert a.pipeline.resources.embeddings is b.pipeline.resources.embeddings
+    assert a.preprocess.spell_dictionary is b.preprocess.spell_dictionary
+
+    corpus = load_corpus(test_path, has_labels=True)
+    labels = [[], []]
+    for doc in corpus.documents:
+        for m, out in zip(models, labels):
+            prepped = Document(id=doc.id, text=m.preprocess.apply(doc.text))
+            out.append(predict(m, m.pipeline.transform(prepped)))
+    package_root = str(Path(aggdetect.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    for name, m, out in zip("ab", models, labels):
+        model_path, interleaved, alone = (root / f"{name}{suffix}"
+                                          for suffix in (".txt", ".tsv", "-alone.tsv"))
+        save_model(m, model_path)
+        write_predictions(corpus, out, interleaved)
+        subprocess.run([sys.executable, "-m", "aggdetect", "--quiet", "predict",
+                        str(model_path), str(test_path), str(alone)], env=env, check=True)
+        assert interleaved.read_bytes() == alone.read_bytes()
